@@ -223,6 +223,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = ExperimentConfig.from_json_file(args.config)
     run_experiment(_EXPERIMENT_KINDS[args.kind], cfg, out_dir=args.out, jobs=args.jobs)
     return 0

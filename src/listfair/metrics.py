@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import stats as scipy_stats
@@ -67,20 +68,25 @@ class PrefixProportionCurve:
         return float(self.values[k - 1])
 
 
+def prefix_shares(mask: np.ndarray) -> np.ndarray:
+    """Female share of positions 1..k for every k, from a female mask."""
+    return np.cumsum(mask) / np.arange(1, len(mask) + 1)
+
+
 def perc_f_curve(sample) -> PrefixProportionCurve:
     individuals = _individuals_of(sample)
     if len(individuals) == 0:
         raise ValueError("curve needs at least one individual")
-    cumulative = np.cumsum(_female_mask(individuals))
-    values = cumulative / np.arange(1, len(individuals) + 1)
+    values = prefix_shares(_female_mask(individuals))
     return PrefixProportionCurve(values, float(values[-1]))
 
 
 def rnd_checkpoints(n: int, step: int = 10) -> list[int]:
     """Checkpoint positions: step, 2*step, ..., plus N when N is not a
-    multiple of the step."""
-    if step < 1:
-        raise ValueError("step must be >= 1")
+    multiple of the step. The step must be at least 2, since checkpoint
+    k = 1 would be discounted by 1/log2(1)."""
+    if step < 2:
+        raise ValueError(f"step must be >= 2, got {step}")
     if n < step:
         raise SampleTooSmallError(
             f"list of size {n} is shorter than the first checkpoint (step={step})"
@@ -91,6 +97,18 @@ def rnd_checkpoints(n: int, step: int = 10) -> list[int]:
     return ks
 
 
+@lru_cache(maxsize=256)
+def _discounted_checkpoints(n: int, step: int) -> tuple[np.ndarray, np.ndarray]:
+    ks = rnd_checkpoints(n, step)
+    # math.log2 per k, not np.log2: the two differ in the last bit for
+    # some k, and raw values must not depend on the vector path
+    discounts = np.array([1.0 / math.log2(k) for k in ks])
+    ks = np.array(ks)
+    ks.flags.writeable = False
+    discounts.flags.writeable = False
+    return ks, discounts
+
+
 @dataclass(frozen=True)
 class RndCheckpoint:
     k: int
@@ -99,24 +117,29 @@ class RndCheckpoint:
     term: float
 
 
-def _checkpoint_terms(mask: np.ndarray, step: int) -> tuple[RndCheckpoint, ...]:
-    n = len(mask)
-    cumulative = np.cumsum(mask)
-    overall = cumulative[-1] / n
-    checkpoints = []
-    for k in rnd_checkpoints(n, step):
-        deviation = abs(cumulative[k - 1] / k - overall)
-        discount = 1.0 / math.log2(k)
-        checkpoints.append(
-            RndCheckpoint(k, discount, float(deviation), float(discount * deviation))
-        )
-    return tuple(checkpoints)
+def _rnd_terms(cumulative: np.ndarray, step: int):
+    """Checkpoints, discounts, deviations and terms of rND from the
+    running female count of a list."""
+    n = len(cumulative)
+    ks, discounts = _discounted_checkpoints(n, step)
+    deviations = np.abs(cumulative[ks - 1] / ks - cumulative[-1] / n)
+    return ks, discounts, deviations, discounts * deviations
+
+
+def _sum_terms(terms: np.ndarray) -> float:
+    # left to right like a Python loop; np.sum's pairwise summation would
+    # change the last bits of raw
+    return float(sum(terms.tolist()))
+
+
+def rnd_raw_of_mask(mask: np.ndarray, step: int = 10) -> float:
+    """Raw rND of a list given as its female mask in display order."""
+    return _sum_terms(_rnd_terms(np.cumsum(mask), step)[3])
 
 
 def rnd_raw(sample, step: int = 10) -> float:
     """Raw (unnormalized) discounted deviation sum for the given order."""
-    mask = _female_mask(_individuals_of(sample))
-    return float(sum(cp.term for cp in _checkpoint_terms(mask, step)))
+    return rnd_raw_of_mask(_female_mask(_individuals_of(sample)), step)
 
 
 def rnd_theoretical_normalizer(n: int, n_f: int, step: int = 10) -> float:
@@ -129,13 +152,12 @@ def rnd_theoretical_normalizer(n: int, n_f: int, step: int = 10) -> float:
     """
     if not 0 <= n_f <= n:
         raise ValueError(f"n_f={n_f} outside 0..{n}")
-    women_first = np.zeros(n, dtype=bool)
-    women_first[:n_f] = True
-    women_last = np.zeros(n, dtype=bool)
-    women_last[n - n_f :] = True
-    raw_first = sum(cp.term for cp in _checkpoint_terms(women_first, step))
-    raw_last = sum(cp.term for cp in _checkpoint_terms(women_last, step))
-    return float(max(raw_first, raw_last))
+    positions = np.arange(1, n + 1)
+    women_first = np.minimum(positions, n_f)
+    women_last = np.maximum(positions - (n - n_f), 0)
+    raw_first = _sum_terms(_rnd_terms(women_first, step)[3])
+    raw_last = _sum_terms(_rnd_terms(women_last, step)[3])
+    return max(raw_first, raw_last)
 
 
 @dataclass(frozen=True)
@@ -175,8 +197,12 @@ def rnd(sample, step: int = 10, normalizer: str = THEORETICAL, z: float | None =
     """
     individuals = _individuals_of(sample)
     mask = _female_mask(individuals)
-    checkpoints = _checkpoint_terms(mask, step)
-    raw = float(sum(cp.term for cp in checkpoints))
+    terms = _rnd_terms(np.cumsum(mask), step)
+    checkpoints = tuple(
+        RndCheckpoint(k, discount, deviation, term)
+        for k, discount, deviation, term in zip(*(a.tolist() for a in terms))
+    )
+    raw = _sum_terms(terms[3])
     if normalizer == THEORETICAL:
         if z is not None:
             raise ValueError("z is derived for the theoretical normalizer; do not pass one")

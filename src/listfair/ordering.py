@@ -15,6 +15,8 @@ import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from listfair.sampling import Individual, SampleProvenance
 
 PAGE_HEADER = ["page", "position", "name", "gender"]
@@ -26,6 +28,9 @@ ALPHABETICAL = "alphabetical"
 @lru_cache(maxsize=None)
 def collation_key(name: str) -> str:
     """Case- and accent-insensitive sort key for a name."""
+    if name.isascii():
+        # ASCII is already in NFD and has no combining marks
+        return name.upper()
     decomposed = unicodedata.normalize("NFD", name)
     stripped = "".join(ch for ch in decomposed if unicodedata.category(ch) != "Mn")
     return stripped.upper()
@@ -53,12 +58,36 @@ def as_random_order(sample) -> OrderedSample:
     return OrderedSample(tuple(sample.individuals), RANDOM, _provenance_of(sample))
 
 
+def dense_rank(keys) -> np.ndarray:
+    """Rank of each key among the distinct keys in sorted order; equal
+    keys share a rank, so ranks compare exactly as the keys do."""
+    rank_of = {key: r for r, key in enumerate(sorted(set(keys)))}
+    return np.fromiter((rank_of[key] for key in keys), dtype=np.intp, count=len(keys))
+
+
+def collation_ranks(names) -> np.ndarray:
+    """Dense rank of each name's collation key.
+
+    Built once per dataset, so it calls the uncached key function: the
+    cache would otherwise keep an entry for every name of a large
+    registry.
+    """
+    return dense_rank([collation_key.__wrapped__(name) for name in names])
+
+
+def alphabetical_order(ranks: np.ndarray) -> np.ndarray:
+    """Positions that put ``ranks`` in order; the sort is stable, so
+    equal ranks keep their arrival order."""
+    return np.argsort(ranks, kind="stable")
+
+
 def sort_alphabetical(sample) -> OrderedSample:
     """Sort by collation key; the sort is stable, so equal keys keep
     their arrival order. Accepts a sample, an ordered sample, or any
     sequence of individuals."""
-    individuals = getattr(sample, "individuals", sample)
-    ordered = tuple(sorted(individuals, key=lambda ind: collation_key(ind.name)))
+    individuals = tuple(getattr(sample, "individuals", sample))
+    order = alphabetical_order(dense_rank([collation_key(ind.name) for ind in individuals]))
+    ordered = tuple(individuals[i] for i in order.tolist())
     return OrderedSample(ordered, ALPHABETICAL, _provenance_of(sample))
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -84,32 +85,121 @@ class Sample:
         return len(self.individuals)
 
 
-def round_half_up(x: float) -> int:
-    """Round to the nearest integer, with .5 going up."""
-    return math.floor(x + 0.5)
+@dataclass(frozen=True)
+class DatasetArrays:
+    """A dataset as per-record arrays, the form the experiment hot path
+    works on: a sample is an ``int`` index array into ``ds.records``.
+
+    ``p`` holds the proportional draw probabilities; ``female`` and
+    ``male`` are the record indices of each gender with their own
+    within-gender probabilities. ``rank`` is the dense rank of each
+    record's collation key (equal keys share a rank), or None when the
+    arrays are only used for drawing.
+    """
+
+    id: str
+    is_female: np.ndarray
+    p: np.ndarray
+    female: np.ndarray
+    female_p: np.ndarray
+    male: np.ndarray
+    male_p: np.ndarray
+    rank: np.ndarray | None = None
+
+
+def _probabilities(counts: np.ndarray) -> np.ndarray:
+    return counts / counts.sum()
+
+
+def dataset_arrays(ds: NameDataset, rank: np.ndarray | None = None) -> DatasetArrays:
+    records = ds.records
+    is_female = np.fromiter(
+        (r.gender is Gender.FEMALE for r in records), dtype=bool, count=len(records)
+    )
+    counts = np.fromiter((r.count for r in records), dtype=np.float64, count=len(records))
+    female = np.flatnonzero(is_female)
+    male = np.flatnonzero(~is_female)
+    return DatasetArrays(
+        ds.id,
+        is_female,
+        _probabilities(counts),
+        female,
+        _probabilities(counts[female]),
+        male,
+        _probabilities(counts[male]),
+        rank,
+    )
+
+
+def round_half_up(x) -> int:
+    """Round to the nearest integer, with .5 going up; exact for a
+    :class:`~fractions.Fraction`."""
+    return math.floor(x + Fraction(1, 2))
+
+
+def stratified_female_count(perc_fs: float, n: int) -> int:
+    """Women in a stratified sample of ``n``: ``perc_fs * n`` rounded half
+    up, computed exactly on the decimal the share is written as, so
+    0.29 * 50 gives 15 although the float product is 14.4999..."""
+    return round_half_up(Fraction(str(perc_fs)) * n)
+
+
+def permutation(n: int, gen: np.random.Generator) -> list[int]:
+    """Uniformly random permutation of ``range(n)``.
+
+    Classic Fisher-Yates swap-down over an unbiased integer source, so
+    every permutation is equally likely. All swap indices come from one
+    ``integers`` call with the bounds n, n-1, ..., 2; numpy draws each
+    bounded integer of an array call exactly as a scalar call with that
+    bound would, so permutation and stream state match one call per swap.
+    """
+    perm = list(range(n))
+    swaps = gen.integers(0, np.arange(n, 1, -1)).tolist()
+    for i, j in zip(range(n - 1, 0, -1), swaps):
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
 
 
 def fisher_yates(items, rng: RandomSource) -> list:
-    """Return a uniformly random permutation of ``items``.
-
-    Classic swap-down loop over an unbiased integer source, so every
-    permutation is equally likely and the result is fully determined by
-    the state of ``rng``.
-    """
-    out = list(items)
-    gen = rng.generator
-    for i in range(len(out) - 1, 0, -1):
-        j = int(gen.integers(0, i + 1))
-        out[i], out[j] = out[j], out[i]
-    return out
+    """Return a uniformly random permutation of ``items``, fully
+    determined by the state of ``rng`` (see :func:`permutation`)."""
+    items = list(items)
+    return [items[i] for i in permutation(len(items), rng.generator)]
 
 
-def _weighted_draw(records, size: int, gen: np.random.Generator) -> list[Individual]:
+def _weighted_draw(
+    indices: np.ndarray, p: np.ndarray, size: int, gen: np.random.Generator
+) -> np.ndarray:
+    # a draw of size 0 consumes nothing from the stream
     if size == 0:
-        return []
-    counts = np.array([r.count for r in records], dtype=np.float64)
-    indices = gen.choice(len(records), size=size, replace=True, p=counts / counts.sum())
-    return [Individual(records[i].name, records[i].gender) for i in indices]
+        return indices[:0]
+    return indices[gen.choice(len(indices), size=size, replace=True, p=p)]
+
+
+def draw_indices(
+    arrays: DatasetArrays, n: int, gen: np.random.Generator, n_f: int | None = None
+) -> np.ndarray:
+    """Record indices of a sample of ``n``: proportional when ``n_f`` is
+    None, else ``n_f`` women and ``n - n_f`` men, shuffled (see
+    :func:`draw_sample`)."""
+    if n_f is None:
+        return gen.choice(len(arrays.p), size=n, replace=True, p=arrays.p)
+    n_m = n - n_f
+    if n_f > 0 and not len(arrays.female):
+        raise InfeasibleSampleError(
+            f"dataset {arrays.id!r} has no female records but {n_f} women were requested"
+        )
+    if n_m > 0 and not len(arrays.male):
+        raise InfeasibleSampleError(
+            f"dataset {arrays.id!r} has no male records but {n_m} men were requested"
+        )
+    drawn = np.concatenate(
+        [
+            _weighted_draw(arrays.female, arrays.female_p, n_f, gen),
+            _weighted_draw(arrays.male, arrays.male_p, n_m, gen),
+        ]
+    )
+    return drawn[permutation(n, gen)]
 
 
 def draw_sample(
@@ -124,7 +214,7 @@ def draw_sample(
     Proportional mode draws every position independently with probability
     proportional to record count over the whole dataset; arrival order is
     already random. Stratified mode draws exactly
-    ``round_half_up(perc_fs * n)`` women from the female records and the
+    :func:`stratified_female_count` women from the female records and the
     rest from the male records (each side weighted by within-gender
     counts), then Fisher-Yates shuffles the combined list.
     """
@@ -133,34 +223,20 @@ def draw_sample(
     if mode == PROPORTIONAL:
         if perc_fs is not None:
             raise ValueError("perc_fs only applies to stratified mode")
-        individuals = _weighted_draw(ds.records, n, rng.generator)
-        requested = None
+        n_f = None
     elif mode == STRATIFIED:
         if perc_fs is None:
             raise ValueError("stratified mode needs perc_fs")
         if not 0.0 <= perc_fs <= 1.0:
             raise ValueError(f"perc_fs must lie in [0, 1], got {perc_fs}")
-        n_f = round_half_up(perc_fs * n)
-        n_m = n - n_f
-        females = [r for r in ds.records if r.gender is Gender.FEMALE]
-        males = [r for r in ds.records if r.gender is Gender.MALE]
-        if n_f > 0 and not females:
-            raise InfeasibleSampleError(
-                f"dataset {ds.id!r} has no female records but {n_f} women were requested"
-            )
-        if n_m > 0 and not males:
-            raise InfeasibleSampleError(
-                f"dataset {ds.id!r} has no male records but {n_m} men were requested"
-            )
-        gen = rng.generator
-        drawn = _weighted_draw(females, n_f, gen)
-        drawn.extend(_weighted_draw(males, n_m, gen))
-        individuals = fisher_yates(drawn, rng)
-        requested = perc_fs
+        n_f = stratified_female_count(perc_fs, n)
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
+    indices = draw_indices(dataset_arrays(ds), n, rng.generator, n_f)
+    records = ds.records
+    individuals = tuple(Individual(records[i].name, records[i].gender) for i in indices.tolist())
     provenance = SampleProvenance(ds.id, rng.seed, rng.stream_index, mode)
-    return Sample(tuple(individuals), requested, provenance)
+    return Sample(individuals, perc_fs, provenance)
 
 
 def dump_sample_csv(individuals, fh) -> None:

@@ -100,6 +100,5 @@ def bootstrap_ci(
         raise ValueError("resamples must be >= 1")
     indices = rng.generator.integers(0, values.size, size=(resamples, values.size))
     means = values[indices].mean(axis=1)
-    lower = float(np.quantile(means, (1.0 - level) / 2.0))
-    upper = float(np.quantile(means, (1.0 + level) / 2.0))
+    lower, upper = np.quantile(means, [(1.0 - level) / 2.0, (1.0 + level) / 2.0]).tolist()
     return ConfidenceInterval(lower, upper, level, resamples)

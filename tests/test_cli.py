@@ -189,6 +189,12 @@ def test_rnd_usage_and_data_errors(tmp_path, worst20_csv):
     assert main(["rnd", "--in", str(short)]) == 2  # shorter than one step
 
 
+def test_rnd_step_one_is_a_data_error(capsys, worst20_csv):
+    # checkpoint k = 1 would divide by log2(1) = 0
+    assert main(["rnd", "--in", str(worst20_csv), "--step", "1"]) == 2
+    assert "step must be >= 2" in capsys.readouterr().err
+
+
 def test_parity_outputs(capsys, worst20_csv):
     assert main(["parity", "--in", str(worst20_csv), "--reference", "0.5", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -250,6 +256,17 @@ def test_experiment_round_trip(tmp_path, dataset_csv):
     bad = tmp_path / "bad.json"
     bad.write_text('{"samples_per_cell": 0}', encoding="utf-8")
     assert main(["experiment", "percf", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_experiment_rejects_jobs_below_one(capsys, tmp_path, dataset_csv, jobs):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"dataset_paths": [str(dataset_csv)]}), encoding="utf-8")
+    out = tmp_path / "out"
+    args = ["experiment", "percf", "--config", str(config_path), "--out", str(out), "--jobs", jobs]
+    assert main(args) == 1
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_module_entry_point_runs():

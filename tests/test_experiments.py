@@ -13,6 +13,7 @@ from listfair.experiments import (
     RND_SIZE,
     THEORETICAL,
     AuditResult,
+    _pool_size,
     ExperimentConfig,
     agg_stream,
     read_candidate_list,
@@ -83,11 +84,29 @@ def test_default_config_is_valid():
         {"size_grid": [100, 100]},
         {"normalizer_scope": "percentile"},
         {"bandwidth": 0.0},
+        {"step": 1},
     ],
 )
 def test_config_validation_rejects(overrides):
     with pytest.raises(ValueError):
         small_config(**overrides).validate()
+
+
+@pytest.mark.parametrize(
+    "jobs, n_tasks, cpus, expected",
+    [
+        (1, 19, 2, 1),
+        (2, 4, 2, 2),
+        (8, 3, 2, 2),
+        (8, 3, 16, 3),
+        (10**6, 19, 2, 2),
+        (4, 1, 8, 1),
+        (4, 0, 8, 1),
+        (4, 10, None, 1),
+    ],
+)
+def test_pool_size_is_bounded_by_tasks_and_cpus(jobs, n_tasks, cpus, expected):
+    assert _pool_size(jobs, n_tasks, cpus) == expected
 
 
 def test_config_requires_paths_only_when_asked():

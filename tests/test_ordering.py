@@ -1,4 +1,5 @@
 import io
+import unicodedata
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from listfair.ordering import (
     OrderedSample,
     as_random_order,
     collation_key,
+    collation_ranks,
     dump_pages_csv,
     paginate,
     sort_alphabetical,
@@ -39,6 +41,13 @@ def test_collation_orders_accented_with_plain():
     names = ["Álvaro", "Adam", "ana", "Ézio", "Bruno"]
     ordered = sorted(names, key=collation_key)
     assert ordered == ["Adam", "Álvaro", "ana", "Bruno", "Ézio"]
+
+
+@given(st.text(alphabet=st.characters(max_codepoint=127)))
+def test_collation_key_ascii_fast_path_matches_decomposition(name):
+    decomposed = unicodedata.normalize("NFD", name)
+    stripped = "".join(ch for ch in decomposed if unicodedata.category(ch) != "Mn")
+    assert collation_key.__wrapped__(name) == stripped.upper()
 
 
 name_pool = st.sampled_from(
@@ -128,3 +137,22 @@ def test_dump_pages_uses_global_positions():
     assert lines[1] == "1,1,Ana,F"
     assert lines[3] == "2,3,Cy,F"
     assert lines[5] == "3,5,Ed,F"
+
+
+@given(individuals_strategy)
+def test_rank_sort_matches_keyed_sorted(individuals):
+    # reference: Python's stable sort on the collation key itself
+    expected = tuple(sorted(individuals, key=lambda ind: collation_key(ind.name)))
+    ordered = sort_alphabetical(individuals).individuals
+    assert all(a is b for a, b in zip(ordered, expected))
+    assert len(ordered) == len(expected)
+
+
+@given(st.lists(name_pool, max_size=30))
+def test_collation_ranks_compare_as_keys(names):
+    ranks = collation_ranks(names).tolist()
+    assert sorted(set(ranks)) == list(range(len({collation_key(n) for n in names})))
+    for i, a in enumerate(names):
+        for j, b in enumerate(names):
+            assert (ranks[i] < ranks[j]) == (collation_key(a) < collation_key(b))
+            assert (ranks[i] == ranks[j]) == (collation_key(a) == collation_key(b))

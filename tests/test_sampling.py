@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from listfair.sampling import (
     RandomSource,
     draw_sample,
     fisher_yates,
+    permutation,
     read_sample_csv,
     round_half_up,
+    stratified_female_count,
     write_sample_csv,
 )
 
@@ -65,6 +68,30 @@ def test_shuffle_deterministic_and_input_untouched():
     two = fisher_yates(items, RandomSource(11, 2))
     assert one == two
     assert items == before
+
+
+def scalar_permutation(n, gen):
+    """Reference Fisher-Yates: one ``integers`` call per swap."""
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = int(gen.integers(0, i + 1))
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+@given(
+    n=st.one_of(st.sampled_from([0, 1, 2]), st.integers(min_value=0, max_value=2000)),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    stream=st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=300, deadline=None)
+def test_permutation_matches_scalar_swap_loop(n, seed, stream):
+    vector = RandomSource(seed, stream).generator
+    scalar = RandomSource(seed, stream).generator
+    assert permutation(n, vector) == scalar_permutation(n, scalar)
+    # the stream is left where the per-swap calls leave it
+    assert vector.bit_generator.state == scalar.bit_generator.state
+    assert vector.integers(0, 2**40) == scalar.integers(0, 2**40)
 
 
 def test_shuffle_uniformity_chi_square():
@@ -122,9 +149,37 @@ def test_stratified_counts_are_exact(perc_fs, n, seed):
         BASIC_DATASET, n, RandomSource(seed), mode=STRATIFIED, perc_fs=perc_fs
     )
     women = sum(1 for i in sample.individuals if i.gender.value == "F")
-    assert women == round_half_up(perc_fs * n)
+    assert women == stratified_female_count(perc_fs, n)
     assert sample.n == n
     assert sample.perc_fs_requested == perc_fs
+
+
+@given(
+    digits=st.integers(min_value=1, max_value=4),
+    numerator=st.integers(min_value=0, max_value=10_000),
+    n=st.integers(min_value=1, max_value=2000),
+)
+@settings(max_examples=1000, deadline=None)
+def test_stratified_female_count_is_exact(digits, numerator, n):
+    # a share written with `digits` decimals, e.g. 0.29 = 29 / 10**2
+    scale = 10**digits
+    numerator = min(numerator, scale)
+    perc_fs = float(Fraction(numerator, scale))
+    exact = Fraction(numerator, scale) * n
+    expected = math.floor(exact + Fraction(1, 2))
+    assert stratified_female_count(perc_fs, n) == expected
+    # half up: the nearest integer, and ties go up
+    assert abs(expected - exact) <= Fraction(1, 2)
+    assert expected - exact != Fraction(-1, 2)
+
+
+def test_stratified_female_count_rounds_float_ties_up():
+    # 0.29 * 50 is 14.499999999999998 in floats; the share means 14.5
+    assert 0.29 * 50 < 14.5
+    assert stratified_female_count(0.29, 50) == 15
+    assert stratified_female_count(0.5, 7) == 4
+    assert stratified_female_count(0.0, 9) == 0
+    assert stratified_female_count(1.0, 9) == 9
 
 
 def test_stratified_female_names_come_from_female_records():

@@ -30,21 +30,18 @@ from listfair.errors import (
 from listfair.metrics import (
     PageAuditRow,
     ParityReport,
-    PrefixProportionCurve,
     RndCheckpoint,
     RndReport,
     page_audit,
     perc_f_curve,
     rnd,
     rnd_checkpoints,
-    rnd_raw,
+    rnd_raw_of_mask,
     rnd_theoretical_normalizer,
     statistical_parity,
 )
 from listfair.ordering import (
-    OrderedSample,
     Page,
-    as_random_order,
     collation_key,
     paginate,
     sort_alphabetical,
@@ -52,10 +49,9 @@ from listfair.ordering import (
 from listfair.sampling import (
     Individual,
     RandomSource,
-    Sample,
-    SampleProvenance,
+    dataset_arrays,
     draw_sample,
-    fisher_yates,
+    female_mask,
     round_half_up,
 )
 from listfair.stats import (

@@ -50,8 +50,10 @@ from listfair.sampling import (
     PROPORTIONAL,
     RandomSource,
     STRATIFIED,
+    dataset_arrays,
     draw_sample,
     dump_sample_csv,
+    female_mask,
     read_sample_csv,
 )
 
@@ -80,7 +82,7 @@ def _open_out(path: str | None):
 
 def _parse_years(text: str) -> tuple[int, int]:
     first, sep, last = text.partition(":")
-    if not sep or not first.strip().isdigit() or not last.strip().isdigit():
+    if not sep or not first.strip().isdecimal() or not last.strip().isdecimal():
         raise _UsageError(f"--years must look like 1990:2000, got {text!r}")
     return int(first), int(last)
 
@@ -113,7 +115,7 @@ def _resolve_seed(args) -> int:
     env = os.environ.get(ENV_SEED)
     if env is None:
         raise _UsageError(f"provide --seed or set {ENV_SEED}")
-    if not env.strip().lstrip("+").isdigit():
+    if not env.strip().lstrip("+").isdecimal():
         raise _UsageError(f"{ENV_SEED} must be an integer, got {env!r}")
     return int(env)
 
@@ -144,32 +146,31 @@ def _cmd_sample(args) -> int:
     seed = _resolve_seed(args)
     ds = load_canonical(args.dataset)
     rng = RandomSource(seed, args.stream)
-    sample = draw_sample(ds, args.n, rng, mode=mode, perc_fs=args.perc_fs)
+    indices = draw_sample(dataset_arrays(ds), args.n, rng, mode=mode, perc_fs=args.perc_fs)
     with _open_out(args.out) as fh:
-        dump_sample_csv(sample.individuals, fh)
+        dump_sample_csv([ds.records[i] for i in indices.tolist()], fh)
     return 0
 
 
 def _cmd_sort(args) -> int:
     individuals = read_sample_csv(args.infile)
-    ordered = sort_alphabetical(individuals)
+    order = sort_alphabetical([ind.name for ind in individuals])
     with _open_out(args.out) as fh:
-        dump_sample_csv(ordered.individuals, fh)
+        dump_sample_csv([individuals[i] for i in order.tolist()], fh)
     return 0
 
 
 def _cmd_curve(args) -> int:
-    individuals = read_sample_csv(args.infile)
-    curve = perc_f_curve(individuals)
+    curve = perc_f_curve(female_mask(read_sample_csv(args.infile)))
     with _open_out(args.out) as fh:
         dump_curve_csv(curve, fh)
     return 0
 
 
 def _cmd_rnd(args) -> int:
-    individuals = read_sample_csv(args.infile)
+    mask = female_mask(read_sample_csv(args.infile))
     mode, z = _parse_normalizer(args.normalizer)
-    report = rnd(individuals, step=args.step, normalizer=mode, z=z)
+    report = rnd(mask, step=args.step, normalizer=mode, z=z)
     with _open_out(args.out) as fh:
         if args.json:
             json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
@@ -191,9 +192,9 @@ def _cmd_rnd(args) -> int:
 def _cmd_parity(args) -> int:
     if not 0.0 <= args.reference <= 1.0:
         raise _UsageError(f"--reference must lie in [0, 1], got {args.reference}")
-    individuals = read_sample_csv(args.infile)
+    mask = female_mask(read_sample_csv(args.infile))
     reference = Demographics(args.reference, 1.0 - args.reference)
-    report = statistical_parity(individuals, reference)
+    report = statistical_parity(mask, reference)
     with _open_out(args.out) as fh:
         if args.json:
             json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import enum
-import unicodedata
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,12 +29,18 @@ class Gender(str, enum.Enum):
     FEMALE = "F"
     MALE = "M"
 
-    @classmethod
-    def parse(cls, letter: str) -> "Gender":
-        try:
-            return cls(letter.upper())
-        except ValueError:
-            raise ValueError(f"gender must be F or M, got {letter!r}") from None
+
+# the letters a gender field may hold; exactly those whose upper case is
+# a Gender value
+GENDER_LETTERS = {
+    "F": Gender.FEMALE,
+    "f": Gender.FEMALE,
+    "M": Gender.MALE,
+    "m": Gender.MALE,
+}
+
+# the Unicode category Cc, which is exactly these two ranges
+_CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")
 
 
 @dataclass(frozen=True)
@@ -87,19 +93,49 @@ def demographics(ds: NameDataset) -> Demographics:
     )
 
 
-def _validate_name(name: str, path, line: int) -> None:
+def csv_rows(path: Path, header: list[str] | None, width: int):
+    """Yield ``(line, fields)`` for every non-blank row of a UTF-8 CSV.
+
+    The first row must equal ``header`` unless it is None (a headerless
+    file), and every row must have ``width`` fields. Errors name the file
+    and line.
+    """
+    with path.open(encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        if header is not None:
+            first = next(reader, None)
+            if first != header:
+                raise DatasetFormatError(
+                    f"expected header {','.join(header)!r}, got {first}", path=path, line=1
+                )
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != width:
+                raise DatasetFormatError(
+                    f"expected {width} fields, got {len(row)}", path=path, line=reader.line_num
+                )
+            yield reader.line_num, row
+
+
+def check_name(name: str, path, line: int) -> str:
     if not name:
         raise DatasetFormatError("name must be non-empty", path=path, line=line)
-    for ch in name:
-        if unicodedata.category(ch) == "Cc":
-            raise DatasetFormatError(
-                f"name {name!r} contains a control character", path=path, line=line
-            )
+    return name
+
+
+def parse_gender(text: str, path, line: int) -> Gender:
+    gender = GENDER_LETTERS.get(text)
+    if gender is None:
+        raise DatasetFormatError(f"gender must be F or M, got {text!r}", path=path, line=line)
+    return gender
 
 
 def _parse_count(text: str, path, line: int) -> int:
     digits = text.strip()
-    if not digits.isdigit():
+    # isdecimal, not isdigit: int() rejects digits such as '²' that
+    # isdigit accepts
+    if not digits.isdecimal():
         raise DatasetFormatError(
             f"count must be a positive integer, got {text!r}", path=path, line=line
         )
@@ -111,11 +147,18 @@ def _parse_count(text: str, path, line: int) -> int:
     return count
 
 
-def _parse_gender(text: str, path, line: int) -> Gender:
-    try:
-        return Gender.parse(text)
-    except ValueError as exc:
-        raise DatasetFormatError(str(exc), path=path, line=line) from None
+def _registry_record(fields: list[str], path, line: int) -> NameRecord:
+    """A ``name,gender,count`` row of a registry file; names may not hold
+    control characters."""
+    name, gender_text, count_text = fields
+    check_name(name, path, line)
+    if _CONTROL.search(name):
+        raise DatasetFormatError(
+            f"name {name!r} contains a control character", path=path, line=line
+        )
+    return NameRecord(
+        name, parse_gender(gender_text, path, line), _parse_count(count_text, path, line)
+    )
 
 
 def load_canonical(path, dataset_id: str | None = None) -> NameDataset:
@@ -129,36 +172,17 @@ def load_canonical(path, dataset_id: str | None = None) -> NameDataset:
     path = Path(path)
     records: list[NameRecord] = []
     seen: set[tuple[str, Gender]] = set()
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CANONICAL_HEADER:
-            raise DatasetFormatError(
-                f"expected header {','.join(CANONICAL_HEADER)!r}, got {header}",
+    for line, fields in csv_rows(path, CANONICAL_HEADER, 3):
+        record = _registry_record(fields, path, line)
+        key = (record.name, record.gender)
+        if key in seen:
+            raise DuplicateRecordError(
+                f"duplicate record for name {record.name!r} gender {record.gender.value}",
                 path=path,
-                line=1,
+                line=line,
             )
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) != 3:
-                raise DatasetFormatError(
-                    f"expected 3 fields, got {len(row)}", path=path, line=line
-                )
-            name, gender_text, count_text = row
-            _validate_name(name, path, line)
-            gender = _parse_gender(gender_text, path, line)
-            count = _parse_count(count_text, path, line)
-            key = (name, gender)
-            if key in seen:
-                raise DuplicateRecordError(
-                    f"duplicate record for name {name!r} gender {gender.value}",
-                    path=path,
-                    line=line,
-                )
-            seen.add(key)
-            records.append(NameRecord(name, gender, count))
+        seen.add(key)
+        records.append(record)
     if not records:
         raise DatasetFormatError("dataset has no records", path=path)
     return NameDataset.from_records(dataset_id or path.stem, records)
@@ -202,22 +226,10 @@ def load_ssa_yearfiles(directory, years: tuple[int, int], dataset_id: str | None
     totals: dict[tuple[str, Gender], int] = {}
     for year in span:
         year_path = directory / f"yob{year}.txt"
-        with year_path.open(encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            for row in reader:
-                if not row:
-                    continue
-                line = reader.line_num
-                if len(row) != 3:
-                    raise DatasetFormatError(
-                        f"expected 3 fields, got {len(row)}", path=year_path, line=line
-                    )
-                name, sex_text, count_text = row
-                _validate_name(name, year_path, line)
-                gender = _parse_gender(sex_text, year_path, line)
-                count = _parse_count(count_text, year_path, line)
-                key = (name, gender)
-                totals[key] = totals.get(key, 0) + count
+        for line, fields in csv_rows(year_path, None, 3):
+            record = _registry_record(fields, year_path, line)
+            key = (record.name, record.gender)
+            totals[key] = totals.get(key, 0) + record.count
     records = [
         NameRecord(name, gender, count)
         for (name, gender), count in sorted(

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from listfair import stats
-from listfair.dataset import Gender, NameDataset, demographics, load_canonical
+from listfair.dataset import NameDataset, csv_rows, demographics, load_canonical
 from listfair.errors import (
     DatasetFormatError,
     InfeasibleSampleError,
@@ -34,19 +34,23 @@ from listfair.errors import (
 )
 from listfair.metrics import (
     BELOW,
+    THEORETICAL,
     PageAuditRow,
     page_audit,
-    prefix_shares,
+    perc_f_curve,
     rnd_raw_of_mask,
     rnd_theoretical_normalizer,
 )
-from listfair.ordering import alphabetical_order, collation_ranks, sort_alphabetical
+from listfair.ordering import alphabetical_order, collation_ranks
 from listfair.sampling import (
+    STRATIFIED,
     DatasetArrays,
     Individual,
     RandomSource,
     dataset_arrays,
-    draw_indices,
+    draw_sample,
+    female_mask,
+    parse_individual,
     stratified_female_count,
 )
 
@@ -57,7 +61,6 @@ KINDS = (PERCF, RND_GRID, RND_SIZE)
 
 PER_BATCH = "per_batch"
 GLOBAL = "global"
-THEORETICAL = "theoretical"
 NORMALIZER_SCOPES = (PER_BATCH, GLOBAL, THEORETICAL)
 
 CANDIDATE_HEADER = ["name", "gender"]
@@ -217,9 +220,9 @@ def _percf_chunk(task) -> list[tuple[dict, np.ndarray, np.ndarray]]:
     out = []
     for i in range(first, last):
         rng = RandomSource(cfg.seed, sample_stream(PERCF, 0, i))
-        indices = draw_indices(arrays, cfg.n, rng.generator)
-        random_curve = prefix_shares(arrays.is_female[indices])
-        alpha_curve = prefix_shares(arrays.is_female[_alphabetical(arrays, indices)])
+        indices = draw_sample(arrays, cfg.n, rng)
+        random_curve = perc_f_curve(arrays.is_female[indices])
+        alpha_curve = perc_f_curve(arrays.is_female[_alphabetical(arrays, indices)])
         record = {
             "dataset": arrays.id,
             "cell": "proportional",
@@ -327,7 +330,7 @@ def _rnd_cell(task) -> list[dict]:
         for i in range(cfg.samples_per_cell):
             rng = RandomSource(cfg.seed, sample_stream(kind, code, i))
             try:
-                indices = draw_indices(arrays, n, rng.generator, n_f)
+                indices = draw_sample(arrays, n, rng, STRATIFIED, perc_fs)
             except InfeasibleSampleError as exc:
                 raise InfeasibleSampleError(f"cell perc_fs={perc_fs}: {exc}") from None
             raw = rnd_raw_of_mask(arrays.is_female[_alphabetical(arrays, indices)], cfg.step)
@@ -346,7 +349,7 @@ def _rnd_cell(task) -> list[dict]:
         n = cell_value
         for i in range(cfg.samples_per_cell):
             rng = RandomSource(cfg.seed, sample_stream(kind, n, i))
-            indices = draw_indices(arrays, n, rng.generator)
+            indices = draw_sample(arrays, n, rng)
             n_f = int(arrays.is_female[indices].sum())
             try:
                 raw = rnd_raw_of_mask(arrays.is_female[_alphabetical(arrays, indices)], cfg.step)
@@ -539,35 +542,13 @@ def write_result(result: ExperimentResult, out_dir) -> None:
 def read_candidate_list(path) -> tuple[Individual, ...]:
     """Read a concrete ``name,gender`` list (e.g. real election candidates)."""
     path = Path(path)
-    individuals: list[Individual] = []
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CANDIDATE_HEADER:
-            raise DatasetFormatError(
-                f"expected header {','.join(CANDIDATE_HEADER)!r}, got {header}",
-                path=path,
-                line=1,
-            )
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) != 2:
-                raise DatasetFormatError(
-                    f"expected 2 fields, got {len(row)}", path=path, line=line
-                )
-            name, gender_text = row
-            if not name:
-                raise DatasetFormatError("name must be non-empty", path=path, line=line)
-            try:
-                gender = Gender.parse(gender_text)
-            except ValueError as exc:
-                raise DatasetFormatError(str(exc), path=path, line=line) from None
-            individuals.append(Individual(name, gender))
+    individuals = tuple(
+        parse_individual(name, gender_text, path, line)
+        for line, (name, gender_text) in csv_rows(path, CANDIDATE_HEADER, 2)
+    )
     if not individuals:
         raise DatasetFormatError("candidate list has no rows", path=path)
-    return tuple(individuals)
+    return individuals
 
 
 @dataclass
@@ -586,13 +567,9 @@ def run_candidate_audit(paths, k1_values, perc_fd: float | None = None) -> Audit
     rows = []
     for path in paths:
         individuals = read_candidate_list(path)
-        ordered = sort_alphabetical(individuals)
-        if perc_fd is None:
-            expected = sum(
-                1 for ind in individuals if ind.gender is Gender.FEMALE
-            ) / len(individuals)
-        else:
-            expected = perc_fd
-        rows.append(page_audit(ordered, k1_values, expected, list_id=Path(path).stem))
+        mask = female_mask(individuals)
+        expected = int(mask.sum()) / len(mask) if perc_fd is None else perc_fd
+        names = [ind.name for ind in individuals]
+        rows.append(page_audit(names, mask, k1_values, expected, list_id=Path(path).stem))
     below = sum(1 for row in rows for flag in row.flags.values() if flag == BELOW)
     return AuditResult(rows, below)

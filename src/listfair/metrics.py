@@ -22,15 +22,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats as scipy_stats
 
-from listfair.dataset import Demographics, Gender
+from listfair.dataset import Demographics
 from listfair.errors import SampleTooSmallError
-from listfair.ordering import ALPHABETICAL
+from listfair.ordering import sort_alphabetical
 
 THEORETICAL = "theoretical"
 FIXED = "fixed"
-EMPIRICAL_BATCH = "empirical_batch"
 
 PARITY_ALPHA = 0.05
 
@@ -39,46 +37,12 @@ BELOW = "below"
 AT_OR_ABOVE = "at_or_above"
 
 
-def _individuals_of(sample):
-    return getattr(sample, "individuals", sample)
-
-
-def _female_mask(individuals) -> np.ndarray:
-    return np.fromiter(
-        (ind.gender is Gender.FEMALE for ind in individuals),
-        dtype=bool,
-        count=len(individuals),
-    )
-
-
-@dataclass(frozen=True)
-class PrefixProportionCurve:
-    """``values[i]`` is the female share of positions 1..i+1."""
-
-    values: np.ndarray
-    perc_f_sample: float
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def value_at(self, k: int) -> float:
-        if not 1 <= k <= self.n:
-            raise ValueError(f"k={k} outside 1..{self.n}")
-        return float(self.values[k - 1])
-
-
-def prefix_shares(mask: np.ndarray) -> np.ndarray:
-    """Female share of positions 1..k for every k, from a female mask."""
-    return np.cumsum(mask) / np.arange(1, len(mask) + 1)
-
-
-def perc_f_curve(sample) -> PrefixProportionCurve:
-    individuals = _individuals_of(sample)
-    if len(individuals) == 0:
+def perc_f_curve(mask: np.ndarray) -> np.ndarray:
+    """Female share of positions 1..k for every k, from the female mask
+    of a list in display order; ``curve[k - 1]`` is ``Perc_f(k)``."""
+    if len(mask) == 0:
         raise ValueError("curve needs at least one individual")
-    values = prefix_shares(_female_mask(individuals))
-    return PrefixProportionCurve(values, float(values[-1]))
+    return np.cumsum(mask) / np.arange(1, len(mask) + 1)
 
 
 def rnd_checkpoints(n: int, step: int = 10) -> list[int]:
@@ -133,13 +97,9 @@ def _sum_terms(terms: np.ndarray) -> float:
 
 
 def rnd_raw_of_mask(mask: np.ndarray, step: int = 10) -> float:
-    """Raw rND of a list given as its female mask in display order."""
+    """Raw (unnormalized) discounted deviation sum of a list given as its
+    female mask in display order."""
     return _sum_terms(_rnd_terms(np.cumsum(mask), step)[3])
-
-
-def rnd_raw(sample, step: int = 10) -> float:
-    """Raw (unnormalized) discounted deviation sum for the given order."""
-    return rnd_raw_of_mask(_female_mask(_individuals_of(sample)), step)
 
 
 def rnd_theoretical_normalizer(n: int, n_f: int, step: int = 10) -> float:
@@ -186,17 +146,15 @@ class RndReport:
         }
 
 
-def rnd(sample, step: int = 10, normalizer: str = THEORETICAL, z: float | None = None) -> RndReport:
-    """Full rND report for one ordered list.
+def rnd(mask: np.ndarray, step: int = 10, normalizer: str = THEORETICAL, z: float | None = None) -> RndReport:
+    """Full rND report for one list, given as its female mask in display
+    order.
 
     ``normalizer`` selects how Z is chosen: "theoretical" computes the
     worst-arrangement bound for this list's size and composition (pass no
-    z), "fixed" divides by a caller-supplied z > 0, and "empirical_batch"
-    divides by the batch maximum that an experiment driver resolved and
-    passes in. A Z of zero reports a normalized 0 by convention.
+    z), and "fixed" divides by a caller-supplied z > 0. A theoretical Z
+    of zero (a single-gender list) reports a normalized 0 by convention.
     """
-    individuals = _individuals_of(sample)
-    mask = _female_mask(individuals)
     terms = _rnd_terms(np.cumsum(mask), step)
     checkpoints = tuple(
         RndCheckpoint(k, discount, deviation, term)
@@ -206,13 +164,10 @@ def rnd(sample, step: int = 10, normalizer: str = THEORETICAL, z: float | None =
     if normalizer == THEORETICAL:
         if z is not None:
             raise ValueError("z is derived for the theoretical normalizer; do not pass one")
-        z = rnd_theoretical_normalizer(len(individuals), int(mask.sum()), step)
+        z = rnd_theoretical_normalizer(len(mask), int(mask.sum()), step)
     elif normalizer == FIXED:
         if z is None or z <= 0:
             raise ValueError("fixed normalizer needs z > 0")
-    elif normalizer == EMPIRICAL_BATCH:
-        if z is None or z < 0:
-            raise ValueError("empirical_batch normalizer needs the batch maximum z >= 0")
     else:
         raise ValueError(f"unknown normalizer {normalizer!r}")
     normalized = 0.0 if z == 0 else raw / z
@@ -235,15 +190,33 @@ class ParityReport:
         }
 
 
-def statistical_parity(sample, reference: Demographics) -> ParityReport:
-    """Two-sided exact binomial test of the sample's female count against
-    the reference female share; passes when p >= 0.05."""
-    individuals = _individuals_of(sample)
-    n = len(individuals)
+def binomial_two_sided_p(k: int, n: int, p: float) -> float:
+    """Exact two-sided binomial test p-value, as ``scipy.stats.binomtest``
+    defines it: the probability of every count no more likely than ``k``
+    under Binomial(n, p), with a relative slack of 1e-7 on "no more
+    likely" so that rounding cannot split ties."""
+    if k == p * n:
+        return 1.0
+    counts = np.arange(n + 1)
+    if p in (0.0, 1.0):
+        pmf = (counts == round(p * n)).astype(float)
+    else:
+        log_choose = np.array(
+            [math.lgamma(n + 1) - math.lgamma(x + 1) - math.lgamma(n - x + 1) for x in range(n + 1)]
+        )
+        pmf = np.exp(log_choose + counts * math.log(p) + (n - counts) * math.log1p(-p))
+    return min(1.0, float(pmf[pmf <= pmf[k] * (1 + 1e-7)].sum()))
+
+
+def statistical_parity(mask: np.ndarray, reference: Demographics) -> ParityReport:
+    """Two-sided exact binomial test of a list's female count, given its
+    female mask, against the reference female share; passes when
+    p >= 0.05."""
+    n = len(mask)
     if n == 0:
         raise ValueError("parity test needs at least one individual")
-    females = int(_female_mask(individuals).sum())
-    p_value = float(scipy_stats.binomtest(females, n, reference.perc_f).pvalue)
+    females = int(mask.sum())
+    p_value = binomial_two_sided_p(females, n, reference.perc_f)
     return ParityReport(females / n, reference.perc_f, p_value, p_value >= PARITY_ALPHA)
 
 
@@ -259,27 +232,25 @@ class PageAuditRow:
     flags: dict[int, str]
 
 
-def page_audit(ordered, k1_values, perc_fd: float, list_id: str = "list") -> PageAuditRow:
-    """Audit the first page of an alphabetically ordered list.
+def page_audit(names, mask: np.ndarray, k1_values, perc_fd: float, list_id: str = "list") -> PageAuditRow:
+    """Audit the first page of a list once it is sorted alphabetically.
 
-    For each page size k1, reports the female share of positions 1..k1
-    and flags it "below" when it is under ``perc_fd``.
+    ``names`` and the female ``mask`` describe the list in any order. For
+    each page size k1, reports the female share of sorted positions
+    1..k1 and flags it "below" when it is under ``perc_fd``.
     """
-    ordering = getattr(ordered, "ordering", ALPHABETICAL)
-    if ordering != ALPHABETICAL:
-        raise ValueError("page_audit expects an alphabetically ordered list")
-    curve = perc_f_curve(ordered)
+    curve = perc_f_curve(mask[sort_alphabetical(names)])
     per_k1: dict[int, float] = {}
     flags: dict[int, str] = {}
     for k1 in sorted(set(k1_values)):
         if k1 < 1:
             raise ValueError("page size k1 must be >= 1")
-        if k1 > curve.n:
-            raise ValueError(f"page size k1={k1} exceeds list size {curve.n}")
-        share = curve.value_at(k1)
+        if k1 > len(curve):
+            raise ValueError(f"page size k1={k1} exceeds list size {len(curve)}")
+        share = float(curve[k1 - 1])
         per_k1[k1] = share
         flags[k1] = BELOW if share < perc_fd else AT_OR_ABOVE
-    return PageAuditRow(list_id, curve.n, perc_fd, per_k1, flags)
+    return PageAuditRow(list_id, len(curve), perc_fd, per_k1, flags)
 
 
 def dump_audit_rows(rows, fh) -> None:
@@ -292,8 +263,8 @@ def dump_audit_rows(rows, fh) -> None:
             )
 
 
-def dump_curve_csv(curve: PrefixProportionCurve, fh) -> None:
+def dump_curve_csv(curve: np.ndarray, fh) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["k", "perc_f"])
-    for k, value in enumerate(curve.values, start=1):
+    for k, value in enumerate(curve, start=1):
         writer.writerow([k, float(value)])

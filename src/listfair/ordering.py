@@ -13,19 +13,14 @@ import csv
 import math
 import unicodedata
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from listfair.sampling import Individual, SampleProvenance
+from listfair.sampling import Individual
 
 PAGE_HEADER = ["page", "position", "name", "gender"]
 
-RANDOM = "random"
-ALPHABETICAL = "alphabetical"
 
-
-@lru_cache(maxsize=None)
 def collation_key(name: str) -> str:
     """Case- and accent-insensitive sort key for a name."""
     if name.isascii():
@@ -36,28 +31,6 @@ def collation_key(name: str) -> str:
     return stripped.upper()
 
 
-@dataclass(frozen=True)
-class OrderedSample:
-    """Individuals in a specific display order (random or alphabetical)."""
-
-    individuals: tuple[Individual, ...]
-    ordering: str
-    source: SampleProvenance | None = None
-
-    @property
-    def n(self) -> int:
-        return len(self.individuals)
-
-
-def _provenance_of(obj) -> SampleProvenance | None:
-    return getattr(obj, "provenance", None) or getattr(obj, "source", None)
-
-
-def as_random_order(sample) -> OrderedSample:
-    """Wrap a sample in its arrival order, which is already random."""
-    return OrderedSample(tuple(sample.individuals), RANDOM, _provenance_of(sample))
-
-
 def dense_rank(keys) -> np.ndarray:
     """Rank of each key among the distinct keys in sorted order; equal
     keys share a rank, so ranks compare exactly as the keys do."""
@@ -66,13 +39,8 @@ def dense_rank(keys) -> np.ndarray:
 
 
 def collation_ranks(names) -> np.ndarray:
-    """Dense rank of each name's collation key.
-
-    Built once per dataset, so it calls the uncached key function: the
-    cache would otherwise keep an entry for every name of a large
-    registry.
-    """
-    return dense_rank([collation_key.__wrapped__(name) for name in names])
+    """Dense rank of each name's collation key."""
+    return dense_rank([collation_key(name) for name in names])
 
 
 def alphabetical_order(ranks: np.ndarray) -> np.ndarray:
@@ -81,14 +49,11 @@ def alphabetical_order(ranks: np.ndarray) -> np.ndarray:
     return np.argsort(ranks, kind="stable")
 
 
-def sort_alphabetical(sample) -> OrderedSample:
-    """Sort by collation key; the sort is stable, so equal keys keep
-    their arrival order. Accepts a sample, an ordered sample, or any
-    sequence of individuals."""
-    individuals = tuple(getattr(sample, "individuals", sample))
-    order = alphabetical_order(dense_rank([collation_key(ind.name) for ind in individuals]))
-    ordered = tuple(individuals[i] for i in order.tolist())
-    return OrderedSample(ordered, ALPHABETICAL, _provenance_of(sample))
+def sort_alphabetical(names) -> np.ndarray:
+    """Positions that put ``names`` in collation order, equal keys in
+    arrival order: ``names[i] for i in sort_alphabetical(names)`` is the
+    sorted list."""
+    return alphabetical_order(collation_ranks(names))
 
 
 @dataclass(frozen=True)
@@ -100,11 +65,12 @@ class Page:
     k1: int
 
 
-def paginate(ordered: OrderedSample, k1: int) -> list[Page]:
-    """Split into ceil(N / k1) pages of ``k1`` rows (last page may be short)."""
+def paginate(individuals, k1: int) -> list[Page]:
+    """Split a displayed list into ceil(N / k1) pages of ``k1`` rows (the
+    last page may be short)."""
     if k1 < 1:
         raise ValueError("page size k1 must be >= 1")
-    individuals = ordered.individuals
+    individuals = tuple(individuals)
     return [
         Page(p + 1, individuals[p * k1 : (p + 1) * k1], k1)
         for p in range(math.ceil(len(individuals) / k1))

@@ -22,8 +22,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 
-from listfair.dataset import Gender, NameDataset
+from listfair.dataset import Gender, NameDataset, check_name, csv_rows, parse_gender
 from listfair.errors import DatasetFormatError, InfeasibleSampleError
 
 SAMPLE_HEADER = ["position", "name", "gender"]
@@ -42,9 +43,7 @@ class RandomSource:
             raise ValueError("stream_index must be non-negative")
         self.seed = seed
         self.stream_index = stream_index
-        self.generator = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((seed, stream_index)))
-        )
+        self.generator = Generator(PCG64(SeedSequence((seed, stream_index))))
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, stream_index={self.stream_index})"
@@ -52,43 +51,24 @@ class RandomSource:
 
 @dataclass(frozen=True, slots=True)
 class Individual:
-    """One drawn person: a first name and a gender."""
+    """One row of a sample or candidate list: a first name and a gender."""
 
     name: str
     gender: Gender
 
 
-@dataclass(frozen=True)
-class SampleProvenance:
-    """Where a sample came from, enough to reproduce it exactly."""
-
-    dataset_id: str
-    seed: int
-    stream_index: int
-    mode: str
-
-
-@dataclass(frozen=True)
-class Sample:
-    """A drawn multiset of individuals, in arrival order.
-
-    ``perc_fs_requested`` is the stratified female share, or None when the
-    draw was proportional.
-    """
-
-    individuals: tuple[Individual, ...]
-    perc_fs_requested: float | None
-    provenance: SampleProvenance
-
-    @property
-    def n(self) -> int:
-        return len(self.individuals)
+def female_mask(rows) -> np.ndarray:
+    """Which rows (individuals or dataset records) are female, in row
+    order: the form every metric takes a list in."""
+    return np.fromiter(
+        (row.gender is Gender.FEMALE for row in rows), dtype=bool, count=len(rows)
+    )
 
 
 @dataclass(frozen=True)
 class DatasetArrays:
-    """A dataset as per-record arrays, the form the experiment hot path
-    works on: a sample is an ``int`` index array into ``ds.records``.
+    """A dataset as per-record arrays, the form samples are drawn from: a
+    sample is an ``int`` index array into ``ds.records``.
 
     ``p`` holds the proportional draw probabilities; ``female`` and
     ``male`` are the record indices of each gender with their own
@@ -113,9 +93,7 @@ def _probabilities(counts: np.ndarray) -> np.ndarray:
 
 def dataset_arrays(ds: NameDataset, rank: np.ndarray | None = None) -> DatasetArrays:
     records = ds.records
-    is_female = np.fromiter(
-        (r.gender is Gender.FEMALE for r in records), dtype=bool, count=len(records)
-    )
+    is_female = female_mask(records)
     counts = np.fromiter((r.count for r in records), dtype=np.float64, count=len(records))
     female = np.flatnonzero(is_female)
     male = np.flatnonzero(~is_female)
@@ -144,7 +122,7 @@ def stratified_female_count(perc_fs: float, n: int) -> int:
     return round_half_up(Fraction(str(perc_fs)) * n)
 
 
-def permutation(n: int, gen: np.random.Generator) -> list[int]:
+def permutation(n: int, gen: Generator) -> list[int]:
     """Uniformly random permutation of ``range(n)``.
 
     Classic Fisher-Yates swap-down over an unbiased integer source, so
@@ -160,15 +138,8 @@ def permutation(n: int, gen: np.random.Generator) -> list[int]:
     return perm
 
 
-def fisher_yates(items, rng: RandomSource) -> list:
-    """Return a uniformly random permutation of ``items``, fully
-    determined by the state of ``rng`` (see :func:`permutation`)."""
-    items = list(items)
-    return [items[i] for i in permutation(len(items), rng.generator)]
-
-
 def _weighted_draw(
-    indices: np.ndarray, p: np.ndarray, size: int, gen: np.random.Generator
+    indices: np.ndarray, p: np.ndarray, size: int, gen: Generator
 ) -> np.ndarray:
     # a draw of size 0 consumes nothing from the stream
     if size == 0:
@@ -176,14 +147,36 @@ def _weighted_draw(
     return indices[gen.choice(len(indices), size=size, replace=True, p=p)]
 
 
-def draw_indices(
-    arrays: DatasetArrays, n: int, gen: np.random.Generator, n_f: int | None = None
+def draw_sample(
+    arrays: DatasetArrays,
+    n: int,
+    rng: RandomSource,
+    mode: str = PROPORTIONAL,
+    perc_fs: float | None = None,
 ) -> np.ndarray:
-    """Record indices of a sample of ``n``: proportional when ``n_f`` is
-    None, else ``n_f`` women and ``n - n_f`` men, shuffled (see
-    :func:`draw_sample`)."""
-    if n_f is None:
+    """Record indices of ``n`` individuals drawn from a dataset's arrays.
+
+    Proportional mode draws every position independently with probability
+    proportional to record count over the whole dataset; arrival order is
+    already random. Stratified mode draws exactly
+    :func:`stratified_female_count` women from the female records and the
+    rest from the male records (each side weighted by within-gender
+    counts), then Fisher-Yates shuffles the combined list.
+    """
+    if n <= 0:
+        raise ValueError("sample size n must be >= 1")
+    gen = rng.generator
+    if mode == PROPORTIONAL:
+        if perc_fs is not None:
+            raise ValueError("perc_fs only applies to stratified mode")
         return gen.choice(len(arrays.p), size=n, replace=True, p=arrays.p)
+    if mode != STRATIFIED:
+        raise ValueError(f"unknown sampling mode {mode!r}")
+    if perc_fs is None:
+        raise ValueError("stratified mode needs perc_fs")
+    if not 0.0 <= perc_fs <= 1.0:
+        raise ValueError(f"perc_fs must lie in [0, 1], got {perc_fs}")
+    n_f = stratified_female_count(perc_fs, n)
     n_m = n - n_f
     if n_f > 0 and not len(arrays.female):
         raise InfeasibleSampleError(
@@ -202,54 +195,23 @@ def draw_indices(
     return drawn[permutation(n, gen)]
 
 
-def draw_sample(
-    ds: NameDataset,
-    n: int,
-    rng: RandomSource,
-    mode: str = PROPORTIONAL,
-    perc_fs: float | None = None,
-) -> Sample:
-    """Draw ``n`` individuals from ``ds``.
-
-    Proportional mode draws every position independently with probability
-    proportional to record count over the whole dataset; arrival order is
-    already random. Stratified mode draws exactly
-    :func:`stratified_female_count` women from the female records and the
-    rest from the male records (each side weighted by within-gender
-    counts), then Fisher-Yates shuffles the combined list.
-    """
-    if n <= 0:
-        raise ValueError("sample size n must be >= 1")
-    if mode == PROPORTIONAL:
-        if perc_fs is not None:
-            raise ValueError("perc_fs only applies to stratified mode")
-        n_f = None
-    elif mode == STRATIFIED:
-        if perc_fs is None:
-            raise ValueError("stratified mode needs perc_fs")
-        if not 0.0 <= perc_fs <= 1.0:
-            raise ValueError(f"perc_fs must lie in [0, 1], got {perc_fs}")
-        n_f = stratified_female_count(perc_fs, n)
-    else:
-        raise ValueError(f"unknown sampling mode {mode!r}")
-    indices = draw_indices(dataset_arrays(ds), n, rng.generator, n_f)
-    records = ds.records
-    individuals = tuple(Individual(records[i].name, records[i].gender) for i in indices.tolist())
-    provenance = SampleProvenance(ds.id, rng.seed, rng.stream_index, mode)
-    return Sample(individuals, perc_fs, provenance)
-
-
-def dump_sample_csv(individuals, fh) -> None:
-    """Write individuals as ``position,name,gender`` rows (1-based)."""
+def dump_sample_csv(rows, fh) -> None:
+    """Write rows with a name and a gender as ``position,name,gender``
+    (1-based)."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(SAMPLE_HEADER)
-    for position, ind in enumerate(individuals, start=1):
-        writer.writerow([position, ind.name, ind.gender.value])
+    for position, row in enumerate(rows, start=1):
+        writer.writerow([position, row.name, row.gender.value])
 
 
-def write_sample_csv(individuals, path) -> None:
+def write_sample_csv(rows, path) -> None:
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        dump_sample_csv(individuals, fh)
+        dump_sample_csv(rows, fh)
+
+
+def parse_individual(name: str, gender_text: str, path, line: int) -> Individual:
+    """The individual of a sample or candidate-list row."""
+    return Individual(check_name(name, path, line), parse_gender(gender_text, path, line))
 
 
 def read_sample_csv(path) -> tuple[Individual, ...]:
@@ -260,37 +222,13 @@ def read_sample_csv(path) -> tuple[Individual, ...]:
     """
     path = Path(path)
     individuals: list[Individual] = []
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SAMPLE_HEADER:
+    for line, (position_text, name, gender_text) in csv_rows(path, SAMPLE_HEADER, 3):
+        expected = len(individuals) + 1
+        if not position_text.strip().isdecimal() or int(position_text) != expected:
             raise DatasetFormatError(
-                f"expected header {','.join(SAMPLE_HEADER)!r}, got {header}",
-                path=path,
-                line=1,
+                f"expected position {expected}, got {position_text!r}", path=path, line=line
             )
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) != 3:
-                raise DatasetFormatError(
-                    f"expected 3 fields, got {len(row)}", path=path, line=line
-                )
-            position_text, name, gender_text = row
-            if not position_text.strip().isdigit() or int(position_text) != len(individuals) + 1:
-                raise DatasetFormatError(
-                    f"expected position {len(individuals) + 1}, got {position_text!r}",
-                    path=path,
-                    line=line,
-                )
-            if not name:
-                raise DatasetFormatError("name must be non-empty", path=path, line=line)
-            try:
-                gender = Gender.parse(gender_text)
-            except ValueError as exc:
-                raise DatasetFormatError(str(exc), path=path, line=line) from None
-            individuals.append(Individual(name, gender))
+        individuals.append(parse_individual(name, gender_text, path, line))
     if not individuals:
         raise DatasetFormatError("sample file has no rows", path=path)
     return tuple(individuals)

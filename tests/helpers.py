@@ -10,8 +10,10 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
+
 from listfair.dataset import Gender, NameDataset, NameRecord
-from listfair.sampling import PROPORTIONAL, Individual, Sample, SampleProvenance
+from listfair.sampling import Individual
 
 
 def individuals_from_pattern(pattern: str, names=None) -> tuple[Individual, ...]:
@@ -23,23 +25,18 @@ def individuals_from_pattern(pattern: str, names=None) -> tuple[Individual, ...]
     out = []
     for i, ch in enumerate(pattern):
         name = names[i] if names is not None else f"P{i:04d}"
-        out.append(Individual(name=name, gender=Gender.parse(ch)))
+        out.append(Individual(name=name, gender=Gender(ch)))
     return tuple(out)
 
 
-def sample_from_pattern(pattern: str, names=None) -> Sample:
-    individuals = individuals_from_pattern(pattern, names)
-    provenance = SampleProvenance(
-        dataset_id="test", seed=0, stream_index=0, mode=PROPORTIONAL
-    )
-    return Sample(
-        individuals=individuals, perc_fs_requested=None, provenance=provenance
-    )
+def mask_from_pattern(pattern: str) -> np.ndarray:
+    """Female mask of a gender string like ``"FMMF"``."""
+    return np.array([ch == "F" for ch in pattern], dtype=bool)
 
 
 def dataset_from_counts(rows, dataset_id="test") -> NameDataset:
     records = tuple(
-        NameRecord(name=name, gender=Gender.parse(g), count=count)
+        NameRecord(name=name, gender=Gender(g), count=count)
         for name, g, count in rows
     )
     return NameDataset.from_records(dataset_id, records)

@@ -143,6 +143,34 @@ def test_sample_seed_from_environment(tmp_path, dataset_csv, monkeypatch):
     assert main(["sample", "--dataset", str(dataset_csv), "--n", "12", "--out", str(via_env)]) == 1
 
 
+def test_non_decimal_digits_are_data_errors_with_location(tmp_path, capsys):
+    # '²' and '¹' pass str.isdigit but int() rejects them
+    dataset = tmp_path / "names.csv"
+    dataset.write_text("name,gender,count\nAna,F,3\nBia,F,\u00b2\n", encoding="utf-8")
+    args = ["sample", "--dataset", str(dataset), "--n", "5", "--seed", "1", "--out", str(tmp_path / "s.csv")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"error: {dataset}, line 3: count must be a positive integer, got '\u00b2'" in err
+
+    sample = tmp_path / "sample.csv"
+    sample.write_text("position,name,gender\n\u00b9,Ana,F\n", encoding="utf-8")
+    assert main(["curve", "--in", str(sample)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {sample}, line 2: expected position 1, got '\u00b9'" in err
+
+
+def test_non_decimal_digits_are_usage_errors(tmp_path, dataset_csv, capsys, monkeypatch):
+    out = str(tmp_path / "s.csv")
+    monkeypatch.setenv(ENV_SEED, "\u00b2")
+    assert main(["sample", "--dataset", str(dataset_csv), "--n", "5", "--out", out]) == 1
+    assert f"usage error: {ENV_SEED} must be an integer" in capsys.readouterr().err
+
+    (tmp_path / "yob2.txt").write_text("Ana,F,1\n", encoding="utf-8")
+    args = ["convert-ssa", "--dir", str(tmp_path), "--years", "\u00b2:3", "--out", out]
+    assert main(args) == 1
+    assert "usage error: --years must look like 1990:2000" in capsys.readouterr().err
+
+
 def test_sort_idempotent(tmp_path, dataset_csv):
     sample = tmp_path / "sample.csv"
     once = tmp_path / "once.csv"

@@ -1,10 +1,13 @@
 import io
+import unicodedata
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from listfair.dataset import (
+    _CONTROL,
+    GENDER_LETTERS,
     Gender,
     NameDataset,
     NameRecord,
@@ -59,6 +62,7 @@ def test_load_canonical_accepts_lowercase_gender_and_quoted_comma(tmp_path):
         ("name,gender,count\nAna,F,many\n", "count must be"),
         ("name,gender,count\nA\tna,F,3\n".replace("\t", "\x01"), "control character"),
         ("name,gender,count\n", "no records"),
+        ("name,gender,count\nAna,F,\u00b2\n", "count must be a positive integer, got '\u00b2'"),
     ],
 )
 def test_load_canonical_rejects_malformed_input(tmp_path, body, fragment):
@@ -68,6 +72,34 @@ def test_load_canonical_rejects_malformed_input(tmp_path, body, fragment):
         load_canonical(path)
     assert fragment in str(err.value)
     assert "bad.csv" in str(err.value)
+
+
+def test_load_canonical_accepts_decimal_digits_of_any_script(tmp_path):
+    path = tmp_path / "d.csv"
+    write_text(path, "name,gender,count\nAna,F,\u0663\n")
+    assert load_canonical(path).records[0].count == 3
+
+
+def test_control_pattern_is_exactly_category_cc():
+    for code in range(0x110000):
+        ch = chr(code)
+        assert (_CONTROL.search(ch) is not None) == (unicodedata.category(ch) == "Cc"), hex(code)
+
+
+def test_gender_letters_match_upper_case_parse():
+    # the rule the loaders applied before the lookup table: upper-case the
+    # field and look it up as a Gender value
+    values = {g.value for g in Gender}
+
+    def parse_by_upper(text):
+        upper = text.upper()
+        return Gender(upper) if upper in values else None
+
+    for code in range(0x110000):
+        ch = chr(code)
+        assert GENDER_LETTERS.get(ch) is parse_by_upper(ch), hex(code)
+    for text in ("", "FF", "fm", " F", "F ", "female"):
+        assert GENDER_LETTERS.get(text) is parse_by_upper(text) is None
 
 
 def test_load_canonical_rejects_duplicates_but_not_shared_names(tmp_path):

@@ -246,6 +246,15 @@ def test_theoretical_scope_normalizes_per_sample():
             assert record["raw"] <= record["z"] + 1e-12
 
 
+@pytest.mark.parametrize("scope", [PER_BATCH, GLOBAL, THEORETICAL])
+def test_single_gender_dataset_normalizes_to_zero(scope):
+    # every list is all male, so every raw value and every Z is 0; a zero
+    # Z reports a normalized 0 rather than dividing by it
+    male_only = dataset_from_counts([("Aaron", "M", 5), ("Bruno", "M", 3)], dataset_id="m")
+    result = run_rnd_vs_size(male_only, small_config(normalizer_scope=scope))
+    assert {(r["raw"], r["z"], r["normalized"]) for r in result.records} == {(0.0, 0.0, 0.0)}
+
+
 def test_global_scope_shares_one_z_across_datasets(tmp_path):
     other = dataset_from_counts(
         [("Ana", "F", 500), ("Aaron", "M", 800), ("Zoe", "F", 300)],

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from listfair.dataset import Demographics
@@ -12,27 +12,26 @@ from listfair.errors import SampleTooSmallError
 from listfair.metrics import (
     AT_OR_ABOVE,
     BELOW,
-    EMPIRICAL_BATCH,
     FIXED,
     THEORETICAL,
+    binomial_two_sided_p,
     dump_audit_rows,
     dump_curve_csv,
     page_audit,
     perc_f_curve,
     rnd,
     rnd_checkpoints,
-    rnd_raw,
+    rnd_raw_of_mask,
     rnd_theoretical_normalizer,
     statistical_parity,
 )
-from listfair.ordering import ALPHABETICAL, OrderedSample, sort_alphabetical
 
 from helpers import (
-    individuals_from_pattern,
+    mask_from_pattern,
+    oracle_checkpoints,
     oracle_curve,
     oracle_max_raw,
     oracle_raw,
-    sample_from_pattern,
 )
 
 gender_string = st.text(alphabet="FM", min_size=1, max_size=80)
@@ -41,28 +40,25 @@ gender_string_rnd = st.text(alphabet="FM", min_size=10, max_size=80)
 
 @given(gender_string)
 def test_curve_matches_oracle(pattern):
-    curve = perc_f_curve(sample_from_pattern(pattern))
-    assert np.allclose(curve.values, oracle_curve(pattern))
-    assert curve.perc_f_sample == pytest.approx(pattern.count("F") / len(pattern))
+    curve = perc_f_curve(mask_from_pattern(pattern))
+    assert np.allclose(curve, oracle_curve(pattern))
+    assert curve[-1] == pytest.approx(pattern.count("F") / len(pattern))
 
 
 def test_curve_value_at_and_bounds():
-    curve = perc_f_curve(sample_from_pattern("FMM"))
-    assert curve.value_at(1) == 1.0
-    assert curve.value_at(2) == 0.5
-    assert curve.value_at(3) == pytest.approx(1 / 3)
+    curve = perc_f_curve(mask_from_pattern("FMM"))
+    assert curve[0] == 1.0
+    assert curve[1] == 0.5
+    assert curve[2] == pytest.approx(1 / 3)
+    assert len(curve) == 3
     with pytest.raises(ValueError):
-        curve.value_at(0)
-    with pytest.raises(ValueError):
-        curve.value_at(4)
-    with pytest.raises(ValueError):
-        perc_f_curve(sample_from_pattern(""))
+        perc_f_curve(mask_from_pattern(""))
 
 
 @given(gender_string)
 def test_curve_step_bound(pattern):
     # adding one individual moves the share by at most 1/(k+1)
-    values = perc_f_curve(sample_from_pattern(pattern)).values
+    values = perc_f_curve(mask_from_pattern(pattern))
     for k in range(1, len(values)):
         assert abs(values[k] - values[k - 1]) <= 1.0 / (k + 1) + 1e-12
 
@@ -85,7 +81,7 @@ def test_checkpoints_validation():
 def test_rnd_raw_matches_oracle(pattern, step):
     if len(pattern) < step:
         pattern = pattern + "M" * (step - len(pattern))
-    assert rnd_raw(sample_from_pattern(pattern), step) == pytest.approx(
+    assert rnd_raw_of_mask(mask_from_pattern(pattern), step) == pytest.approx(
         oracle_raw(pattern, step)
     )
 
@@ -94,10 +90,10 @@ def test_rnd_raw_zero_iff_proportional_at_every_checkpoint():
     # 5 women then 5 men then 5 women then 5 men: at k=10 and k=20 the
     # prefix share equals the overall share, so raw is exactly 0
     balanced = "FFFFFMMMMM" * 2
-    assert rnd_raw(sample_from_pattern(balanced)) == 0.0
+    assert rnd_raw_of_mask(mask_from_pattern(balanced)) == 0.0
     # flipping one pair breaks proportionality at k=10
     tilted = "FFFFFFMMMM" + "MFFFFMMMMM"
-    assert rnd_raw(sample_from_pattern(tilted)) > 0.0
+    assert rnd_raw_of_mask(mask_from_pattern(tilted)) > 0.0
 
 
 @given(gender_string_rnd, st.data())
@@ -115,17 +111,17 @@ def test_rnd_raw_invariant_under_same_gender_swap(pattern, data):
             st.sampled_from(positions[g]), st.sampled_from(positions[g])
         ).filter(lambda t: t[0] != t[1])
     )
-    base = rnd_raw(sample_from_pattern(pattern))
+    base = rnd_raw_of_mask(mask_from_pattern(pattern))
     letters[i], letters[j] = letters[j], letters[i]
-    assert rnd_raw(sample_from_pattern("".join(letters))) == pytest.approx(base)
+    assert rnd_raw_of_mask(mask_from_pattern("".join(letters))) == pytest.approx(base)
 
 
 def test_worst_case_hand_value():
     # 10 men then 10 women: only the k=10 checkpoint deviates (by 0.5),
     # discounted by 1/log2(10)
-    women_last = sample_from_pattern("M" * 10 + "F" * 10)
+    women_last = mask_from_pattern("M" * 10 + "F" * 10)
     expected = 0.5 / math.log2(10)
-    assert rnd_raw(women_last) == pytest.approx(expected, abs=1e-12)
+    assert rnd_raw_of_mask(women_last) == pytest.approx(expected, abs=1e-12)
     assert rnd_theoretical_normalizer(20, 10) == pytest.approx(expected, abs=1e-12)
     report = rnd(women_last)
     assert report.normalized == pytest.approx(1.0, abs=1e-12)
@@ -134,7 +130,7 @@ def test_worst_case_hand_value():
 @pytest.mark.parametrize("n, n_f", [(10, 0), (10, 10), (12, 12)])
 def test_single_gender_lists_normalize_to_zero(n, n_f):
     pattern = "F" * n_f + "M" * (n - n_f)
-    report = rnd(sample_from_pattern(pattern))
+    report = rnd(mask_from_pattern(pattern))
     assert report.raw == 0.0
     assert report.z == 0.0
     assert report.normalized == 0.0
@@ -145,6 +141,36 @@ def test_theoretical_normalizer_matches_exhaustive_enumeration():
         assert rnd_theoretical_normalizer(n, n_f) == pytest.approx(
             oracle_max_raw(n, n_f)
         )
+
+
+def dp_max_raw(n: int, step: int) -> np.ndarray:
+    """Largest raw rND over every arrangement of n_f women among n, for
+    each n_f in 0..n: an exact DP over the number of women c among the
+    first k positions at each checkpoint k. Rows are n_f, columns c."""
+    n_f = np.arange(n + 1)[:, None]
+    c = np.arange(n + 1)[None, :]
+    best = np.where(c == 0, 0.0, -np.inf) + np.zeros((n + 1, 1))
+    previous = 0
+    for k in oracle_checkpoints(n, step):
+        # between checkpoints the count grows by 0..k - previous
+        reach = best.copy()
+        for d in range(1, k - previous + 1):
+            reach[:, d:] = np.maximum(reach[:, d:], best[:, :-d])
+        best = reach + (1.0 / math.log2(k)) * np.abs(c / k - n_f / n)
+        previous = k
+    # the last checkpoint is N, where the count is n_f
+    return np.diagonal(best)
+
+
+@given(st.sampled_from([2, 3, 5, 10]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_theoretical_normalizer_matches_exact_dp(step, data):
+    n = data.draw(st.integers(min_value=step, max_value=120))
+    expected = dp_max_raw(n, step)
+    # the DP adds the same terms in the same order, so the maxima agree
+    # to the last bit
+    for n_f in range(n + 1):
+        assert rnd_theoretical_normalizer(n, n_f, step) == expected[n_f]
 
 
 def test_theoretical_normalizer_validation():
@@ -165,11 +191,11 @@ def test_raw_never_exceeds_theoretical_normalizer(n, data):
         genders[p] = "F"
     pattern = "".join(genders)
     bound = rnd_theoretical_normalizer(n, n_f)
-    assert rnd_raw(sample_from_pattern(pattern)) <= bound + 1e-12
+    assert rnd_raw_of_mask(mask_from_pattern(pattern)) <= bound + 1e-12
 
 
 def test_rnd_report_json_shape():
-    report = rnd(sample_from_pattern("M" * 10 + "F" * 5))
+    report = rnd(mask_from_pattern("M" * 10 + "F" * 5))
     payload = report.to_json_dict()
     assert set(payload) == {"checkpoints", "raw", "z", "mode", "normalized"}
     assert [cp["k"] for cp in payload["checkpoints"]] == [10, 15]
@@ -179,17 +205,11 @@ def test_rnd_report_json_shape():
 
 
 def test_rnd_normalizer_modes():
-    sample = sample_from_pattern("M" * 10 + "F" * 10)
-    raw = rnd_raw(sample)
+    sample = mask_from_pattern("M" * 10 + "F" * 10)
+    raw = rnd_raw_of_mask(sample)
 
     fixed = rnd(sample, normalizer=FIXED, z=2.0)
     assert fixed.normalized == pytest.approx(raw / 2.0)
-
-    batch = rnd(sample, normalizer=EMPIRICAL_BATCH, z=raw)
-    assert batch.normalized == pytest.approx(1.0)
-
-    zero_batch = rnd(sample_from_pattern("M" * 10), normalizer=EMPIRICAL_BATCH, z=0.0)
-    assert zero_batch.normalized == 0.0
 
     with pytest.raises(ValueError):
         rnd(sample, normalizer=FIXED, z=0.0)
@@ -198,7 +218,7 @@ def test_rnd_normalizer_modes():
     with pytest.raises(ValueError):
         rnd(sample, normalizer=THEORETICAL, z=1.0)
     with pytest.raises(ValueError):
-        rnd(sample, normalizer=EMPIRICAL_BATCH)
+        rnd(sample, normalizer="empirical_batch", z=1.0)
     with pytest.raises(ValueError):
         rnd(sample, normalizer="percentile", z=1.0)
 
@@ -206,47 +226,82 @@ def test_rnd_normalizer_modes():
 def test_parity_oracle_cases():
     reference = Demographics(perc_f=0.48, perc_m=0.52)
 
-    all_male = sample_from_pattern("M" * 100)
+    all_male = mask_from_pattern("M" * 100)
     report = statistical_parity(all_male, reference)
     assert not report.passes
     assert report.p_value < 1e-20
 
-    near = sample_from_pattern("F" * 470 + "M" * 530)
+    near = mask_from_pattern("F" * 470 + "M" * 530)
     report = statistical_parity(near, reference)
     assert report.passes
     assert report.p_value > 0.5
 
     half = Demographics(perc_f=0.5, perc_m=0.5)
-    exact = statistical_parity(sample_from_pattern("FM" * 50), half)
+    exact = statistical_parity(mask_from_pattern("FM" * 50), half)
     assert exact.p_value == pytest.approx(1.0)
     assert exact.passes
 
 
+@st.composite
+def binomial_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=3000))
+    # scipy itself overflows for shares below about 1e-300
+    p = draw(
+        st.one_of(
+            st.sampled_from([0.0, 1.0, 0.5]),
+            st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+            st.floats(min_value=1e-6, max_value=1e-2),
+            st.floats(min_value=0.99, max_value=1.0 - 1e-6),
+        )
+    )
+    # mostly counts within a few standard deviations of the mean, where
+    # p-values are not vanishingly small
+    z = draw(st.floats(min_value=-5.0, max_value=5.0))
+    near = round(n * p + z * math.sqrt(n * p * (1.0 - p)))
+    k = draw(st.one_of(st.just(min(n, max(0, near))), st.integers(min_value=0, max_value=n)))
+    return k, n, p
+
+
+@given(binomial_cases())
+@example((444, 1000, 0.4800006461696276))  # the seeded CLI parity call
+@settings(max_examples=300, deadline=None)
+def test_binomial_p_value_matches_scipy(case):
+    from scipy import stats
+
+    k, n, p = case
+    reference = float(stats.binomtest(k, n, p).pvalue)
+    got = binomial_two_sided_p(k, n, p)
+    assert (got >= 0.05) == (reference >= 0.05)
+    assert 0.0 <= got <= 1.0
+    if reference >= 1e-6:
+        assert got == pytest.approx(reference, rel=1e-9)
+
+
 def test_parity_requires_individuals():
     with pytest.raises(ValueError):
-        statistical_parity(sample_from_pattern(""), Demographics(0.5, 0.5))
+        statistical_parity(mask_from_pattern(""), Demographics(0.5, 0.5))
 
 
 def test_parity_json_shape():
     payload = statistical_parity(
-        sample_from_pattern("FM" * 10), Demographics(0.5, 0.5)
+        mask_from_pattern("FM" * 10), Demographics(0.5, 0.5)
     ).to_json_dict()
     assert set(payload) == {"perc_f_sample", "perc_f_reference", "p_value", "passes"}
 
 
-def audit_list(pattern, names=None):
-    return sort_alphabetical(individuals_from_pattern(pattern, names))
+def audit(pattern, k1_values, perc_fd, names=None, **kwargs):
+    names = names or [f"P{i:04d}" for i in range(len(pattern))]
+    return page_audit(names, mask_from_pattern(pattern), k1_values, perc_fd, **kwargs)
 
 
 def test_page_audit_flags_and_exact_curve_agreement():
     # names chosen so the sorted order equals the pattern order
     pattern = "MFFMM" + "F" * 5
     names = [f"N{i:02d}" for i in range(len(pattern))]
-    ordered = audit_list(pattern, names)
-    row = page_audit(ordered, (5, 9), perc_fd=0.5, list_id="demo")
-    curve = perc_f_curve(ordered)
-    assert row.per_k1[5] == curve.value_at(5)
-    assert row.per_k1[9] == curve.value_at(9)
+    row = audit(pattern, (5, 9), 0.5, names, list_id="demo")
+    curve = perc_f_curve(mask_from_pattern(pattern))
+    assert row.per_k1[5] == curve[4]
+    assert row.per_k1[9] == curve[8]
     assert row.flags[5] == BELOW
     assert row.flags[9] == AT_OR_ABOVE  # 5/9 >= 0.5
     assert row.size == 10
@@ -254,25 +309,26 @@ def test_page_audit_flags_and_exact_curve_agreement():
 
 
 def test_page_audit_boundary_is_at_or_above():
-    ordered = audit_list("FMMF")
-    row = page_audit(ordered, (2,), perc_fd=0.5)
+    row = audit("FMMF", (2,), 0.5)
     assert row.per_k1[2] == 0.5
     assert row.flags[2] == AT_OR_ABOVE
 
 
+def test_page_audit_sorts_its_input():
+    # arrival order F, M, M; sorted order Ana (M), Bia (F), Caio (M)
+    row = audit("FMM", (1, 2), 0.5, names=["Bia", "Ana", "Caio"])
+    assert row.per_k1 == {1: 0.0, 2: 0.5}
+
+
 def test_page_audit_validation():
-    ordered = audit_list("FMFM")
     with pytest.raises(ValueError):
-        page_audit(ordered, (5,), perc_fd=0.5)
+        audit("FMFM", (5,), 0.5)
     with pytest.raises(ValueError):
-        page_audit(ordered, (0,), perc_fd=0.5)
-    random_order = OrderedSample(ordered.individuals, "random")
-    with pytest.raises(ValueError):
-        page_audit(random_order, (2,), perc_fd=0.5)
+        audit("FMFM", (0,), 0.5)
 
 
 def test_dump_audit_rows_format():
-    row = page_audit(audit_list("MMFF"), (2, 4), perc_fd=0.5, list_id="L")
+    row = audit("MMFF", (2, 4), 0.5, list_id="L")
     buf = io.StringIO()
     dump_audit_rows([row], buf)
     lines = buf.getvalue().splitlines()
@@ -283,5 +339,5 @@ def test_dump_audit_rows_format():
 
 def test_dump_curve_csv_format():
     buf = io.StringIO()
-    dump_curve_csv(perc_f_curve(sample_from_pattern("FM")), buf)
+    dump_curve_csv(perc_f_curve(mask_from_pattern("FM")), buf)
     assert buf.getvalue().splitlines() == ["k,perc_f", "1,1.0", "2,0.5"]

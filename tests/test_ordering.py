@@ -7,10 +7,6 @@ from hypothesis import strategies as st
 
 from listfair.dataset import Gender
 from listfair.ordering import (
-    ALPHABETICAL,
-    RANDOM,
-    OrderedSample,
-    as_random_order,
     collation_key,
     collation_ranks,
     dump_pages_csv,
@@ -19,7 +15,7 @@ from listfair.ordering import (
 )
 from listfair.sampling import Individual
 
-from helpers import sample_from_pattern
+from helpers import individuals_from_pattern
 
 
 @pytest.mark.parametrize(
@@ -47,7 +43,7 @@ def test_collation_orders_accented_with_plain():
 def test_collation_key_ascii_fast_path_matches_decomposition(name):
     decomposed = unicodedata.normalize("NFD", name)
     stripped = "".join(ch for ch in decomposed if unicodedata.category(ch) != "Mn")
-    assert collation_key.__wrapped__(name) == stripped.upper()
+    assert collation_key(name) == stripped.upper()
 
 
 name_pool = st.sampled_from(
@@ -57,54 +53,32 @@ individual_strategy = st.builds(
     Individual, name=name_pool, gender=st.sampled_from([Gender.FEMALE, Gender.MALE])
 )
 individuals_strategy = st.lists(individual_strategy, max_size=50).map(tuple)
+names_strategy = st.lists(name_pool, max_size=50)
 
 
-@given(individuals_strategy)
-def test_sort_is_a_permutation(individuals):
-    ordered = sort_alphabetical(individuals)
-    assert sorted(ordered.individuals, key=id) != individuals or True
-    assert sorted(map(repr, ordered.individuals)) == sorted(map(repr, individuals))
-    assert ordered.ordering == ALPHABETICAL
+@given(names_strategy)
+def test_sort_is_a_permutation(names):
+    order = sort_alphabetical(names).tolist()
+    assert sorted(order) == list(range(len(names)))
 
 
-@given(individuals_strategy)
-def test_sort_is_idempotent(individuals):
-    once = sort_alphabetical(individuals)
-    twice = sort_alphabetical(once)
-    assert once.individuals == twice.individuals
+@given(names_strategy)
+def test_sort_is_idempotent(names):
+    once = [names[i] for i in sort_alphabetical(names)]
+    twice = [once[i] for i in sort_alphabetical(once)]
+    assert once == twice
+    assert sort_alphabetical(once).tolist() == list(range(len(names)))
 
 
-@given(individuals_strategy)
-def test_sort_keys_are_monotone(individuals):
-    ordered = sort_alphabetical(individuals).individuals
-    keys = [collation_key(i.name) for i in ordered]
+@given(names_strategy)
+def test_sort_keys_are_monotone(names):
+    keys = [collation_key(names[i]) for i in sort_alphabetical(names)]
     assert keys == sorted(keys)
 
 
 def test_sort_stability_preserves_arrival_order_on_ties():
-    arrivals = (
-        Individual("Alex", Gender.MALE),
-        Individual("alex", Gender.FEMALE),
-        Individual("ALEX", Gender.MALE),
-        Individual("Aaron", Gender.MALE),
-    )
-    ordered = sort_alphabetical(arrivals).individuals
-    assert ordered[0].name == "Aaron"
-    assert [i.name for i in ordered[1:]] == ["Alex", "alex", "ALEX"]
-
-
-def test_as_random_order_keeps_arrival_order():
-    sample = sample_from_pattern("FMFM")
-    ordered = as_random_order(sample)
-    assert ordered.individuals == sample.individuals
-    assert ordered.ordering == RANDOM
-    assert ordered.source == sample.provenance
-
-
-def test_sort_carries_provenance_from_sample():
-    sample = sample_from_pattern("FMFM")
-    assert sort_alphabetical(sample).source == sample.provenance
-    assert sort_alphabetical(sample.individuals).source is None
+    arrivals = ["Alex", "alex", "ALEX", "Aaron"]
+    assert sort_alphabetical(arrivals).tolist() == [3, 0, 1, 2]
 
 
 @given(
@@ -112,8 +86,7 @@ def test_sort_carries_provenance_from_sample():
     st.integers(min_value=1, max_value=60),
 )
 def test_pagination_concatenates_back(individuals, k1):
-    ordered = OrderedSample(individuals, RANDOM)
-    pages = paginate(ordered, k1)
+    pages = paginate(individuals, k1)
     flattened = tuple(ind for page in pages for ind in page.individuals)
     assert flattened == individuals
     assert [p.index for p in pages] == list(range(1, len(pages) + 1))
@@ -122,14 +95,13 @@ def test_pagination_concatenates_back(individuals, k1):
 
 
 def test_paginate_rejects_bad_page_size():
-    ordered = as_random_order(sample_from_pattern("FM"))
     with pytest.raises(ValueError):
-        paginate(ordered, 0)
+        paginate(individuals_from_pattern("FM"), 0)
 
 
 def test_dump_pages_uses_global_positions():
-    sample = sample_from_pattern("FMFMF", names=["Ana", "Bo", "Cy", "Di", "Ed"])
-    pages = paginate(as_random_order(sample), 2)
+    individuals = individuals_from_pattern("FMFMF", names=["Ana", "Bo", "Cy", "Di", "Ed"])
+    pages = paginate(individuals, 2)
     buf = io.StringIO()
     dump_pages_csv(pages, buf)
     lines = buf.getvalue().splitlines()
@@ -139,13 +111,11 @@ def test_dump_pages_uses_global_positions():
     assert lines[5] == "3,5,Ed,F"
 
 
-@given(individuals_strategy)
-def test_rank_sort_matches_keyed_sorted(individuals):
+@given(names_strategy)
+def test_rank_sort_matches_keyed_sorted(names):
     # reference: Python's stable sort on the collation key itself
-    expected = tuple(sorted(individuals, key=lambda ind: collation_key(ind.name)))
-    ordered = sort_alphabetical(individuals).individuals
-    assert all(a is b for a, b in zip(ordered, expected))
-    assert len(ordered) == len(expected)
+    expected = sorted(range(len(names)), key=lambda i: collation_key(names[i]))
+    assert sort_alphabetical(names).tolist() == expected
 
 
 @given(st.lists(name_pool, max_size=30))

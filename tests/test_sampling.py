@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from listfair.dataset import Gender
 from listfair.errors import DatasetFormatError, InfeasibleSampleError
 from listfair.sampling import (
     PROPORTIONAL,
     STRATIFIED,
     Individual,
     RandomSource,
+    dataset_arrays,
     draw_sample,
-    fisher_yates,
+    female_mask,
     permutation,
     read_sample_csv,
     round_half_up,
@@ -31,6 +33,7 @@ BASIC_DATASET = dataset_from_counts(
         ("Carlos", "M", 200),
     ]
 )
+BASIC = dataset_arrays(BASIC_DATASET)
 
 
 def test_random_source_is_deterministic_per_key():
@@ -55,19 +58,19 @@ def test_round_half_up(x, expected):
     assert round_half_up(x) == expected
 
 
-@given(st.lists(st.integers(), max_size=40), st.integers(min_value=0, max_value=2**32))
-def test_shuffle_preserves_multiset(items, seed):
-    shuffled = fisher_yates(items, RandomSource(seed))
-    assert sorted(shuffled) == sorted(items)
+@given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=2**32))
+def test_shuffle_preserves_multiset(n, seed):
+    shuffled = permutation(n, RandomSource(seed).generator)
+    assert sorted(shuffled) == list(range(n))
 
 
 def test_shuffle_deterministic_and_input_untouched():
-    items = ["a", "b", "c", "d", "e"]
-    before = list(items)
-    one = fisher_yates(items, RandomSource(11, 2))
-    two = fisher_yates(items, RandomSource(11, 2))
+    one = permutation(5, RandomSource(11, 2).generator)
+    two = permutation(5, RandomSource(11, 2).generator)
     assert one == two
-    assert items == before
+    before = [a.copy() for a in (BASIC.p, BASIC.female, BASIC.male)]
+    draw_sample(BASIC, 30, RandomSource(11, 2), mode=STRATIFIED, perc_fs=0.5)
+    assert all(np.array_equal(a, b) for a, b in zip((BASIC.p, BASIC.female, BASIC.male), before))
 
 
 def scalar_permutation(n, gen):
@@ -101,32 +104,29 @@ def test_shuffle_uniformity_chi_square():
     counts = {}
     rng = RandomSource(seed=2024)
     for _ in range(trials):
-        perm = tuple(fisher_yates((0, 1, 2), rng))
+        perm = tuple(permutation(3, rng.generator))
         counts[perm] = counts.get(perm, 0) + 1
     assert len(counts) == 6
     stat = chi_square_statistic(counts.values(), [trials / 6] * 6)
     assert stat < 15.09
 
 
-def test_proportional_sample_shape_and_provenance():
-    sample = draw_sample(BASIC_DATASET, 50, RandomSource(5, 9))
-    assert sample.n == 50
-    assert sample.perc_fs_requested is None
-    assert sample.provenance.dataset_id == "test"
-    assert sample.provenance.seed == 5
-    assert sample.provenance.stream_index == 9
-    assert sample.provenance.mode == PROPORTIONAL
-    again = draw_sample(BASIC_DATASET, 50, RandomSource(5, 9))
-    assert again == sample
+def test_proportional_sample_shape_and_determinism():
+    sample = draw_sample(BASIC, 50, RandomSource(5, 9))
+    assert sample.shape == (50,)
+    assert sample.min() >= 0 and sample.max() < len(BASIC_DATASET.records)
+    again = draw_sample(BASIC, 50, RandomSource(5, 9), mode=PROPORTIONAL)
+    assert np.array_equal(again, sample)
 
 
 def test_proportional_frequencies_converge():
     # Monte-Carlo check against 3-sigma binomial bounds per name
     n = 20_000
-    sample = draw_sample(BASIC_DATASET, n, RandomSource(31))
+    sample = draw_sample(BASIC, n, RandomSource(31))
     tallies = {}
-    for ind in sample.individuals:
-        tallies[ind.name] = tallies.get(ind.name, 0) + 1
+    for i in sample:
+        name = BASIC_DATASET.records[i].name
+        tallies[name] = tallies.get(name, 0) + 1
     for record in BASIC_DATASET.records:
         p = record.count / BASIC_DATASET.total_count
         sigma = math.sqrt(n * p * (1 - p))
@@ -135,7 +135,7 @@ def test_proportional_frequencies_converge():
 
 def test_proportional_rejects_perc_fs():
     with pytest.raises(ValueError):
-        draw_sample(BASIC_DATASET, 10, RandomSource(0), mode=PROPORTIONAL, perc_fs=0.5)
+        draw_sample(BASIC, 10, RandomSource(0), mode=PROPORTIONAL, perc_fs=0.5)
 
 
 @given(
@@ -145,13 +145,10 @@ def test_proportional_rejects_perc_fs():
 )
 @settings(max_examples=200)
 def test_stratified_counts_are_exact(perc_fs, n, seed):
-    sample = draw_sample(
-        BASIC_DATASET, n, RandomSource(seed), mode=STRATIFIED, perc_fs=perc_fs
-    )
-    women = sum(1 for i in sample.individuals if i.gender.value == "F")
+    sample = draw_sample(BASIC, n, RandomSource(seed), mode=STRATIFIED, perc_fs=perc_fs)
+    women = int(BASIC.is_female[sample].sum())
     assert women == stratified_female_count(perc_fs, n)
-    assert sample.n == n
-    assert sample.perc_fs_requested == perc_fs
+    assert len(sample) == n
 
 
 @given(
@@ -183,44 +180,43 @@ def test_stratified_female_count_rounds_float_ties_up():
 
 
 def test_stratified_female_names_come_from_female_records():
-    sample = draw_sample(
-        BASIC_DATASET, 200, RandomSource(8), mode=STRATIFIED, perc_fs=0.5
-    )
+    sample = draw_sample(BASIC, 200, RandomSource(8), mode=STRATIFIED, perc_fs=0.5)
     female_names = {"Ana", "Beatriz"}
-    for ind in sample.individuals:
-        if ind.gender.value == "F":
-            assert ind.name in female_names
+    for i in sample:
+        record = BASIC_DATASET.records[i]
+        if record.gender.value == "F":
+            assert record.name in female_names
         else:
-            assert ind.name not in female_names
+            assert record.name not in female_names
 
 
 def test_stratified_infeasible_without_gender_records():
-    male_only = dataset_from_counts([("Bruno", "M", 10)])
+    male_only = dataset_arrays(dataset_from_counts([("Bruno", "M", 10)]))
     with pytest.raises(InfeasibleSampleError):
         draw_sample(male_only, 10, RandomSource(0), mode=STRATIFIED, perc_fs=0.5)
     # zero women requested needs no female records at all
     sample = draw_sample(male_only, 10, RandomSource(0), mode=STRATIFIED, perc_fs=0.0)
-    assert all(i.gender.value == "M" for i in sample.individuals)
+    assert not male_only.is_female[sample].any()
 
 
 @pytest.mark.parametrize("bad", [-0.01, 1.01])
 def test_stratified_rejects_out_of_range_share(bad):
     with pytest.raises(ValueError):
-        draw_sample(BASIC_DATASET, 10, RandomSource(0), mode=STRATIFIED, perc_fs=bad)
+        draw_sample(BASIC, 10, RandomSource(0), mode=STRATIFIED, perc_fs=bad)
 
 
 def test_draw_sample_rejects_bad_n_and_mode():
     with pytest.raises(ValueError):
-        draw_sample(BASIC_DATASET, 0, RandomSource(0))
+        draw_sample(BASIC, 0, RandomSource(0))
     with pytest.raises(ValueError):
-        draw_sample(BASIC_DATASET, 5, RandomSource(0), mode="quota", perc_fs=0.5)
+        draw_sample(BASIC, 5, RandomSource(0), mode="quota", perc_fs=0.5)
 
 
 def test_sample_csv_round_trip(tmp_path):
-    sample = draw_sample(BASIC_DATASET, 25, RandomSource(3))
+    records = [BASIC_DATASET.records[i] for i in draw_sample(BASIC, 25, RandomSource(3))]
     path = tmp_path / "sample.csv"
-    write_sample_csv(sample.individuals, path)
-    assert read_sample_csv(path) == sample.individuals
+    write_sample_csv(records, path)
+    assert read_sample_csv(path) == tuple(Individual(r.name, r.gender) for r in records)
     first = path.read_text(encoding="utf-8").splitlines()[:2]
     assert first[0] == "position,name,gender"
     assert first[1].startswith("1,")
@@ -235,6 +231,7 @@ def test_sample_csv_round_trip(tmp_path):
         ("position,name,gender\n1,Ana,Q\n", "gender must be F or M"),
         ("position,name,gender\n1,,F\n", "non-empty"),
         ("position,name,gender\n", "no rows"),
+        ("position,name,gender\n\u00b9,Ana,F\n", "expected position 1, got '\u00b9'"),
     ],
 )
 def test_read_sample_csv_rejects_malformed(tmp_path, body, fragment):
@@ -243,11 +240,17 @@ def test_read_sample_csv_rejects_malformed(tmp_path, body, fragment):
     with pytest.raises(DatasetFormatError) as err:
         read_sample_csv(path)
     assert fragment in str(err.value)
+    assert "bad.csv" in str(err.value)
+
+
+def test_female_mask_follows_row_order():
+    rows = (Individual("Ana", Gender.FEMALE), Individual("Bo", Gender.MALE))
+    assert female_mask(rows).tolist() == [True, False]
+    assert female_mask(()).dtype == bool
+    assert BASIC.is_female.tolist() == [True, True, False, False]
 
 
 def test_individuals_are_hashable_value_objects():
-    from listfair.dataset import Gender
-
     a = Individual("Ana", Gender.FEMALE)
     b = Individual("Ana", Gender.FEMALE)
     assert a == b and hash(a) == hash(b)

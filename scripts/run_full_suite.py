@@ -19,7 +19,8 @@ from listfair.experiments import (
     RND_SIZE,
     ExperimentConfig,
     run_candidate_audit,
-    run_experiment,
+    run_datasets,
+    write_result,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -63,7 +64,8 @@ def main() -> None:
     for kind, label in ((PERCF, "percf"), (RND_GRID, "rnd-grid"), (RND_SIZE, "rnd-size")):
         out_dir = out_root / label
         print(f"\n{label} -> {out_dir}")
-        result = run_experiment(kind, cfg, out_dir=out_dir, jobs=args.jobs)
+        result = run_datasets(kind, [ds], cfg, jobs=args.jobs)
+        write_result(result, out_dir)
         if kind == PERCF:
             summarize_percf(result)
         elif kind == RND_GRID:

@@ -214,9 +214,10 @@ def _cmd_parity(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    result = run_candidate_audit(
-        [args.infile], _parse_page_sizes(args.page_sizes), perc_fd=args.perc_fd
-    )
+    page_sizes = _parse_page_sizes(args.page_sizes)
+    if args.perc_fd is not None and not 0.0 <= args.perc_fd <= 1.0:
+        raise _UsageError(f"--perc-fd must lie in [0, 1], got {args.perc_fd}")
+    result = run_candidate_audit([args.infile], page_sizes, perc_fd=args.perc_fd)
     with _open_out(args.out) as fh:
         dump_audit_rows(result.rows, fh)
     print(f"below_cells {result.below_cells}", file=sys.stderr)

@@ -1,10 +1,11 @@
 """Reproducible experiment drivers.
 
-Three drivers cover the measurement protocol: prefix-share curves under
-random vs alphabetical ordering, rND across a grid of requested female
-shares, and rND across sample sizes. A fourth audits concrete candidate
-lists. Results are written as plain CSVs plus the resolved config, so a
-run is fully described by its output directory.
+One driver runs the three experiment kinds of the measurement protocol:
+prefix-share curves under random vs alphabetical ordering, rND across a
+grid of requested female shares, and rND across sample sizes. A second
+audits concrete candidate lists. Results are written as plain CSVs plus
+the resolved config, so a run is fully described by its output
+directory.
 
 Determinism: every sample owns a substream keyed by (experiment kind,
 cell identity, sample ordinal). Keying by cell identity rather than grid
@@ -19,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -38,11 +40,13 @@ from listfair.metrics import (
     PageAuditRow,
     page_audit,
     perc_f_curve,
+    rnd_checkpoints,
     rnd_raw_of_mask,
     rnd_theoretical_normalizer,
 )
 from listfair.ordering import alphabetical_order, collation_ranks
 from listfair.sampling import (
+    PROPORTIONAL,
     STRATIFIED,
     DatasetArrays,
     Individual,
@@ -51,7 +55,6 @@ from listfair.sampling import (
     draw_sample,
     female_mask,
     parse_individual,
-    stratified_female_count,
 )
 
 PERCF = "percf"
@@ -90,6 +93,32 @@ def share_cell_code(perc_fs: float) -> int:
     return round(perc_fs * 1_000_000)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    # NaN, the infinities and integers beyond the float range all fail
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
+def _list_of(test):
+    return lambda value: isinstance(value, list) and all(test(item) for item in value)
+
+
+# the type each config field must have before its range is checked
+_FIELD_TYPES = {
+    "dataset_paths": (_list_of(lambda path: isinstance(path, str)), "a list of strings"),
+    "samples_per_cell": (_is_int, "an integer"),
+    "n": (_is_int, "an integer"),
+    "perc_fs_grid": (_list_of(_is_finite_number), "a list of finite numbers"),
+    "size_grid": (_list_of(_is_int), "a list of integers"),
+    "seed": (_is_int, "an integer"),
+    "step": (_is_int, "an integer"),
+    "bandwidth": (lambda bw: bw is None or _is_finite_number(bw), "a finite number or null"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     """Everything a run depends on; serialized next to its outputs."""
@@ -104,7 +133,16 @@ class ExperimentConfig:
     normalizer_scope: str = PER_BATCH
     bandwidth: float | None = None
 
+    def _check_types(self) -> None:
+        """Raise ValueError for the first field whose value has the wrong
+        type, such as a string, a bool or a float where an integer belongs."""
+        for name, (is_valid, expected) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not is_valid(value):
+                raise ValueError(f"{name} must be {expected}, got {value!r}")
+
     def validate(self, require_paths: bool = False) -> None:
+        self._check_types()
         if require_paths and not self.dataset_paths:
             raise ValueError("config needs at least one dataset path")
         if not 1 <= self.samples_per_cell < _MAX_SAMPLES:
@@ -159,22 +197,24 @@ class ExperimentConfig:
             raise DatasetFormatError(
                 "unknown config keys: " + ", ".join(unknown), path=path
             )
-        return cls(**payload)
+        cfg = cls(**payload)
+        try:
+            cfg._check_types()
+        except ValueError as exc:
+            raise DatasetFormatError(str(exc), path=path) from None
+        return cfg
 
 
 @dataclass
 class ExperimentResult:
     """Raw per-sample records plus per-cell aggregates and plot-ready
-    curves; ``arrays`` holds in-memory extras (e.g. full curve matrices)
-    that are not serialized."""
+    curves, dataset by dataset in config order."""
 
     kind: str
     config: ExperimentConfig
     records: list[dict]
     aggregates: list[dict]
     curves: list[dict]
-    z_by_dataset: dict[str, float]
-    arrays: dict = field(default_factory=dict, repr=False)
 
 
 def _pool_size(jobs: int, n_tasks: int, cpus: int | None) -> int:
@@ -210,16 +250,76 @@ def _smoothed(xs, ys, bandwidth: float | None) -> np.ndarray:
     return stats.nadaraya_watson(stats.XYSeries(xs, ys), xs, bandwidth).y
 
 
+def run_datasets(kind: str, datasets, cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
+    """Run one experiment kind over datasets already in memory.
+
+    ``percf`` gives prefix-share curves of proportional samples under
+    random and alphabetical ordering. ``rnd_grid`` gives the rND of
+    alphabetically ordered stratified samples across the female-share
+    grid, ``rnd_size`` that of proportional samples across the size grid.
+    Raw rND is always emitted; the normalized column divides by the Z of
+    ``cfg.normalizer_scope``: the largest raw value of the dataset
+    ("per_batch"), of every dataset ("global"), or the worst arrangement
+    of each sample ("theoretical").
+
+    The cells of every dataset go through one process pool of at most
+    ``jobs`` workers; the rows do not depend on ``jobs``.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown experiment kind {kind!r}")
+    cfg.validate()
+    ids = [ds.id for ds in datasets]
+    if not ids:
+        raise ValueError("a run needs at least one dataset")
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"dataset ids are not unique: {ids}")
+    if kind == PERCF:
+        # one contiguous range of samples per worker
+        spc = cfg.samples_per_cell
+        bounds = np.linspace(0, spc, min(max(jobs, 1), spc) + 1, dtype=int).tolist()
+        cells = [range(first, last) for first, last in zip(bounds, bounds[1:]) if last > first]
+        fn = _percf_chunk
+    else:
+        cells = cfg.perc_fs_grid if kind == RND_GRID else cfg.size_grid
+        fn = _rnd_cell
+    all_arrays = [_experiment_arrays(ds) for ds in datasets]
+    outputs = iter(_map_tasks(fn, [(a, cfg, kind, cell) for a in all_arrays for cell in cells], jobs))
+    per_dataset = [[next(outputs) for _ in cells] for _ in datasets]
+
+    if kind == PERCF:
+        parts = [_percf_rows(ds, cfg, chunks) for ds, chunks in zip(datasets, per_dataset)]
+    else:
+        global_z = max(r["raw"] for per_cell in per_dataset for cell in per_cell for r in cell)
+        parts = [_rnd_rows(cfg, kind, cells, per_cell, global_z) for per_cell in per_dataset]
+    result = ExperimentResult(kind, cfg, [], [], [])
+    for records, aggregates, curves in parts:
+        result.records.extend(records)
+        result.aggregates.extend(aggregates)
+        result.curves.extend(curves)
+    return result
+
+
+def run_experiment(kind: str, cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> ExperimentResult:
+    """Load the configured datasets, run one experiment kind over all of
+    them (:func:`run_datasets`), and (optionally) write the result
+    directory."""
+    cfg.validate(require_paths=True)
+    result = run_datasets(kind, [load_canonical(path) for path in cfg.dataset_paths], cfg, jobs)
+    if out_dir is not None:
+        write_result(result, out_dir)
+    return result
+
+
 # ---------------------------------------------------------------------------
 # prefix-share curves under random vs alphabetical ordering
 # ---------------------------------------------------------------------------
 
 
 def _percf_chunk(task) -> list[tuple[dict, np.ndarray, np.ndarray]]:
-    arrays, cfg, first, last = task
+    arrays, cfg, kind, samples = task
     out = []
-    for i in range(first, last):
-        rng = RandomSource(cfg.seed, sample_stream(PERCF, 0, i))
+    for i in samples:
+        rng = RandomSource(cfg.seed, sample_stream(kind, 0, i))
         indices = draw_sample(arrays, cfg.n, rng)
         random_curve = perc_f_curve(arrays.is_female[indices])
         alpha_curve = perc_f_curve(arrays.is_female[_alphabetical(arrays, indices)])
@@ -234,23 +334,14 @@ def _percf_chunk(task) -> list[tuple[dict, np.ndarray, np.ndarray]]:
     return out
 
 
-def run_percf_experiment(ds: NameDataset, cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    """Prefix-share curves of proportional samples under both orderings.
+def _percf_rows(ds: NameDataset, cfg: ExperimentConfig, chunks) -> tuple[list, list, list]:
+    """Records, aggregate and curve rows of one dataset's percf samples.
 
     Emits, per position k: the mean curve of each ordering, a bootstrap
     95% interval of the random-ordering mean, kernel-smoothed versions of
     both mean curves, and the dataset's own female share as reference.
     """
-    cfg.validate()
-    spc = cfg.samples_per_cell
-    bounds = np.linspace(0, spc, min(max(jobs, 1), spc) + 1, dtype=int)
-    arrays = _experiment_arrays(ds)
-    tasks = [
-        (arrays, cfg, int(first), int(last))
-        for first, last in zip(bounds[:-1], bounds[1:])
-        if last > first
-    ]
-    triplets = [item for chunk in _map_tasks(_percf_chunk, tasks, jobs) for item in chunk]
+    triplets = [item for chunk in chunks for item in chunk]
     records = [t[0] for t in triplets]
     random_curves = np.vstack([t[1] for t in triplets])
     alpha_curves = np.vstack([t[2] for t in triplets])
@@ -292,6 +383,7 @@ def run_percf_experiment(ds: NameDataset, cfg: ExperimentConfig, jobs: int = 1) 
         for k in range(1, cfg.n + 1)
     ]
 
+    spc = cfg.samples_per_cell
     shares = np.array([r["perc_f_sample"] for r in records])
     share_ci = stats.bootstrap_ci(shares, rng=RandomSource(cfg.seed, agg_stream(PERCF, 0)))
     aggregates = [
@@ -306,8 +398,7 @@ def run_percf_experiment(ds: NameDataset, cfg: ExperimentConfig, jobs: int = 1) 
             "reference_share": reference,
         }
     ]
-    arrays = {f"{ds.id}/random": random_curves, f"{ds.id}/alphabetical": alpha_curves}
-    return ExperimentResult(PERCF, cfg, records, aggregates, curves, {}, arrays)
+    return records, aggregates, curves
 
 
 # ---------------------------------------------------------------------------
@@ -315,193 +406,84 @@ def run_percf_experiment(ds: NameDataset, cfg: ExperimentConfig, jobs: int = 1) 
 # ---------------------------------------------------------------------------
 
 
-def _rnd_cell(task) -> list[dict]:
-    arrays, cfg, kind, cell_value = task
-    records = []
-    if kind == RND_GRID:
-        perc_fs = cell_value
-        code = share_cell_code(perc_fs)
-        n = cfg.n
-        n_f = stratified_female_count(perc_fs, n)
-        try:
-            z_theory = rnd_theoretical_normalizer(n, n_f, cfg.step)
-        except SampleTooSmallError as exc:
-            raise SampleTooSmallError(f"cell perc_fs={perc_fs}: {exc}") from None
-        for i in range(cfg.samples_per_cell):
-            rng = RandomSource(cfg.seed, sample_stream(kind, code, i))
-            try:
-                indices = draw_sample(arrays, n, rng, STRATIFIED, perc_fs)
-            except InfeasibleSampleError as exc:
-                raise InfeasibleSampleError(f"cell perc_fs={perc_fs}: {exc}") from None
-            raw = rnd_raw_of_mask(arrays.is_female[_alphabetical(arrays, indices)], cfg.step)
-            records.append(
-                {
-                    "dataset": arrays.id,
-                    "perc_fs": perc_fs,
-                    "sample": i,
-                    "stream_index": rng.stream_index,
-                    "n_f": n_f,
-                    "raw": raw,
-                    "_z_theoretical": z_theory,
-                }
-            )
-    else:
-        n = cell_value
-        for i in range(cfg.samples_per_cell):
-            rng = RandomSource(cfg.seed, sample_stream(kind, n, i))
-            indices = draw_sample(arrays, n, rng)
-            n_f = int(arrays.is_female[indices].sum())
-            try:
-                raw = rnd_raw_of_mask(arrays.is_female[_alphabetical(arrays, indices)], cfg.step)
-            except SampleTooSmallError as exc:
-                raise SampleTooSmallError(f"cell n={n}: {exc}") from None
-            records.append(
-                {
-                    "dataset": arrays.id,
-                    "n": n,
-                    "sample": i,
-                    "stream_index": rng.stream_index,
-                    "n_f": n_f,
-                    "raw": raw,
-                    "_z_theoretical": rnd_theoretical_normalizer(n, n_f, cfg.step),
-                }
-            )
-    return records
-
-
-def _run_rnd_records(ds, cfg, kind, jobs) -> list[dict]:
-    grid = cfg.perc_fs_grid if kind == RND_GRID else cfg.size_grid
-    arrays = _experiment_arrays(ds)
-    tasks = [(arrays, cfg, kind, cell) for cell in grid]
-    return [rec for cell_records in _map_tasks(_rnd_cell, tasks, jobs) for rec in cell_records]
-
-
-def _normalize_records(records: list[dict], scope: str, batch_z: float | None) -> None:
-    for record in records:
-        z_theory = record.pop("_z_theoretical")
-        z = z_theory if scope == THEORETICAL else batch_z
-        record["z"] = float(z)
-        record["normalized"] = 0.0 if z == 0 else record["raw"] / z
-
-
 def _rnd_cell_key(kind: str) -> str:
     return "perc_fs" if kind == RND_GRID else "n"
 
 
-def _rnd_aggregates(records: list[dict], cfg: ExperimentConfig, kind: str, grid) -> list[dict]:
+def _rnd_cell_spec(cfg: ExperimentConfig, kind: str, cell):
+    """Sample size, sampling mode, requested female share and stream code
+    of one rND cell."""
+    if kind == RND_GRID:
+        return cfg.n, STRATIFIED, cell, share_cell_code(cell)
+    return cell, PROPORTIONAL, None, cell
+
+
+def _rnd_cell(task) -> list[dict]:
+    arrays, cfg, kind, cell = task
+    n, mode, perc_fs, code = _rnd_cell_spec(cfg, kind, cell)
     key = _rnd_cell_key(kind)
-    rows = []
-    for cell in grid:
-        cell_records = [r for r in records if r[key] == cell]
-        raws = np.array([r["raw"] for r in cell_records])
-        normalized = np.array([r["normalized"] for r in cell_records])
-        code = share_cell_code(cell) if kind == RND_GRID else cell
-        ci = stats.bootstrap_ci(
-            raws, rng=RandomSource(cfg.seed, agg_stream(kind, code))
-        )
-        rows.append(
+    records = []
+    try:
+        # the size alone decides whether a list reaches the first
+        # checkpoint, so say so before drawing anything
+        rnd_checkpoints(n, cfg.step)
+        for i in range(cfg.samples_per_cell):
+            rng = RandomSource(cfg.seed, sample_stream(kind, code, i))
+            indices = draw_sample(arrays, n, rng, mode, perc_fs)
+            mask = arrays.is_female[_alphabetical(arrays, indices)]
+            records.append(
+                {
+                    "dataset": arrays.id,
+                    key: cell,
+                    "sample": i,
+                    "stream_index": rng.stream_index,
+                    "n_f": int(mask.sum()),
+                    "raw": rnd_raw_of_mask(mask, cfg.step),
+                }
+            )
+    except (InfeasibleSampleError, SampleTooSmallError) as exc:
+        raise type(exc)(f"cell {key}={cell}: {exc}") from None
+    return records
+
+
+def _rnd_rows(cfg: ExperimentConfig, kind: str, grid, per_cell: list[list[dict]], global_z: float):
+    """Records, aggregate and curve rows of one dataset's rND cells: each
+    record is normalized under the configured scope, each cell aggregated,
+    and the cell means smoothed."""
+    key = _rnd_cell_key(kind)
+    batch_z = max(r["raw"] for records in per_cell for r in records)
+    aggregates = []
+    for cell, records in zip(grid, per_cell):
+        n, _, _, code = _rnd_cell_spec(cfg, kind, cell)
+        for r in records:
+            if cfg.normalizer_scope == THEORETICAL:
+                z = rnd_theoretical_normalizer(n, r["n_f"], cfg.step)
+            else:
+                z = global_z if cfg.normalizer_scope == GLOBAL else batch_z
+            r["z"] = float(z)
+            r["normalized"] = 0.0 if z == 0 else r["raw"] / z
+        raws = np.array([r["raw"] for r in records])
+        ci = stats.bootstrap_ci(raws, rng=RandomSource(cfg.seed, agg_stream(kind, code)))
+        aggregates.append(
             {
-                "dataset": cell_records[0]["dataset"],
+                "dataset": records[0]["dataset"],
                 key: cell,
-                "n_samples": len(cell_records),
+                "n_samples": len(records),
                 "mean_raw": float(raws.mean()),
                 "std_raw": float(raws.std(ddof=1)) if len(raws) > 1 else 0.0,
                 "ci_low_raw": ci.lower,
                 "ci_high_raw": ci.upper,
-                "mean_normalized": float(normalized.mean()),
-                "z": float(max(r["z"] for r in cell_records)),
+                "mean_normalized": float(np.mean([r["normalized"] for r in records])),
+                "z": max(r["z"] for r in records),
             }
         )
-    return rows
-
-
-def _rnd_curves(aggregates: list[dict], cfg: ExperimentConfig, kind: str) -> list[dict]:
-    key = _rnd_cell_key(kind)
     xs = [row[key] for row in aggregates]
     means = [row["mean_raw"] for row in aggregates]
-    smoothed = _smoothed(xs, means, cfg.bandwidth)
-    return [
-        {
-            "dataset": row["dataset"],
-            key: row[key],
-            "mean_raw": row["mean_raw"],
-            "nw_mean_raw": float(smoothed[i]),
-        }
-        for i, row in enumerate(aggregates)
+    curves = [
+        {"dataset": row["dataset"], key: row[key], "mean_raw": row["mean_raw"], "nw_mean_raw": float(nw)}
+        for row, nw in zip(aggregates, _smoothed(xs, means, cfg.bandwidth))
     ]
-
-
-def _finalize_rnd(per_dataset: list[tuple[NameDataset, list[dict]]], cfg, kind) -> ExperimentResult:
-    batch_z = {
-        ds.id: max(r["raw"] for r in records) for ds, records in per_dataset
-    }
-    global_z = max(batch_z.values())
-    grid = cfg.perc_fs_grid if kind == RND_GRID else cfg.size_grid
-    records_all: list[dict] = []
-    aggregates: list[dict] = []
-    curves: list[dict] = []
-    for ds, records in per_dataset:
-        if cfg.normalizer_scope == GLOBAL:
-            _normalize_records(records, GLOBAL, global_z)
-        elif cfg.normalizer_scope == PER_BATCH:
-            _normalize_records(records, PER_BATCH, batch_z[ds.id])
-        else:
-            _normalize_records(records, THEORETICAL, None)
-        ds_aggregates = _rnd_aggregates(records, cfg, kind, grid)
-        aggregates.extend(ds_aggregates)
-        curves.extend(_rnd_curves(ds_aggregates, cfg, kind))
-        records_all.extend(records)
-    return ExperimentResult(kind, cfg, records_all, aggregates, curves, batch_z)
-
-
-def run_rnd_vs_percfs(ds: NameDataset, cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    """rND of alphabetically ordered stratified samples across the
-    requested-female-share grid. Raw values are always emitted; the
-    normalized column follows ``cfg.normalizer_scope``."""
-    cfg.validate()
-    records = _run_rnd_records(ds, cfg, RND_GRID, jobs)
-    return _finalize_rnd([(ds, records)], cfg, RND_GRID)
-
-
-def run_rnd_vs_size(ds: NameDataset, cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    """rND of alphabetically ordered proportional samples across the
-    sample-size grid."""
-    cfg.validate()
-    records = _run_rnd_records(ds, cfg, RND_SIZE, jobs)
-    return _finalize_rnd([(ds, records)], cfg, RND_SIZE)
-
-
-def run_experiment(kind: str, cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> ExperimentResult:
-    """Load the configured datasets, run one experiment kind over all of
-    them, and (optionally) write the result directory.
-
-    With ``normalizer_scope = "global"`` the empirical normalizer is the
-    maximum raw value across every configured dataset; "per_batch" keeps
-    one normalizer per dataset."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown experiment kind {kind!r}")
-    cfg.validate(require_paths=True)
-    datasets = [load_canonical(path) for path in cfg.dataset_paths]
-    ids = [ds.id for ds in datasets]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"dataset ids are not unique: {ids}")
-    if kind == PERCF:
-        partials = [run_percf_experiment(ds, cfg, jobs) for ds in datasets]
-        result = ExperimentResult(
-            kind,
-            cfg,
-            [r for p in partials for r in p.records],
-            [a for p in partials for a in p.aggregates],
-            [c for p in partials for c in p.curves],
-            {},
-            {key: value for p in partials for key, value in p.arrays.items()},
-        )
-    else:
-        per_dataset = [(ds, _run_rnd_records(ds, cfg, kind, jobs)) for ds in datasets]
-        result = _finalize_rnd(per_dataset, cfg, kind)
-    if out_dir is not None:
-        write_result(result, out_dir)
-    return result
+    return [r for records in per_cell for r in records], aggregates, curves
 
 
 # ---------------------------------------------------------------------------

@@ -152,8 +152,9 @@ def rnd(mask: np.ndarray, step: int = 10, normalizer: str = THEORETICAL, z: floa
 
     ``normalizer`` selects how Z is chosen: "theoretical" computes the
     worst-arrangement bound for this list's size and composition (pass no
-    z), and "fixed" divides by a caller-supplied z > 0. A theoretical Z
-    of zero (a single-gender list) reports a normalized 0 by convention.
+    z), and "fixed" divides by a caller-supplied finite z > 0. A
+    theoretical Z of zero (a single-gender list) reports a normalized 0 by
+    convention.
     """
     terms = _rnd_terms(np.cumsum(mask), step)
     checkpoints = tuple(
@@ -168,6 +169,8 @@ def rnd(mask: np.ndarray, step: int = 10, normalizer: str = THEORETICAL, z: floa
     elif normalizer == FIXED:
         if z is None or z <= 0:
             raise ValueError("fixed normalizer needs z > 0")
+        if not math.isfinite(z):
+            raise ValueError(f"fixed normalizer needs a finite z, got {z}")
     else:
         raise ValueError(f"unknown normalizer {normalizer!r}")
     normalized = 0.0 if z == 0 else raw / z

@@ -70,25 +70,30 @@ class DatasetArrays:
     """A dataset as per-record arrays, the form samples are drawn from: a
     sample is an ``int`` index array into ``ds.records``.
 
-    ``p`` holds the proportional draw probabilities; ``female`` and
-    ``male`` are the record indices of each gender with their own
-    within-gender probabilities. ``rank`` is the dense rank of each
-    record's collation key (equal keys share a rank), or None when the
-    arrays are only used for drawing.
+    ``cdf`` holds the cumulative proportional draw probabilities;
+    ``female`` and ``male`` are the record indices of each gender with
+    their own within-gender cumulative probabilities (empty when the
+    dataset has no records of that gender). ``rank`` is the dense rank of
+    each record's collation key (equal keys share a rank), or None when
+    the arrays are only used for drawing.
     """
 
     id: str
     is_female: np.ndarray
-    p: np.ndarray
+    cdf: np.ndarray
     female: np.ndarray
-    female_p: np.ndarray
+    female_cdf: np.ndarray
     male: np.ndarray
-    male_p: np.ndarray
+    male_cdf: np.ndarray
     rank: np.ndarray | None = None
 
 
-def _probabilities(counts: np.ndarray) -> np.ndarray:
-    return counts / counts.sum()
+def _cdf(counts: np.ndarray) -> np.ndarray:
+    # normalized exactly as Generator.choice normalizes its p argument
+    if not len(counts):
+        return counts
+    cdf = (counts / counts.sum()).cumsum()
+    return cdf / cdf[-1]
 
 
 def dataset_arrays(ds: NameDataset, rank: np.ndarray | None = None) -> DatasetArrays:
@@ -100,11 +105,11 @@ def dataset_arrays(ds: NameDataset, rank: np.ndarray | None = None) -> DatasetAr
     return DatasetArrays(
         ds.id,
         is_female,
-        _probabilities(counts),
+        _cdf(counts),
         female,
-        _probabilities(counts[female]),
+        _cdf(counts[female]),
         male,
-        _probabilities(counts[male]),
+        _cdf(counts[male]),
         rank,
     )
 
@@ -138,13 +143,12 @@ def permutation(n: int, gen: Generator) -> list[int]:
     return perm
 
 
-def _weighted_draw(
-    indices: np.ndarray, p: np.ndarray, size: int, gen: Generator
-) -> np.ndarray:
-    # a draw of size 0 consumes nothing from the stream
-    if size == 0:
-        return indices[:0]
-    return indices[gen.choice(len(indices), size=size, replace=True, p=p)]
+def _weighted_draw(cdf: np.ndarray, size: int, gen: Generator) -> np.ndarray:
+    """``size`` indices drawn with replacement from the distribution whose
+    cumulative probabilities are ``cdf``: the same indices and the same
+    stream use as ``gen.choice(len(cdf), size, p=p)``, without checking
+    and summing ``p`` on every call."""
+    return cdf.searchsorted(gen.random(size), side="right")
 
 
 def draw_sample(
@@ -169,7 +173,7 @@ def draw_sample(
     if mode == PROPORTIONAL:
         if perc_fs is not None:
             raise ValueError("perc_fs only applies to stratified mode")
-        return gen.choice(len(arrays.p), size=n, replace=True, p=arrays.p)
+        return _weighted_draw(arrays.cdf, n, gen)
     if mode != STRATIFIED:
         raise ValueError(f"unknown sampling mode {mode!r}")
     if perc_fs is None:
@@ -188,8 +192,8 @@ def draw_sample(
         )
     drawn = np.concatenate(
         [
-            _weighted_draw(arrays.female, arrays.female_p, n_f, gen),
-            _weighted_draw(arrays.male, arrays.male_p, n_m, gen),
+            arrays.female[_weighted_draw(arrays.female_cdf, n_f, gen)],
+            arrays.male[_weighted_draw(arrays.male_cdf, n_m, gen)],
         ]
     )
     return drawn[permutation(n, gen)]

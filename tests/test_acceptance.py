@@ -20,11 +20,12 @@ from hypothesis import strategies as st
 from listfair.cli import main as cli_main
 from listfair.dataset import demographics, load_canonical
 from listfair.experiments import (
+    PERCF,
+    RND_GRID,
+    RND_SIZE,
     ExperimentConfig,
     run_candidate_audit,
-    run_percf_experiment,
-    run_rnd_vs_percfs,
-    run_rnd_vs_size,
+    run_datasets,
 )
 from listfair.metrics import (
     BELOW,
@@ -66,7 +67,7 @@ def fixture_ds(fixture_path):
 def percf_run(fixture_ds):
     cfg = ExperimentConfig(samples_per_cell=100, n=1000, seed=SEED)
     start = time.perf_counter()
-    result = run_percf_experiment(fixture_ds, cfg)
+    result = run_datasets(PERCF, [fixture_ds], cfg)
     return result, time.perf_counter() - start
 
 
@@ -176,7 +177,7 @@ def test_ac5_alphabetical_imbalance(percf_run):
 def test_ac6_rnd_peaks_at_half(fixture_ds):
     cfg = ExperimentConfig(samples_per_cell=100, n=1000, seed=SEED)
     start = time.perf_counter()
-    result = run_rnd_vs_percfs(fixture_ds, cfg)
+    result = run_datasets(RND_GRID, [fixture_ds], cfg)
     elapsed = time.perf_counter() - start
     means = {row["perc_fs"]: row["mean_raw"] for row in result.aggregates}
     ok = means[0.5] > means[0.05] and means[0.5] > means[0.95] and elapsed < 300.0
@@ -190,7 +191,7 @@ def test_ac6_rnd_peaks_at_half(fixture_ds):
 
 def test_ac7_rnd_grows_with_size(fixture_ds):
     cfg = ExperimentConfig(samples_per_cell=100, seed=SEED, size_grid=[200, 500, 1000, 2000])
-    result = run_rnd_vs_size(fixture_ds, cfg)
+    result = run_datasets(RND_SIZE, [fixture_ds], cfg)
     means = sorted((row["n"], row["mean_raw"]) for row in result.aggregates)
     values = [m for _, m in means]
     ok = all(a < b for a, b in zip(values, values[1:]))

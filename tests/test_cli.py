@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import listfair
 from listfair.cli import ENV_SEED, main
 from listfair.dataset import write_canonical
 from listfair.sampling import write_sample_csv
@@ -212,6 +215,9 @@ def test_rnd_json_and_text(capsys, worst20_csv):
 def test_rnd_usage_and_data_errors(tmp_path, worst20_csv):
     assert main(["rnd", "--in", str(worst20_csv), "--normalizer", "empirical"]) == 1
     assert main(["rnd", "--in", str(worst20_csv), "--normalizer", "fixed:abc"]) == 1
+    assert main(["rnd", "--in", str(worst20_csv), "--normalizer", "fixed:0"]) == 2
+    for z in ("nan", "inf", "-inf"):
+        assert main(["rnd", "--in", str(worst20_csv), "--normalizer", f"fixed:{z}"]) == 2
     short = tmp_path / "short.csv"
     write_sample_csv(individuals_from_pattern("MMF"), short)
     assert main(["rnd", "--in", str(short)]) == 2  # shorter than one step
@@ -256,6 +262,10 @@ def test_audit_fixture_list(capsys, tmp_path):
 
     assert main(["audit", "--in", "data/candidates/sp_federal.csv", "--page-sizes", "abc"]) == 1
     assert main(["audit", "--in", "data/candidates/sp_federal.csv", "--page-sizes", ""]) == 1
+    for share in ("2", "-0.1", "nan"):
+        args = ["audit", "--in", "data/candidates/sp_federal.csv", "--page-sizes", "5", "--perc-fd", share]
+        assert main(args) == 1
+        assert "usage error: --perc-fd must lie in [0, 1]" in capsys.readouterr().err
 
 
 def test_experiment_round_trip(tmp_path, dataset_csv):
@@ -286,6 +296,37 @@ def test_experiment_round_trip(tmp_path, dataset_csv):
     assert main(["experiment", "percf", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"n": "1000"}, "n must be an integer, got '1000'"),
+        ({"n": True}, "n must be an integer, got True"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"samples_per_cell": None}, "samples_per_cell must be an integer, got None"),
+        ({"step": [10]}, "step must be an integer, got [10]"),
+        ({"perc_fs_grid": 0.5}, "perc_fs_grid must be a list of finite numbers, got 0.5"),
+        ({"perc_fs_grid": [0.5, "0.6"]}, "perc_fs_grid must be a list of finite numbers"),
+        ({"perc_fs_grid": [float("nan")]}, "perc_fs_grid must be a list of finite numbers"),
+        ({"size_grid": [50.5]}, "size_grid must be a list of integers, got [50.5]"),
+        ({"size_grid": [False]}, "size_grid must be a list of integers, got [False]"),
+        ({"bandwidth": "wide"}, "bandwidth must be a finite number or null, got 'wide'"),
+        ({"bandwidth": float("nan")}, "bandwidth must be a finite number or null, got nan"),
+        ({"bandwidth": float("inf")}, "bandwidth must be a finite number or null, got inf"),
+        ({"bandwidth": 10**400}, "bandwidth must be a finite number or null"),
+        ({"dataset_paths": [3]}, "dataset_paths must be a list of strings, got [3]"),
+        ({"dataset_paths": "x.csv"}, "dataset_paths must be a list of strings, got 'x.csv'"),
+    ],
+)
+def test_experiment_config_types_are_data_errors(capsys, tmp_path, dataset_csv, fields, message):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"dataset_paths": [str(dataset_csv)], **fields}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["experiment", "rnd-grid", "--config", str(config_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config_path}: {message}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_experiment_rejects_jobs_below_one(capsys, tmp_path, dataset_csv, jobs):
     config_path = tmp_path / "config.json"
@@ -298,10 +339,14 @@ def test_experiment_rejects_jobs_below_one(capsys, tmp_path, dataset_csv, jobs):
 
 
 def test_module_entry_point_runs():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(listfair.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "listfair", "--version"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "listfair" in proc.stdout

@@ -1,12 +1,13 @@
 import json
 
-import numpy as np
 import pytest
 
+from listfair import experiments
 from listfair.dataset import write_canonical
-from listfair.errors import DatasetFormatError, SampleTooSmallError
+from listfair.errors import DatasetFormatError, InfeasibleSampleError, SampleTooSmallError
 from listfair.experiments import (
     GLOBAL,
+    KINDS,
     PER_BATCH,
     PERCF,
     RND_GRID,
@@ -18,14 +19,13 @@ from listfair.experiments import (
     agg_stream,
     read_candidate_list,
     run_candidate_audit,
+    run_datasets,
     run_experiment,
-    run_percf_experiment,
-    run_rnd_vs_percfs,
-    run_rnd_vs_size,
     sample_stream,
     share_cell_code,
     write_result,
 )
+from listfair.metrics import rnd_theoretical_normalizer
 
 from helpers import dataset_from_counts
 
@@ -39,6 +39,10 @@ SMALL_DATASET = dataset_from_counts(
         ("Diego", "M", 150),
     ],
     dataset_id="small",
+)
+OTHER_DATASET = dataset_from_counts(
+    [("Ana", "F", 500), ("Aaron", "M", 800), ("Zoe", "F", 300)],
+    dataset_id="other",
 )
 
 
@@ -156,29 +160,27 @@ def test_stream_indices_are_disjoint():
 
 def test_percf_experiment_shapes_and_determinism():
     cfg = small_config()
-    result = run_percf_experiment(SMALL_DATASET, cfg)
+    result = run_datasets(PERCF, [SMALL_DATASET], cfg)
     assert len(result.records) == cfg.samples_per_cell
     assert len(result.curves) == cfg.n
     assert len(result.aggregates) == 1
     assert result.aggregates[0]["n_samples"] == cfg.samples_per_cell
 
-    again = run_percf_experiment(SMALL_DATASET, small_config())
+    again = run_datasets(PERCF, [SMALL_DATASET], small_config())
     assert again.records == result.records
     assert again.curves == result.curves
 
 
 def test_percf_parallel_matches_serial():
-    serial = run_percf_experiment(SMALL_DATASET, small_config(), jobs=1)
-    parallel = run_percf_experiment(SMALL_DATASET, small_config(), jobs=3)
+    serial = run_datasets(PERCF, [SMALL_DATASET], small_config(), jobs=1)
+    parallel = run_datasets(PERCF, [SMALL_DATASET], small_config(), jobs=3)
     assert serial.records == parallel.records
     assert serial.curves == parallel.curves
-    assert np.array_equal(
-        serial.arrays["small/random"], parallel.arrays["small/random"]
-    )
+    assert serial.aggregates == parallel.aggregates
 
 
 def test_percf_curve_columns_are_coherent():
-    result = run_percf_experiment(SMALL_DATASET, small_config())
+    result = run_datasets(PERCF, [SMALL_DATASET], small_config())
     for row in result.curves:
         assert row["ci_low_random"] <= row["ci_high_random"]
         assert 0.0 <= row["mean_random"] <= 1.0
@@ -188,12 +190,10 @@ def test_percf_curve_columns_are_coherent():
 
 def test_rnd_grid_records_and_normalization():
     cfg = small_config()
-    result = run_rnd_vs_percfs(SMALL_DATASET, cfg)
+    result = run_datasets(RND_GRID, [SMALL_DATASET], cfg)
     assert len(result.records) == len(cfg.perc_fs_grid) * cfg.samples_per_cell
 
-    batch_z = result.z_by_dataset["small"]
-    raws = [r["raw"] for r in result.records]
-    assert batch_z == max(raws)
+    batch_z = max(r["raw"] for r in result.records)
     for record in result.records:
         assert record["z"] == batch_z
         assert 0.0 <= record["normalized"] <= 1.0
@@ -207,13 +207,13 @@ def test_rnd_grid_records_and_normalization():
 
 def test_rnd_grid_stratified_counts_recorded():
     cfg = small_config(perc_fs_grid=[0.5])
-    result = run_rnd_vs_percfs(SMALL_DATASET, cfg)
+    result = run_datasets(RND_GRID, [SMALL_DATASET], cfg)
     assert all(r["n_f"] == 20 for r in result.records)
 
 
 def test_rnd_grid_cell_independence():
-    full = run_rnd_vs_percfs(SMALL_DATASET, small_config())
-    subset = run_rnd_vs_percfs(SMALL_DATASET, small_config(perc_fs_grid=[0.5]))
+    full = run_datasets(RND_GRID, [SMALL_DATASET], small_config())
+    subset = run_datasets(RND_GRID, [SMALL_DATASET], small_config(perc_fs_grid=[0.5]))
     full_cell = [r for r in full.records if r["perc_fs"] == 0.5]
     subset_cell = list(subset.records)
     # z differs (different batches), but draws and raw values must match
@@ -224,8 +224,8 @@ def test_rnd_grid_cell_independence():
 
 
 def test_rnd_size_cell_independence_and_content():
-    full = run_rnd_vs_size(SMALL_DATASET, small_config())
-    subset = run_rnd_vs_size(SMALL_DATASET, small_config(size_grid=[40]))
+    full = run_datasets(RND_SIZE, [SMALL_DATASET], small_config())
+    subset = run_datasets(RND_SIZE, [SMALL_DATASET], small_config(size_grid=[40]))
     full_cell = [r for r in full.records if r["n"] == 40]
     for a, b in zip(full_cell, subset.records):
         assert (a["stream_index"], a["raw"], a["n_f"]) == (
@@ -239,11 +239,50 @@ def test_rnd_size_cell_independence_and_content():
 
 def test_theoretical_scope_normalizes_per_sample():
     cfg = small_config(normalizer_scope=THEORETICAL)
-    result = run_rnd_vs_percfs(SMALL_DATASET, cfg)
-    for record in result.records:
-        assert 0.0 <= record["normalized"] <= 1.0
-        if record["z"]:
-            assert record["raw"] <= record["z"] + 1e-12
+    for kind in (RND_GRID, RND_SIZE):
+        result = run_datasets(kind, [SMALL_DATASET], cfg)
+        for record in result.records:
+            n = record.get("n", cfg.n)
+            assert record["z"] == rnd_theoretical_normalizer(n, record["n_f"], cfg.step)
+            assert 0.0 <= record["normalized"] <= 1.0
+            if record["z"]:
+                assert record["raw"] <= record["z"] + 1e-12
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_two_datasets_in_one_run(kind):
+    # jobs never changes a row, and without a shared Z each dataset's rows
+    # are those of its own single-dataset run
+    cfg = small_config()
+    both = run_datasets(kind, [SMALL_DATASET, OTHER_DATASET], cfg, jobs=1)
+    assert run_datasets(kind, [SMALL_DATASET, OTHER_DATASET], cfg, jobs=2) == both
+    for ds in (SMALL_DATASET, OTHER_DATASET):
+        alone = run_datasets(kind, [ds], cfg)
+        for rows, own in (
+            (both.records, alone.records),
+            (both.aggregates, alone.aggregates),
+            (both.curves, alone.curves),
+        ):
+            assert [row for row in rows if row["dataset"] == ds.id] == own
+
+
+@pytest.mark.parametrize("scope", [PER_BATCH, GLOBAL])
+def test_one_pool_map_per_run_and_no_theoretical_z_outside_its_scope(monkeypatch, scope):
+    maps = []
+
+    def counting_map(fn, tasks, jobs):
+        maps.append(len(tasks))
+        return [fn(task) for task in tasks]
+
+    def forbidden(*args):
+        raise AssertionError("theoretical Z computed outside its scope")
+
+    monkeypatch.setattr(experiments, "_map_tasks", counting_map)
+    monkeypatch.setattr(experiments, "rnd_theoretical_normalizer", forbidden)
+    cfg = small_config(normalizer_scope=scope)
+    run_datasets(RND_SIZE, [SMALL_DATASET, OTHER_DATASET], cfg, jobs=2)
+    run_datasets(PERCF, [SMALL_DATASET, OTHER_DATASET], cfg, jobs=2)
+    assert maps == [2 * len(cfg.size_grid), 2 * 2]
 
 
 @pytest.mark.parametrize("scope", [PER_BATCH, GLOBAL, THEORETICAL])
@@ -251,34 +290,45 @@ def test_single_gender_dataset_normalizes_to_zero(scope):
     # every list is all male, so every raw value and every Z is 0; a zero
     # Z reports a normalized 0 rather than dividing by it
     male_only = dataset_from_counts([("Aaron", "M", 5), ("Bruno", "M", 3)], dataset_id="m")
-    result = run_rnd_vs_size(male_only, small_config(normalizer_scope=scope))
+    result = run_datasets(RND_SIZE, [male_only], small_config(normalizer_scope=scope))
     assert {(r["raw"], r["z"], r["normalized"]) for r in result.records} == {(0.0, 0.0, 0.0)}
 
 
 def test_global_scope_shares_one_z_across_datasets(tmp_path):
-    other = dataset_from_counts(
-        [("Ana", "F", 500), ("Aaron", "M", 800), ("Zoe", "F", 300)],
-        dataset_id="other",
-    )
     path_a = tmp_path / "small.csv"
     path_b = tmp_path / "other.csv"
     write_canonical(SMALL_DATASET, path_a)
-    write_canonical(other, path_b)
+    write_canonical(OTHER_DATASET, path_b)
 
     cfg = small_config(
         dataset_paths=[str(path_a), str(path_b)], normalizer_scope=GLOBAL
     )
     result = run_experiment(RND_GRID, cfg)
     zs = {r["z"] for r in result.records}
-    assert zs == {max(result.z_by_dataset.values())}
+    assert zs == {max(r["raw"] for r in result.records)}
     assert {r["dataset"] for r in result.records} == {"small", "other"}
 
 
 def test_sample_too_small_cell_is_reported():
     cfg = small_config(size_grid=[5, 40])
     with pytest.raises(SampleTooSmallError) as err:
-        run_rnd_vs_size(SMALL_DATASET, cfg)
+        run_datasets(RND_SIZE, [SMALL_DATASET], cfg)
     assert "cell n=5" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "rows, overrides, error",
+    [
+        ([("Aaron", "M", 5)], {}, InfeasibleSampleError),
+        (None, {"n": 5}, SampleTooSmallError),
+    ],
+)
+def test_grid_cell_errors_name_the_share(rows, overrides, error):
+    ds = SMALL_DATASET if rows is None else dataset_from_counts(rows, dataset_id="m")
+    cfg = small_config(perc_fs_grid=[0.25, 0.5], **overrides)
+    with pytest.raises(error) as err:
+        run_datasets(RND_GRID, [ds], cfg)
+    assert str(err.value).startswith("cell perc_fs=0.25: ")
 
 
 def test_run_experiment_validates_kind_and_ids(tmp_path):
@@ -290,6 +340,8 @@ def test_run_experiment_validates_kind_and_ids(tmp_path):
     dup = small_config(dataset_paths=[str(path), str(path)])
     with pytest.raises(ValueError):
         run_experiment(RND_GRID, dup)
+    with pytest.raises(ValueError, match="at least one dataset"):
+        run_datasets(RND_GRID, [], small_config())
 
 
 def test_write_result_layout_and_reloadable_config(tmp_path):

@@ -68,9 +68,9 @@ def test_shuffle_deterministic_and_input_untouched():
     one = permutation(5, RandomSource(11, 2).generator)
     two = permutation(5, RandomSource(11, 2).generator)
     assert one == two
-    before = [a.copy() for a in (BASIC.p, BASIC.female, BASIC.male)]
+    before = [a.copy() for a in (BASIC.cdf, BASIC.female, BASIC.male)]
     draw_sample(BASIC, 30, RandomSource(11, 2), mode=STRATIFIED, perc_fs=0.5)
-    assert all(np.array_equal(a, b) for a, b in zip((BASIC.p, BASIC.female, BASIC.male), before))
+    assert all(np.array_equal(a, b) for a, b in zip((BASIC.cdf, BASIC.female, BASIC.male), before))
 
 
 def scalar_permutation(n, gen):
@@ -136,6 +136,53 @@ def test_proportional_frequencies_converge():
 def test_proportional_rejects_perc_fs():
     with pytest.raises(ValueError):
         draw_sample(BASIC, 10, RandomSource(0), mode=PROPORTIONAL, perc_fs=0.5)
+
+
+def choice_draw(indices, counts, size, gen):
+    """Reference weighted draw: ``Generator.choice`` with an explicit p;
+    a draw of size 0 makes no call."""
+    if size == 0:
+        return indices[:0]
+    weights = counts[indices]
+    return indices[gen.choice(len(indices), size=size, replace=True, p=weights / weights.sum())]
+
+
+@given(
+    rows=st.lists(
+        st.tuples(st.sampled_from("FM"), st.integers(min_value=1, max_value=10**6)),
+        min_size=1,
+        max_size=30,
+    ),
+    n=st.integers(min_value=1, max_value=300),
+    perc_fs=st.sampled_from([None, 0.0, 0.3, 0.5, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=300, deadline=None)
+def test_draws_match_generator_choice(rows, n, perc_fs, seed):
+    # single-gender datasets and shares of 0 or 1 give empty strata,
+    # whose draws of size 0 must leave the stream untouched
+    ds = dataset_from_counts([(f"N{i}", g, c) for i, (g, c) in enumerate(rows)])
+    arrays = dataset_arrays(ds)
+    counts = np.array([r.count for r in ds.records], dtype=float)
+    gen = RandomSource(seed).generator
+    if perc_fs is None:
+        expected = choice_draw(np.arange(len(counts)), counts, n, gen)
+    else:
+        n_f = stratified_female_count(perc_fs, n)
+        female = np.flatnonzero(arrays.is_female)
+        male = np.flatnonzero(~arrays.is_female)
+        if (n_f and not len(female)) or (n - n_f and not len(male)):
+            return
+        drawn = np.concatenate(
+            [choice_draw(female, counts, n_f, gen), choice_draw(male, counts, n - n_f, gen)]
+        )
+        expected = drawn[permutation(n, gen)]
+    rng = RandomSource(seed)
+    mode = PROPORTIONAL if perc_fs is None else STRATIFIED
+    got = draw_sample(arrays, n, rng, mode, perc_fs)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+    assert rng.generator.bit_generator.state == gen.bit_generator.state
 
 
 @given(

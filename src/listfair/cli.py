@@ -12,7 +12,8 @@ One executable with a subcommand per pipeline stage::
     listfair experiment {percf,rnd-grid,rnd-size} --config F --out DIR [--jobs N]
 
 Exit codes: 0 success, 1 usage error, 2 data or validation error.
-Commands that accept ``--out`` print to stdout when it is absent. The
+``curve``, ``rnd``, ``parity`` and ``audit`` print to stdout when
+``--out`` is absent; the other commands require it. The
 ``LISTFAIR_SEED`` environment variable supplies a default for ``--seed``.
 """
 

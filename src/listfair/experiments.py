@@ -263,7 +263,8 @@ def run_datasets(kind: str, datasets, cfg: ExperimentConfig, jobs: int = 1) -> E
     of each sample ("theoretical").
 
     The cells of every dataset go through one process pool of at most
-    ``jobs`` workers; the rows do not depend on ``jobs``.
+    ``jobs`` workers; the rows do not depend on ``jobs``. A percf cell is
+    a range of positions k, so the pool shares the per-k bootstrap.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}")
@@ -274,10 +275,10 @@ def run_datasets(kind: str, datasets, cfg: ExperimentConfig, jobs: int = 1) -> E
     if len(set(ids)) != len(ids):
         raise ValueError(f"dataset ids are not unique: {ids}")
     if kind == PERCF:
-        # one contiguous range of samples per worker
-        spc = cfg.samples_per_cell
-        bounds = np.linspace(0, spc, min(max(jobs, 1), spc) + 1, dtype=int).tolist()
-        cells = [range(first, last) for first, last in zip(bounds, bounds[1:]) if last > first]
+        # one contiguous range of positions k per worker
+        ranges = min(max(jobs, 1), cfg.n)
+        bounds = [1 + i * cfg.n // ranges for i in range(ranges + 1)]
+        cells = [range(first, last) for first, last in zip(bounds, bounds[1:])]
         fn = _percf_chunk
     else:
         cells = cfg.perc_fs_grid if kind == RND_GRID else cfg.size_grid
@@ -315,52 +316,61 @@ def run_experiment(kind: str, cfg: ExperimentConfig, out_dir=None, jobs: int = 1
 # ---------------------------------------------------------------------------
 
 
-def _percf_chunk(task) -> list[tuple[dict, np.ndarray, np.ndarray]]:
-    arrays, cfg, kind, samples = task
-    out = []
-    for i in samples:
+def _percf_chunk(task) -> tuple[list[dict], np.ndarray, np.ndarray, np.ndarray]:
+    """Draw all of a dataset's percf samples and bootstrap the random
+    ordering's mean at the positions ``ks``.
+
+    Every task redraws the same samples from their own streams, so every
+    task returns the same records. Returns the records, the
+    random and alphabetical curves restricted to ``ks`` (one row per
+    sample), and the interval bounds as a (2, len(ks)) array.
+    """
+    arrays, cfg, kind, ks = task
+    records = []
+    random_curves = np.empty((cfg.samples_per_cell, len(ks)))
+    alpha_curves = np.empty_like(random_curves)
+    columns = slice(ks.start - 1, ks.stop - 1)
+    for i in range(cfg.samples_per_cell):
         rng = RandomSource(cfg.seed, sample_stream(kind, 0, i))
         indices = draw_sample(arrays, cfg.n, rng)
         random_curve = perc_f_curve(arrays.is_female[indices])
-        alpha_curve = perc_f_curve(arrays.is_female[_alphabetical(arrays, indices)])
-        record = {
-            "dataset": arrays.id,
-            "cell": "proportional",
-            "sample": i,
-            "stream_index": rng.stream_index,
-            "perc_f_sample": float(random_curve[-1]),
-        }
-        out.append((record, random_curve, alpha_curve))
-    return out
+        random_curves[i] = random_curve[columns]
+        alpha_curves[i] = perc_f_curve(arrays.is_female[_alphabetical(arrays, indices)])[columns]
+        records.append(
+            {
+                "dataset": arrays.id,
+                "cell": "proportional",
+                "sample": i,
+                "stream_index": rng.stream_index,
+                "perc_f_sample": float(random_curve[-1]),
+            }
+        )
+    intervals = np.empty((2, len(ks)))
+    # one contiguous row per k: resampling gathers from it twice as fast
+    # as from a strided column
+    random_by_k = np.ascontiguousarray(random_curves.T)
+    for j, k in enumerate(ks):
+        ci = stats.bootstrap_ci(random_by_k[j], rng=RandomSource(cfg.seed, agg_stream(PERCF, k)))
+        intervals[:, j] = ci.lower, ci.upper
+    return records, random_curves, alpha_curves, intervals
 
 
 def _percf_rows(ds: NameDataset, cfg: ExperimentConfig, chunks) -> tuple[list, list, list]:
-    """Records, aggregate and curve rows of one dataset's percf samples.
+    """Records, aggregate and curve rows of one dataset's percf samples,
+    from its k-range chunks in order.
 
     Emits, per position k: the mean curve of each ordering, a bootstrap
     95% interval of the random-ordering mean, kernel-smoothed versions of
     both mean curves, and the dataset's own female share as reference.
     """
-    triplets = [item for chunk in chunks for item in chunk]
-    records = [t[0] for t in triplets]
-    random_curves = np.vstack([t[1] for t in triplets])
-    alpha_curves = np.vstack([t[2] for t in triplets])
+    records = chunks[0][0]
+    random_curves = np.hstack([chunk[1] for chunk in chunks])
+    alpha_curves = np.hstack([chunk[2] for chunk in chunks])
+    ci_low, ci_high = np.hstack([chunk[3] for chunk in chunks])
     reference = demographics(ds).perc_f
 
     mean_random = random_curves.mean(axis=0)
     mean_alpha = alpha_curves.mean(axis=0)
-    ci_low = np.empty(cfg.n)
-    ci_high = np.empty(cfg.n)
-    # one contiguous row per k: resampling gathers from it twice as fast
-    # as from a strided column
-    random_by_k = np.ascontiguousarray(random_curves.T)
-    for k in range(1, cfg.n + 1):
-        ci = stats.bootstrap_ci(
-            random_by_k[k - 1],
-            rng=RandomSource(cfg.seed, agg_stream(PERCF, k)),
-        )
-        ci_low[k - 1] = ci.lower
-        ci_high[k - 1] = ci.upper
 
     ks = np.arange(1, cfg.n + 1, dtype=float)
     # every k has exactly one point per sample, so smoothing the mean curve

@@ -16,6 +16,13 @@ from listfair.sampling import RandomSource
 
 DEFAULT_RESAMPLES = 2000
 
+# Indices resampled per block. A whole (resamples, size) index matrix is
+# megabytes that a fresh process faults in and hands back to the OS on
+# every call; blocks of this size are reused from the heap. Measured on
+# percf in a fresh process with glibc 2.36: 16 Ki gives about 7k minor
+# faults per run, 32 Ki sometimes gives 100k, when the heap top is trimmed.
+BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class XYSeries:
@@ -98,7 +105,14 @@ def bootstrap_ci(
         raise ValueError("level must lie in (0, 1)")
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
-    indices = rng.generator.integers(0, values.size, size=(resamples, values.size))
-    means = values[indices].mean(axis=1)
+    # consecutive (rows, size) draws give the same indices and leave the
+    # generator in the same state as one (resamples, size) draw
+    size = values.size
+    rows = max(1, BLOCK // size)
+    means = np.empty(resamples)
+    for start in range(0, resamples, rows):
+        stop = min(start + rows, resamples)
+        indices = rng.generator.integers(0, size, size=(stop - start, size))
+        means[start:stop] = values[indices].mean(axis=1)
     lower, upper = np.quantile(means, [(1.0 - level) / 2.0, (1.0 + level) / 2.0]).tolist()
     return ConfidenceInterval(lower, upper, level, resamples)

@@ -171,12 +171,26 @@ def test_percf_experiment_shapes_and_determinism():
     assert again.curves == result.curves
 
 
-def test_percf_parallel_matches_serial():
-    serial = run_datasets(PERCF, [SMALL_DATASET], small_config(), jobs=1)
-    parallel = run_datasets(PERCF, [SMALL_DATASET], small_config(), jobs=3)
-    assert serial.records == parallel.records
-    assert serial.curves == parallel.curves
-    assert serial.aggregates == parallel.aggregates
+def test_percf_parallel_matches_serial(monkeypatch):
+    # each task bootstraps one range of positions k; n = 7 splits unevenly
+    ranges = []
+    real_map = experiments._map_tasks
+
+    def spying_map(fn, tasks, jobs):
+        ranges.append([task[3] for task in tasks])
+        return real_map(fn, tasks, jobs)
+
+    monkeypatch.setattr(experiments, "_map_tasks", spying_map)
+    for n in (40, 7):
+        serial = run_datasets(PERCF, [SMALL_DATASET], small_config(n=n), jobs=1)
+        assert [row["k"] for row in serial.curves] == list(range(1, n + 1))
+        for jobs in (2, 3):
+            parallel = run_datasets(PERCF, [SMALL_DATASET], small_config(n=n), jobs=jobs)
+            assert serial.records == parallel.records
+            assert serial.curves == parallel.curves
+            assert serial.aggregates == parallel.aggregates
+            assert len(ranges[-1]) == jobs
+            assert [k for ks in ranges[-1] for k in ks] == list(range(1, n + 1))
 
 
 def test_percf_curve_columns_are_coherent():

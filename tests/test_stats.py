@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from listfair.sampling import RandomSource
 from listfair.stats import (
+    BLOCK,
     XYSeries,
     bootstrap_ci,
     nadaraya_watson,
@@ -140,3 +143,53 @@ def test_bootstrap_validation():
         bootstrap_ci([1.0], level=1.0, rng=RandomSource(0))
     with pytest.raises(ValueError):
         bootstrap_ci([1.0], resamples=0, rng=RandomSource(0))
+
+
+@st.composite
+def bootstrap_shapes(draw):
+    """A size below, at or above BLOCK, and a resample count spanning
+    several blocks, mostly not a multiple of the block's row count."""
+    size = draw(st.one_of(st.integers(1, 150), st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1])))
+    resamples = draw(st.integers(1, max(1, 4 * BLOCK // size)))
+    return size, resamples
+
+
+@given(bootstrap_shapes(), st.integers(min_value=0, max_value=2**32))
+@example((1, 2000), 0)
+@example((1, BLOCK + 1), 1)
+@example((100, 2001), 2)
+@example((BLOCK + 1, 3), 3)
+@settings(max_examples=60, deadline=None)
+def test_bootstrap_matches_one_index_matrix(shape, seed):
+    # block-wise resampling must draw exactly the indices of one
+    # (resamples, size) matrix and leave the generator where it would
+    size, resamples = shape
+    values = np.random.default_rng(seed).random(size)
+    rng = RandomSource(seed, 11)
+    ci = bootstrap_ci(values, resamples=resamples, rng=rng)
+
+    reference = RandomSource(seed, 11).generator
+    means = values[reference.integers(0, size, size=(resamples, size))].mean(axis=1)
+    lower, upper = np.quantile(means, [(1.0 - 0.95) / 2.0, (1.0 + 0.95) / 2.0]).tolist()
+    assert (ci.lower, ci.upper) == (lower, upper)
+    assert rng.generator.random() == reference.random()
+
+
+def _traced_peak(values, resamples: int) -> int:
+    rng = RandomSource(3)
+    tracemalloc.start()
+    try:
+        bootstrap_ci(values, resamples=resamples, rng=rng)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bootstrap_memory_is_bounded_by_blocks():
+    values = np.random.default_rng(0).random(100)
+    bootstrap_ci(values, rng=RandomSource(3))  # lazy numpy imports happen here
+    base = _traced_peak(values, 2000)
+    assert base < 1_000_000
+    # past the blocks, only the means and the copy np.quantile partitions
+    # grow with the resample count: 16 bytes per resample
+    assert _traced_peak(values, 50_000) - base <= 16 * (50_000 - 2000)

@@ -10,19 +10,37 @@ headerless ``name,sex,count`` file per birth year (files named
 
 Names are stored verbatim: no trimming, case folding or accent stripping
 happens here. Normalization is an ordering concern, not an ingestion one.
+
+A loaded dataset is three columns, filled in one pass over the file:
+names, a female flag and counts. Record objects are made only when a
+caller reads ``records``.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from listfair.errors import DatasetFormatError, DuplicateRecordError, MissingYearError
 
 CANONICAL_HEADER = ["name", "gender", "count"]
+
+# the largest count and the largest dataset total: up to 2**53 every
+# integer is exact as a float64, so counts and totals enter the draw
+# probabilities unrounded
+MAX_COUNT = 2**53
+# int() refuses numerals of a few thousand digits, so a count field longer
+# than this is rejected by its length
+_MAX_COUNT_DIGITS = 40
+# missing year files listed by name; the rest are counted
+_SHOWN_MISSING_YEARS = 10
 
 
 class Gender(str, enum.Enum):
@@ -38,6 +56,9 @@ GENDER_LETTERS = {
     "M": Gender.MALE,
     "m": Gender.MALE,
 }
+
+# indexed by a female flag
+_GENDER_OF_FLAG = (Gender.MALE, Gender.FEMALE)
 
 # the Unicode category Cc, which is exactly these two ranges
 _CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")
@@ -60,29 +81,81 @@ class Demographics:
     perc_m: float
 
 
-@dataclass(frozen=True)
+class NameRecords(Sequence):
+    """The records of a dataset, made from its columns on access: taking
+    the length or one item builds no other record."""
+
+    __slots__ = ("_ds",)
+
+    def __init__(self, ds: "NameDataset"):
+        self._ds = ds
+
+    def __len__(self) -> int:
+        return len(self._ds.names)
+
+    def __getitem__(self, i: int) -> NameRecord:
+        ds = self._ds
+        return NameRecord(ds.names[i], _GENDER_OF_FLAG[bool(ds.is_female[i])], int(ds.counts[i]))
+
+
+@dataclass(frozen=True, eq=False)
 class NameDataset:
-    """Validated, immutable name-frequency dataset.
+    """Validated, immutable name-frequency dataset, stored as columns:
+    ``names``, ``is_female`` (bool) and ``counts`` (int64), one entry per
+    (name, gender) record. ``records`` views them as :class:`NameRecord`.
 
     ``total_count``, ``female_count`` and ``male_count`` are derived from
-    the records at construction time; build instances through
-    :meth:`from_records` so they can never drift.
+    the columns at construction time; build instances through
+    :meth:`from_columns` or :meth:`from_records` so they can never drift.
+    Two datasets are equal when their ids and columns are.
     """
 
     id: str
-    records: tuple[NameRecord, ...]
+    names: tuple[str, ...]
+    is_female: np.ndarray
+    counts: np.ndarray
     total_count: int
     female_count: int
     male_count: int
 
     @classmethod
+    def from_columns(cls, dataset_id: str, names, is_female, counts) -> "NameDataset":
+        names = tuple(names)
+        if not names:
+            raise ValueError("dataset has no records")
+        # summed as Python ints, so the check sees the true total
+        total = sum(counts)
+        if total > MAX_COUNT:
+            raise ValueError("total count exceeds 2**53")
+        is_female = np.array(is_female, dtype=bool)
+        counts = np.array(counts, dtype=np.int64)
+        is_female.flags.writeable = False
+        counts.flags.writeable = False
+        female = int(counts[is_female].sum())
+        return cls(dataset_id, names, is_female, counts, total, female, total - female)
+
+    @classmethod
     def from_records(cls, dataset_id: str, records) -> "NameDataset":
         records = tuple(records)
-        if not records:
-            raise ValueError("dataset has no records")
-        female = sum(r.count for r in records if r.gender is Gender.FEMALE)
-        male = sum(r.count for r in records if r.gender is Gender.MALE)
-        return cls(dataset_id, records, female + male, female, male)
+        return cls.from_columns(
+            dataset_id,
+            [r.name for r in records],
+            [r.gender is Gender.FEMALE for r in records],
+            [r.count for r in records],
+        )
+
+    @property
+    def records(self) -> NameRecords:
+        return NameRecords(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, NameDataset):
+            return NotImplemented
+        return (
+            (self.id, self.names) == (other.id, other.names)
+            and np.array_equal(self.is_female, other.is_female)
+            and np.array_equal(self.counts, other.counts)
+        )
 
 
 def demographics(ds: NameDataset) -> Demographics:
@@ -139,7 +212,13 @@ def _parse_count(text: str, path, line: int) -> int:
         raise DatasetFormatError(
             f"count must be a positive integer, got {text!r}", path=path, line=line
         )
+    if len(digits) > _MAX_COUNT_DIGITS:
+        raise DatasetFormatError(
+            f"count must be <= 2**53, got a {len(digits)}-digit number", path=path, line=line
+        )
     count = int(digits)
+    if count > MAX_COUNT:
+        raise DatasetFormatError(f"count must be <= 2**53, got {count}", path=path, line=line)
     if count < 1:
         raise DatasetFormatError(
             f"count must be >= 1, got {count}", path=path, line=line
@@ -147,18 +226,22 @@ def _parse_count(text: str, path, line: int) -> int:
     return count
 
 
-def _registry_record(fields: list[str], path, line: int) -> NameRecord:
-    """A ``name,gender,count`` row of a registry file; names may not hold
-    control characters."""
+def _registry_row(fields: list[str], path, line: int) -> tuple[str, bool, int]:
+    """The name, female flag and count of a ``name,gender,count`` row of a
+    registry file; names may not hold control characters."""
     name, gender_text, count_text = fields
     check_name(name, path, line)
     if _CONTROL.search(name):
         raise DatasetFormatError(
             f"name {name!r} contains a control character", path=path, line=line
         )
-    return NameRecord(
-        name, parse_gender(gender_text, path, line), _parse_count(count_text, path, line)
-    )
+    female = parse_gender(gender_text, path, line) is Gender.FEMALE
+    return name, female, _parse_count(count_text, path, line)
+
+
+def _check_total(total: int, path, line: int) -> None:
+    if total > MAX_COUNT:
+        raise DatasetFormatError("total count exceeds 2**53", path=path, line=line)
 
 
 def load_canonical(path, dataset_id: str | None = None) -> NameDataset:
@@ -166,26 +249,35 @@ def load_canonical(path, dataset_id: str | None = None) -> NameDataset:
 
     Rejects a missing or malformed header, rows with the wrong field
     count, empty names, names containing control characters, non-positive
-    or non-integer counts, and duplicate (name, gender) pairs. Every
-    error names the file and line it came from.
+    or non-integer counts, counts or a running total above 2**53, and
+    duplicate (name, gender) pairs. Every error names the file and line
+    it came from.
     """
     path = Path(path)
-    records: list[NameRecord] = []
-    seen: set[tuple[str, Gender]] = set()
+    names: list[str] = []
+    flags: list[bool] = []
+    counts: list[int] = []
+    # keyed on the flag, not the Gender: an Enum hashes in Python code
+    seen: set[tuple[str, bool]] = set()
+    total = 0
     for line, fields in csv_rows(path, CANONICAL_HEADER, 3):
-        record = _registry_record(fields, path, line)
-        key = (record.name, record.gender)
+        name, female, count = _registry_row(fields, path, line)
+        key = (name, female)
         if key in seen:
             raise DuplicateRecordError(
-                f"duplicate record for name {record.name!r} gender {record.gender.value}",
+                f"duplicate record for name {name!r} gender {_GENDER_OF_FLAG[female].value}",
                 path=path,
                 line=line,
             )
         seen.add(key)
-        records.append(record)
-    if not records:
+        total += count
+        _check_total(total, path, line)
+        names.append(name)
+        flags.append(female)
+        counts.append(count)
+    if not names:
         raise DatasetFormatError("dataset has no records", path=path)
-    return NameDataset.from_records(dataset_id or path.stem, records)
+    return NameDataset.from_columns(dataset_id or path.stem, names, flags, counts)
 
 
 def write_canonical(ds: NameDataset, path) -> None:
@@ -202,40 +294,57 @@ def write_canonical(ds: NameDataset, path) -> None:
 def dump_canonical(ds: NameDataset, fh) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CANONICAL_HEADER)
-    for record in ds.records:
-        writer.writerow([record.name, record.gender.value, record.count])
+    genders = (_GENDER_OF_FLAG[female].value for female in ds.is_female.tolist())
+    writer.writerows(zip(ds.names, genders, ds.counts.tolist()))
+
+
+def _year_files(directory: Path) -> set[int]:
+    """The years Y for which ``directory`` holds a file ``yob<Y>.txt``."""
+    years = set()
+    for path in directory.glob("yob*.txt"):
+        digits = path.name[3:-4]
+        if digits.isdecimal() and path.name == f"yob{int(digits)}.txt" and path.is_file():
+            years.add(int(digits))
+    return years
 
 
 def load_ssa_yearfiles(directory, years: tuple[int, int], dataset_id: str | None = None) -> NameDataset:
     """Load and merge per-year ``yob<YEAR>.txt`` files.
 
     ``years`` is an inclusive (first, last) interval; all files in the
-    interval must exist, and missing ones are reported together. Counts
-    for identical (name, gender) pairs are summed across years, and the
-    resulting records are sorted by (name, gender) so the outcome does not
-    depend on any processing order.
+    interval must exist, and missing ones are reported together: the
+    first few by year, the rest by count, so a span of any length costs
+    what the directory holds. Counts for identical (name, gender) pairs
+    are summed across years, and the resulting records are sorted by
+    (name, gender) so the outcome does not depend on any processing order.
     """
     directory = Path(directory)
     first, last = years
     if first > last:
         raise ValueError(f"year range {first}:{last} is empty")
     span = range(first, last + 1)
-    missing = [y for y in span if not (directory / f"yob{y}.txt").is_file()]
-    if missing:
-        raise MissingYearError(missing)
-    totals: dict[tuple[str, Gender], int] = {}
+    present = {year for year in _year_files(directory) if year in span}
+    missing_count = last - first + 1 - len(present)
+    if missing_count:
+        # stops after at most len(present) + _SHOWN_MISSING_YEARS years
+        missing = (year for year in span if year not in present)
+        raise MissingYearError(itertools.islice(missing, _SHOWN_MISSING_YEARS), missing_count)
+    totals: dict[tuple[str, bool], int] = {}
+    total = 0
     for year in span:
         year_path = directory / f"yob{year}.txt"
         for line, fields in csv_rows(year_path, None, 3):
-            record = _registry_record(fields, year_path, line)
-            key = (record.name, record.gender)
-            totals[key] = totals.get(key, 0) + record.count
-    records = [
-        NameRecord(name, gender, count)
-        for (name, gender), count in sorted(
-            totals.items(), key=lambda item: (item[0][0], item[0][1].value)
-        )
-    ]
-    if not records:
+            name, female, count = _registry_row(fields, year_path, line)
+            total += count
+            _check_total(total, year_path, line)
+            totals[name, female] = totals.get((name, female), 0) + count
+    if not totals:
         raise DatasetFormatError("year files contain no records", path=directory)
-    return NameDataset.from_records(dataset_id or f"ssa_{first}_{last}", records)
+    # F sorts before M, so a name's female record comes first
+    keys = sorted(totals, key=lambda key: (key[0], not key[1]))
+    return NameDataset.from_columns(
+        dataset_id or f"ssa_{first}_{last}",
+        [name for name, _ in keys],
+        [female for _, female in keys],
+        [totals[key] for key in keys],
+    )

@@ -31,13 +31,19 @@ class DuplicateRecordError(DatasetFormatError):
 
 
 class MissingYearError(ListFairError):
-    """One or more year files are absent from a year-file directory."""
+    """One or more year files are absent from a year-file directory.
 
-    def __init__(self, years):
+    ``years`` lists missing years; ``count`` is how many are missing in
+    all, which is more than ``len(years)`` when a long span was cut short.
+    """
+
+    def __init__(self, years, count: int | None = None):
         self.years = sorted(years)
-        super().__init__(
-            "missing year files: " + ", ".join(str(y) for y in self.years)
-        )
+        self.count = len(self.years) if count is None else count
+        message = "missing year files: " + ", ".join(str(y) for y in self.years)
+        if self.count > len(self.years):
+            message += f" and {self.count - len(self.years)} more"
+        super().__init__(message)
 
 
 class InfeasibleSampleError(ListFairError):

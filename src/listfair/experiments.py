@@ -222,18 +222,33 @@ def _pool_size(jobs: int, n_tasks: int, cpus: int | None) -> int:
     return max(1, min(jobs, n_tasks, cpus or 1))
 
 
+# The arrays of the run in progress, by dataset ordinal. run_datasets sets
+# them in the parent for the run's length, and the pool initializer sets
+# them in each worker, so a task names its dataset by ordinal and no task
+# carries a dataset. One run at a time per process.
+_run_arrays: list[DatasetArrays] | None = None
+
+
+def _set_run_arrays(arrays: list[DatasetArrays] | None) -> None:
+    global _run_arrays
+    _run_arrays = arrays
+
+
 def _map_tasks(fn, tasks, jobs: int) -> list:
+    """``fn`` over ``tasks``, in task order. A pool worker receives the
+    run's arrays once, when it starts."""
     workers = _pool_size(jobs, len(tasks), os.cpu_count())
     if workers == 1:
         return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_set_run_arrays, initargs=(_run_arrays,)
+    ) as pool:
         return list(pool.map(fn, tasks))
 
 
 def _experiment_arrays(ds: NameDataset) -> DatasetArrays:
-    """The arrays one run works on, built once in the parent process;
-    pool tasks carry these instead of the dataset's record objects."""
-    return dataset_arrays(ds, rank=collation_ranks([r.name for r in ds.records]))
+    """The arrays one run works on, built once in the parent process."""
+    return dataset_arrays(ds, rank=collation_ranks(ds.names))
 
 
 def _alphabetical(arrays: DatasetArrays, indices: np.ndarray) -> np.ndarray:
@@ -283,8 +298,12 @@ def run_datasets(kind: str, datasets, cfg: ExperimentConfig, jobs: int = 1) -> E
     else:
         cells = cfg.perc_fs_grid if kind == RND_GRID else cfg.size_grid
         fn = _rnd_cell
-    all_arrays = [_experiment_arrays(ds) for ds in datasets]
-    outputs = iter(_map_tasks(fn, [(a, cfg, kind, cell) for a in all_arrays for cell in cells], jobs))
+    tasks = [(ordinal, cfg, kind, cell) for ordinal in range(len(datasets)) for cell in cells]
+    _set_run_arrays([_experiment_arrays(ds) for ds in datasets])
+    try:
+        outputs = iter(_map_tasks(fn, tasks, jobs))
+    finally:
+        _set_run_arrays(None)
     per_dataset = [[next(outputs) for _ in cells] for _ in datasets]
 
     if kind == PERCF:
@@ -325,7 +344,8 @@ def _percf_chunk(task) -> tuple[list[dict], np.ndarray, np.ndarray, np.ndarray]:
     random and alphabetical curves restricted to ``ks`` (one row per
     sample), and the interval bounds as a (2, len(ks)) array.
     """
-    arrays, cfg, kind, ks = task
+    ordinal, cfg, kind, ks = task
+    arrays = _run_arrays[ordinal]
     records = []
     random_curves = np.empty((cfg.samples_per_cell, len(ks)))
     alpha_curves = np.empty_like(random_curves)
@@ -429,7 +449,8 @@ def _rnd_cell_spec(cfg: ExperimentConfig, kind: str, cell):
 
 
 def _rnd_cell(task) -> list[dict]:
-    arrays, cfg, kind, cell = task
+    ordinal, cfg, kind, cell = task
+    arrays = _run_arrays[ordinal]
     n, mode, perc_fs, code = _rnd_cell_spec(cfg, kind, cell)
     key = _rnd_cell_key(kind)
     records = []

@@ -32,6 +32,9 @@ SAMPLE_HEADER = ["position", "name", "gender"]
 PROPORTIONAL = "proportional"
 STRATIFIED = "stratified"
 
+# sample sizes stay below this bound, the one ExperimentConfig puts on n
+MAX_SAMPLE_SIZE = 2**28
+
 
 class RandomSource:
     """Deterministic random stream keyed by (seed, stream_index)."""
@@ -58,8 +61,8 @@ class Individual:
 
 
 def female_mask(rows) -> np.ndarray:
-    """Which rows (individuals or dataset records) are female, in row
-    order: the form every metric takes a list in."""
+    """Which rows (individuals) are female, in row order: the form every
+    metric takes a list in."""
     return np.fromiter(
         (row.gender is Gender.FEMALE for row in rows), dtype=bool, count=len(rows)
     )
@@ -97,14 +100,13 @@ def _cdf(counts: np.ndarray) -> np.ndarray:
 
 
 def dataset_arrays(ds: NameDataset, rank: np.ndarray | None = None) -> DatasetArrays:
-    records = ds.records
-    is_female = female_mask(records)
-    counts = np.fromiter((r.count for r in records), dtype=np.float64, count=len(records))
-    female = np.flatnonzero(is_female)
-    male = np.flatnonzero(~is_female)
+    # exact: counts and their total are at most 2**53
+    counts = ds.counts.astype(np.float64)
+    female = np.flatnonzero(ds.is_female)
+    male = np.flatnonzero(~ds.is_female)
     return DatasetArrays(
         ds.id,
-        is_female,
+        ds.is_female,
         _cdf(counts),
         female,
         _cdf(counts[female]),
@@ -169,6 +171,8 @@ def draw_sample(
     """
     if n <= 0:
         raise ValueError("sample size n must be >= 1")
+    if n >= MAX_SAMPLE_SIZE:
+        raise ValueError(f"sample size n must be < 2**28, got {n}")
     gen = rng.generator
     if mode == PROPORTIONAL:
         if perc_fs is not None:

@@ -174,6 +174,97 @@ def test_non_decimal_digits_are_usage_errors(tmp_path, dataset_csv, capsys, monk
     assert "usage error: --years must look like 1990:2000" in capsys.readouterr().err
 
 
+HEADER = "name,gender,count\n"
+SAMPLE_FROM = ["sample", "--dataset", "{tmp}/names.csv", "--n", "5", "--seed", "1", "--out", "{tmp}/s.csv"]
+BEYOND = "99999999999999999999"
+
+
+# files to write, argv, exit code, stderr prefix; "{tmp}" is the test's
+# directory
+CLI_TABLE = [
+    pytest.param(
+        {"names.csv": HEADER + "Ana,F,3\nBia,F," + "9" * 400 + "\n"}, SAMPLE_FROM, 2,
+        "error: {tmp}/names.csv, line 3: count must be <= 2**53, got a 400-digit number",
+        id="count-of-400-digits",
+    ),
+    pytest.param(
+        {"names.csv": HEADER + f"Ana,F,{2**53 + 1}\n"}, SAMPLE_FROM, 2,
+        f"error: {{tmp}}/names.csv, line 2: count must be <= 2**53, got {2**53 + 1}",
+        id="count-above-2**53",
+    ),
+    pytest.param({"names.csv": HEADER + f"Ana,F,{2**53}\n"}, SAMPLE_FROM, 0, "", id="count-of-2**53"),
+    pytest.param(
+        {"names.csv": HEADER + f"Ana,F,{2**53 - 1}\nBia,M,1\nCaio,M,1\n"}, SAMPLE_FROM, 2,
+        "error: {tmp}/names.csv, line 4: total count exceeds 2**53",
+        id="total-above-2**53",
+    ),
+    pytest.param(
+        {"yob2000.txt": f"Ana,F,{2**53 - 2}\n", "yob2001.txt": "Bia,M,1\nAna,F,2\n"},
+        ["convert-ssa", "--dir", "{tmp}", "--years", "2000:2001", "--out", "{tmp}/ds.csv"], 2,
+        "error: {tmp}/yob2001.txt, line 2: total count exceeds 2**53",
+        id="summed-years-above-2**53",
+    ),
+    pytest.param(
+        {},
+        ["convert-ssa", "--dir", "{tmp}", "--years", f"1990:{BEYOND}", "--out", "{tmp}/ds.csv"], 2,
+        "error: missing year files: " + ", ".join(map(str, range(1990, 2000)))
+        + f" and {int(BEYOND) - 1990 + 1 - 10} more\n",
+        id="huge-year-span-empty-directory",
+    ),
+    pytest.param(
+        {"yob1993.txt": "Ana,F,1\n"},
+        ["convert-ssa", "--dir", "{tmp}", "--years", f"1990:{BEYOND}", "--out", "{tmp}/ds.csv"], 2,
+        "error: missing year files: 1990, 1991, 1992, 1994, 1995, 1996, 1997, 1998, 1999, 2000"
+        + f" and {int(BEYOND) - 1990 - 10} more\n",
+        id="huge-year-span-one-file",
+    ),
+    pytest.param(
+        {"names.csv": HEADER + "Ana,F,3\n"},
+        ["sample", "--dataset", "{tmp}/names.csv", "--n", BEYOND, "--seed", "1", "--out", "{tmp}/s.csv"], 2,
+        f"error: sample size n must be < 2**28, got {BEYOND}",
+        id="huge-n",
+    ),
+    pytest.param(
+        {"names.csv": HEADER + "Ana,F,3\n"},
+        ["sample", "--dataset", "{tmp}/names.csv", "--n", str(2**28), "--seed", "1", "--out", "{tmp}/s.csv"], 2,
+        f"error: sample size n must be < 2**28, got {2**28}",
+        id="n-of-2**28",
+    ),
+    pytest.param(
+        {"names.csv": HEADER + "Ana,F,3\n"},
+        ["sample", "--dataset", "{tmp}/names.csv", "--n", "0", "--seed", "1", "--out", "{tmp}/s.csv"], 2,
+        "error: sample size n must be >= 1",
+        id="n-of-0",
+    ),
+    pytest.param(
+        {}, ["sample", "--dataset", "{tmp}", "--n", "5", "--seed", "1", "--out", "{tmp}/s.csv"], 2,
+        "error: [Errno 21] Is a directory: '{tmp}'",
+        id="directory-as-dataset",
+    ),
+    pytest.param(
+        {"names.csv": HEADER + "Ana,F,3\n"},
+        ["sample", "--dataset", "{tmp}/names.csv", "--n", "5", "--seed", "1", "--out", "{tmp}"], 2,
+        "error: [Errno 21] Is a directory: '{tmp}'",
+        id="directory-as-out",
+    ),
+    pytest.param(
+        {}, ["experiment", "rnd-size", "--config", "{tmp}", "--out", "{tmp}/run"], 2,
+        "error: [Errno 21] Is a directory: '{tmp}'",
+        id="directory-as-config",
+    ),
+]
+
+
+@pytest.mark.parametrize("files, argv, code, prefix", CLI_TABLE)
+def test_cli_table(capsys, tmp_path, files, argv, code, prefix):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(prefix.format(tmp=tmp_path))
+
+
 def test_sort_idempotent(tmp_path, dataset_csv):
     sample = tmp_path / "sample.csv"
     once = tmp_path / "once.csv"

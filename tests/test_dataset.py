@@ -1,16 +1,20 @@
+import csv
 import io
 import unicodedata
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from listfair.dataset import (
     _CONTROL,
+    CANONICAL_HEADER,
     GENDER_LETTERS,
     Gender,
     NameDataset,
     NameRecord,
+    csv_rows,
     demographics,
     dump_canonical,
     load_canonical,
@@ -34,10 +38,13 @@ def test_load_canonical_basic(tmp_path):
     assert ds.total_count == 8
     assert ds.female_count == 3
     assert ds.male_count == 5
-    assert ds.records == (
+    assert tuple(ds.records) == (
         NameRecord("Ana", Gender.FEMALE, 3),
         NameRecord("Bruno", Gender.MALE, 5),
     )
+    assert ds.names == ("Ana", "Bruno")
+    assert ds.is_female.tolist() == [True, False]
+    assert ds.counts.dtype == np.int64 and ds.counts.tolist() == [3, 5]
 
 
 def test_load_canonical_accepts_lowercase_gender_and_quoted_comma(tmp_path):
@@ -214,6 +221,26 @@ def test_ssa_yearfiles_reports_all_missing_years(tmp_path):
     assert "2001" not in str(err.value)
 
 
+def test_ssa_yearfiles_huge_span_costs_what_the_directory_holds(tmp_path):
+    # only yob<Y>.txt files count: not a zero-padded year, not a directory
+    write_text(tmp_path / "yob1991.txt", "Ana,F,1\n")
+    write_text(tmp_path / "yob01992.txt", "Ana,F,1\n")
+    (tmp_path / "yob1993.txt").mkdir()
+    last = 10**20
+    with pytest.raises(MissingYearError) as err:
+        load_ssa_yearfiles(tmp_path, (1990, last))
+    assert err.value.years == [1990] + list(range(1992, 2001))
+    assert err.value.count == last - 1990
+    assert str(err.value).endswith(f"2000 and {last - 2000} more")
+
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    with pytest.raises(MissingYearError) as err:
+        load_ssa_yearfiles(empty, (5, last))
+    assert err.value.years == list(range(5, 15))
+    assert err.value.count == last - 4
+
+
 def test_ssa_yearfiles_rejects_bad_rows_with_location(tmp_path):
     write_text(tmp_path / "yob2010.txt", "Ana,F,3\nBruno,M,x\n")
     with pytest.raises(DatasetFormatError) as err:
@@ -233,3 +260,162 @@ def test_bundled_fixture_loads(fixture_dataset):
     assert 0.46 <= demo.perc_f <= 0.50
     top = max(fixture_dataset.records, key=lambda r: r.count)
     assert (top.name, top.gender) == ("Aaron", Gender.MALE)
+
+
+# ---------------------------------------------------------------------------
+# the columnar loader against a record-by-record reference
+# ---------------------------------------------------------------------------
+
+BOUND = 2**53
+
+
+def reference_load(path):
+    """Records of a canonical CSV, one row at a time: the record-object
+    loader this package had before it loaded columns, plus the 2**53
+    bounds on a count and on the running total."""
+    records, seen, total = [], set(), 0
+    for line, (name, gender_text, count_text) in csv_rows(path, CANONICAL_HEADER, 3):
+        if not name:
+            raise DatasetFormatError("name must be non-empty", path=path, line=line)
+        if any(unicodedata.category(ch) == "Cc" for ch in name):
+            raise DatasetFormatError(
+                f"name {name!r} contains a control character", path=path, line=line
+            )
+        if gender_text.upper() not in ("F", "M"):
+            raise DatasetFormatError(
+                f"gender must be F or M, got {gender_text!r}", path=path, line=line
+            )
+        gender = Gender(gender_text.upper())
+        digits = count_text.strip()
+        if not digits.isdecimal():
+            raise DatasetFormatError(
+                f"count must be a positive integer, got {count_text!r}", path=path, line=line
+            )
+        if len(digits) > 40:
+            raise DatasetFormatError(
+                f"count must be <= 2**53, got a {len(digits)}-digit number", path=path, line=line
+            )
+        count = int(digits)
+        if count > BOUND:
+            raise DatasetFormatError(f"count must be <= 2**53, got {count}", path=path, line=line)
+        if count < 1:
+            raise DatasetFormatError(f"count must be >= 1, got {count}", path=path, line=line)
+        if (name, gender) in seen:
+            raise DuplicateRecordError(
+                f"duplicate record for name {name!r} gender {gender.value}", path=path, line=line
+            )
+        seen.add((name, gender))
+        total += count
+        if total > BOUND:
+            raise DatasetFormatError("total count exceeds 2**53", path=path, line=line)
+        records.append(NameRecord(name, gender, count))
+    if not records:
+        raise DatasetFormatError("dataset has no records", path=path)
+    return records
+
+
+DIGIT_SCRIPTS = ["0123456789", "٠١٢٣٤٥٦٧٨٩",
+                 "०१२३४५६७८९",
+                 "０１２３４５６７８９"]
+
+csv_name = st.text(
+    alphabet=st.characters(codec="utf-8", categories=("L", "M", "N", "P", "S", "Zs")),
+    min_size=1,
+    max_size=10,
+)
+
+
+@st.composite
+def count_text(draw, value):
+    """``value`` written in one script's digits, maybe zero-padded and
+    maybe with surrounding spaces."""
+    digits = draw(st.sampled_from(DIGIT_SCRIPTS))
+    text = "".join(digits[int(d)] for d in str(value))
+    text = digits[0] * draw(st.integers(0, 2)) + text
+    return draw(st.sampled_from(["", " "])) + text + draw(st.sampled_from(["", " "]))
+
+
+@st.composite
+def valid_row(draw):
+    return [draw(csv_name), draw(st.sampled_from("FfMm")), draw(count_text(draw(st.integers(1, 10**6))))]
+
+
+def malformed_row(rows):
+    """One bad row: every check the loader makes, the bounds included."""
+    bad_fields = st.one_of(
+        st.tuples(st.just(""), st.just("F"), st.just("1")),
+        st.tuples(csv_name.map(lambda s: s + "\x07"), st.just("M"), st.just("2")),
+        st.tuples(csv_name.map(lambda s: "\n" + s), st.just("M"), st.just("2")),
+        st.tuples(csv_name, st.sampled_from(["X", "", "FF", " F", "female", "Ｆ"]), st.just("3")),
+        st.tuples(csv_name, st.just("F"), st.sampled_from(["0", "-2", "3.5", "many", "", "²", "1_000", "+4"])),
+        st.tuples(csv_name, st.just("F"), st.integers(BOUND + 1, 10**30).map(str)),
+        st.tuples(csv_name, st.just("M"), st.integers(41, 400).map(lambda n: "9" * n)),
+        st.tuples(csv_name, st.just("M"), st.just("0" * 41 + "1")),
+        # within the bound alone; the running total crosses it
+        st.tuples(csv_name, st.just("F"), st.integers(BOUND - 2, BOUND).map(str)),
+        st.lists(st.just("A"), min_size=1, max_size=4).filter(lambda f: len(f) != 3),
+    ).map(list)
+    if not rows:
+        return bad_fields
+    # a duplicate key, maybe with the gender letter in the other case
+    duplicate = st.sampled_from(rows).flatmap(
+        lambda row: st.sampled_from([row[1].lower(), row[1].upper()]).map(
+            lambda g: [row[0], g, "5"]
+        )
+    )
+    return st.one_of(bad_fields, duplicate)
+
+
+def write_rows(path, rows, blank_after):
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CANONICAL_HEADER)
+        for i, row in enumerate(rows):
+            writer.writerow(row)
+            if i in blank_after:
+                writer.writerow([])
+
+
+def outcome(load, path):
+    try:
+        return "ok", load(path)
+    except DatasetFormatError as exc:
+        return type(exc), str(exc), exc.line
+
+
+@st.composite
+def canonical_csv(draw):
+    rows = draw(
+        st.lists(valid_row(), min_size=0, max_size=25, unique_by=lambda r: (r[0], r[1].upper()))
+    )
+    malformed = draw(st.none() | malformed_row(rows))
+    if malformed is not None:
+        rows.insert(draw(st.integers(0, len(rows))), malformed)
+    blank_after = draw(st.sets(st.integers(0, max(len(rows) - 1, 0)), max_size=3))
+    return rows, malformed, blank_after
+
+
+@settings(max_examples=250, deadline=None)
+@given(canonical_csv())
+def test_load_canonical_matches_row_reference(tmp_path_factory, case):
+    rows, malformed, blank_after = case
+    path = tmp_path_factory.getbasetemp() / "generated.csv"
+    write_rows(path, rows, blank_after)
+    expected = outcome(reference_load, path)
+    got = outcome(load_canonical, path)
+    if expected[0] != "ok":
+        assert got == expected
+        return
+    assert malformed is None or len(malformed) == 3
+    assert got[0] == "ok"
+    ds, records = got[1], expected[1]
+    assert tuple(ds.records) == tuple(records)
+    assert ds.names == tuple(r.name for r in records)
+    assert ds.is_female.tolist() == [r.gender is Gender.FEMALE for r in records]
+    assert ds.counts.dtype == np.int64
+    assert ds.counts.tolist() == [r.count for r in records]
+    assert ds.total_count == sum(r.count for r in records)
+    assert ds.female_count == sum(r.count for r in records if r.gender is Gender.FEMALE)
+    assert ds.male_count == ds.total_count - ds.female_count
+    assert len(ds.records) == len(records)
+    assert ds.records[-1] == records[-1]

@@ -1,5 +1,10 @@
+import functools
 import json
+import multiprocessing
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
 from listfair import experiments
@@ -44,6 +49,23 @@ OTHER_DATASET = dataset_from_counts(
     [("Ana", "F", 500), ("Aaron", "M", 800), ("Zoe", "F", 300)],
     dataset_id="other",
 )
+
+
+def generated_dataset(rows: int, dataset_id: str):
+    """``rows`` seeded records with Zipf-like counts and both genders; four
+    spellings per stem, three of which share a collation key."""
+    rng = np.random.default_rng(rows)
+    counts = rng.permutation(1 + (10**6 / np.arange(1, rows + 1) ** 1.1).astype(int))
+    genders = rng.choice(["F", "M"], size=rows)
+    spec = []
+    for i in range(rows):
+        stem = f"Nome{i // 4:05d}"
+        name = (stem, stem.upper(), stem.lower(), stem + "\u00e9")[i % 4]
+        spec.append((name, str(genders[i]), int(counts[i])))
+    return dataset_from_counts(spec, dataset_id=dataset_id)
+
+
+LARGE_DATASET = generated_dataset(4000, "large")
 
 
 def small_config(**overrides):
@@ -297,6 +319,66 @@ def test_one_pool_map_per_run_and_no_theoretical_z_outside_its_scope(monkeypatch
     run_datasets(RND_SIZE, [SMALL_DATASET, OTHER_DATASET], cfg, jobs=2)
     run_datasets(PERCF, [SMALL_DATASET, OTHER_DATASET], cfg, jobs=2)
     assert maps == [2 * len(cfg.size_grid), 2 * 2]
+
+
+@pytest.fixture()
+def two_cpus(monkeypatch):
+    # the pool is never larger than the CPUs; make sure jobs 2 starts one
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_jobs_do_not_change_rows_on_a_large_dataset(two_cpus, kind):
+    cfg = small_config()
+    serial = run_datasets(kind, [LARGE_DATASET], cfg, jobs=1)
+    assert run_datasets(kind, [LARGE_DATASET], cfg, jobs=2) == serial
+
+
+@pytest.mark.parametrize("kind", [PERCF, RND_SIZE])
+def test_pool_task_size_does_not_grow_with_the_dataset(monkeypatch, two_cpus, kind):
+    sizes = []
+    real_map = experiments._map_tasks
+
+    def measuring_map(fn, tasks, jobs):
+        sizes.append([len(pickle.dumps(task, pickle.HIGHEST_PROTOCOL)) for task in tasks])
+        return real_map(fn, tasks, jobs)
+
+    monkeypatch.setattr(experiments, "_map_tasks", measuring_map)
+    tiny = generated_dataset(10, "tiny")
+    big = generated_dataset(5000, "big")
+    for ds in (tiny, big):
+        run_datasets(kind, [ds], small_config(), jobs=2)
+    assert sizes[0] == sizes[1]
+    assert max(sizes[1]) < 1000
+
+
+def test_run_arrays_are_set_for_the_run_only(monkeypatch):
+    seen = []
+    real_map = experiments._map_tasks
+
+    def spying_map(fn, tasks, jobs):
+        seen.append([arrays.id for arrays in experiments._run_arrays])
+        return real_map(fn, tasks, jobs)
+
+    monkeypatch.setattr(experiments, "_map_tasks", spying_map)
+    run_datasets(RND_SIZE, [SMALL_DATASET, OTHER_DATASET], small_config(), jobs=2)
+    assert seen == [["small", "other"]]
+    assert experiments._run_arrays is None
+    with pytest.raises(SampleTooSmallError):
+        run_datasets(RND_SIZE, [SMALL_DATASET], small_config(size_grid=[5, 40]))
+    assert experiments._run_arrays is None
+
+
+def test_spawned_workers_receive_the_arrays(monkeypatch, two_cpus):
+    # a spawned worker inherits no module state: the arrays reach it only
+    # through the pool initializer
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(
+        experiments, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=spawn)
+    )
+    cfg = small_config()
+    serial = run_datasets(RND_GRID, [SMALL_DATASET, OTHER_DATASET], cfg, jobs=1)
+    assert run_datasets(RND_GRID, [SMALL_DATASET, OTHER_DATASET], cfg, jobs=2) == serial
 
 
 @pytest.mark.parametrize("scope", [PER_BATCH, GLOBAL, THEORETICAL])

@@ -257,6 +257,11 @@ def test_draw_sample_rejects_bad_n_and_mode():
         draw_sample(BASIC, 0, RandomSource(0))
     with pytest.raises(ValueError):
         draw_sample(BASIC, 5, RandomSource(0), mode="quota", perc_fs=0.5)
+    for n in (2**28, 10**20):
+        with pytest.raises(ValueError, match=r"n must be < 2\*\*28"):
+            draw_sample(BASIC, n, RandomSource(0))
+        with pytest.raises(ValueError, match=r"n must be < 2\*\*28"):
+            draw_sample(BASIC, n, RandomSource(0), mode=STRATIFIED, perc_fs=0.5)
 
 
 def test_sample_csv_round_trip(tmp_path):

@@ -1,5 +1,5 @@
 """Golden lock: the four deterministic result files of every experiment
-kind, pinned by SHA-256.
+kind, and the files of the CLI chain, pinned by SHA-256.
 
 AC9 only shows that reruns agree with each other; it cannot notice a
 change that moves every random draw the same way. These digests were
@@ -8,12 +8,21 @@ any change to draws, shuffles, sort order, metric arithmetic or CSV
 formatting shows up here. The config is AC9's small one, with the
 dataset path relative to the repository root so that ``config.json``
 does not depend on where the checkout lives.
+
+The CLI chain is ``sample --n 1000`` at seed 42 on the fixture, then
+``sort``, ``curve``, ``rnd --json`` and ``parity --json`` on the sorted
+list, plus ``audit`` of the bundled candidate list, so every list reader
+and writer is covered. ``parity.json`` is compared by value, its p-value
+to a relative 1e-9.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from listfair.cli import main
+from listfair.dataset import demographics
 from listfair.experiments import ExperimentConfig, run_experiment
 
 GOLDEN = {
@@ -55,3 +64,41 @@ def test_experiment_outputs_match_golden_digests(kind, tmp_path, monkeypatch, da
         for name in GOLDEN[kind]
     }
     assert digests == GOLDEN[kind]
+
+
+CLI_GOLDEN = {
+    "sample.csv": "5dc4c73fa7e1e182807d4dd115d86531cbeb073a0f2ef8c3386670e186f5b3fd",
+    "sorted.csv": "7463213a5e6c066f910e29febd12ddad857a6ba0550804ef1232bc53844cb27c",
+    "curve.csv": "81323862a0b3d255b2dcfb252fe429493bf41fdfc5f6863e374a201454175aa2",
+    "rnd.json": "c1b9cf83dcacdec7dfd5f50f92ae361237dfd9eba8e7d00e120856fe6aa1efe4",
+    "audit.csv": "0b62515893e2ef89f3f9b250a986eb8b6b7532c413eb1eda4d5e5d25d333f55b",
+}
+PARITY_GOLDEN = {
+    "p_value": 0.0227033938381674,
+    "passes": False,
+    "perc_f_reference": 0.4800006461696276,
+    "perc_f_sample": 0.444,
+}
+
+
+def test_cli_chain_matches_golden_digests(tmp_path, monkeypatch, data_dir, fixture_dataset):
+    monkeypatch.chdir(data_dir.parent)
+    sample, ordered = str(tmp_path / "sample.csv"), str(tmp_path / "sorted.csv")
+    reference = repr(demographics(fixture_dataset).perc_f)
+    for argv in [
+        ["sample", "--dataset", "data/fixture.csv", "--n", "1000", "--seed", "42", "--out", sample],
+        ["sort", "--in", sample, "--out", ordered],
+        ["curve", "--in", ordered, "--out", str(tmp_path / "curve.csv")],
+        ["rnd", "--in", ordered, "--json", "--out", str(tmp_path / "rnd.json")],
+        ["parity", "--in", ordered, "--reference", reference, "--json",
+         "--out", str(tmp_path / "parity.json")],
+        ["audit", "--in", "data/candidates/sp_federal.csv", "--page-sizes", "5,9,15",
+         "--out", str(tmp_path / "audit.csv")],
+    ]:
+        assert main(argv) == 0, argv
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in CLI_GOLDEN
+    }
+    assert digests == CLI_GOLDEN
+    parity = json.loads((tmp_path / "parity.json").read_text(encoding="utf-8"))
+    assert parity == {**PARITY_GOLDEN, "p_value": pytest.approx(PARITY_GOLDEN["p_value"], rel=1e-9)}

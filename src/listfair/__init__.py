@@ -3,7 +3,7 @@ lists induce on paginated screens.
 
 The package covers the full measurement pipeline: name-frequency dataset
 ingestion, seeded sample generation with a controlled gender mix,
-collation and pagination, prefix-proportion curves, the rND (normalized
+alphabetical collation, prefix-proportion curves, the rND (normalized
 discounted difference) metric, statistical-parity checks, kernel-smoothed
 summaries with bootstrap confidence intervals, and deterministic
 experiment drivers. A single CLI (``listfair``) exposes every stage.
@@ -41,22 +41,16 @@ from listfair.metrics import (
     statistical_parity,
 )
 from listfair.ordering import (
-    Page,
     collation_key,
-    paginate,
     sort_alphabetical,
 )
 from listfair.sampling import (
-    Individual,
     RandomSource,
     dataset_arrays,
     draw_sample,
-    female_mask,
-    round_half_up,
 )
 from listfair.stats import (
     ConfidenceInterval,
-    XYSeries,
     bootstrap_ci,
     nadaraya_watson,
     silverman_bandwidth,

@@ -54,7 +54,6 @@ from listfair.sampling import (
     dataset_arrays,
     draw_sample,
     dump_sample_csv,
-    female_mask,
     read_sample_csv,
 )
 
@@ -149,27 +148,28 @@ def _cmd_sample(args) -> int:
     rng = RandomSource(seed, args.stream)
     indices = draw_sample(dataset_arrays(ds), args.n, rng, mode=mode, perc_fs=args.perc_fs)
     with _open_out(args.out) as fh:
-        dump_sample_csv([ds.records[i] for i in indices.tolist()], fh)
+        dump_sample_csv([ds.names[i] for i in indices.tolist()], ds.is_female[indices], fh)
     return 0
 
 
 def _cmd_sort(args) -> int:
-    individuals = read_sample_csv(args.infile)
-    order = sort_alphabetical([ind.name for ind in individuals])
+    names, mask = read_sample_csv(args.infile)
+    order = sort_alphabetical(names)
     with _open_out(args.out) as fh:
-        dump_sample_csv([individuals[i] for i in order.tolist()], fh)
+        dump_sample_csv([names[i] for i in order.tolist()], mask[order], fh)
     return 0
 
 
 def _cmd_curve(args) -> int:
-    curve = perc_f_curve(female_mask(read_sample_csv(args.infile)))
+    _, mask = read_sample_csv(args.infile)
+    curve = perc_f_curve(mask)
     with _open_out(args.out) as fh:
         dump_curve_csv(curve, fh)
     return 0
 
 
 def _cmd_rnd(args) -> int:
-    mask = female_mask(read_sample_csv(args.infile))
+    _, mask = read_sample_csv(args.infile)
     mode, z = _parse_normalizer(args.normalizer)
     report = rnd(mask, step=args.step, normalizer=mode, z=z)
     with _open_out(args.out) as fh:
@@ -193,7 +193,7 @@ def _cmd_rnd(args) -> int:
 def _cmd_parity(args) -> int:
     if not 0.0 <= args.reference <= 1.0:
         raise _UsageError(f"--reference must lie in [0, 1], got {args.reference}")
-    mask = female_mask(read_sample_csv(args.infile))
+    _, mask = read_sample_csv(args.infile)
     reference = Demographics(args.reference, 1.0 - args.reference)
     report = statistical_parity(mask, reference)
     with _open_out(args.out) as fh:

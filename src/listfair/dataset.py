@@ -106,7 +106,7 @@ class NameDataset:
 
     ``total_count``, ``female_count`` and ``male_count`` are derived from
     the columns at construction time; build instances through
-    :meth:`from_columns` or :meth:`from_records` so they can never drift.
+    :meth:`from_columns` so they can never drift.
     Two datasets are equal when their ids and columns are.
     """
 
@@ -134,16 +134,6 @@ class NameDataset:
         female = int(counts[is_female].sum())
         return cls(dataset_id, names, is_female, counts, total, female, total - female)
 
-    @classmethod
-    def from_records(cls, dataset_id: str, records) -> "NameDataset":
-        records = tuple(records)
-        return cls.from_columns(
-            dataset_id,
-            [r.name for r in records],
-            [r.gender is Gender.FEMALE for r in records],
-            [r.count for r in records],
-        )
-
     @property
     def records(self) -> NameRecords:
         return NameRecords(self)
@@ -170,25 +160,29 @@ def csv_rows(path: Path, header: list[str] | None, width: int):
     """Yield ``(line, fields)`` for every non-blank row of a UTF-8 CSV.
 
     The first row must equal ``header`` unless it is None (a headerless
-    file), and every row must have ``width`` fields. Errors name the file
-    and line.
+    file), and every row must have ``width`` fields. Errors name the file,
+    and the line unless the file is not UTF-8.
     """
     with path.open(encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        if header is not None:
-            first = next(reader, None)
-            if first != header:
-                raise DatasetFormatError(
-                    f"expected header {','.join(header)!r}, got {first}", path=path, line=1
-                )
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != width:
-                raise DatasetFormatError(
-                    f"expected {width} fields, got {len(row)}", path=path, line=reader.line_num
-                )
-            yield reader.line_num, row
+        try:
+            if header is not None:
+                first = next(reader, None)
+                if first != header:
+                    raise DatasetFormatError(
+                        f"expected header {','.join(header)!r}, got {first}", path=path, line=1
+                    )
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise DatasetFormatError(
+                        f"expected {width} fields, got {len(row)}", path=path, line=reader.line_num
+                    )
+                yield reader.line_num, row
+        except UnicodeDecodeError as exc:
+            # the file is decoded in chunks, so the line is not known
+            raise DatasetFormatError(f"not valid UTF-8: {exc.reason}", path=path) from None
 
 
 def check_name(name: str, path, line: int) -> str:
@@ -202,6 +196,16 @@ def parse_gender(text: str, path, line: int) -> Gender:
     if gender is None:
         raise DatasetFormatError(f"gender must be F or M, got {text!r}", path=path, line=line)
     return gender
+
+
+def parse_list_row(name: str, gender_text: str, path, line: int) -> tuple[str, bool]:
+    """The name and female flag of a sample or candidate-list row."""
+    return check_name(name, path, line), parse_gender(gender_text, path, line) is Gender.FEMALE
+
+
+def gender_letters(mask: np.ndarray):
+    """The gender letter of each entry of a female mask, in order."""
+    return (_GENDER_OF_FLAG[female].value for female in mask.tolist())
 
 
 def _parse_count(text: str, path, line: int) -> int:
@@ -294,8 +298,7 @@ def write_canonical(ds: NameDataset, path) -> None:
 def dump_canonical(ds: NameDataset, fh) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CANONICAL_HEADER)
-    genders = (_GENDER_OF_FLAG[female].value for female in ds.is_female.tolist())
-    writer.writerows(zip(ds.names, genders, ds.counts.tolist()))
+    writer.writerows(zip(ds.names, gender_letters(ds.is_female), ds.counts.tolist()))
 
 
 def _year_files(directory: Path) -> set[int]:

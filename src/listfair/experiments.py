@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from listfair import stats
-from listfair.dataset import NameDataset, csv_rows, demographics, load_canonical
+from listfair.dataset import NameDataset, csv_rows, demographics, load_canonical, parse_list_row
 from listfair.errors import (
     DatasetFormatError,
     InfeasibleSampleError,
@@ -49,12 +49,9 @@ from listfair.sampling import (
     PROPORTIONAL,
     STRATIFIED,
     DatasetArrays,
-    Individual,
     RandomSource,
     dataset_arrays,
     draw_sample,
-    female_mask,
-    parse_individual,
 )
 
 PERCF = "percf"
@@ -146,9 +143,11 @@ class ExperimentConfig:
         if require_paths and not self.dataset_paths:
             raise ValueError("config needs at least one dataset path")
         if not 1 <= self.samples_per_cell < _MAX_SAMPLES:
-            raise ValueError("samples_per_cell must be >= 1")
+            raise ValueError(
+                f"samples_per_cell must be >= 1 and < 2**24, got {self.samples_per_cell}"
+            )
         if not 1 <= self.n < _MAX_CELL_CODE:
-            raise ValueError("n must be >= 1")
+            raise ValueError(f"n must be >= 1 and < 2**28, got {self.n}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit non-negative integer")
         if self.step < 2:
@@ -165,7 +164,7 @@ class ExperimentConfig:
             raise ValueError("size_grid must be non-empty")
         for size in self.size_grid:
             if not 1 <= size < _MAX_CELL_CODE:
-                raise ValueError(f"size_grid entries must be >= 1, got {size}")
+                raise ValueError(f"size_grid entries must be >= 1 and < 2**28, got {size}")
         if len(set(self.size_grid)) != len(self.size_grid):
             raise ValueError("size_grid entries are not distinct")
         if self.normalizer_scope not in NORMALIZER_SCOPES:
@@ -186,6 +185,8 @@ class ExperimentConfig:
                 payload = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise DatasetFormatError(f"invalid JSON: {exc}", path=path) from None
+            except UnicodeDecodeError as exc:
+                raise DatasetFormatError(f"not valid UTF-8: {exc.reason}", path=path) from None
         if not isinstance(payload, dict):
             raise DatasetFormatError("config must be a JSON object", path=path)
         # "kind" appears in result-directory configs; accept it so those
@@ -262,7 +263,7 @@ def _smoothed(xs, ys, bandwidth: float | None) -> np.ndarray:
         if np.unique(xs).size < 2:
             return ys.copy()
         bandwidth = stats.silverman_bandwidth(xs)
-    return stats.nadaraya_watson(stats.XYSeries(xs, ys), xs, bandwidth).y
+    return stats.nadaraya_watson(xs, ys, xs, bandwidth)
 
 
 def run_datasets(kind: str, datasets, cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
@@ -552,16 +553,18 @@ def write_result(result: ExperimentResult, out_dir) -> None:
 # ---------------------------------------------------------------------------
 
 
-def read_candidate_list(path) -> tuple[Individual, ...]:
-    """Read a concrete ``name,gender`` list (e.g. real election candidates)."""
+def read_candidate_list(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Read a concrete ``name,gender`` list (e.g. real election candidates)
+    into its names and female mask."""
     path = Path(path)
-    individuals = tuple(
-        parse_individual(name, gender_text, path, line)
+    rows = [
+        parse_list_row(name, gender_text, path, line)
         for line, (name, gender_text) in csv_rows(path, CANDIDATE_HEADER, 2)
-    )
-    if not individuals:
+    ]
+    if not rows:
         raise DatasetFormatError("candidate list has no rows", path=path)
-    return individuals
+    names, flags = zip(*rows)
+    return names, np.array(flags)
 
 
 @dataclass
@@ -579,10 +582,8 @@ def run_candidate_audit(paths, k1_values, perc_fd: float | None = None) -> Audit
     (list, page size) cells whose first page falls below expectation."""
     rows = []
     for path in paths:
-        individuals = read_candidate_list(path)
-        mask = female_mask(individuals)
+        names, mask = read_candidate_list(path)
         expected = int(mask.sum()) / len(mask) if perc_fd is None else perc_fd
-        names = [ind.name for ind in individuals]
         rows.append(page_audit(names, mask, k1_values, expected, list_id=Path(path).stem))
     below = sum(1 for row in rows for flag in row.flags.values() if flag == BELOW)
     return AuditResult(rows, below)

@@ -1,4 +1,4 @@
-"""Alphabetical ordering and pagination.
+"""Alphabetical ordering.
 
 Collation is deliberately simple and locale-free: canonical decomposition,
 combining marks stripped, upper-cased, compared by plain code point. That
@@ -9,16 +9,9 @@ should pre-normalize its input instead.
 
 from __future__ import annotations
 
-import csv
-import math
 import unicodedata
-from dataclasses import dataclass
 
 import numpy as np
-
-from listfair.sampling import Individual
-
-PAGE_HEADER = ["page", "position", "name", "gender"]
 
 
 def collation_key(name: str) -> str:
@@ -54,37 +47,3 @@ def sort_alphabetical(names) -> np.ndarray:
     arrival order: ``names[i] for i in sort_alphabetical(names)`` is the
     sorted list."""
     return alphabetical_order(collation_ranks(names))
-
-
-@dataclass(frozen=True)
-class Page:
-    """One screen of a paginated list; ``index`` is 1-based."""
-
-    index: int
-    individuals: tuple[Individual, ...]
-    k1: int
-
-
-def paginate(individuals, k1: int) -> list[Page]:
-    """Split a displayed list into ceil(N / k1) pages of ``k1`` rows (the
-    last page may be short)."""
-    if k1 < 1:
-        raise ValueError("page size k1 must be >= 1")
-    individuals = tuple(individuals)
-    return [
-        Page(p + 1, individuals[p * k1 : (p + 1) * k1], k1)
-        for p in range(math.ceil(len(individuals) / k1))
-    ]
-
-
-def dump_pages_csv(pages, fh) -> None:
-    """Write pages as ``page,position,name,gender`` rows; positions are
-    global (1-based over the whole list), so concatenating pages
-    reproduces it."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(PAGE_HEADER)
-    position = 0
-    for page in pages:
-        for ind in page.individuals:
-            position += 1
-            writer.writerow([page.index, position, ind.name, ind.gender.value])

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
-from listfair.dataset import Gender, NameDataset, check_name, csv_rows, parse_gender
+from listfair.dataset import NameDataset, csv_rows, gender_letters, parse_list_row
 from listfair.errors import DatasetFormatError, InfeasibleSampleError
 
 SAMPLE_HEADER = ["position", "name", "gender"]
@@ -50,22 +50,6 @@ class RandomSource:
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, stream_index={self.stream_index})"
-
-
-@dataclass(frozen=True, slots=True)
-class Individual:
-    """One row of a sample or candidate list: a first name and a gender."""
-
-    name: str
-    gender: Gender
-
-
-def female_mask(rows) -> np.ndarray:
-    """Which rows (individuals) are female, in row order: the form every
-    metric takes a list in."""
-    return np.fromiter(
-        (row.gender is Gender.FEMALE for row in rows), dtype=bool, count=len(rows)
-    )
 
 
 @dataclass(frozen=True)
@@ -203,40 +187,31 @@ def draw_sample(
     return drawn[permutation(n, gen)]
 
 
-def dump_sample_csv(rows, fh) -> None:
-    """Write rows with a name and a gender as ``position,name,gender``
-    (1-based)."""
+def dump_sample_csv(names, mask: np.ndarray, fh) -> None:
+    """Write a list given as names and a female mask as
+    ``position,name,gender`` rows (1-based)."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(SAMPLE_HEADER)
-    for position, row in enumerate(rows, start=1):
-        writer.writerow([position, row.name, row.gender.value])
+    writer.writerows(zip(range(1, len(names) + 1), names, gender_letters(mask)))
 
 
-def write_sample_csv(rows, path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        dump_sample_csv(rows, fh)
-
-
-def parse_individual(name: str, gender_text: str, path, line: int) -> Individual:
-    """The individual of a sample or candidate-list row."""
-    return Individual(check_name(name, path, line), parse_gender(gender_text, path, line))
-
-
-def read_sample_csv(path) -> tuple[Individual, ...]:
-    """Read a ``position,name,gender`` file back into individuals.
+def read_sample_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Read a ``position,name,gender`` file back into its names and female
+    mask.
 
     Positions must run 1..N in file order; any gap or reordering means
     the file was not produced by this pipeline and is rejected.
     """
     path = Path(path)
-    individuals: list[Individual] = []
+    rows: list[tuple[str, bool]] = []
     for line, (position_text, name, gender_text) in csv_rows(path, SAMPLE_HEADER, 3):
-        expected = len(individuals) + 1
+        expected = len(rows) + 1
         if not position_text.strip().isdecimal() or int(position_text) != expected:
             raise DatasetFormatError(
                 f"expected position {expected}, got {position_text!r}", path=path, line=line
             )
-        individuals.append(parse_individual(name, gender_text, path, line))
-    if not individuals:
+        rows.append(parse_list_row(name, gender_text, path, line))
+    if not rows:
         raise DatasetFormatError("sample file has no rows", path=path)
-    return tuple(individuals)
+    names, flags = zip(*rows)
+    return names, np.array(flags)

@@ -25,27 +25,6 @@ BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
-class XYSeries:
-    """A finite set of (x, y) points."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if x.ndim != 1 or x.shape != y.shape:
-            raise ValueError("x and y must be 1-d arrays of equal length")
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise ValueError("series values must be finite")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.x.tolist(), self.y.tolist()))
-
-
-@dataclass(frozen=True)
 class ConfidenceInterval:
     lower: float
     upper: float
@@ -53,27 +32,32 @@ class ConfidenceInterval:
     resamples: int
 
 
-def nadaraya_watson(data: XYSeries, grid, bandwidth: float) -> XYSeries:
-    """Locally weighted mean of ``data`` at each grid point.
+def nadaraya_watson(x, y, grid, bandwidth: float) -> np.ndarray:
+    """Locally weighted mean of the points ``(x, y)`` at each grid point.
 
     Weights are Gaussian, exp(-((g - x_i) / bandwidth)^2 / 2). Every
     estimate is a convex combination of the observed y values, so it
     always lies within [min y, max y].
     """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    grid = np.asarray(grid, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape or grid.ndim != 1:
+        raise ValueError("x, y and grid must be 1-d arrays, x and y of equal length")
+    if not all(np.isfinite(values).all() for values in (x, y, grid)):
+        raise ValueError("x, y and grid values must be finite")
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
-    if len(data.x) == 0:
+    if len(x) == 0:
         raise ValueError("regression needs at least one data point")
-    grid = np.asarray(grid, dtype=float)
-    scaled = (grid[:, None] - data.x[None, :]) / bandwidth
+    scaled = (grid[:, None] - x[None, :]) / bandwidth
     squared = 0.5 * scaled * scaled
     # shift per grid point so the nearest weight is exp(0); the estimate is
     # scale-free in the weights and this avoids all-zero underflow far from
     # the data
     squared -= squared.min(axis=1, keepdims=True)
     weights = np.exp(-squared)
-    estimates = (weights * data.y[None, :]).sum(axis=1) / weights.sum(axis=1)
-    return XYSeries(grid, estimates)
+    return (weights * y[None, :]).sum(axis=1) / weights.sum(axis=1)
 
 
 def silverman_bandwidth(xs) -> float:

@@ -12,21 +12,7 @@ import math
 
 import numpy as np
 
-from listfair.dataset import Gender, NameDataset, NameRecord
-from listfair.sampling import Individual
-
-
-def individuals_from_pattern(pattern: str, names=None) -> tuple[Individual, ...]:
-    """Build individuals from a gender string like ``"FMMF"``.
-
-    Names default to distinct placeholders so sorting tests can supply
-    their own when ordering matters.
-    """
-    out = []
-    for i, ch in enumerate(pattern):
-        name = names[i] if names is not None else f"P{i:04d}"
-        out.append(Individual(name=name, gender=Gender(ch)))
-    return tuple(out)
+from listfair.dataset import Gender, NameDataset
 
 
 def mask_from_pattern(pattern: str) -> np.ndarray:
@@ -35,11 +21,11 @@ def mask_from_pattern(pattern: str) -> np.ndarray:
 
 
 def dataset_from_counts(rows, dataset_id="test") -> NameDataset:
-    records = tuple(
-        NameRecord(name=name, gender=Gender(g), count=count)
-        for name, g, count in rows
+    """A dataset from ``(name, "F" or "M", count)`` rows."""
+    names, genders, counts = zip(*rows)
+    return NameDataset.from_columns(
+        dataset_id, names, [Gender(g) is Gender.FEMALE for g in genders], counts
     )
-    return NameDataset.from_records(dataset_id, records)
 
 
 def oracle_curve(genders) -> list[float]:
@@ -81,10 +67,6 @@ def oracle_max_raw(n: int, n_f: int, step: int = 10) -> float:
             genders[p] = "F"
         best = max(best, oracle_raw(genders, step))
     return best
-
-
-def genders_of(individuals) -> str:
-    return "".join(i.gender.value for i in individuals)
 
 
 def chi_square_statistic(observed, expected) -> float:

@@ -34,15 +34,11 @@ from listfair.metrics import (
     rnd_raw_of_mask,
     rnd_theoretical_normalizer,
 )
-from listfair.ordering import collation_key, paginate, sort_alphabetical
-from listfair.sampling import RandomSource, female_mask, permutation, read_sample_csv
-from listfair.stats import XYSeries, bootstrap_ci, nadaraya_watson
+from listfair.ordering import collation_key, sort_alphabetical
+from listfair.sampling import RandomSource, permutation, read_sample_csv
+from listfair.stats import bootstrap_ci, nadaraya_watson
 
-from helpers import (
-    chi_square_statistic,
-    individuals_from_pattern,
-    mask_from_pattern,
-)
+from helpers import chi_square_statistic, mask_from_pattern
 
 SEED = 42
 
@@ -73,10 +69,9 @@ def percf_run(fixture_ds):
 
 def test_ac1_golden_curve_vectors(data_dir):
     start = time.perf_counter()
-    random_order = read_sample_csv(data_dir / "table_sample_random.csv")
-    mask = female_mask(random_order)
+    names, mask = read_sample_csv(data_dir / "table_sample_random.csv")
     curve_random = perc_f_curve(mask)
-    curve_sorted = perc_f_curve(mask[sort_alphabetical([ind.name for ind in random_order])])
+    curve_sorted = perc_f_curve(mask[sort_alphabetical(names)])
 
     # the worked example truncates fractions to two decimals
     printed_random = [0.00, 0.00, 0.33, 0.25, 0.40, 0.50, 0.57, 0.62, 0.55, 0.50]
@@ -269,18 +264,6 @@ def test_ac10_sort_properties(pairs):
             assert left < right
 
 
-@given(
-    st.text(alphabet="FM", min_size=1, max_size=60),
-    st.integers(min_value=1, max_value=70),
-)
-@PROPERTY_SETTINGS
-def test_ac10_pagination_reassembly(pattern, k1):
-    individuals = individuals_from_pattern(pattern)
-    ordered = tuple(individuals[i] for i in sort_alphabetical([ind.name for ind in individuals]))
-    pages = paginate(ordered, k1)
-    assert tuple(i for p in pages for i in p.individuals) == ordered
-
-
 @given(st.text(alphabet="FM", min_size=2, max_size=60))
 @PROPERTY_SETTINGS
 def test_ac10_curve_step_bound(pattern):
@@ -301,9 +284,9 @@ small_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 @PROPERTY_SETTINGS
 def test_ac10_regression_range_bound(points, grid, bandwidth):
     x, y = zip(*points)
-    smoothed = nadaraya_watson(XYSeries(x, y), grid, bandwidth)
-    assert np.all(smoothed.y >= min(y) - 1e-9)
-    assert np.all(smoothed.y <= max(y) + 1e-9)
+    smoothed = nadaraya_watson(x, y, grid, bandwidth)
+    assert np.all(smoothed >= min(y) - 1e-9)
+    assert np.all(smoothed <= max(y) + 1e-9)
 
 
 @given(
@@ -337,6 +320,6 @@ def test_ac10_shuffle_uniformity_and_summary():
         "AC10",
         ok,
         f"shuffle chi-square {stat:.2f} < 15.09 over {trials} trials; "
-        f"sort/pagination/curve/regression/bootstrap suites ran at 1000 cases each "
+        f"sort/curve/regression/bootstrap suites ran at 1000 cases each "
         f"({elapsed:.1f}s for the shuffle suite)",
     )

@@ -9,9 +9,8 @@ import pytest
 import listfair
 from listfair.cli import ENV_SEED, main
 from listfair.dataset import write_canonical
-from listfair.sampling import write_sample_csv
 
-from helpers import dataset_from_counts, individuals_from_pattern
+from helpers import dataset_from_counts
 
 DATASET_ROWS = [
     ("Aaron", "M", 500),
@@ -29,11 +28,20 @@ def dataset_csv(tmp_path):
     return path
 
 
+SAMPLE = "position,name,gender\n"
+# 10 men then 10 women: the worst arrangement for N=20, n_f=10
+WORST20 = "M" * 10 + "F" * 10
+
+
+def sample_text(pattern: str) -> str:
+    """A sample file whose genders follow a string like ``"FMMF"``."""
+    return SAMPLE + "".join(f"{i},P{i:04d},{g}\n" for i, g in enumerate(pattern, start=1))
+
+
 @pytest.fixture()
 def worst20_csv(tmp_path):
-    # 10 men then 10 women: the worst arrangement for N=20, n_f=10
     path = tmp_path / "worst20.csv"
-    write_sample_csv(individuals_from_pattern("M" * 10 + "F" * 10), path)
+    path.write_text(sample_text(WORST20), encoding="utf-8")
     return path
 
 
@@ -179,8 +187,8 @@ SAMPLE_FROM = ["sample", "--dataset", "{tmp}/names.csv", "--n", "5", "--seed", "
 BEYOND = "99999999999999999999"
 
 
-# files to write, argv, exit code, stderr prefix; "{tmp}" is the test's
-# directory
+# files to write (text, or bytes written as they are), argv, exit code,
+# stderr prefix; "{tmp}" is the test's directory
 CLI_TABLE = [
     pytest.param(
         {"names.csv": HEADER + "Ana,F,3\nBia,F," + "9" * 400 + "\n"}, SAMPLE_FROM, 2,
@@ -252,13 +260,100 @@ CLI_TABLE = [
         "error: [Errno 21] Is a directory: '{tmp}'",
         id="directory-as-config",
     ),
+    pytest.param(
+        {"names.csv": HEADER.encode() + b"Ana,F,3\n\xff,M,2\n"}, SAMPLE_FROM, 2,
+        "error: {tmp}/names.csv: not valid UTF-8: invalid start byte\n",
+        id="sample-invalid-utf-8",
+    ),
+    pytest.param(
+        {"yob2000.txt": b"Ana,F,3\n\xff,M,2\n"},
+        ["convert-ssa", "--dir", "{tmp}", "--years", "2000:2000", "--out", "{tmp}/ds.csv"], 2,
+        "error: {tmp}/yob2000.txt: not valid UTF-8: invalid start byte\n",
+        id="convert-ssa-invalid-utf-8",
+    ),
+    pytest.param(
+        {"config.json": b'{"n": "\xff"}'},
+        ["experiment", "rnd-size", "--config", "{tmp}/config.json", "--out", "{tmp}/run"], 2,
+        "error: {tmp}/config.json: not valid UTF-8: invalid start byte\n",
+        id="experiment-config-invalid-utf-8",
+    ),
 ]
+
+# the commands that read a sample file, and malformed sample files with
+# the stderr that follows "error: <file>"
+SAMPLE_READERS = {
+    "sort": ["sort", "--in", "{tmp}/list.csv", "--out", "{tmp}/sorted.csv"],
+    "curve": ["curve", "--in", "{tmp}/list.csv"],
+    "rnd": ["rnd", "--in", "{tmp}/list.csv"],
+    "parity": ["parity", "--in", "{tmp}/list.csv", "--reference", "0.5"],
+}
+BAD_SAMPLES = {
+    "bad-header": (
+        "pos,name,gender\n1,Ana,F\n",
+        ", line 1: expected header 'position,name,gender', got ['pos', 'name', 'gender']",
+    ),
+    "position-gap": (SAMPLE + "1,Ana,F\n3,Bruno,M\n", ", line 3: expected position 2, got '3'"),
+    "gender-Q": (SAMPLE + "1,Ana,Q\n", ", line 2: gender must be F or M, got 'Q'"),
+    "empty-name": (SAMPLE + "1,,F\n", ", line 2: name must be non-empty"),
+    "no-rows": (SAMPLE, ": sample file has no rows"),
+    "superscript-position": (SAMPLE + "\u00b9,Ana,F\n", ", line 2: expected position 1, got '\u00b9'"),
+    "invalid-utf-8": (SAMPLE.encode() + b"1,\xff,F\n", ": not valid UTF-8: invalid start byte"),
+}
+CLI_TABLE += [
+    pytest.param({"list.csv": content}, argv, 2, "error: {tmp}/list.csv" + rest, id=f"{command}-{case}")
+    for command, argv in SAMPLE_READERS.items()
+    for case, (content, rest) in BAD_SAMPLES.items()
+]
+
+CANDIDATES = "name,gender\n"
+AUDIT = ["audit", "--in", "{tmp}/list.csv", "--page-sizes", "1"]
+BAD_CANDIDATES = {
+    "bad-header": ("nm,g\nAna,F\n", ", line 1: expected header 'name,gender', got ['nm', 'g']"),
+    "wrong-width": (CANDIDATES + "Ana,F,3\n", ", line 2: expected 2 fields, got 3"),
+    "gender-Q": (CANDIDATES + "Ana,F\nBruno,Q\n", ", line 3: gender must be F or M, got 'Q'"),
+    "empty-name": (CANDIDATES + ",F\n", ", line 2: name must be non-empty"),
+    "no-rows": (CANDIDATES, ": candidate list has no rows"),
+    "invalid-utf-8": (CANDIDATES.encode() + b"\xff,F\n", ": not valid UTF-8: invalid start byte"),
+}
+CLI_TABLE += [
+    pytest.param({"list.csv": content}, AUDIT, 2, "error: {tmp}/list.csv" + rest, id=f"audit-{case}")
+    for case, (content, rest) in BAD_CANDIDATES.items()
+]
+
+RND_ARGS = ["rnd", "--in", "{tmp}/list.csv"]
+CLI_TABLE += [
+    pytest.param({"list.csv": sample_text(WORST20)}, RND_ARGS + flags, code, prefix, id=case)
+    for case, flags, code, prefix in [
+        ("rnd-normalizer-empirical", ["--normalizer", "empirical"], 1,
+         "usage error: --normalizer must be 'theoretical' or 'fixed:Z', got 'empirical'"),
+        ("rnd-normalizer-fixed-abc", ["--normalizer", "fixed:abc"], 1,
+         "usage error: fixed normalizer needs a number, got 'abc'"),
+        ("rnd-normalizer-fixed-0", ["--normalizer", "fixed:0"], 2, "error: fixed normalizer needs z > 0"),
+        ("rnd-normalizer-fixed-nan", ["--normalizer", "fixed:nan"], 2,
+         "error: fixed normalizer needs a finite z, got nan"),
+        ("rnd-normalizer-fixed-inf", ["--normalizer", "fixed:inf"], 2,
+         "error: fixed normalizer needs a finite z, got inf"),
+        ("rnd-normalizer-fixed--inf", ["--normalizer", "fixed:-inf"], 2,
+         "error: fixed normalizer needs z > 0"),
+        # checkpoint k = 1 would divide by log2(1) = 0
+        ("rnd-step-1", ["--step", "1"], 2, "error: step must be >= 2, got 1"),
+    ]
+]
+CLI_TABLE.append(
+    pytest.param(
+        {"list.csv": sample_text("MMF")}, RND_ARGS, 2,
+        "error: list of size 3 is shorter than the first checkpoint (step=10)",
+        id="rnd-shorter-than-one-step",
+    )
+)
 
 
 @pytest.mark.parametrize("files, argv, code, prefix", CLI_TABLE)
 def test_cli_table(capsys, tmp_path, files, argv, code, prefix):
-    for name, text in files.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
+    for name, content in files.items():
+        if isinstance(content, str):
+            content = content.encode("utf-8")
+        (tmp_path / name).write_bytes(content)
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -301,23 +396,6 @@ def test_rnd_json_and_text(capsys, worst20_csv):
     assert main(["rnd", "--in", str(worst20_csv), "--normalizer", "fixed:0.301030"]) == 0
     text = capsys.readouterr().out
     assert "normalized 0.5" in text
-
-
-def test_rnd_usage_and_data_errors(tmp_path, worst20_csv):
-    assert main(["rnd", "--in", str(worst20_csv), "--normalizer", "empirical"]) == 1
-    assert main(["rnd", "--in", str(worst20_csv), "--normalizer", "fixed:abc"]) == 1
-    assert main(["rnd", "--in", str(worst20_csv), "--normalizer", "fixed:0"]) == 2
-    for z in ("nan", "inf", "-inf"):
-        assert main(["rnd", "--in", str(worst20_csv), "--normalizer", f"fixed:{z}"]) == 2
-    short = tmp_path / "short.csv"
-    write_sample_csv(individuals_from_pattern("MMF"), short)
-    assert main(["rnd", "--in", str(short)]) == 2  # shorter than one step
-
-
-def test_rnd_step_one_is_a_data_error(capsys, worst20_csv):
-    # checkpoint k = 1 would divide by log2(1) = 0
-    assert main(["rnd", "--in", str(worst20_csv), "--step", "1"]) == 2
-    assert "step must be >= 2" in capsys.readouterr().err
 
 
 def test_parity_outputs(capsys, worst20_csv):

@@ -130,9 +130,9 @@ def test_error_reports_offending_line(tmp_path):
     assert "line 3" in str(err.value)
 
 
-def test_from_records_rejects_empty():
+def test_from_columns_rejects_empty():
     with pytest.raises(ValueError):
-        NameDataset.from_records("empty", [])
+        NameDataset.from_columns("empty", [], [], [])
 
 
 name_strategy = st.text(
@@ -143,17 +143,18 @@ name_strategy = st.text(
     max_size=12,
 ).map(lambda s: s.strip() or "X")
 
-record_strategy = st.builds(
-    NameRecord,
-    name=name_strategy,
-    gender=st.sampled_from([Gender.FEMALE, Gender.MALE]),
-    count=st.integers(min_value=1, max_value=10**6),
+# (name, gender letter, count) rows with distinct (name, gender)
+rows_strategy = st.lists(
+    st.tuples(name_strategy, st.sampled_from("FM"), st.integers(min_value=1, max_value=10**6)),
+    min_size=1,
+    max_size=30,
+    unique_by=lambda row: row[:2],
 )
 
 
-@given(st.lists(record_strategy, min_size=1, max_size=30, unique_by=lambda r: (r.name, r.gender)))
-def test_round_trip_preserves_record_set(records):
-    ds = NameDataset.from_records("rt", records)
+@given(rows_strategy)
+def test_round_trip_preserves_record_set(rows):
+    ds = dataset_from_counts(rows, dataset_id="rt")
     buf = io.StringIO()
     dump_canonical(ds, buf)
     buf.seek(0)
@@ -163,7 +164,7 @@ def test_round_trip_preserves_record_set(records):
     reader = _csv.reader(buf)
     assert next(reader) == ["name", "gender", "count"]
     parsed = {(name, g, int(c)) for name, g, c in reader}
-    assert parsed == {(r.name, r.gender.value, r.count) for r in records}
+    assert parsed == set(rows)
 
 
 def test_write_then_load_round_trip(tmp_path):
@@ -177,9 +178,9 @@ def test_write_then_load_round_trip(tmp_path):
     assert back.total_count == ds.total_count
 
 
-@given(st.lists(record_strategy, min_size=1, max_size=30, unique_by=lambda r: (r.name, r.gender)))
-def test_demographics_consistent_with_counts(records):
-    ds = NameDataset.from_records("demo", records)
+@given(rows_strategy)
+def test_demographics_consistent_with_counts(rows):
+    ds = dataset_from_counts(rows, dataset_id="demo")
     demo = demographics(ds)
     assert abs(demo.perc_f * ds.total_count - ds.female_count) <= 0.5
     assert abs(demo.perc_f + demo.perc_m - 1.0) < 1e-12

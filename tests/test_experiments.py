@@ -93,29 +93,36 @@ def test_default_config_is_valid():
     assert cfg.normalizer_scope == PER_BATCH
 
 
+# numbered ids in row order: append new rows at the end
+CONFIG_REJECTS = [
+    ({"samples_per_cell": 0}, "samples_per_cell must be >= 1 and < 2**24, got 0"),
+    ({"n": 0}, "n must be >= 1 and < 2**28, got 0"),
+    ({"seed": -1}, "seed must be a 64-bit non-negative integer"),
+    ({"seed": 2**64}, "seed must be a 64-bit non-negative integer"),
+    ({"step": 0}, "step must be >= 2"),
+    ({"perc_fs_grid": []}, "perc_fs_grid must be non-empty"),
+    ({"perc_fs_grid": [0.0]}, "perc_fs_grid entries must lie in (0, 1), got 0.0"),
+    ({"perc_fs_grid": [1.0]}, "perc_fs_grid entries must lie in (0, 1), got 1.0"),
+    ({"perc_fs_grid": [0.5, 0.5]}, "perc_fs_grid entries are not distinct"),
+    ({"size_grid": []}, "size_grid must be non-empty"),
+    ({"size_grid": [0]}, "size_grid entries must be >= 1 and < 2**28, got 0"),
+    ({"size_grid": [100, 100]}, "size_grid entries are not distinct"),
+    ({"normalizer_scope": "percentile"}, "normalizer_scope must be one of"),
+    ({"bandwidth": 0.0}, "bandwidth must be positive when given"),
+    ({"step": 1}, "step must be >= 2"),
+    ({"n": 2**28}, "n must be >= 1 and < 2**28, got 268435456"),
+    ({"samples_per_cell": 2**24}, "samples_per_cell must be >= 1 and < 2**24, got 16777216"),
+    ({"size_grid": [2**28]}, "size_grid entries must be >= 1 and < 2**28, got 268435456"),
+]
+
+
 @pytest.mark.parametrize(
-    "overrides",
-    [
-        {"samples_per_cell": 0},
-        {"n": 0},
-        {"seed": -1},
-        {"seed": 2**64},
-        {"step": 0},
-        {"perc_fs_grid": []},
-        {"perc_fs_grid": [0.0]},
-        {"perc_fs_grid": [1.0]},
-        {"perc_fs_grid": [0.5, 0.5]},
-        {"size_grid": []},
-        {"size_grid": [0]},
-        {"size_grid": [100, 100]},
-        {"normalizer_scope": "percentile"},
-        {"bandwidth": 0.0},
-        {"step": 1},
-    ],
+    "overrides, message", CONFIG_REJECTS, ids=[f"overrides{i}" for i in range(len(CONFIG_REJECTS))]
 )
-def test_config_validation_rejects(overrides):
-    with pytest.raises(ValueError):
+def test_config_validation_rejects(overrides, message):
+    with pytest.raises(ValueError) as err:
         small_config(**overrides).validate()
+    assert str(err.value).startswith(message)
 
 
 @pytest.mark.parametrize(
@@ -480,11 +487,9 @@ def test_write_result_is_byte_stable(tmp_path):
 def test_read_candidate_list_errors(tmp_path):
     path = tmp_path / "candidates.csv"
     path.write_text("name,gender\nAna,F\nBruno,M\n", encoding="utf-8")
-    individuals = read_candidate_list(path)
-    assert [(i.name, i.gender.value) for i in individuals] == [
-        ("Ana", "F"),
-        ("Bruno", "M"),
-    ]
+    names, mask = read_candidate_list(path)
+    assert names == ("Ana", "Bruno")
+    assert mask.dtype == bool and mask.tolist() == [True, False]
 
     bad_header = tmp_path / "bad.csv"
     bad_header.write_text("nm,g\nAna,F\n", encoding="utf-8")

@@ -1,21 +1,10 @@
-import io
 import unicodedata
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from listfair.dataset import Gender
-from listfair.ordering import (
-    collation_key,
-    collation_ranks,
-    dump_pages_csv,
-    paginate,
-    sort_alphabetical,
-)
-from listfair.sampling import Individual
-
-from helpers import individuals_from_pattern
+from listfair.ordering import collation_key, collation_ranks, sort_alphabetical
 
 
 @pytest.mark.parametrize(
@@ -49,10 +38,6 @@ def test_collation_key_ascii_fast_path_matches_decomposition(name):
 name_pool = st.sampled_from(
     ["Ana", "ana", "ANA", "André", "Andre", "Bruno", "José", "Jose", "Zoé", "Alex"]
 )
-individual_strategy = st.builds(
-    Individual, name=name_pool, gender=st.sampled_from([Gender.FEMALE, Gender.MALE])
-)
-individuals_strategy = st.lists(individual_strategy, max_size=50).map(tuple)
 names_strategy = st.lists(name_pool, max_size=50)
 
 
@@ -79,36 +64,6 @@ def test_sort_keys_are_monotone(names):
 def test_sort_stability_preserves_arrival_order_on_ties():
     arrivals = ["Alex", "alex", "ALEX", "Aaron"]
     assert sort_alphabetical(arrivals).tolist() == [3, 0, 1, 2]
-
-
-@given(
-    individuals_strategy.filter(lambda t: len(t) > 0),
-    st.integers(min_value=1, max_value=60),
-)
-def test_pagination_concatenates_back(individuals, k1):
-    pages = paginate(individuals, k1)
-    flattened = tuple(ind for page in pages for ind in page.individuals)
-    assert flattened == individuals
-    assert [p.index for p in pages] == list(range(1, len(pages) + 1))
-    assert all(len(p.individuals) == k1 for p in pages[:-1])
-    assert 1 <= len(pages[-1].individuals) <= k1
-
-
-def test_paginate_rejects_bad_page_size():
-    with pytest.raises(ValueError):
-        paginate(individuals_from_pattern("FM"), 0)
-
-
-def test_dump_pages_uses_global_positions():
-    individuals = individuals_from_pattern("FMFMF", names=["Ana", "Bo", "Cy", "Di", "Ed"])
-    pages = paginate(individuals, 2)
-    buf = io.StringIO()
-    dump_pages_csv(pages, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "page,position,name,gender"
-    assert lines[1] == "1,1,Ana,F"
-    assert lines[3] == "2,3,Cy,F"
-    assert lines[5] == "3,5,Ed,F"
 
 
 @given(names_strategy)

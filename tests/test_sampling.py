@@ -6,21 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from listfair.dataset import Gender
 from listfair.errors import DatasetFormatError, InfeasibleSampleError
 from listfair.sampling import (
     PROPORTIONAL,
     STRATIFIED,
-    Individual,
     RandomSource,
     dataset_arrays,
     draw_sample,
-    female_mask,
+    dump_sample_csv,
     permutation,
     read_sample_csv,
     round_half_up,
     stratified_female_count,
-    write_sample_csv,
 )
 
 from helpers import chi_square_statistic, dataset_from_counts
@@ -265,10 +262,15 @@ def test_draw_sample_rejects_bad_n_and_mode():
 
 
 def test_sample_csv_round_trip(tmp_path):
-    records = [BASIC_DATASET.records[i] for i in draw_sample(BASIC, 25, RandomSource(3))]
+    indices = draw_sample(BASIC, 25, RandomSource(3))
+    names = tuple(BASIC_DATASET.names[i] for i in indices.tolist())
     path = tmp_path / "sample.csv"
-    write_sample_csv(records, path)
-    assert read_sample_csv(path) == tuple(Individual(r.name, r.gender) for r in records)
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        dump_sample_csv(names, BASIC.is_female[indices], fh)
+    back_names, back_mask = read_sample_csv(path)
+    assert back_names == names
+    assert back_mask.dtype == bool
+    assert np.array_equal(back_mask, BASIC.is_female[indices])
     first = path.read_text(encoding="utf-8").splitlines()[:2]
     assert first[0] == "position,name,gender"
     assert first[1].startswith("1,")
@@ -295,14 +297,10 @@ def test_read_sample_csv_rejects_malformed(tmp_path, body, fragment):
     assert "bad.csv" in str(err.value)
 
 
-def test_female_mask_follows_row_order():
-    rows = (Individual("Ana", Gender.FEMALE), Individual("Bo", Gender.MALE))
-    assert female_mask(rows).tolist() == [True, False]
-    assert female_mask(()).dtype == bool
+def test_female_mask_follows_row_order(tmp_path):
+    path = tmp_path / "sample.csv"
+    path.write_text("position,name,gender\n1,Bo,M\n2,Ana,f\n3,Cy,F\n4,Di,m\n", encoding="utf-8")
+    names, mask = read_sample_csv(path)
+    assert names == ("Bo", "Ana", "Cy", "Di")
+    assert mask.tolist() == [False, True, True, False]
     assert BASIC.is_female.tolist() == [True, True, False, False]
-
-
-def test_individuals_are_hashable_value_objects():
-    a = Individual("Ana", Gender.FEMALE)
-    b = Individual("Ana", Gender.FEMALE)
-    assert a == b and hash(a) == hash(b)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from listfair.sampling import RandomSource
 from listfair.stats import (
     BLOCK,
-    XYSeries,
     bootstrap_ci,
     nadaraya_watson,
     silverman_bandwidth,
@@ -17,30 +16,18 @@ from listfair.stats import (
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
-def test_xyseries_validation():
-    with pytest.raises(ValueError):
-        XYSeries(np.array([1.0, 2.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        XYSeries(np.array([[1.0]]), np.array([[1.0]]))
-    with pytest.raises(ValueError):
-        XYSeries(np.array([np.nan]), np.array([1.0]))
-    series = XYSeries([0, 1], [2, 3])
-    assert series.points() == [(0.0, 2.0), (1.0, 3.0)]
-
-
 def test_regression_recovers_constant():
-    data = XYSeries(np.linspace(0, 1, 20), np.full(20, 0.37))
-    smoothed = nadaraya_watson(data, np.linspace(0, 1, 7), bandwidth=0.1)
-    assert np.allclose(smoothed.y, 0.37)
+    smoothed = nadaraya_watson(np.linspace(0, 1, 20), np.full(20, 0.37), np.linspace(0, 1, 7), 0.1)
+    assert np.allclose(smoothed, 0.37)
 
 
 def test_regression_interpolates_between_levels():
     x = np.array([0.0] * 10 + [1.0] * 10)
     y = np.array([0.0] * 10 + [1.0] * 10)
-    smoothed = nadaraya_watson(XYSeries(x, y), [0.0, 0.5, 1.0], bandwidth=0.2)
-    assert smoothed.y[0] < 0.05
-    assert smoothed.y[1] == pytest.approx(0.5, abs=1e-6)
-    assert smoothed.y[2] > 0.95
+    smoothed = nadaraya_watson(x, y, [0.0, 0.5, 1.0], bandwidth=0.2)
+    assert smoothed[0] < 0.05
+    assert smoothed[1] == pytest.approx(0.5, abs=1e-6)
+    assert smoothed[2] > 0.95
 
 
 @given(
@@ -50,10 +37,10 @@ def test_regression_interpolates_between_levels():
 )
 def test_regression_output_within_data_range(points, grid, bandwidth):
     x, y = zip(*points)
-    smoothed = nadaraya_watson(XYSeries(x, y), grid, bandwidth)
-    assert np.all(smoothed.y >= min(y) - 1e-9)
-    assert np.all(smoothed.y <= max(y) + 1e-9)
-    assert np.isfinite(smoothed.y).all()
+    smoothed = nadaraya_watson(x, y, grid, bandwidth)
+    assert np.all(smoothed >= min(y) - 1e-9)
+    assert np.all(smoothed <= max(y) + 1e-9)
+    assert np.isfinite(smoothed).all()
 
 
 @given(
@@ -63,29 +50,33 @@ def test_regression_output_within_data_range(points, grid, bandwidth):
 def test_regression_invariant_under_point_permutation(points, seed):
     x, y = zip(*points)
     grid = np.linspace(min(x), max(x), 5)
-    base = nadaraya_watson(XYSeries(x, y), grid, bandwidth=1.0)
+    base = nadaraya_watson(x, y, grid, bandwidth=1.0)
     order = np.random.default_rng(seed).permutation(len(x))
-    shuffled = nadaraya_watson(
-        XYSeries(np.asarray(x)[order], np.asarray(y)[order]), grid, bandwidth=1.0
-    )
-    assert np.allclose(base.y, shuffled.y, rtol=1e-9, atol=1e-9)
+    shuffled = nadaraya_watson(np.asarray(x)[order], np.asarray(y)[order], grid, bandwidth=1.0)
+    assert np.allclose(base, shuffled, rtol=1e-9, atol=1e-9)
 
 
 def test_regression_survives_distant_grid_points():
     # far from all data the weights underflow to zero without the
     # per-grid-point rescaling; the estimate must stay finite
-    data = XYSeries([0.0, 1.0], [2.0, 4.0])
-    smoothed = nadaraya_watson(data, [1e6], bandwidth=0.01)
-    assert np.isfinite(smoothed.y[0])
-    assert 2.0 <= smoothed.y[0] <= 4.0
+    smoothed = nadaraya_watson([0.0, 1.0], [2.0, 4.0], [1e6], bandwidth=0.01)
+    assert np.isfinite(smoothed[0])
+    assert 2.0 <= smoothed[0] <= 4.0
 
 
 def test_regression_validation():
-    data = XYSeries([0.0], [1.0])
-    with pytest.raises(ValueError):
-        nadaraya_watson(data, [0.0], bandwidth=0.0)
-    with pytest.raises(ValueError):
-        nadaraya_watson(XYSeries([], []), [0.0], bandwidth=1.0)
+    for x, y, grid, bandwidth, message in [
+        ([1.0, 2.0], [1.0], [0.0], 1.0, "1-d arrays, x and y of equal length"),
+        ([[1.0]], [[1.0]], [0.0], 1.0, "1-d arrays"),
+        ([0.0], [1.0], [[0.0]], 1.0, "1-d arrays"),
+        ([np.nan], [1.0], [0.0], 1.0, "must be finite"),
+        ([0.0], [np.inf], [0.0], 1.0, "must be finite"),
+        ([0.0], [1.0], [np.nan], 1.0, "must be finite"),
+        ([0.0], [1.0], [0.0], 0.0, "bandwidth must be positive"),
+        ([], [], [0.0], 1.0, "at least one data point"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            nadaraya_watson(x, y, grid, bandwidth)
 
 
 def test_silverman_hand_value():

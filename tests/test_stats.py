@@ -64,13 +64,25 @@ def test_regression_survives_distant_grid_points():
     assert 2.0 <= smoothed[0] <= 4.0
 
 
+def test_xyseries_validation():
+    # the x-y data series: 1-d, of equal length and finite; plain integer
+    # lists are accepted as floats
+    for x, y, message in [
+        ([1.0, 2.0], [1.0], "1-d arrays, x and y of equal length"),
+        ([[1.0]], [[1.0]], "1-d arrays"),
+        ([np.nan], [1.0], "must be finite"),
+        ([0.0], [np.inf], "must be finite"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            nadaraya_watson(x, y, [0.0], 1.0)
+    smoothed = nadaraya_watson([0, 1], [2, 3], [0, 1], 0.01)
+    assert smoothed.dtype == np.float64
+    assert np.allclose(smoothed, [2.0, 3.0])
+
+
 def test_regression_validation():
     for x, y, grid, bandwidth, message in [
-        ([1.0, 2.0], [1.0], [0.0], 1.0, "1-d arrays, x and y of equal length"),
-        ([[1.0]], [[1.0]], [0.0], 1.0, "1-d arrays"),
         ([0.0], [1.0], [[0.0]], 1.0, "1-d arrays"),
-        ([np.nan], [1.0], [0.0], 1.0, "must be finite"),
-        ([0.0], [np.inf], [0.0], 1.0, "must be finite"),
         ([0.0], [1.0], [np.nan], 1.0, "must be finite"),
         ([0.0], [1.0], [0.0], 0.0, "bandwidth must be positive"),
         ([], [], [0.0], 1.0, "at least one data point"),

@@ -11,9 +11,10 @@ headerless ``name,sex,count`` file per birth year (files named
 Names are stored verbatim: no trimming, case folding or accent stripping
 happens here. Normalization is an ordering concern, not an ingestion one.
 
-A loaded dataset is three columns, filled in one pass over the file:
-names, a female flag and counts. Record objects are made only when a
-caller reads ``records``.
+A loaded dataset is three columns: names, a female flag and counts.
+``load_canonical`` reads the file once into column lists and checks each
+column as a whole; the per-row checks run only to locate an error.
+Record objects are made only when a caller reads ``records``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import csv
 import enum
 import itertools
 import re
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -183,11 +185,19 @@ def csv_rows(path: Path, header: list[str] | None, width: int):
         except UnicodeDecodeError as exc:
             # the file is decoded in chunks, so the line is not known
             raise DatasetFormatError(f"not valid UTF-8: {exc.reason}", path=path) from None
+        except csv.Error as exc:
+            # e.g. a field longer than csv.field_size_limit()
+            raise DatasetFormatError(str(exc), path=path, line=reader.line_num) from None
 
 
 def check_name(name: str, path, line: int) -> str:
+    """A non-empty name without control characters."""
     if not name:
         raise DatasetFormatError("name must be non-empty", path=path, line=line)
+    if _CONTROL.search(name):
+        raise DatasetFormatError(
+            f"name {name!r} contains a control character", path=path, line=line
+        )
     return name
 
 
@@ -232,13 +242,9 @@ def _parse_count(text: str, path, line: int) -> int:
 
 def _registry_row(fields: list[str], path, line: int) -> tuple[str, bool, int]:
     """The name, female flag and count of a ``name,gender,count`` row of a
-    registry file; names may not hold control characters."""
+    registry file."""
     name, gender_text, count_text = fields
     check_name(name, path, line)
-    if _CONTROL.search(name):
-        raise DatasetFormatError(
-            f"name {name!r} contains a control character", path=path, line=line
-        )
     female = parse_gender(gender_text, path, line) is Gender.FEMALE
     return name, female, _parse_count(count_text, path, line)
 
@@ -256,15 +262,72 @@ def load_canonical(path, dataset_id: str | None = None) -> NameDataset:
     or non-integer counts, counts or a running total above 2**53, and
     duplicate (name, gender) pairs. Every error names the file and line
     it came from.
+
+    The file is read once, into one list per field; each column is then
+    checked as a whole. Only when a column check fails are the rows walked
+    one by one, which either locates the first bad row or accepts rows
+    the column checks are too strict for, such as a padded count.
     """
     path = Path(path)
     names: list[str] = []
+    genders: list[str] = []
+    texts: list[str] = []
+    lines = array("q")
+    try:
+        for line, (name, gender_text, count_text) in csv_rows(path, CANONICAL_HEADER, 3):
+            names.append(name)
+            genders.append(gender_text)
+            texts.append(count_text)
+            lines.append(line)
+    except DatasetFormatError:
+        # a bad row before the one the reader stopped at is reported first
+        _walk_rows(path, names, genders, texts, lines)
+        raise
+    if not names:
+        raise DatasetFormatError("dataset has no records", path=path)
+    columns = _checked_columns(names, genders, texts)
+    if columns is None:
+        columns = _walk_rows(path, names, genders, texts, lines)
+    return NameDataset.from_columns(dataset_id or path.stem, names, *columns)
+
+
+def _checked_columns(names, genders, texts):
+    """The female flags and counts of rows that every column check
+    accepts, or None. Passing implies that each row passes the per-row
+    checks and that no running total exceeds 2**53."""
+    if "" in names or _CONTROL.search("".join(names)):
+        return None
+    if not set(genders) <= GENDER_LETTERS.keys():
+        return None
+    # isdecimal on the joined text also rejects padding and signs
+    if "" in texts or not "".join(texts).isdecimal():
+        return None
+    if max(map(len, texts)) > _MAX_COUNT_DIGITS:
+        return None
+    counts = list(map(int, texts))
+    # counts are positive, so a total within the bound bounds every count
+    # and every running total
+    if min(counts) < 1 or sum(counts) > MAX_COUNT:
+        return None
+    # each letter is one of FfMm: setting the case bit leaves f or m
+    letters = np.frombuffer("".join(genders).encode("ascii"), dtype=np.uint8)
+    is_female = (letters | 0x20) == ord("f")
+    female_names = set(itertools.compress(names, is_female.tolist()))
+    male_names = set(itertools.compress(names, (~is_female).tolist()))
+    if len(female_names) + len(male_names) != len(names):
+        return None
+    return is_female, counts
+
+
+def _walk_rows(path, names, genders, texts, lines):
+    """Check the rows one by one: raise the first row's error, or return
+    their female flags and counts."""
     flags: list[bool] = []
     counts: list[int] = []
     # keyed on the flag, not the Gender: an Enum hashes in Python code
     seen: set[tuple[str, bool]] = set()
     total = 0
-    for line, fields in csv_rows(path, CANONICAL_HEADER, 3):
+    for *fields, line in zip(names, genders, texts, lines):
         name, female, count = _registry_row(fields, path, line)
         key = (name, female)
         if key in seen:
@@ -276,12 +339,9 @@ def load_canonical(path, dataset_id: str | None = None) -> NameDataset:
         seen.add(key)
         total += count
         _check_total(total, path, line)
-        names.append(name)
         flags.append(female)
         counts.append(count)
-    if not names:
-        raise DatasetFormatError("dataset has no records", path=path)
-    return NameDataset.from_columns(dataset_id or path.stem, names, flags, counts)
+    return flags, counts
 
 
 def write_canonical(ds: NameDataset, path) -> None:

@@ -9,6 +9,7 @@ should pre-normalize its input instead.
 
 from __future__ import annotations
 
+import operator
 import unicodedata
 
 import numpy as np
@@ -27,13 +28,20 @@ def collation_key(name: str) -> str:
 def dense_rank(keys) -> np.ndarray:
     """Rank of each key among the distinct keys in sorted order; equal
     keys share a rank, so ranks compare exactly as the keys do."""
-    rank_of = {key: r for r, key in enumerate(sorted(set(keys)))}
-    return np.fromiter((rank_of[key] for key in keys), dtype=np.intp, count=len(keys))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ordered = list(map(keys.__getitem__, order))
+    # a key opens a new rank where it differs from the one before it
+    steps = np.zeros(len(keys), dtype=np.intp)
+    steps[1:] = np.fromiter(map(operator.ne, ordered[1:], ordered), dtype=bool)
+    ranks = np.empty(len(keys), dtype=np.intp)
+    ranks[order] = steps.cumsum()
+    return ranks
 
 
 def collation_ranks(names) -> np.ndarray:
     """Dense rank of each name's collation key."""
-    return dense_rank([collation_key(name) for name in names])
+    # collation_key's ASCII fast path, inline
+    return dense_rank([name.upper() if name.isascii() else collation_key(name) for name in names])
 
 
 def alphabetical_order(ranks: np.ndarray) -> np.ndarray:

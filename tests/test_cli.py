@@ -185,6 +185,11 @@ def test_non_decimal_digits_are_usage_errors(tmp_path, dataset_csv, capsys, monk
 HEADER = "name,gender,count\n"
 SAMPLE_FROM = ["sample", "--dataset", "{tmp}/names.csv", "--n", "5", "--seed", "1", "--out", "{tmp}/s.csv"]
 BEYOND = "99999999999999999999"
+# longer than csv.field_size_limit()
+LONG_NAME = "x" * 200000
+FIELD_LIMIT = "field larger than field limit (131072)"
+# more than the 64 KB the loader decodes in its first chunks
+FILLER = "".join(f"P{i:05d},M,1\n" for i in range(8000))
 
 
 # files to write (text, or bytes written as they are), argv, exit code,
@@ -272,6 +277,30 @@ CLI_TABLE = [
         id="convert-ssa-invalid-utf-8",
     ),
     pytest.param(
+        {"names.csv": HEADER + "Ana,F,3\n" + LONG_NAME + ",M,2\n"}, SAMPLE_FROM, 2,
+        f"error: {{tmp}}/names.csv, line 3: {FIELD_LIMIT}\n",
+        id="sample-field-too-long",
+    ),
+    # errors keep the order of the rows: a bad row before the one the
+    # reader stops at is reported first
+    pytest.param(
+        {"names.csv": (HEADER + "Ana,F,3\nBia,Q,2\n" + FILLER).encode() + b"\xff,M,2\n"},
+        SAMPLE_FROM, 2,
+        "error: {tmp}/names.csv, line 3: gender must be F or M, got 'Q'\n",
+        id="sample-bad-gender-before-invalid-utf-8",
+    ),
+    pytest.param(
+        {"names.csv": HEADER + "Ana,F,3\nBia,F,0\nCaio,M\n"}, SAMPLE_FROM, 2,
+        "error: {tmp}/names.csv, line 3: count must be >= 1, got 0\n",
+        id="sample-bad-count-before-wrong-width",
+    ),
+    pytest.param(
+        {"names.csv": HEADER + "Ana,F,3\nBia,F,2\nAna,F,1\n" + LONG_NAME + ",M,2\n"},
+        SAMPLE_FROM, 2,
+        "error: {tmp}/names.csv, line 4: duplicate record for name 'Ana' gender F\n",
+        id="sample-duplicate-before-field-too-long",
+    ),
+    pytest.param(
         {"config.json": b'{"n": "\xff"}'},
         ["experiment", "rnd-size", "--config", "{tmp}/config.json", "--out", "{tmp}/run"], 2,
         "error: {tmp}/config.json: not valid UTF-8: invalid start byte\n",
@@ -298,6 +327,10 @@ BAD_SAMPLES = {
     "no-rows": (SAMPLE, ": sample file has no rows"),
     "superscript-position": (SAMPLE + "\u00b9,Ana,F\n", ", line 2: expected position 1, got '\u00b9'"),
     "invalid-utf-8": (SAMPLE.encode() + b"1,\xff,F\n", ": not valid UTF-8: invalid start byte"),
+    "control-character": (
+        SAMPLE + "1,A\x00B,F\n", ", line 2: name 'A\\x00B' contains a control character"
+    ),
+    "field-too-long": (SAMPLE + "1,Ana,F\n2," + LONG_NAME + ",M\n", f", line 3: {FIELD_LIMIT}"),
 }
 CLI_TABLE += [
     pytest.param({"list.csv": content}, argv, 2, "error: {tmp}/list.csv" + rest, id=f"{command}-{case}")
@@ -314,6 +347,10 @@ BAD_CANDIDATES = {
     "empty-name": (CANDIDATES + ",F\n", ", line 2: name must be non-empty"),
     "no-rows": (CANDIDATES, ": candidate list has no rows"),
     "invalid-utf-8": (CANDIDATES.encode() + b"\xff,F\n", ": not valid UTF-8: invalid start byte"),
+    "control-character": (
+        CANDIDATES + "A\x00B,F\n", ", line 2: name 'A\\x00B' contains a control character"
+    ),
+    "field-too-long": (CANDIDATES + "Ana,F\n" + LONG_NAME + ",M\n", f", line 3: {FIELD_LIMIT}"),
 }
 CLI_TABLE += [
     pytest.param({"list.csv": content}, AUDIT, 2, "error: {tmp}/list.csv" + rest, id=f"audit-{case}")

@@ -1,12 +1,14 @@
 import csv
 import io
 import unicodedata
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from listfair import dataset as dataset_module
 from listfair.dataset import (
     _CONTROL,
     CANONICAL_HEADER,
@@ -268,6 +270,8 @@ def test_bundled_fixture_loads(fixture_dataset):
 # ---------------------------------------------------------------------------
 
 BOUND = 2**53
+HEADER = "name,gender,count\n"
+registry_row = dataset_module._registry_row
 
 
 def reference_load(path):
@@ -384,15 +388,40 @@ def outcome(load, path):
         return type(exc), str(exc), exc.line
 
 
+# names that csv.writer leaves unquoted
+plain_name = st.text(
+    alphabet=st.characters(
+        codec="utf-8", categories=("L", "M", "N", "P", "S", "Zs"), exclude_characters=',"'
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+@st.composite
+def plain_row(draw):
+    """A valid row as the column checks take it: ASCII digits, no padding."""
+    return [draw(plain_name), draw(st.sampled_from("FfMm")), str(draw(st.integers(1, 10**6)))]
+
+
 @st.composite
 def canonical_csv(draw):
+    plain = draw(st.booleans())
     rows = draw(
-        st.lists(valid_row(), min_size=0, max_size=25, unique_by=lambda r: (r[0], r[1].upper()))
+        st.lists(
+            plain_row() if plain else valid_row(),
+            min_size=0,
+            max_size=25,
+            unique_by=lambda r: (r[0], r[1].upper()),
+        )
     )
     malformed = draw(st.none() | malformed_row(rows))
     if malformed is not None:
         rows.insert(draw(st.integers(0, len(rows))), malformed)
-    blank_after = draw(st.sets(st.integers(0, max(len(rows) - 1, 0)), max_size=3))
+    if plain:
+        blank_after = set()
+    else:
+        blank_after = draw(st.sets(st.integers(0, max(len(rows) - 1, 0)), max_size=3))
     return rows, malformed, blank_after
 
 
@@ -420,3 +449,41 @@ def test_load_canonical_matches_row_reference(tmp_path_factory, case):
     assert ds.male_count == ds.total_count - ds.female_count
     assert len(ds.records) == len(records)
     assert ds.records[-1] == records[-1]
+
+
+def test_plain_file_loads_without_per_row_checks(tmp_path, monkeypatch):
+    rows = "Ana,F,3\nAna,M,12\nBruno,m,5\nJosé,f,7\n"
+    plain = tmp_path / "plain.csv"
+    write_text(plain, HEADER + rows)
+    # a padded count is valid, but only the per-row checks take it
+    padded = tmp_path / "padded.csv"
+    write_text(padded, HEADER + rows.replace(",12", ", 12"))
+
+    # a pipe cannot be read twice, so every load opens its file once
+    opened = []
+    path_open = Path.open
+
+    def open_once(path, *args, **kwargs):
+        opened.append(path.name)
+        return path_open(path, *args, **kwargs)
+
+    def refuse(fields, path, line):
+        raise AssertionError(f"per-row check of line {line}")
+
+    monkeypatch.setattr(Path, "open", open_once)
+    monkeypatch.setattr(dataset_module, "_registry_row", refuse)
+    expected = load_canonical(plain, dataset_id="d")
+    assert expected.names == ("Ana", "Ana", "Bruno", "José")
+    assert expected.is_female.tolist() == [True, False, False, True]
+    assert expected.counts.tolist() == [3, 12, 5, 7]
+
+    walked = []
+
+    def spy(fields, path, line):
+        walked.append(line)
+        return registry_row(fields, path, line)
+
+    monkeypatch.setattr(dataset_module, "_registry_row", spy)
+    assert load_canonical(padded, dataset_id="d") == expected
+    assert walked == [2, 3, 4, 5]
+    assert opened == ["plain.csv", "padded.csv"]

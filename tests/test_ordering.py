@@ -1,10 +1,11 @@
 import unicodedata
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from listfair.ordering import collation_key, collation_ranks, sort_alphabetical
+from listfair.ordering import collation_key, collation_ranks, dense_rank, sort_alphabetical
 
 
 @pytest.mark.parametrize(
@@ -73,11 +74,48 @@ def test_rank_sort_matches_keyed_sorted(names):
     assert sort_alphabetical(names).tolist() == expected
 
 
-@given(st.lists(name_pool, max_size=30))
+def dict_dense_rank(keys):
+    """The dense rank as this package first computed it: a dict from each
+    distinct key to its place among the sorted distinct keys."""
+    rank_of = {key: r for r, key in enumerate(sorted(set(keys)))}
+    return [rank_of[key] for key in keys]
+
+
+# spellings of one stem that share or nearly share a collation key
+VARIANTS = [
+    str,
+    str.upper,
+    str.lower,
+    lambda s: unicodedata.normalize("NFD", s),
+    lambda s: unicodedata.normalize("NFC", s),
+    lambda s: s + "\u0301",
+    lambda s: s + "\x00",
+    lambda s: s[:1] + "\x00" + s[1:],
+]
+stems = st.lists(st.text(alphabet=st.characters(), max_size=6), min_size=1, max_size=5)
+unicode_names = stems.flatmap(
+    lambda stems: st.lists(
+        st.tuples(st.sampled_from(stems), st.sampled_from(VARIANTS)).map(lambda p: p[1](p[0])),
+        max_size=30,
+    )
+)
+
+
+@example([])
+@example(["A", "A\x00", "a", "\x00", "", "Á", "A\u0301"])
+@given(unicode_names)
 def test_collation_ranks_compare_as_keys(names):
-    ranks = collation_ranks(names).tolist()
-    assert sorted(set(ranks)) == list(range(len({collation_key(n) for n in names})))
-    for i, a in enumerate(names):
-        for j, b in enumerate(names):
-            assert (ranks[i] < ranks[j]) == (collation_key(a) < collation_key(b))
-            assert (ranks[i] == ranks[j]) == (collation_key(a) == collation_key(b))
+    ranks = collation_ranks(names)
+    assert ranks.dtype == np.intp and ranks.shape == (len(names),)
+    keys = [collation_key(n) for n in names]
+    assert ranks.tolist() == dict_dense_rank(keys)
+    ranks = ranks.tolist()
+    for i, a in enumerate(keys):
+        for j, b in enumerate(keys):
+            assert (ranks[i] < ranks[j]) == (a < b)
+            assert (ranks[i] == ranks[j]) == (a == b)
+
+
+@given(unicode_names)
+def test_dense_rank_matches_dict_reference(keys):
+    assert dense_rank(keys).tolist() == dict_dense_rank(keys)

@@ -448,6 +448,78 @@ def test_parity_outputs(capsys, worst20_csv):
     assert main(["parity", "--in", str(worst20_csv), "--reference", "1.5"]) == 1
 
 
+# the whole stdout and stderr of rnd and parity on one mixed list
+PINNED_LIST = "MMFMFFMMMFMFFFMMFMMMFFMFMM"
+RND_JSON = """{
+  "checkpoints": [
+    {
+      "deviation": 0.02307692307692305,
+      "discount": 0.3010299956639812,
+      "k": 10,
+      "term": 0.006946846053784174
+    },
+    {
+      "deviation": 0.02307692307692305,
+      "discount": 0.23137821315975915,
+      "k": 20,
+      "term": 0.005339497226763666
+    },
+    {
+      "deviation": 0.0,
+      "discount": 0.21274605355336318,
+      "k": 26,
+      "term": 0.0
+    }
+  ],
+  "mode": "theoretical",
+  "normalized": 0.06051241598715483,
+  "raw": 0.01228634328054784,
+  "z": 0.20303838609180475
+}
+"""
+PARITY_JSON = """{
+  "p_value": 0.6955201434681114,
+  "passes": true,
+  "perc_f_reference": 0.48,
+  "perc_f_sample": 0.4230769230769231
+}
+"""
+PINNED_CALLS = [
+    pytest.param([], 0, "raw 0.0122863\nz 0.203038\nmode theoretical\nnormalized 0.0605124\n", "",
+                 id="rnd-theoretical"),
+    pytest.param(["--normalizer", "fixed:1.1"], 0,
+                 "raw 0.0122863\nz 1.1\nmode fixed\nnormalized 0.0111694\n", "", id="rnd-fixed"),
+    pytest.param(["--json"], 0, RND_JSON, "", id="rnd-json"),
+    pytest.param(["--normalizer", "fixed:0"], 2, "", "error: fixed normalizer needs z > 0\n",
+                 id="rnd-fixed-0"),
+    pytest.param(["--normalizer", "fixed:nan"], 2, "",
+                 "error: fixed normalizer needs a finite z, got nan\n", id="rnd-fixed-nan"),
+    pytest.param(["--normalizer", "bogus"], 1, "",
+                 "usage error: --normalizer must be 'theoretical' or 'fixed:Z', got 'bogus'\n",
+                 id="rnd-bogus"),
+    pytest.param(["--reference", "0.48"], 0,
+                 "perc_f_sample 0.423077\nperc_f_reference 0.48\np_value 0.69552\npasses true\n", "",
+                 id="parity-text"),
+    pytest.param(["--reference", "0.48", "--json"], 0, PARITY_JSON, "", id="parity-json"),
+]
+
+
+@pytest.mark.parametrize("flags, code, out, err", PINNED_CALLS)
+def test_rnd_and_parity_text_is_pinned(capsys, tmp_path, flags, code, out, err):
+    path = tmp_path / "list.csv"
+    path.write_text(sample_text(PINNED_LIST), encoding="utf-8")
+    command = "parity" if "--reference" in flags else "rnd"
+    assert main([command, "--in", str(path)] + flags) == code
+    captured = capsys.readouterr()
+    got = captured.out
+    if "p_value" in out and out.startswith("{"):
+        # the p-value's last bits depend on the platform's lgamma and exp
+        p_value, pinned = json.loads(got)["p_value"], json.loads(out)["p_value"]
+        assert p_value == pytest.approx(pinned, rel=1e-9)
+        got = got.replace(repr(p_value), repr(pinned))
+    assert (got, captured.err) == (out, err)
+
+
 def test_audit_fixture_list(capsys, tmp_path):
     out = tmp_path / "audit.csv"
     assert (

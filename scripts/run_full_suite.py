@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from listfair.dataset import demographics, load_canonical
+from listfair.dataset import load_canonical
 from listfair.experiments import (
     PERCF,
     RND_GRID,
@@ -58,7 +58,7 @@ def main() -> None:
     fixture = REPO_ROOT / "data" / "fixture.csv"
     out_root = Path(args.out)
     ds = load_canonical(fixture)
-    print(f"dataset {ds.id}: {len(ds.names)} names, female share {demographics(ds).perc_f:.4f}")
+    print(f"dataset {ds.id}: {len(ds.names)} names, female share {ds.perc_f:.4f}")
 
     cfg = ExperimentConfig(dataset_paths=[str(fixture)], seed=args.seed)
     for kind, label in ((PERCF, "percf"), (RND_GRID, "rnd-grid"), (RND_SIZE, "rnd-size")):

@@ -10,11 +10,9 @@ experiment drivers. A single CLI (``listfair``) exposes every stage.
 """
 
 from listfair.dataset import (
-    Demographics,
     Gender,
     NameDataset,
     NameRecord,
-    demographics,
     load_canonical,
     load_ssa_yearfiles,
     write_canonical,
@@ -50,7 +48,6 @@ from listfair.sampling import (
     draw_sample,
 )
 from listfair.stats import (
-    ConfidenceInterval,
     bootstrap_ci,
     nadaraya_watson,
     silverman_bandwidth,

@@ -24,10 +24,11 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from listfair import __version__
-from listfair.dataset import Demographics, load_canonical, load_ssa_yearfiles, write_canonical
+from listfair.dataset import load_canonical, load_ssa_yearfiles, write_canonical
 from listfair.errors import ListFairError
 from listfair.experiments import (
     ExperimentConfig,
@@ -80,11 +81,20 @@ def _open_out(path: str | None):
             yield fh
 
 
+def _decimal(text: str, what: str) -> int:
+    """The value of a numeral already checked to be decimal; int() refuses
+    one of more than a few thousand digits."""
+    try:
+        return int(text)
+    except ValueError:
+        raise _UsageError(f"{what} has too many digits: {len(text.strip().lstrip('+'))}") from None
+
+
 def _parse_years(text: str) -> tuple[int, int]:
     first, sep, last = text.partition(":")
     if not sep or not first.strip().isdecimal() or not last.strip().isdecimal():
         raise _UsageError(f"--years must look like 1990:2000, got {text!r}")
-    return int(first), int(last)
+    return _decimal(first, "--years"), _decimal(last, "--years")
 
 
 def _parse_page_sizes(text: str) -> list[int]:
@@ -97,13 +107,14 @@ def _parse_page_sizes(text: str) -> list[int]:
     return sizes
 
 
-def _parse_normalizer(text: str) -> tuple[str, float | None]:
+def _parse_normalizer(text: str) -> float | None:
+    """The fixed Z that ``text`` names, or None for the theoretical one."""
     if text == THEORETICAL:
-        return THEORETICAL, None
+        return None
     if text.startswith(f"{FIXED}:"):
         value = text[len(FIXED) + 1 :]
         try:
-            return FIXED, float(value)
+            return float(value)
         except ValueError:
             raise _UsageError(f"fixed normalizer needs a number, got {value!r}") from None
     raise _UsageError(f"--normalizer must be 'theoretical' or 'fixed:Z', got {text!r}")
@@ -117,16 +128,26 @@ def _resolve_seed(args) -> int:
         raise _UsageError(f"provide --seed or set {ENV_SEED}")
     if not env.strip().lstrip("+").isdecimal():
         raise _UsageError(f"{ENV_SEED} must be an integer, got {env!r}")
-    return int(env)
+    return _decimal(env, ENV_SEED)
 
 
-def _format_report_text(pairs) -> str:
-    lines = []
-    for key, value in pairs:
-        if isinstance(value, float):
-            value = format(value, ".6g")
-        lines.append(f"{key} {value}")
-    return "\n".join(lines) + "\n"
+def _write_report(report, as_json: bool, out: str | None) -> None:
+    """A metric report as sorted JSON, or as one ``key value`` line per
+    scalar field in field order."""
+    fields = asdict(report)
+    with _open_out(out) as fh:
+        if as_json:
+            json.dump(fields, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+            return
+        for key, value in fields.items():
+            if isinstance(value, bool):
+                value = str(value).lower()
+            elif isinstance(value, float):
+                value = format(value, ".6g")
+            elif not isinstance(value, str):
+                continue
+            fh.write(f"{key} {value}\n")
 
 
 def _cmd_convert_ssa(args) -> int:
@@ -170,23 +191,8 @@ def _cmd_curve(args) -> int:
 
 def _cmd_rnd(args) -> int:
     _, mask = read_sample_csv(args.infile)
-    mode, z = _parse_normalizer(args.normalizer)
-    report = rnd(mask, step=args.step, normalizer=mode, z=z)
-    with _open_out(args.out) as fh:
-        if args.json:
-            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        else:
-            fh.write(
-                _format_report_text(
-                    [
-                        ("raw", report.raw),
-                        ("z", report.z),
-                        ("mode", report.normalizer_mode),
-                        ("normalized", report.normalized),
-                    ]
-                )
-            )
+    report = rnd(mask, step=args.step, z=_parse_normalizer(args.normalizer))
+    _write_report(report, args.json, args.out)
     return 0
 
 
@@ -194,23 +200,7 @@ def _cmd_parity(args) -> int:
     if not 0.0 <= args.reference <= 1.0:
         raise _UsageError(f"--reference must lie in [0, 1], got {args.reference}")
     _, mask = read_sample_csv(args.infile)
-    reference = Demographics(args.reference, 1.0 - args.reference)
-    report = statistical_parity(mask, reference)
-    with _open_out(args.out) as fh:
-        if args.json:
-            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        else:
-            fh.write(
-                _format_report_text(
-                    [
-                        ("perc_f_sample", report.perc_f_sample),
-                        ("perc_f_reference", report.perc_f_reference),
-                        ("p_value", report.p_value),
-                        ("passes", str(report.passes).lower()),
-                    ]
-                )
-            )
+    _write_report(statistical_parity(mask, args.reference), args.json, args.out)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Name-frequency datasets: ingestion, validation, demographics.
+"""Name-frequency datasets: ingestion, validation, gender shares.
 
 A dataset is a registry of (first name, gender, count) records, e.g. all
 first names given in one country over some period. The canonical
@@ -75,14 +75,6 @@ class NameRecord:
     count: int
 
 
-@dataclass(frozen=True)
-class Demographics:
-    """Gender shares of a whole dataset."""
-
-    perc_f: float
-    perc_m: float
-
-
 class NameRecords(Sequence):
     """The records of a dataset, made from its columns on access: taking
     the length or one item builds no other record."""
@@ -140,6 +132,11 @@ class NameDataset:
     def records(self) -> NameRecords:
         return NameRecords(self)
 
+    @property
+    def perc_f(self) -> float:
+        """Female share of the dataset, by individual count."""
+        return self.female_count / self.total_count
+
     def __eq__(self, other):
         if not isinstance(other, NameDataset):
             return NotImplemented
@@ -150,23 +147,19 @@ class NameDataset:
         )
 
 
-def demographics(ds: NameDataset) -> Demographics:
-    """Female and male shares of the dataset, by individual count."""
-    return Demographics(
-        perc_f=ds.female_count / ds.total_count,
-        perc_m=ds.male_count / ds.total_count,
-    )
-
-
 def csv_rows(path: Path, header: list[str] | None, width: int):
     """Yield ``(line, fields)`` for every non-blank row of a UTF-8 CSV.
 
     The first row must equal ``header`` unless it is None (a headerless
     file), and every row must have ``width`` fields. Errors name the file,
-    and the line unless the file is not UTF-8.
+    and the line unless the file is not UTF-8. A row's line is the one it
+    starts at, also when a quoted field spans lines.
     """
     with path.open(encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
+        # the line the next row starts at: reader.line_num counts the lines
+        # read so far, so it is where the last row ended
+        line = 1
         try:
             if header is not None:
                 first = next(reader, None)
@@ -174,20 +167,21 @@ def csv_rows(path: Path, header: list[str] | None, width: int):
                     raise DatasetFormatError(
                         f"expected header {','.join(header)!r}, got {first}", path=path, line=1
                     )
+                line = reader.line_num + 1
             for row in reader:
-                if not row:
-                    continue
-                if len(row) != width:
-                    raise DatasetFormatError(
-                        f"expected {width} fields, got {len(row)}", path=path, line=reader.line_num
-                    )
-                yield reader.line_num, row
+                if row:
+                    if len(row) != width:
+                        raise DatasetFormatError(
+                            f"expected {width} fields, got {len(row)}", path=path, line=line
+                        )
+                    yield line, row
+                line = reader.line_num + 1
         except UnicodeDecodeError as exc:
             # the file is decoded in chunks, so the line is not known
             raise DatasetFormatError(f"not valid UTF-8: {exc.reason}", path=path) from None
         except csv.Error as exc:
             # e.g. a field longer than csv.field_size_limit()
-            raise DatasetFormatError(str(exc), path=path, line=reader.line_num) from None
+            raise DatasetFormatError(str(exc), path=path, line=line) from None
 
 
 def check_name(name: str, path, line: int) -> str:

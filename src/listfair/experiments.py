@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from listfair import stats
-from listfair.dataset import NameDataset, csv_rows, demographics, load_canonical, parse_list_row
+from listfair.dataset import NameDataset, csv_rows, load_canonical, parse_list_row
 from listfair.errors import (
     DatasetFormatError,
     InfeasibleSampleError,
@@ -173,9 +173,6 @@ class ExperimentConfig:
             )
         if self.bandwidth is not None and self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive when given")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
@@ -371,8 +368,8 @@ def _percf_chunk(task) -> tuple[list[dict], np.ndarray, np.ndarray, np.ndarray]:
     # as from a strided column
     random_by_k = np.ascontiguousarray(random_curves.T)
     for j, k in enumerate(ks):
-        ci = stats.bootstrap_ci(random_by_k[j], rng=RandomSource(cfg.seed, agg_stream(PERCF, k)))
-        intervals[:, j] = ci.lower, ci.upper
+        rng = RandomSource(cfg.seed, agg_stream(PERCF, k))
+        intervals[:, j] = stats.bootstrap_ci(random_by_k[j], rng=rng)
     return records, random_curves, alpha_curves, intervals
 
 
@@ -388,7 +385,7 @@ def _percf_rows(ds: NameDataset, cfg: ExperimentConfig, chunks) -> tuple[list, l
     random_curves = np.hstack([chunk[1] for chunk in chunks])
     alpha_curves = np.hstack([chunk[2] for chunk in chunks])
     ci_low, ci_high = np.hstack([chunk[3] for chunk in chunks])
-    reference = demographics(ds).perc_f
+    reference = ds.perc_f
 
     mean_random = random_curves.mean(axis=0)
     mean_alpha = alpha_curves.mean(axis=0)
@@ -416,7 +413,7 @@ def _percf_rows(ds: NameDataset, cfg: ExperimentConfig, chunks) -> tuple[list, l
 
     spc = cfg.samples_per_cell
     shares = np.array([r["perc_f_sample"] for r in records])
-    share_ci = stats.bootstrap_ci(shares, rng=RandomSource(cfg.seed, agg_stream(PERCF, 0)))
+    share_low, share_high = stats.bootstrap_ci(shares, rng=RandomSource(cfg.seed, agg_stream(PERCF, 0)))
     aggregates = [
         {
             "dataset": ds.id,
@@ -424,8 +421,8 @@ def _percf_rows(ds: NameDataset, cfg: ExperimentConfig, chunks) -> tuple[list, l
             "n_samples": spc,
             "mean_perc_f_sample": float(shares.mean()),
             "std_perc_f_sample": float(shares.std(ddof=1)) if spc > 1 else 0.0,
-            "ci_low": share_ci.lower,
-            "ci_high": share_ci.upper,
+            "ci_low": share_low,
+            "ci_high": share_high,
             "reference_share": reference,
         }
     ]
@@ -495,7 +492,7 @@ def _rnd_rows(cfg: ExperimentConfig, kind: str, grid, per_cell: list[list[dict]]
             r["z"] = float(z)
             r["normalized"] = 0.0 if z == 0 else r["raw"] / z
         raws = np.array([r["raw"] for r in records])
-        ci = stats.bootstrap_ci(raws, rng=RandomSource(cfg.seed, agg_stream(kind, code)))
+        ci_low, ci_high = stats.bootstrap_ci(raws, rng=RandomSource(cfg.seed, agg_stream(kind, code)))
         aggregates.append(
             {
                 "dataset": records[0]["dataset"],
@@ -503,8 +500,8 @@ def _rnd_rows(cfg: ExperimentConfig, kind: str, grid, per_cell: list[list[dict]]
                 "n_samples": len(records),
                 "mean_raw": float(raws.mean()),
                 "std_raw": float(raws.std(ddof=1)) if len(raws) > 1 else 0.0,
-                "ci_low_raw": ci.lower,
-                "ci_high_raw": ci.upper,
+                "ci_low_raw": ci_low,
+                "ci_high_raw": ci_high,
                 "mean_normalized": float(np.mean([r["normalized"] for r in records])),
                 "z": max(r["z"] for r in records),
             }
@@ -539,7 +536,7 @@ def write_result(result: ExperimentResult, out_dir) -> None:
     ``curves.csv``; byte-identical for identical runs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = {"kind": result.kind, **result.config.to_json_dict()}
+    payload = {"kind": result.kind, **asdict(result.config)}
     with (out / "config.json").open("w", encoding="utf-8", newline="") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -23,7 +23,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from listfair.dataset import Demographics
 from listfair.errors import SampleTooSmallError
 from listfair.ordering import sort_alphabetical
 
@@ -124,37 +123,19 @@ def rnd_theoretical_normalizer(n: int, n_f: int, step: int = 10) -> float:
 class RndReport:
     checkpoints: tuple[RndCheckpoint, ...]
     raw: float
-    normalizer_mode: str
     z: float
+    mode: str
     normalized: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "checkpoints": [
-                {
-                    "k": cp.k,
-                    "discount": cp.discount,
-                    "deviation": cp.deviation,
-                    "term": cp.term,
-                }
-                for cp in self.checkpoints
-            ],
-            "raw": self.raw,
-            "z": self.z,
-            "mode": self.normalizer_mode,
-            "normalized": self.normalized,
-        }
 
-
-def rnd(mask: np.ndarray, step: int = 10, normalizer: str = THEORETICAL, z: float | None = None) -> RndReport:
+def rnd(mask: np.ndarray, step: int = 10, z: float | None = None) -> RndReport:
     """Full rND report for one list, given as its female mask in display
     order.
 
-    ``normalizer`` selects how Z is chosen: "theoretical" computes the
-    worst-arrangement bound for this list's size and composition (pass no
-    z), and "fixed" divides by a caller-supplied finite z > 0. A
-    theoretical Z of zero (a single-gender list) reports a normalized 0 by
-    convention.
+    Without ``z``, Z is the theoretical worst-arrangement bound for this
+    list's size and composition (mode "theoretical"); a given z must be
+    finite and > 0 (mode "fixed"). A theoretical Z of zero (a
+    single-gender list) reports a normalized 0 by convention.
     """
     terms = _rnd_terms(np.cumsum(mask), step)
     checkpoints = tuple(
@@ -162,19 +143,16 @@ def rnd(mask: np.ndarray, step: int = 10, normalizer: str = THEORETICAL, z: floa
         for k, discount, deviation, term in zip(*(a.tolist() for a in terms))
     )
     raw = _sum_terms(terms[3])
-    if normalizer == THEORETICAL:
-        if z is not None:
-            raise ValueError("z is derived for the theoretical normalizer; do not pass one")
-        z = rnd_theoretical_normalizer(len(mask), int(mask.sum()), step)
-    elif normalizer == FIXED:
-        if z is None or z <= 0:
-            raise ValueError("fixed normalizer needs z > 0")
-        if not math.isfinite(z):
-            raise ValueError(f"fixed normalizer needs a finite z, got {z}")
+    if z is None:
+        mode, z = THEORETICAL, rnd_theoretical_normalizer(len(mask), int(mask.sum()), step)
+    elif z <= 0:
+        raise ValueError("fixed normalizer needs z > 0")
+    elif not math.isfinite(z):
+        raise ValueError(f"fixed normalizer needs a finite z, got {z}")
     else:
-        raise ValueError(f"unknown normalizer {normalizer!r}")
+        mode = FIXED
     normalized = 0.0 if z == 0 else raw / z
-    return RndReport(checkpoints, raw, normalizer, float(z), float(normalized))
+    return RndReport(checkpoints, raw, float(z), mode, float(normalized))
 
 
 @dataclass(frozen=True)
@@ -183,14 +161,6 @@ class ParityReport:
     perc_f_reference: float
     p_value: float
     passes: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "perc_f_sample": self.perc_f_sample,
-            "perc_f_reference": self.perc_f_reference,
-            "p_value": self.p_value,
-            "passes": self.passes,
-        }
 
 
 def binomial_two_sided_p(k: int, n: int, p: float) -> float:
@@ -211,7 +181,7 @@ def binomial_two_sided_p(k: int, n: int, p: float) -> float:
     return min(1.0, float(pmf[pmf <= pmf[k] * (1 + 1e-7)].sum()))
 
 
-def statistical_parity(mask: np.ndarray, reference: Demographics) -> ParityReport:
+def statistical_parity(mask: np.ndarray, reference: float) -> ParityReport:
     """Two-sided exact binomial test of a list's female count, given its
     female mask, against the reference female share; passes when
     p >= 0.05."""
@@ -219,8 +189,8 @@ def statistical_parity(mask: np.ndarray, reference: Demographics) -> ParityRepor
     if n == 0:
         raise ValueError("parity test needs at least one individual")
     females = int(mask.sum())
-    p_value = binomial_two_sided_p(females, n, reference.perc_f)
-    return ParityReport(females / n, reference.perc_f, p_value, p_value >= PARITY_ALPHA)
+    p_value = binomial_two_sided_p(females, n, reference)
+    return ParityReport(females / n, reference, p_value, p_value >= PARITY_ALPHA)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
-from listfair.dataset import NameDataset, csv_rows, gender_letters, parse_list_row
+from listfair.dataset import _MAX_COUNT_DIGITS, NameDataset, csv_rows, gender_letters, parse_list_row
 from listfair.errors import DatasetFormatError, InfeasibleSampleError
 
 SAMPLE_HEADER = ["position", "name", "gender"]
@@ -206,10 +206,12 @@ def read_sample_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     rows: list[tuple[str, bool]] = []
     for line, (position_text, name, gender_text) in csv_rows(path, SAMPLE_HEADER, 3):
         expected = len(rows) + 1
-        if not position_text.strip().isdecimal() or int(position_text) != expected:
-            raise DatasetFormatError(
-                f"expected position {expected}, got {position_text!r}", path=path, line=line
-            )
+        digits = position_text.strip()
+        # a numeral too long for int() is reported by its length, like a count
+        too_long = digits.isdecimal() and len(digits) > _MAX_COUNT_DIGITS
+        if too_long or not digits.isdecimal() or int(digits) != expected:
+            got = f"a {len(digits)}-digit number" if too_long else repr(position_text)
+            raise DatasetFormatError(f"expected position {expected}, got {got}", path=path, line=line)
         rows.append(parse_list_row(name, gender_text, path, line))
     if not rows:
         raise DatasetFormatError("sample file has no rows", path=path)

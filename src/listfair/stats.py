@@ -8,8 +8,6 @@ resamples. Everything is deterministic given a RandomSource.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from listfair.sampling import RandomSource
@@ -22,14 +20,6 @@ DEFAULT_RESAMPLES = 2000
 # percf in a fresh process with glibc 2.36: 16 Ki gives about 7k minor
 # faults per run, 32 Ki sometimes gives 100k, when the heap top is trimmed.
 BLOCK = 1 << 14
-
-
-@dataclass(frozen=True)
-class ConfidenceInterval:
-    lower: float
-    upper: float
-    level: float
-    resamples: int
 
 
 def nadaraya_watson(x, y, grid, bandwidth: float) -> np.ndarray:
@@ -50,8 +40,14 @@ def nadaraya_watson(x, y, grid, bandwidth: float) -> np.ndarray:
         raise ValueError("bandwidth must be positive")
     if len(x) == 0:
         raise ValueError("regression needs at least one data point")
-    scaled = (grid[:, None] - x[None, :]) / bandwidth
-    squared = 0.5 * scaled * scaled
+    with np.errstate(over="ignore"):
+        scaled = (grid[:, None] - x[None, :]) / bandwidth
+        squared = 0.5 * scaled * scaled
+        # where every exponent of a grid point overflowed, take the limit as
+        # the bandwidth goes to 0: the mean y of the nearest points
+        far = np.isinf(squared.min(axis=1))
+        distance = np.abs(grid[far, None] - x[None, :])
+        squared[far] = np.where(distance == distance.min(axis=1, keepdims=True), 0.0, np.inf)
     # shift per grid point so the nearest weight is exp(0); the estimate is
     # scale-free in the weights and this avoids all-zero underflow far from
     # the data
@@ -74,8 +70,9 @@ def bootstrap_ci(
     resamples: int = DEFAULT_RESAMPLES,
     *,
     rng: RandomSource,
-) -> ConfidenceInterval:
-    """Percentile bootstrap interval for the mean of ``values``.
+) -> tuple[float, float]:
+    """Percentile bootstrap interval ``(lower, upper)`` for the mean of
+    ``values``.
 
     Draws ``resamples`` resamples with replacement, takes each mean, and
     returns the (1 - level)/2 and (1 + level)/2 empirical quantiles. With
@@ -99,4 +96,4 @@ def bootstrap_ci(
         indices = rng.generator.integers(0, size, size=(stop - start, size))
         means[start:stop] = values[indices].mean(axis=1)
     lower, upper = np.quantile(means, [(1.0 - level) / 2.0, (1.0 + level) / 2.0]).tolist()
-    return ConfidenceInterval(lower, upper, level, resamples)
+    return lower, upper

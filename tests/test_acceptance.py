@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from listfair.cli import main as cli_main
-from listfair.dataset import demographics, load_canonical
+from listfair.dataset import load_canonical
 from listfair.experiments import (
     PERCF,
     RND_GRID,
@@ -141,7 +141,7 @@ def test_ac3_worst_case_hand_value():
 
 def test_ac4_random_ordering_parity(percf_run, fixture_ds):
     result, elapsed = percf_run
-    share = demographics(fixture_ds).perc_f
+    share = fixture_ds.perc_f
     rows = {row["k"]: row for row in result.curves}
     ok = elapsed < 60.0
     details = []
@@ -299,9 +299,9 @@ def test_ac10_bootstrap_nesting(values, seed):
         bootstrap_ci(values, level=level, resamples=80, rng=RandomSource(seed, 3))
         for level in (0.6, 0.9, 0.99)
     ]
-    for tight, wide in zip(cis, cis[1:]):
-        assert wide.lower <= tight.lower + 1e-12
-        assert tight.upper <= wide.upper + 1e-12
+    for (tight_lower, tight_upper), (wide_lower, wide_upper) in zip(cis, cis[1:]):
+        assert wide_lower <= tight_lower + 1e-12
+        assert tight_upper <= wide_upper + 1e-12
 
 
 def test_ac10_shuffle_uniformity_and_summary():

@@ -86,18 +86,13 @@ def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == 1
 
 
-def test_convert_ssa(tmp_path, capsys):
+def test_convert_ssa(tmp_path):
     (tmp_path / "yob2001.txt").write_text("Mary,F,7\nJohn,M,9\n", encoding="utf-8")
     (tmp_path / "yob2002.txt").write_text("Mary,F,3\n", encoding="utf-8")
     out = tmp_path / "ds.csv"
     assert main(["convert-ssa", "--dir", str(tmp_path), "--years", "2001:2002", "--out", str(out)]) == 0
     text = out.read_text(encoding="utf-8")
     assert text == "name,gender,count\nJohn,M,9\nMary,F,10\n"
-
-    assert main(["convert-ssa", "--dir", str(tmp_path), "--years", "2001", "--out", str(out)]) == 1
-    assert main(["convert-ssa", "--dir", str(tmp_path), "--years", "2000:2002", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "2000" in err
 
 
 def test_sample_deterministic_and_modes(tmp_path, dataset_csv):
@@ -129,19 +124,6 @@ def test_sample_deterministic_and_modes(tmp_path, dataset_csv):
     assert women == 15
 
 
-def test_sample_usage_errors(tmp_path, dataset_csv, capsys, monkeypatch):
-    monkeypatch.delenv(ENV_SEED, raising=False)
-    out = str(tmp_path / "s.csv")
-    base = ["sample", "--dataset", str(dataset_csv), "--n", "10", "--out", out]
-    assert main(base) == 1  # no seed anywhere
-    assert ENV_SEED in capsys.readouterr().err
-
-    assert main(base + ["--seed", "1", "--mode", "proportional", "--perc-fs", "0.5"]) == 1
-    assert main(base + ["--seed", "1", "--mode", "stratified"]) == 1
-    assert main(base + ["--seed", "1", "--perc-fs", "1.5"]) == 2
-    assert main(["sample", "--dataset", str(tmp_path / "nope.csv"), "--n", "10", "--seed", "1", "--out", out]) == 2
-
-
 def test_sample_seed_from_environment(tmp_path, dataset_csv, monkeypatch):
     explicit = tmp_path / "x.csv"
     via_env = tmp_path / "y.csv"
@@ -154,40 +136,14 @@ def test_sample_seed_from_environment(tmp_path, dataset_csv, monkeypatch):
     assert main(["sample", "--dataset", str(dataset_csv), "--n", "12", "--out", str(via_env)]) == 1
 
 
-def test_non_decimal_digits_are_data_errors_with_location(tmp_path, capsys):
-    # '²' and '¹' pass str.isdigit but int() rejects them
-    dataset = tmp_path / "names.csv"
-    dataset.write_text("name,gender,count\nAna,F,3\nBia,F,\u00b2\n", encoding="utf-8")
-    args = ["sample", "--dataset", str(dataset), "--n", "5", "--seed", "1", "--out", str(tmp_path / "s.csv")]
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    assert f"error: {dataset}, line 3: count must be a positive integer, got '\u00b2'" in err
-
-    sample = tmp_path / "sample.csv"
-    sample.write_text("position,name,gender\n\u00b9,Ana,F\n", encoding="utf-8")
-    assert main(["curve", "--in", str(sample)]) == 2
-    err = capsys.readouterr().err
-    assert f"error: {sample}, line 2: expected position 1, got '\u00b9'" in err
-
-
-def test_non_decimal_digits_are_usage_errors(tmp_path, dataset_csv, capsys, monkeypatch):
-    out = str(tmp_path / "s.csv")
-    monkeypatch.setenv(ENV_SEED, "\u00b2")
-    assert main(["sample", "--dataset", str(dataset_csv), "--n", "5", "--out", out]) == 1
-    assert f"usage error: {ENV_SEED} must be an integer" in capsys.readouterr().err
-
-    (tmp_path / "yob2.txt").write_text("Ana,F,1\n", encoding="utf-8")
-    args = ["convert-ssa", "--dir", str(tmp_path), "--years", "\u00b2:3", "--out", out]
-    assert main(args) == 1
-    assert "usage error: --years must look like 1990:2000" in capsys.readouterr().err
-
-
 HEADER = "name,gender,count\n"
 SAMPLE_FROM = ["sample", "--dataset", "{tmp}/names.csv", "--n", "5", "--seed", "1", "--out", "{tmp}/s.csv"]
 BEYOND = "99999999999999999999"
 # longer than csv.field_size_limit()
 LONG_NAME = "x" * 200000
 FIELD_LIMIT = "field larger than field limit (131072)"
+# too long for int()
+DIGITS = "9" * 5000
 # more than the 64 KB the loader decodes in its first chunks
 FILLER = "".join(f"P{i:05d},M,1\n" for i in range(8000))
 
@@ -331,6 +287,16 @@ BAD_SAMPLES = {
         SAMPLE + "1,A\x00B,F\n", ", line 2: name 'A\\x00B' contains a control character"
     ),
     "field-too-long": (SAMPLE + "1,Ana,F\n2," + LONG_NAME + ",M\n", f", line 3: {FIELD_LIMIT}"),
+    "position-of-5000-digits": (
+        SAMPLE + DIGITS + ",Ana,F\n", ", line 2: expected position 1, got a 5000-digit number"
+    ),
+    # a row that spans lines is reported at the line it starts at
+    "multi-line-name": (
+        SAMPLE + '1,Ana,F\n2,"Bo\nb\nby",M\n', ", line 3: name 'Bo\\nb\\nby' contains a control character"
+    ),
+    "multi-line-field-too-long": (
+        SAMPLE + '1,Ana,F\n2,"' + "x\n" * 70000 + '",M\n', f", line 3: {FIELD_LIMIT}"
+    ),
 }
 CLI_TABLE += [
     pytest.param({"list.csv": content}, argv, 2, "error: {tmp}/list.csv" + rest, id=f"{command}-{case}")
@@ -351,6 +317,10 @@ BAD_CANDIDATES = {
         CANDIDATES + "A\x00B,F\n", ", line 2: name 'A\\x00B' contains a control character"
     ),
     "field-too-long": (CANDIDATES + "Ana,F\n" + LONG_NAME + ",M\n", f", line 3: {FIELD_LIMIT}"),
+    "multi-line-name": (
+        CANDIDATES + 'Ana,F\n"Bo\nb\nby",M\n', ", line 3: name 'Bo\\nb\\nby' contains a control character"
+    ),
+    "multi-line-wrong-width": (CANDIDATES + 'Ana,F\n"Bo\nb",M,3\n', ", line 3: expected 2 fields, got 3"),
 }
 CLI_TABLE += [
     pytest.param({"list.csv": content}, AUDIT, 2, "error: {tmp}/list.csv" + rest, id=f"audit-{case}")
@@ -385,12 +355,79 @@ CLI_TABLE.append(
 )
 
 
+NAMES = {"names.csv": HEADER + "Ana,F,3\nBia,M,2\n"}
+SAMPLE_UNSEEDED = ["sample", "--dataset", "{tmp}/names.csv", "--n", "5", "--out", "{tmp}/s.csv"]
+CONVERT = ["convert-ssa", "--dir", "{tmp}", "--out", "{tmp}/ds.csv", "--years"]
+AUDIT_LIST = {"list.csv": CANDIDATES + "Ana,F\nBia,M\n"}
+EXPERIMENT = ["experiment", "percf", "--config", "{tmp}/config.json", "--out", "{tmp}/run"]
+# leading NAME=value words of argv set environment variables, as in a shell
+CLI_TABLE += [
+    pytest.param(files, argv, code, prefix, id=case)
+    for case, files, argv, code, prefix in [
+        ("sample-no-seed", NAMES, SAMPLE_UNSEEDED, 1, f"usage error: provide --seed or set {ENV_SEED}\n"),
+        ("sample-seed-env-superscript", NAMES, [f"{ENV_SEED}=\u00b2"] + SAMPLE_UNSEEDED, 1,
+         f"usage error: {ENV_SEED} must be an integer, got '\u00b2'\n"),
+        ("sample-seed-env-of-5000-digits", NAMES, [f"{ENV_SEED}={DIGITS}"] + SAMPLE_UNSEEDED, 1,
+         f"usage error: {ENV_SEED} has too many digits: 5000\n"),
+        ("sample-seed-of-5000-digits", NAMES, SAMPLE_UNSEEDED + ["--seed", DIGITS], 1,
+         "usage error: argument --seed: invalid int value: '9999"),
+        ("sample-proportional-with-perc-fs", NAMES,
+         SAMPLE_UNSEEDED + ["--seed", "1", "--mode", "proportional", "--perc-fs", "0.5"], 1,
+         "usage error: --perc-fs conflicts with --mode proportional\n"),
+        ("sample-stratified-without-perc-fs", NAMES, SAMPLE_UNSEEDED + ["--seed", "1", "--mode", "stratified"],
+         1, "usage error: --mode stratified needs --perc-fs\n"),
+        ("sample-perc-fs-1.5", NAMES, SAMPLE_UNSEEDED + ["--seed", "1", "--perc-fs", "1.5"], 2,
+         "error: perc_fs must lie in [0, 1], got 1.5\n"),
+        ("sample-missing-dataset", {}, SAMPLE_FROM, 2,
+         "error: [Errno 2] No such file or directory: '{tmp}/names.csv'\n"),
+        ("sample-superscript-count", {"names.csv": HEADER + "Ana,F,3\nBia,F,\u00b2\n"}, SAMPLE_FROM, 2,
+         "error: {tmp}/names.csv, line 3: count must be a positive integer, got '\u00b2'\n"),
+        ("sample-multi-line-name", {"names.csv": HEADER + 'Ana,F,3\n"Bo\nb\nby",M,2\n'}, SAMPLE_FROM, 2,
+         "error: {tmp}/names.csv, line 3: name 'Bo\\nb\\nby' contains a control character\n"),
+        ("convert-ssa-years-without-colon", {}, CONVERT + ["2001"], 1,
+         "usage error: --years must look like 1990:2000, got '2001'\n"),
+        ("convert-ssa-years-superscript", {"yob2.txt": "Ana,F,1\n"}, CONVERT + ["\u00b2:3"], 1,
+         "usage error: --years must look like 1990:2000, got '\u00b2:3'\n"),
+        ("convert-ssa-years-of-5000-digits", {}, CONVERT + ["1:" + DIGITS], 1,
+         "usage error: --years has too many digits: 5000\n"),
+        ("convert-ssa-missing-year", {"yob2001.txt": "Mary,F,7\n"}, CONVERT + ["2000:2001"], 2,
+         "error: missing year files: 2000\n"),
+        ("convert-ssa-multi-line-name", {"yob2000.txt": 'Ana,F,3\n"Bo\nb",M,2\n'}, CONVERT + ["2000:2000"],
+         2, "error: {tmp}/yob2000.txt, line 2: name 'Bo\\nb' contains a control character\n"),
+        ("parity-reference-1.5", {"list.csv": sample_text(WORST20)},
+         ["parity", "--in", "{tmp}/list.csv", "--reference", "1.5"], 1,
+         "usage error: --reference must lie in [0, 1], got 1.5\n"),
+        ("audit-page-sizes-abc", AUDIT_LIST, AUDIT[:-1] + ["abc"], 1,
+         "usage error: --page-sizes must be comma-separated integers, got 'abc'\n"),
+        ("audit-page-sizes-empty", AUDIT_LIST, AUDIT[:-1] + [""], 1,
+         "usage error: --page-sizes must name at least one size\n"),
+        *(
+            (f"audit-perc-fd-{share}", AUDIT_LIST, AUDIT + ["--perc-fd", share], 1,
+             f"usage error: --perc-fd must lie in [0, 1], got {float(share)}\n")
+            for share in ("2", "-0.1", "nan")
+        ),
+        ("experiment-unknown-kind", {}, ["experiment", "fourier", "--config", "{tmp}/c.json", "--out", "{tmp}/x"],
+         1, "usage error: argument kind: invalid choice: 'fourier'"),
+        ("experiment-missing-config", {}, EXPERIMENT, 2,
+         "error: [Errno 2] No such file or directory: '{tmp}/config.json'\n"),
+        ("experiment-samples-per-cell-0",
+         {"config.json": '{"dataset_paths": ["names.csv"], "samples_per_cell": 0}'}, EXPERIMENT, 2,
+         "error: samples_per_cell must be >= 1 and < 2**24, got 0\n"),
+    ]
+]
+
+
 @pytest.mark.parametrize("files, argv, code, prefix", CLI_TABLE)
-def test_cli_table(capsys, tmp_path, files, argv, code, prefix):
+def test_cli_table(capsys, monkeypatch, tmp_path, files, argv, code, prefix):
+    monkeypatch.delenv(ENV_SEED, raising=False)
     for name, content in files.items():
         if isinstance(content, str):
             content = content.encode("utf-8")
         (tmp_path / name).write_bytes(content)
+    while "=" in argv[0]:
+        name, _, value = argv[0].partition("=")
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -444,8 +481,6 @@ def test_parity_outputs(capsys, worst20_csv):
     assert main(["parity", "--in", str(worst20_csv), "--reference", "0.99"]) == 0
     text = capsys.readouterr().out
     assert "passes false" in text
-
-    assert main(["parity", "--in", str(worst20_csv), "--reference", "1.5"]) == 1
 
 
 # the whole stdout and stderr of rnd and parity on one mixed list
@@ -538,13 +573,6 @@ def test_audit_fixture_list(capsys, tmp_path):
     assert lines[2] == "sp_federal,1603,0.31,9,0.0,below"
     assert lines[3] == "sp_federal,1603,0.31,15,0.0,below"
 
-    assert main(["audit", "--in", "data/candidates/sp_federal.csv", "--page-sizes", "abc"]) == 1
-    assert main(["audit", "--in", "data/candidates/sp_federal.csv", "--page-sizes", ""]) == 1
-    for share in ("2", "-0.1", "nan"):
-        args = ["audit", "--in", "data/candidates/sp_federal.csv", "--page-sizes", "5", "--perc-fd", share]
-        assert main(args) == 1
-        assert "usage error: --perc-fd must lie in [0, 1]" in capsys.readouterr().err
-
 
 def test_experiment_round_trip(tmp_path, dataset_csv):
     config = {
@@ -565,13 +593,6 @@ def test_experiment_round_trip(tmp_path, dataset_csv):
         assert main(["experiment", kind, "--config", str(config_path), "--out", str(second), "--jobs", "2"]) == 0
         for name in ("config.json", "raw.csv", "aggregate.csv", "curves.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
-
-    assert main(["experiment", "fourier", "--config", str(config_path), "--out", str(tmp_path / "x")]) == 1
-    assert main(["experiment", "percf", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")]) == 2
-
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"samples_per_cell": 0}', encoding="utf-8")
-    assert main(["experiment", "percf", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
 
 
 @pytest.mark.parametrize(

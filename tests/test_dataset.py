@@ -17,7 +17,6 @@ from listfair.dataset import (
     NameDataset,
     NameRecord,
     csv_rows,
-    demographics,
     dump_canonical,
     load_canonical,
     load_ssa_yearfiles,
@@ -183,9 +182,9 @@ def test_write_then_load_round_trip(tmp_path):
 @given(rows_strategy)
 def test_demographics_consistent_with_counts(rows):
     ds = dataset_from_counts(rows, dataset_id="demo")
-    demo = demographics(ds)
-    assert abs(demo.perc_f * ds.total_count - ds.female_count) <= 0.5
-    assert abs(demo.perc_f + demo.perc_m - 1.0) < 1e-12
+    assert ds.perc_f == ds.female_count / ds.total_count
+    assert abs(ds.perc_f * ds.total_count - ds.female_count) <= 0.5
+    assert abs(ds.perc_f + ds.male_count / ds.total_count - 1.0) < 1e-12
 
 
 def test_ssa_yearfiles_merge_and_sort(tmp_path):
@@ -258,9 +257,8 @@ def test_ssa_yearfiles_rejects_empty_range(tmp_path):
 
 
 def test_bundled_fixture_loads(fixture_dataset):
-    demo = demographics(fixture_dataset)
     assert fixture_dataset.id == "fixture"
-    assert 0.46 <= demo.perc_f <= 0.50
+    assert 0.46 <= fixture_dataset.perc_f <= 0.50
     top = max(fixture_dataset.records, key=lambda r: r.count)
     assert (top.name, top.gender) == ("Aaron", Gender.MALE)
 

@@ -2,7 +2,9 @@ import functools
 import json
 import multiprocessing
 import pickle
+import warnings
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -152,7 +154,7 @@ def test_config_requires_paths_only_when_asked():
 def test_config_json_round_trip(tmp_path):
     cfg = small_config(dataset_paths=["data/fixture.csv"], bandwidth=2.5)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg.to_json_dict()), encoding="utf-8")
+    path.write_text(json.dumps(asdict(cfg)), encoding="utf-8")
     assert ExperimentConfig.from_json_file(path) == cfg
 
 
@@ -229,6 +231,12 @@ def test_percf_curve_columns_are_coherent():
         assert 0.0 <= row["mean_random"] <= 1.0
         assert 0.0 <= row["mean_alphabetical"] <= 1.0
         assert 0.0 <= row["nw_random"] <= 1.0
+    # a bandwidth this small overflows every weight but a point's own,
+    # silently: the smoothed curve is the mean curve
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = run_datasets(PERCF, [SMALL_DATASET], small_config(bandwidth=1e-300))
+    assert all(row["nw_random"] == row["mean_random"] for row in tiny.curves)
 
 
 def test_rnd_grid_records_and_normalization():

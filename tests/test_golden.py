@@ -22,7 +22,6 @@ import json
 import pytest
 
 from listfair.cli import main
-from listfair.dataset import demographics
 from listfair.experiments import ExperimentConfig, run_experiment
 
 GOLDEN = {
@@ -84,7 +83,7 @@ PARITY_GOLDEN = {
 def test_cli_chain_matches_golden_digests(tmp_path, monkeypatch, data_dir, fixture_dataset):
     monkeypatch.chdir(data_dir.parent)
     sample, ordered = str(tmp_path / "sample.csv"), str(tmp_path / "sorted.csv")
-    reference = repr(demographics(fixture_dataset).perc_f)
+    reference = repr(fixture_dataset.perc_f)
     for argv in [
         ["sample", "--dataset", "data/fixture.csv", "--n", "1000", "--seed", "42", "--out", sample],
         ["sort", "--in", sample, "--out", ordered],

@@ -1,13 +1,13 @@
 import io
 import itertools
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from listfair.dataset import Demographics
 from listfair.errors import SampleTooSmallError
 from listfair.metrics import (
     AT_OR_ABOVE,
@@ -196,8 +196,8 @@ def test_raw_never_exceeds_theoretical_normalizer(n, data):
 
 def test_rnd_report_json_shape():
     report = rnd(mask_from_pattern("M" * 10 + "F" * 5))
-    payload = report.to_json_dict()
-    assert set(payload) == {"checkpoints", "raw", "z", "mode", "normalized"}
+    payload = asdict(report)
+    assert list(payload) == ["checkpoints", "raw", "z", "mode", "normalized"]
     assert [cp["k"] for cp in payload["checkpoints"]] == [10, 15]
     assert set(payload["checkpoints"][0]) == {"k", "discount", "deviation", "term"}
     assert payload["mode"] == THEORETICAL
@@ -208,23 +208,23 @@ def test_rnd_normalizer_modes():
     sample = mask_from_pattern("M" * 10 + "F" * 10)
     raw = rnd_raw_of_mask(sample)
 
-    fixed = rnd(sample, normalizer=FIXED, z=2.0)
-    assert fixed.normalized == pytest.approx(raw / 2.0)
+    fixed = rnd(sample, z=2.0)
+    assert fixed.mode == FIXED
+    assert (fixed.z, fixed.normalized) == (2.0, pytest.approx(raw / 2.0))
+    theoretical = rnd(sample)
+    assert theoretical.mode == THEORETICAL
+    assert theoretical.z == rnd_theoretical_normalizer(20, 10)
 
-    with pytest.raises(ValueError):
-        rnd(sample, normalizer=FIXED, z=0.0)
-    with pytest.raises(ValueError):
-        rnd(sample, normalizer=FIXED)
-    with pytest.raises(ValueError):
-        rnd(sample, normalizer=THEORETICAL, z=1.0)
-    with pytest.raises(ValueError):
-        rnd(sample, normalizer="empirical_batch", z=1.0)
-    with pytest.raises(ValueError):
-        rnd(sample, normalizer="percentile", z=1.0)
+    for z in (0.0, -1.0, -math.inf):
+        with pytest.raises(ValueError, match=r"^fixed normalizer needs z > 0$"):
+            rnd(sample, z=z)
+    for z in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^fixed normalizer needs a finite z, got (nan|inf)$"):
+            rnd(sample, z=z)
 
 
 def test_parity_oracle_cases():
-    reference = Demographics(perc_f=0.48, perc_m=0.52)
+    reference = 0.48
 
     all_male = mask_from_pattern("M" * 100)
     report = statistical_parity(all_male, reference)
@@ -236,8 +236,7 @@ def test_parity_oracle_cases():
     assert report.passes
     assert report.p_value > 0.5
 
-    half = Demographics(perc_f=0.5, perc_m=0.5)
-    exact = statistical_parity(mask_from_pattern("FM" * 50), half)
+    exact = statistical_parity(mask_from_pattern("FM" * 50), 0.5)
     assert exact.p_value == pytest.approx(1.0)
     assert exact.passes
 
@@ -279,14 +278,12 @@ def test_binomial_p_value_matches_scipy(case):
 
 def test_parity_requires_individuals():
     with pytest.raises(ValueError):
-        statistical_parity(mask_from_pattern(""), Demographics(0.5, 0.5))
+        statistical_parity(mask_from_pattern(""), 0.5)
 
 
 def test_parity_json_shape():
-    payload = statistical_parity(
-        mask_from_pattern("FM" * 10), Demographics(0.5, 0.5)
-    ).to_json_dict()
-    assert set(payload) == {"perc_f_sample", "perc_f_reference", "p_value", "passes"}
+    payload = asdict(statistical_parity(mask_from_pattern("FM" * 10), 0.5))
+    assert list(payload) == ["perc_f_sample", "perc_f_reference", "p_value", "passes"]
 
 
 def audit(pattern, k1_values, perc_fd, names=None, **kwargs):

@@ -44,7 +44,6 @@ from listfair.ordering import (
 )
 from listfair.sampling import (
     RandomSource,
-    dataset_arrays,
     draw_sample,
 )
 from listfair.stats import (

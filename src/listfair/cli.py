@@ -22,7 +22,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -49,16 +51,21 @@ from listfair.metrics import (
 )
 from listfair.ordering import sort_alphabetical
 from listfair.sampling import (
-    PROPORTIONAL,
+    MAX_SAMPLE_SIZE,
     RandomSource,
-    STRATIFIED,
-    dataset_arrays,
     draw_sample,
     dump_sample_csv,
     read_sample_csv,
 )
 
 ENV_SEED = "LISTFAIR_SEED"
+
+# the --mode choices of sample; the library infers the mode from perc_fs
+PROPORTIONAL = "proportional"
+STRATIFIED = "stratified"
+
+# a sign and decimal digits: a numeral that int() refuses only for its length
+_NUMERAL = re.compile(r"[+-]?\d+")
 
 _EXPERIMENT_KINDS = {"percf": PERCF, "rnd-grid": RND_GRID, "rnd-size": RND_SIZE}
 
@@ -87,7 +94,19 @@ def _decimal(text: str, what: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise _UsageError(f"{what} has too many digits: {len(text.strip().lstrip('+'))}") from None
+        raise _UsageError(f"{what} has too many digits: {len(text.strip().lstrip('+-'))}") from None
+
+
+def _integer(flag: str):
+    """The argparse type of an integer flag: int(), except that a numeral
+    too long for int() is a usage error giving its length, not its digits."""
+
+    def parse(text: str) -> int:
+        return _decimal(text, flag) if _NUMERAL.fullmatch(text.strip()) else int(text)
+
+    # argparse names the type when int() refuses a value: "invalid int value"
+    parse.__name__ = "int"
+    return parse
 
 
 def _parse_years(text: str) -> tuple[int, int]:
@@ -104,6 +123,8 @@ def _parse_page_sizes(text: str) -> list[int]:
         raise _UsageError(f"--page-sizes must be comma-separated integers, got {text!r}") from None
     if not sizes:
         raise _UsageError("--page-sizes must name at least one size")
+    if min(sizes) < 1:
+        raise _UsageError(f"--page-sizes entries must be >= 1, got {min(sizes)}")
     return sizes
 
 
@@ -114,21 +135,27 @@ def _parse_normalizer(text: str) -> float | None:
     if text.startswith(f"{FIXED}:"):
         value = text[len(FIXED) + 1 :]
         try:
-            return float(value)
+            z = float(value)
         except ValueError:
             raise _UsageError(f"fixed normalizer needs a number, got {value!r}") from None
+        if 0.0 < z < math.inf:  # false for NaN
+            return z
+        raise _UsageError(f"--normalizer fixed:Z needs a finite Z > 0, got {z}")
     raise _UsageError(f"--normalizer must be 'theoretical' or 'fixed:Z', got {text!r}")
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(ENV_SEED)
-    if env is None:
-        raise _UsageError(f"provide --seed or set {ENV_SEED}")
-    if not env.strip().lstrip("+").isdecimal():
-        raise _UsageError(f"{ENV_SEED} must be an integer, got {env!r}")
-    return _decimal(env, ENV_SEED)
+    seed, source = args.seed, "--seed"
+    if seed is None:
+        env = os.environ.get(ENV_SEED)
+        if env is None:
+            raise _UsageError(f"provide --seed or set {ENV_SEED}")
+        if not env.strip().lstrip("+").isdecimal():
+            raise _UsageError(f"{ENV_SEED} must be an integer, got {env!r}")
+        seed, source = _decimal(env, ENV_SEED), ENV_SEED
+    if not 0 <= seed < 2**64:
+        raise _UsageError(f"{source} must be >= 0 and < 2**64, got {seed}")
+    return seed
 
 
 def _write_report(report, as_json: bool, out: str | None) -> None:
@@ -163,11 +190,16 @@ def _cmd_sample(args) -> int:
         raise _UsageError("--perc-fs conflicts with --mode proportional")
     if args.mode == STRATIFIED and args.perc_fs is None:
         raise _UsageError("--mode stratified needs --perc-fs")
-    mode = STRATIFIED if args.perc_fs is not None else PROPORTIONAL
     seed = _resolve_seed(args)
+    if args.stream < 0:
+        raise _UsageError(f"--stream must be >= 0, got {args.stream}")
+    if not 1 <= args.n < MAX_SAMPLE_SIZE:
+        raise _UsageError(f"--n must be >= 1 and < 2**28, got {args.n}")
+    if args.perc_fs is not None and not 0.0 <= args.perc_fs <= 1.0:
+        raise _UsageError(f"--perc-fs must lie in [0, 1], got {args.perc_fs}")
     ds = load_canonical(args.dataset)
     rng = RandomSource(seed, args.stream)
-    indices = draw_sample(dataset_arrays(ds), args.n, rng, mode=mode, perc_fs=args.perc_fs)
+    indices = draw_sample(ds, args.n, rng, args.perc_fs)
     with _open_out(args.out) as fh:
         dump_sample_csv([ds.names[i] for i in indices.tolist()], ds.is_female[indices], fh)
     return 0
@@ -190,9 +222,11 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_rnd(args) -> int:
+    if args.step < 2:
+        raise _UsageError(f"--step must be >= 2, got {args.step}")
+    z = _parse_normalizer(args.normalizer)
     _, mask = read_sample_csv(args.infile)
-    report = rnd(mask, step=args.step, z=_parse_normalizer(args.normalizer))
-    _write_report(report, args.json, args.out)
+    _write_report(rnd(mask, step=args.step, z=z), args.json, args.out)
     return 0
 
 
@@ -240,7 +274,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sample", help="draw a seeded sample from a dataset")
     p.add_argument("--dataset", required=True, help="canonical dataset CSV")
-    p.add_argument("--n", required=True, type=int, help="sample size")
+    p.add_argument("--n", required=True, type=_integer("--n"), help="sample size")
     p.add_argument(
         "--mode",
         choices=[PROPORTIONAL, STRATIFIED],
@@ -248,8 +282,8 @@ def build_parser() -> _Parser:
         help="sampling mode (default: stratified when --perc-fs is given, else proportional)",
     )
     p.add_argument("--perc-fs", type=float, default=None, help="stratified female share in [0, 1]")
-    p.add_argument("--seed", type=int, default=None, help=f"RNG seed (default: ${ENV_SEED})")
-    p.add_argument("--stream", type=int, default=0, help="substream index (default 0)")
+    p.add_argument("--seed", type=_integer("--seed"), default=None, help=f"RNG seed (default: ${ENV_SEED})")
+    p.add_argument("--stream", type=_integer("--stream"), default=0, help="substream index (default 0)")
     p.add_argument("--out", required=True, help="sample CSV to write")
     p.set_defaults(func=_cmd_sample)
 
@@ -265,7 +299,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("rnd", help="rND report for a displayed list")
     p.add_argument("--in", dest="infile", required=True, help="sample CSV to read")
-    p.add_argument("--step", type=int, default=10, help="checkpoint step (default 10)")
+    p.add_argument("--step", type=_integer("--step"), default=10, help="checkpoint step (default 10)")
     p.add_argument(
         "--normalizer",
         default=THEORETICAL,
@@ -298,7 +332,7 @@ def build_parser() -> _Parser:
     p.add_argument("kind", choices=sorted(_EXPERIMENT_KINDS), help="experiment kind")
     p.add_argument("--config", required=True, help="JSON config file")
     p.add_argument("--out", required=True, help="result directory to write")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
+    p.add_argument("--jobs", type=_integer("--jobs"), default=1, help="parallel workers (default 1)")
     p.set_defaults(func=_cmd_experiment)
 
     return parser

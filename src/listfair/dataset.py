@@ -14,7 +14,8 @@ happens here. Normalization is an ordering concern, not an ingestion one.
 A loaded dataset is three columns: names, a female flag and counts.
 ``load_canonical`` reads the file once into column lists and checks each
 column as a whole; the per-row checks run only to locate an error.
-Record objects are made only when a caller reads ``records``.
+Record objects are made only when a caller reads ``records``, and the
+collation rank and draw tables when a sort or a draw first needs them.
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ import re
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from listfair.errors import DatasetFormatError, DuplicateRecordError, MissingYearError
+from listfair.ordering import collation_ranks
 
 CANONICAL_HEADER = ["name", "gender", "count"]
 
@@ -100,7 +103,8 @@ class NameDataset:
 
     ``total_count``, ``female_count`` and ``male_count`` are derived from
     the columns at construction time; build instances through
-    :meth:`from_columns` so they can never drift.
+    :meth:`from_columns` so they can never drift. ``rank``, ``cdf`` and
+    ``strata`` are derived on first use and kept; every array is read-only.
     Two datasets are equal when their ids and columns are.
     """
 
@@ -121,10 +125,8 @@ class NameDataset:
         total = sum(counts)
         if total > MAX_COUNT:
             raise ValueError("total count exceeds 2**53")
-        is_female = np.array(is_female, dtype=bool)
-        counts = np.array(counts, dtype=np.int64)
-        is_female.flags.writeable = False
-        counts.flags.writeable = False
+        is_female = _read_only(np.array(is_female, dtype=bool))
+        counts = _read_only(np.array(counts, dtype=np.int64))
         female = int(counts[is_female].sum())
         return cls(dataset_id, names, is_female, counts, total, female, total - female)
 
@@ -137,6 +139,24 @@ class NameDataset:
         """Female share of the dataset, by individual count."""
         return self.female_count / self.total_count
 
+    @cached_property
+    def rank(self) -> np.ndarray:
+        """Dense rank of each record's collation key; equal keys share one."""
+        return _read_only(collation_ranks(self.names))
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Cumulative probabilities of a draw over all records, by count."""
+        return _cdf(self.counts)
+
+    @cached_property
+    def strata(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """The female and the male stratum: the record indices of that
+        gender and the cumulative probabilities of a draw among them."""
+        female = _read_only(np.flatnonzero(self.is_female))
+        male = _read_only(np.flatnonzero(~self.is_female))
+        return (female, _cdf(self.counts[female])), (male, _cdf(self.counts[male]))
+
     def __eq__(self, other):
         if not isinstance(other, NameDataset):
             return NotImplemented
@@ -145,6 +165,21 @@ class NameDataset:
             and np.array_equal(self.is_female, other.is_female)
             and np.array_equal(self.counts, other.counts)
         )
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _cdf(counts: np.ndarray) -> np.ndarray:
+    # exact: counts and their total are at most 2**53
+    cdf = counts.astype(np.float64)
+    if len(cdf):
+        # normalized exactly as Generator.choice normalizes its p argument
+        cdf = (cdf / cdf.sum()).cumsum()
+        cdf /= cdf[-1]
+    return _read_only(cdf)
 
 
 def csv_rows(path: Path, header: list[str] | None, width: int):

@@ -10,14 +10,16 @@ and safe to parallelize.
 
 Samples are drawn WITH replacement: each position is an independent
 draw from the name-frequency distribution, the same way a registry of
-millions behaves when only a thousand rows are displayed.
+millions behaves when only a thousand rows are displayed. A sample is an
+index array into a dataset's records, drawn from the tables the
+:class:`~listfair.dataset.NameDataset` keeps. A requested female share
+makes the sample stratified; without one it is proportional.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,9 +30,6 @@ from listfair.dataset import _MAX_COUNT_DIGITS, NameDataset, csv_rows, gender_le
 from listfair.errors import DatasetFormatError, InfeasibleSampleError
 
 SAMPLE_HEADER = ["position", "name", "gender"]
-
-PROPORTIONAL = "proportional"
-STRATIFIED = "stratified"
 
 # sample sizes stay below this bound, the one ExperimentConfig puts on n
 MAX_SAMPLE_SIZE = 2**28
@@ -50,54 +49,6 @@ class RandomSource:
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, stream_index={self.stream_index})"
-
-
-@dataclass(frozen=True)
-class DatasetArrays:
-    """A dataset as per-record arrays, the form samples are drawn from: a
-    sample is an ``int`` index array into ``ds.records``.
-
-    ``cdf`` holds the cumulative proportional draw probabilities;
-    ``female`` and ``male`` are the record indices of each gender with
-    their own within-gender cumulative probabilities (empty when the
-    dataset has no records of that gender). ``rank`` is the dense rank of
-    each record's collation key (equal keys share a rank), or None when
-    the arrays are only used for drawing.
-    """
-
-    id: str
-    is_female: np.ndarray
-    cdf: np.ndarray
-    female: np.ndarray
-    female_cdf: np.ndarray
-    male: np.ndarray
-    male_cdf: np.ndarray
-    rank: np.ndarray | None = None
-
-
-def _cdf(counts: np.ndarray) -> np.ndarray:
-    # normalized exactly as Generator.choice normalizes its p argument
-    if not len(counts):
-        return counts
-    cdf = (counts / counts.sum()).cumsum()
-    return cdf / cdf[-1]
-
-
-def dataset_arrays(ds: NameDataset, rank: np.ndarray | None = None) -> DatasetArrays:
-    # exact: counts and their total are at most 2**53
-    counts = ds.counts.astype(np.float64)
-    female = np.flatnonzero(ds.is_female)
-    male = np.flatnonzero(~ds.is_female)
-    return DatasetArrays(
-        ds.id,
-        ds.is_female,
-        _cdf(counts),
-        female,
-        _cdf(counts[female]),
-        male,
-        _cdf(counts[male]),
-        rank,
-    )
 
 
 def round_half_up(x) -> int:
@@ -137,52 +88,38 @@ def _weighted_draw(cdf: np.ndarray, size: int, gen: Generator) -> np.ndarray:
     return cdf.searchsorted(gen.random(size), side="right")
 
 
-def draw_sample(
-    arrays: DatasetArrays,
-    n: int,
-    rng: RandomSource,
-    mode: str = PROPORTIONAL,
-    perc_fs: float | None = None,
-) -> np.ndarray:
-    """Record indices of ``n`` individuals drawn from a dataset's arrays.
+def draw_sample(ds: NameDataset, n: int, rng: RandomSource, perc_fs: float | None = None) -> np.ndarray:
+    """Record indices of ``n`` individuals drawn from a dataset.
 
-    Proportional mode draws every position independently with probability
-    proportional to record count over the whole dataset; arrival order is
-    already random. Stratified mode draws exactly
-    :func:`stratified_female_count` women from the female records and the
-    rest from the male records (each side weighted by within-gender
-    counts), then Fisher-Yates shuffles the combined list.
+    Without ``perc_fs`` the sample is proportional: every position is drawn
+    independently with probability proportional to record count over the
+    whole dataset, so arrival order is already random. With ``perc_fs`` it
+    is stratified: exactly :func:`stratified_female_count` women are drawn
+    from the female records and the rest from the male records (each side
+    weighted by within-gender counts), then Fisher-Yates shuffled together.
     """
     if n <= 0:
         raise ValueError("sample size n must be >= 1")
     if n >= MAX_SAMPLE_SIZE:
         raise ValueError(f"sample size n must be < 2**28, got {n}")
     gen = rng.generator
-    if mode == PROPORTIONAL:
-        if perc_fs is not None:
-            raise ValueError("perc_fs only applies to stratified mode")
-        return _weighted_draw(arrays.cdf, n, gen)
-    if mode != STRATIFIED:
-        raise ValueError(f"unknown sampling mode {mode!r}")
     if perc_fs is None:
-        raise ValueError("stratified mode needs perc_fs")
+        return _weighted_draw(ds.cdf, n, gen)
     if not 0.0 <= perc_fs <= 1.0:
         raise ValueError(f"perc_fs must lie in [0, 1], got {perc_fs}")
     n_f = stratified_female_count(perc_fs, n)
     n_m = n - n_f
-    if n_f > 0 and not len(arrays.female):
+    (female, female_cdf), (male, male_cdf) = ds.strata
+    if n_f > 0 and not len(female):
         raise InfeasibleSampleError(
-            f"dataset {arrays.id!r} has no female records but {n_f} women were requested"
+            f"dataset {ds.id!r} has no female records but {n_f} women were requested"
         )
-    if n_m > 0 and not len(arrays.male):
+    if n_m > 0 and not len(male):
         raise InfeasibleSampleError(
-            f"dataset {arrays.id!r} has no male records but {n_m} men were requested"
+            f"dataset {ds.id!r} has no male records but {n_m} men were requested"
         )
     drawn = np.concatenate(
-        [
-            arrays.female[_weighted_draw(arrays.female_cdf, n_f, gen)],
-            arrays.male[_weighted_draw(arrays.male_cdf, n_m, gen)],
-        ]
+        [female[_weighted_draw(female_cdf, n_f, gen)], male[_weighted_draw(male_cdf, n_m, gen)]]
     )
     return drawn[permutation(n, gen)]
 

@@ -189,20 +189,20 @@ CLI_TABLE = [
     ),
     pytest.param(
         {"names.csv": HEADER + "Ana,F,3\n"},
-        ["sample", "--dataset", "{tmp}/names.csv", "--n", BEYOND, "--seed", "1", "--out", "{tmp}/s.csv"], 2,
-        f"error: sample size n must be < 2**28, got {BEYOND}",
+        ["sample", "--dataset", "{tmp}/names.csv", "--n", BEYOND, "--seed", "1", "--out", "{tmp}/s.csv"], 1,
+        f"usage error: --n must be >= 1 and < 2**28, got {BEYOND}\n",
         id="huge-n",
     ),
     pytest.param(
         {"names.csv": HEADER + "Ana,F,3\n"},
-        ["sample", "--dataset", "{tmp}/names.csv", "--n", str(2**28), "--seed", "1", "--out", "{tmp}/s.csv"], 2,
-        f"error: sample size n must be < 2**28, got {2**28}",
+        ["sample", "--dataset", "{tmp}/names.csv", "--n", str(2**28), "--seed", "1", "--out", "{tmp}/s.csv"], 1,
+        f"usage error: --n must be >= 1 and < 2**28, got {2**28}\n",
         id="n-of-2**28",
     ),
     pytest.param(
         {"names.csv": HEADER + "Ana,F,3\n"},
-        ["sample", "--dataset", "{tmp}/names.csv", "--n", "0", "--seed", "1", "--out", "{tmp}/s.csv"], 2,
-        "error: sample size n must be >= 1",
+        ["sample", "--dataset", "{tmp}/names.csv", "--n", "0", "--seed", "1", "--out", "{tmp}/s.csv"], 1,
+        "usage error: --n must be >= 1 and < 2**28, got 0\n",
         id="n-of-0",
     ),
     pytest.param(
@@ -335,15 +335,14 @@ CLI_TABLE += [
          "usage error: --normalizer must be 'theoretical' or 'fixed:Z', got 'empirical'"),
         ("rnd-normalizer-fixed-abc", ["--normalizer", "fixed:abc"], 1,
          "usage error: fixed normalizer needs a number, got 'abc'"),
-        ("rnd-normalizer-fixed-0", ["--normalizer", "fixed:0"], 2, "error: fixed normalizer needs z > 0"),
-        ("rnd-normalizer-fixed-nan", ["--normalizer", "fixed:nan"], 2,
-         "error: fixed normalizer needs a finite z, got nan"),
-        ("rnd-normalizer-fixed-inf", ["--normalizer", "fixed:inf"], 2,
-         "error: fixed normalizer needs a finite z, got inf"),
-        ("rnd-normalizer-fixed--inf", ["--normalizer", "fixed:-inf"], 2,
-         "error: fixed normalizer needs z > 0"),
+        *(
+            (f"rnd-normalizer-fixed-{z}", ["--normalizer", f"fixed:{z}"], 1,
+             f"usage error: --normalizer fixed:Z needs a finite Z > 0, got {float(z)}\n")
+            for z in ("0", "nan", "inf", "-inf", "1e400")
+        ),
         # checkpoint k = 1 would divide by log2(1) = 0
-        ("rnd-step-1", ["--step", "1"], 2, "error: step must be >= 2, got 1"),
+        ("rnd-step-1", ["--step", "1"], 1, "usage error: --step must be >= 2, got 1\n"),
+        ("rnd-step-of-5000-digits", ["--step", DIGITS], 1, "usage error: --step has too many digits: 5000\n"),
     ]
 ]
 CLI_TABLE.append(
@@ -370,14 +369,29 @@ CLI_TABLE += [
         ("sample-seed-env-of-5000-digits", NAMES, [f"{ENV_SEED}={DIGITS}"] + SAMPLE_UNSEEDED, 1,
          f"usage error: {ENV_SEED} has too many digits: 5000\n"),
         ("sample-seed-of-5000-digits", NAMES, SAMPLE_UNSEEDED + ["--seed", DIGITS], 1,
-         "usage error: argument --seed: invalid int value: '9999"),
+         "usage error: --seed has too many digits: 5000\n"),
+        ("sample-seed-of-minus-5000-digits", NAMES, SAMPLE_UNSEEDED + ["--seed", "-" + DIGITS], 1,
+         "usage error: --seed has too many digits: 5000\n"),
+        ("sample-seed-abc", NAMES, SAMPLE_UNSEEDED + ["--seed", "abc"], 1,
+         "usage error: argument --seed: invalid int value: 'abc'\n"),
+        ("sample-n-of-5000-digits", NAMES, SAMPLE_UNSEEDED + ["--seed", "1", "--n", DIGITS], 1,
+         "usage error: --n has too many digits: 5000\n"),
+        # range errors come before the dataset is read: it does not exist
+        ("sample-seed--1", {}, SAMPLE_UNSEEDED + ["--seed", "-1"], 1,
+         "usage error: --seed must be >= 0 and < 2**64, got -1\n"),
+        ("sample-seed-2**64", {}, SAMPLE_UNSEEDED + ["--seed", str(2**64)], 1,
+         f"usage error: --seed must be >= 0 and < 2**64, got {2**64}\n"),
+        ("sample-seed-env-2**64", {}, [f"{ENV_SEED}={2**64}"] + SAMPLE_UNSEEDED, 1,
+         f"usage error: {ENV_SEED} must be >= 0 and < 2**64, got {2**64}\n"),
+        ("sample-stream--1", {}, SAMPLE_UNSEEDED + ["--seed", "1", "--stream", "-1"], 1,
+         "usage error: --stream must be >= 0, got -1\n"),
         ("sample-proportional-with-perc-fs", NAMES,
          SAMPLE_UNSEEDED + ["--seed", "1", "--mode", "proportional", "--perc-fs", "0.5"], 1,
          "usage error: --perc-fs conflicts with --mode proportional\n"),
         ("sample-stratified-without-perc-fs", NAMES, SAMPLE_UNSEEDED + ["--seed", "1", "--mode", "stratified"],
          1, "usage error: --mode stratified needs --perc-fs\n"),
-        ("sample-perc-fs-1.5", NAMES, SAMPLE_UNSEEDED + ["--seed", "1", "--perc-fs", "1.5"], 2,
-         "error: perc_fs must lie in [0, 1], got 1.5\n"),
+        ("sample-perc-fs-1.5", NAMES, SAMPLE_UNSEEDED + ["--seed", "1", "--perc-fs", "1.5"], 1,
+         "usage error: --perc-fs must lie in [0, 1], got 1.5\n"),
         ("sample-missing-dataset", {}, SAMPLE_FROM, 2,
          "error: [Errno 2] No such file or directory: '{tmp}/names.csv'\n"),
         ("sample-superscript-count", {"names.csv": HEADER + "Ana,F,3\nBia,F,\u00b2\n"}, SAMPLE_FROM, 2,
@@ -401,6 +415,8 @@ CLI_TABLE += [
          "usage error: --page-sizes must be comma-separated integers, got 'abc'\n"),
         ("audit-page-sizes-empty", AUDIT_LIST, AUDIT[:-1] + [""], 1,
          "usage error: --page-sizes must name at least one size\n"),
+        ("audit-page-sizes-0", {}, AUDIT[:-1] + ["5,0"], 1,
+         "usage error: --page-sizes entries must be >= 1, got 0\n"),
         *(
             (f"audit-perc-fd-{share}", AUDIT_LIST, AUDIT + ["--perc-fd", share], 1,
              f"usage error: --perc-fd must lie in [0, 1], got {float(share)}\n")
@@ -408,6 +424,8 @@ CLI_TABLE += [
         ),
         ("experiment-unknown-kind", {}, ["experiment", "fourier", "--config", "{tmp}/c.json", "--out", "{tmp}/x"],
          1, "usage error: argument kind: invalid choice: 'fourier'"),
+        ("experiment-jobs-of-5000-digits", {}, EXPERIMENT + ["--jobs", DIGITS], 1,
+         "usage error: --jobs has too many digits: 5000\n"),
         ("experiment-missing-config", {}, EXPERIMENT, 2,
          "error: [Errno 2] No such file or directory: '{tmp}/config.json'\n"),
         ("experiment-samples-per-cell-0",
@@ -525,10 +543,10 @@ PINNED_CALLS = [
     pytest.param(["--normalizer", "fixed:1.1"], 0,
                  "raw 0.0122863\nz 1.1\nmode fixed\nnormalized 0.0111694\n", "", id="rnd-fixed"),
     pytest.param(["--json"], 0, RND_JSON, "", id="rnd-json"),
-    pytest.param(["--normalizer", "fixed:0"], 2, "", "error: fixed normalizer needs z > 0\n",
-                 id="rnd-fixed-0"),
-    pytest.param(["--normalizer", "fixed:nan"], 2, "",
-                 "error: fixed normalizer needs a finite z, got nan\n", id="rnd-fixed-nan"),
+    pytest.param(["--normalizer", "fixed:0"], 1, "",
+                 "usage error: --normalizer fixed:Z needs a finite Z > 0, got 0.0\n", id="rnd-fixed-0"),
+    pytest.param(["--normalizer", "fixed:nan"], 1, "",
+                 "usage error: --normalizer fixed:Z needs a finite Z > 0, got nan\n", id="rnd-fixed-nan"),
     pytest.param(["--normalizer", "bogus"], 1, "",
                  "usage error: --normalizer must be 'theoretical' or 'fixed:Z', got 'bogus'\n",
                  id="rnd-bogus"),

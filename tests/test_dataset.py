@@ -136,6 +136,22 @@ def test_from_columns_rejects_empty():
         NameDataset.from_columns("empty", [], [], [])
 
 
+def test_derived_tables_are_kept_and_read_only():
+    ds = dataset_from_counts([("bo", "M", 3), ("Ana", "F", 1), ("BO", "F", 2), ("Al", "M", 2)])
+    assert ds.rank.tolist() == [2, 1, 2, 0]
+    assert ds.cdf.tolist() == [0.375, 0.5, 0.75, 1.0]
+    (female, female_cdf), (male, male_cdf) = ds.strata
+    assert (female.tolist(), female_cdf.tolist()) == ([1, 2], [1 / 3, 1.0])
+    assert (male.tolist(), male_cdf.tolist()) == ([0, 3], [0.6, 1.0])
+    for name in ("rank", "cdf", "strata"):
+        assert getattr(ds, name) is getattr(ds, name)
+    arrays = (ds.is_female, ds.counts, ds.rank, ds.cdf, female, female_cdf, male, male_cdf)
+    assert not any(array.flags.writeable for array in arrays)
+    # a stratum with no records is empty
+    male_only = dataset_from_counts([("Al", "M", 2)])
+    assert [len(part) for stratum in male_only.strata for part in stratum] == [0, 0, 1, 1]
+
+
 name_strategy = st.text(
     alphabet=st.characters(
         codec="utf-8", categories=("L", "M", "P", "Zs"), exclude_characters=","

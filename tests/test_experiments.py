@@ -1,6 +1,7 @@
 import functools
 import json
 import multiprocessing
+import os
 import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -9,7 +10,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from listfair import experiments
+from listfair import dataset, experiments
 from listfair.dataset import write_canonical
 from listfair.errors import DatasetFormatError, InfeasibleSampleError, SampleTooSmallError
 from listfair.experiments import (
@@ -367,25 +368,49 @@ def test_pool_task_size_does_not_grow_with_the_dataset(monkeypatch, two_cpus, ki
     assert max(sizes[1]) < 1000
 
 
-def test_run_arrays_are_set_for_the_run_only(monkeypatch):
+def test_run_datasets_are_set_for_the_run_only(monkeypatch):
     seen = []
     real_map = experiments._map_tasks
 
     def spying_map(fn, tasks, jobs):
-        seen.append([arrays.id for arrays in experiments._run_arrays])
+        seen.append([ds.id for ds in experiments._run_datasets])
         return real_map(fn, tasks, jobs)
 
     monkeypatch.setattr(experiments, "_map_tasks", spying_map)
     run_datasets(RND_SIZE, [SMALL_DATASET, OTHER_DATASET], small_config(), jobs=2)
     assert seen == [["small", "other"]]
-    assert experiments._run_arrays is None
+    assert experiments._run_datasets is None
     with pytest.raises(SampleTooSmallError):
         run_datasets(RND_SIZE, [SMALL_DATASET], small_config(size_grid=[5, 40]))
-    assert experiments._run_arrays is None
+    assert experiments._run_datasets is None
 
 
-def test_spawned_workers_receive_the_arrays(monkeypatch, two_cpus):
-    # a spawned worker inherits no module state: the arrays reach it only
+@pytest.mark.parametrize("kind", KINDS)
+def test_rank_is_built_once_per_dataset_in_the_parent(monkeypatch, tmp_path, two_cpus, kind):
+    # a forked worker runs the patched function too, so a rank built in a
+    # worker would log the worker's pid
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(
+        experiments, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=fork)
+    )
+    log = tmp_path / "pids"
+    real_ranks = dataset.collation_ranks
+
+    def logging_ranks(names):
+        with log.open("a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_ranks(names)
+
+    monkeypatch.setattr(dataset, "collation_ranks", logging_ranks)
+    # fresh datasets: the module-level ones may hold a rank already
+    fresh = [generated_dataset(40, "a"), generated_dataset(41, "b")]
+    run_datasets(kind, fresh, small_config(), jobs=2)
+    assert log.read_text(encoding="utf-8").split() == [str(os.getpid())] * 2
+    assert all(np.array_equal(ds.rank, real_ranks(ds.names)) for ds in fresh)
+
+
+def test_spawned_workers_receive_the_datasets(monkeypatch, two_cpus):
+    # a spawned worker inherits no module state: the datasets reach it only
     # through the pool initializer
     spawn = multiprocessing.get_context("spawn")
     monkeypatch.setattr(

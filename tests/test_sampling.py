@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 
 from listfair.errors import DatasetFormatError, InfeasibleSampleError
 from listfair.sampling import (
-    PROPORTIONAL,
-    STRATIFIED,
     RandomSource,
-    dataset_arrays,
     draw_sample,
     dump_sample_csv,
     permutation,
@@ -22,7 +19,7 @@ from listfair.sampling import (
 
 from helpers import chi_square_statistic, dataset_from_counts
 
-BASIC_DATASET = dataset_from_counts(
+BASIC = dataset_from_counts(
     [
         ("Ana", "F", 400),
         ("Beatriz", "F", 100),
@@ -30,7 +27,6 @@ BASIC_DATASET = dataset_from_counts(
         ("Carlos", "M", 200),
     ]
 )
-BASIC = dataset_arrays(BASIC_DATASET)
 
 
 def test_random_source_is_deterministic_per_key():
@@ -65,9 +61,10 @@ def test_shuffle_deterministic_and_input_untouched():
     one = permutation(5, RandomSource(11, 2).generator)
     two = permutation(5, RandomSource(11, 2).generator)
     assert one == two
-    before = [a.copy() for a in (BASIC.cdf, BASIC.female, BASIC.male)]
-    draw_sample(BASIC, 30, RandomSource(11, 2), mode=STRATIFIED, perc_fs=0.5)
-    assert all(np.array_equal(a, b) for a, b in zip((BASIC.cdf, BASIC.female, BASIC.male), before))
+    tables = (BASIC.cdf, *BASIC.strata[0], *BASIC.strata[1])
+    before = [a.copy() for a in tables]
+    draw_sample(BASIC, 30, RandomSource(11, 2), perc_fs=0.5)
+    assert all(np.array_equal(a, b) for a, b in zip(tables, before))
 
 
 def scalar_permutation(n, gen):
@@ -111,8 +108,8 @@ def test_shuffle_uniformity_chi_square():
 def test_proportional_sample_shape_and_determinism():
     sample = draw_sample(BASIC, 50, RandomSource(5, 9))
     assert sample.shape == (50,)
-    assert sample.min() >= 0 and sample.max() < len(BASIC_DATASET.records)
-    again = draw_sample(BASIC, 50, RandomSource(5, 9), mode=PROPORTIONAL)
+    assert sample.min() >= 0 and sample.max() < len(BASIC.records)
+    again = draw_sample(BASIC, 50, RandomSource(5, 9), perc_fs=None)
     assert np.array_equal(again, sample)
 
 
@@ -122,17 +119,12 @@ def test_proportional_frequencies_converge():
     sample = draw_sample(BASIC, n, RandomSource(31))
     tallies = {}
     for i in sample:
-        name = BASIC_DATASET.records[i].name
+        name = BASIC.records[i].name
         tallies[name] = tallies.get(name, 0) + 1
-    for record in BASIC_DATASET.records:
-        p = record.count / BASIC_DATASET.total_count
+    for record in BASIC.records:
+        p = record.count / BASIC.total_count
         sigma = math.sqrt(n * p * (1 - p))
         assert abs(tallies[record.name] - n * p) <= 3 * sigma
-
-
-def test_proportional_rejects_perc_fs():
-    with pytest.raises(ValueError):
-        draw_sample(BASIC, 10, RandomSource(0), mode=PROPORTIONAL, perc_fs=0.5)
 
 
 def choice_draw(indices, counts, size, gen):
@@ -159,15 +151,14 @@ def test_draws_match_generator_choice(rows, n, perc_fs, seed):
     # single-gender datasets and shares of 0 or 1 give empty strata,
     # whose draws of size 0 must leave the stream untouched
     ds = dataset_from_counts([(f"N{i}", g, c) for i, (g, c) in enumerate(rows)])
-    arrays = dataset_arrays(ds)
     counts = np.array([r.count for r in ds.records], dtype=float)
     gen = RandomSource(seed).generator
     if perc_fs is None:
         expected = choice_draw(np.arange(len(counts)), counts, n, gen)
     else:
         n_f = stratified_female_count(perc_fs, n)
-        female = np.flatnonzero(arrays.is_female)
-        male = np.flatnonzero(~arrays.is_female)
+        female = np.flatnonzero(ds.is_female)
+        male = np.flatnonzero(~ds.is_female)
         if (n_f and not len(female)) or (n - n_f and not len(male)):
             return
         drawn = np.concatenate(
@@ -175,8 +166,7 @@ def test_draws_match_generator_choice(rows, n, perc_fs, seed):
         )
         expected = drawn[permutation(n, gen)]
     rng = RandomSource(seed)
-    mode = PROPORTIONAL if perc_fs is None else STRATIFIED
-    got = draw_sample(arrays, n, rng, mode, perc_fs)
+    got = draw_sample(ds, n, rng, perc_fs)
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)
     assert rng.generator.bit_generator.state == gen.bit_generator.state
@@ -189,7 +179,7 @@ def test_draws_match_generator_choice(rows, n, perc_fs, seed):
 )
 @settings(max_examples=200)
 def test_stratified_counts_are_exact(perc_fs, n, seed):
-    sample = draw_sample(BASIC, n, RandomSource(seed), mode=STRATIFIED, perc_fs=perc_fs)
+    sample = draw_sample(BASIC, n, RandomSource(seed), perc_fs=perc_fs)
     women = int(BASIC.is_female[sample].sum())
     assert women == stratified_female_count(perc_fs, n)
     assert len(sample) == n
@@ -224,10 +214,10 @@ def test_stratified_female_count_rounds_float_ties_up():
 
 
 def test_stratified_female_names_come_from_female_records():
-    sample = draw_sample(BASIC, 200, RandomSource(8), mode=STRATIFIED, perc_fs=0.5)
+    sample = draw_sample(BASIC, 200, RandomSource(8), perc_fs=0.5)
     female_names = {"Ana", "Beatriz"}
     for i in sample:
-        record = BASIC_DATASET.records[i]
+        record = BASIC.records[i]
         if record.gender.value == "F":
             assert record.name in female_names
         else:
@@ -235,35 +225,33 @@ def test_stratified_female_names_come_from_female_records():
 
 
 def test_stratified_infeasible_without_gender_records():
-    male_only = dataset_arrays(dataset_from_counts([("Bruno", "M", 10)]))
+    male_only = dataset_from_counts([("Bruno", "M", 10)])
     with pytest.raises(InfeasibleSampleError):
-        draw_sample(male_only, 10, RandomSource(0), mode=STRATIFIED, perc_fs=0.5)
+        draw_sample(male_only, 10, RandomSource(0), perc_fs=0.5)
     # zero women requested needs no female records at all
-    sample = draw_sample(male_only, 10, RandomSource(0), mode=STRATIFIED, perc_fs=0.0)
+    sample = draw_sample(male_only, 10, RandomSource(0), perc_fs=0.0)
     assert not male_only.is_female[sample].any()
 
 
 @pytest.mark.parametrize("bad", [-0.01, 1.01])
 def test_stratified_rejects_out_of_range_share(bad):
     with pytest.raises(ValueError):
-        draw_sample(BASIC, 10, RandomSource(0), mode=STRATIFIED, perc_fs=bad)
+        draw_sample(BASIC, 10, RandomSource(0), perc_fs=bad)
 
 
 def test_draw_sample_rejects_bad_n_and_mode():
     with pytest.raises(ValueError):
         draw_sample(BASIC, 0, RandomSource(0))
-    with pytest.raises(ValueError):
-        draw_sample(BASIC, 5, RandomSource(0), mode="quota", perc_fs=0.5)
     for n in (2**28, 10**20):
         with pytest.raises(ValueError, match=r"n must be < 2\*\*28"):
             draw_sample(BASIC, n, RandomSource(0))
         with pytest.raises(ValueError, match=r"n must be < 2\*\*28"):
-            draw_sample(BASIC, n, RandomSource(0), mode=STRATIFIED, perc_fs=0.5)
+            draw_sample(BASIC, n, RandomSource(0), perc_fs=0.5)
 
 
 def test_sample_csv_round_trip(tmp_path):
     indices = draw_sample(BASIC, 25, RandomSource(3))
-    names = tuple(BASIC_DATASET.names[i] for i in indices.tolist())
+    names = tuple(BASIC.names[i] for i in indices.tolist())
     path = tmp_path / "sample.csv"
     with path.open("w", encoding="utf-8", newline="") as fh:
         dump_sample_csv(names, BASIC.is_female[indices], fh)

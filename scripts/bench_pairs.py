@@ -1,16 +1,19 @@
-"""Compare a parent revision with HEAD on one benchmark workload, in pairs.
+"""Compare a parent revision with HEAD on benchmark workloads, in pairs.
 
 Extracts REV and HEAD with ``git archive`` into two sibling directories
 under ``.bench_work/pairs/`` whose paths have the same length: the heap
 placement of large buffers, and with it the timing of fixture workloads,
 moves with the length of the checkout path. Each checkout links to this
 repository's ``.bench_cache``, so a seed's registry is generated once.
-For every seed, both checkouts run ``perfbench/run.py --trace 0`` on the
-workload, the parent first in even pairs and the change first in odd ones.
+For every workload and seed, both checkouts run ``perfbench/run.py
+--trace 0``, the parent first in even pairs and the change first in odd
+ones; a pair in which either run fails is counted as failed and left out.
 Prints each end-to-end metric's median [quartiles] per side and the number
-of pairs in which the change was better. Only committed code is compared.
+of pairs in which the change was better. ``--json PATH`` also writes the
+revisions, the seeds, every pair's metrics, the machine provenance and the
+summary to PATH. Only committed code is compared.
 
-Usage: python scripts/bench_pairs.py --parent REV --workload W --seeds A-B
+Usage: python scripts/bench_pairs.py --parent REV --workload W [W ...] --seeds A-B [--json PATH]
 """
 
 from __future__ import annotations
@@ -49,8 +52,17 @@ def checkout(rev: str, dest: Path) -> None:
     (dest / ".bench_cache").symlink_to(cache, target_is_directory=True)
 
 
-def run(tree: Path, workload: str, seed: int) -> dict | None:
-    """The result line of one benchmark run, or None if it failed."""
+def revision(rev: str) -> str:
+    done = subprocess.run(
+        ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+        cwd=REPO_ROOT, capture_output=True, text=True, check=True,
+    )
+    return done.stdout.strip()
+
+
+def run(tree: Path, workload: str, seed: int) -> tuple[dict, dict] | None:
+    """The end-to-end metrics and the provenance of one benchmark run, or
+    None if it failed."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--trace", "0"]
@@ -60,7 +72,10 @@ def run(tree: Path, workload: str, seed: int) -> dict | None:
     if result is None or not result["correct"]:
         print(f"# {tree.name} seed {seed}: run failed\n{done.stdout}{done.stderr}", file=sys.stderr)
         return None
-    return {name: metric["value"] for name, metric in result["metrics"].items()}
+    metrics = {name: metric["value"] for name, metric in result["metrics"].items()}
+    prefix = "#   provenance: "
+    provenance = next((json.loads(line[len(prefix):]) for line in lines if line.startswith(prefix)), {})
+    return metrics, provenance
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -70,45 +85,80 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def summarize(pairs: list[dict], failed: int, end_to_end: list[dict]) -> dict:
+    """Each end-to-end metric's median and quartiles per side over the
+    completed ``pairs``, and the pairs in which the change was better; ties
+    count for neither side. ``failed`` is the number of pairs left out."""
+    metrics = {}
+    for metric in end_to_end:
+        name = metric["name"]
+        sign = 1 if metric["better"] == "lower" else -1
+        summary = {"unit": metric["unit"], "better": metric["better"]}
+        for side in SIDES:
+            q1, median, q3 = quartiles([pair[side][name] for pair in pairs]) if pairs else (None,) * 3
+            summary[side] = {"median": median, "q1": q1, "q3": q3}
+        summary["change_better"] = sum(
+            sign * (pair["change"][name] - pair["parent"][name]) < 0 for pair in pairs
+        )
+        metrics[name] = summary
+    return {"pairs": len(pairs), "failed_pairs": failed, "metrics": metrics}
+
+
+def print_summary(workload: str, seeds: range, summary: dict) -> None:
+    print(f"{workload}: {summary['pairs']} pairs, {summary['failed_pairs']} failed, "
+          f"seeds {seeds.start}-{seeds.stop - 1}, median [quartiles] parent -> change")
+    for name, metric in summary["metrics"].items():
+        text = [f"{s['median']:.4g} [{s['q1']:.4g}, {s['q3']:.4g}]"
+                for s in (metric[side] for side in SIDES)]
+        print(f"  {name}: {text[0]} -> {text[1]} {metric['unit']}; "
+              f"change better in {metric['change_better']}/{summary['pairs']}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="revision to compare HEAD with")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, nargs="+")
     parser.add_argument("--seeds", required=True, type=seed_range, help="A-B, inclusive")
+    parser.add_argument("--json", type=Path, default=None,
+                        help="also write the revisions, every pair and the summary to this file")
     args = parser.parse_args()
 
+    report = {
+        "parent": revision(args.parent),
+        "head": revision("HEAD"),
+        "seeds": list(args.seeds),
+        "provenance": {},
+        "workloads": {},
+    }
     work = REPO_ROOT / ".bench_work" / "pairs"
     trees = {side: work / side for side in SIDES}
-    checkout(args.parent, trees["parent"])
-    checkout("HEAD", trees["change"])
-
-    pairs = []
-    for i, seed in enumerate(args.seeds):
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        pair = {side: run(trees[side], args.workload, seed) for side in order}
-        if None in pair.values():
-            continue
-        pairs.append(pair)
-        print(f"# seed {seed}: " + ", ".join(
-            f"{side} wall_s {pair[side]['wall_s']:.3f}" for side in SIDES), file=sys.stderr)
-    if not pairs:
-        print("bench_pairs: no pair completed", file=sys.stderr)
-        return 1
-
+    checkout(report["parent"], trees["parent"])
+    checkout(report["head"], trees["change"])
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    print(f"{args.workload}: {len(pairs)} pairs, seeds {args.seeds.start}-{args.seeds.stop - 1}, "
-          f"median [quartiles] parent -> change")
-    for metric in spec["end_to_end"]:
-        name = metric["name"]
-        sign = 1 if metric["better"] == "lower" else -1
-        won = sum(sign * (pair["change"][name] - pair["parent"][name]) < 0 for pair in pairs)
-        text = []
-        for side in SIDES:
-            q1, median, q3 = quartiles([pair[side][name] for pair in pairs])
-            text.append(f"{median:.4g} [{q1:.4g}, {q3:.4g}]")
-        print(f"  {name}: {text[0]} -> {text[1]} {metric['unit']}; "
-              f"change better in {won}/{len(pairs)}")
-    return 0
+
+    for workload in args.workload:
+        pairs, failed = [], []
+        for i, seed in enumerate(args.seeds):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            runs = {side: run(trees[side], workload, seed) for side in order}
+            if None in runs.values():
+                failed.append(seed)
+                continue
+            pairs.append({"seed": seed, **{side: runs[side][0] for side in SIDES}})
+            if not report["provenance"]:
+                report["provenance"] = {side: runs[side][1] for side in SIDES}
+            print(f"# {workload} seed {seed}: " + ", ".join(
+                f"{side} wall_s {runs[side][0]['wall_s']:.3f}" for side in SIDES), file=sys.stderr)
+        summary = summarize(pairs, len(failed), spec["end_to_end"])
+        report["workloads"][workload] = {"pairs": pairs, "failed_seeds": failed, "summary": summary}
+        if pairs:
+            print_summary(workload, args.seeds, summary)
+        else:
+            print(f"bench_pairs: {workload}: no pair completed", file=sys.stderr)
+
+    if args.json is not None:
+        args.json.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    return 0 if all(entry["pairs"] for entry in report["workloads"].values()) else 1
 
 
 if __name__ == "__main__":

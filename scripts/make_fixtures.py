@@ -17,11 +17,11 @@ can always be rebuilt byte-for-byte:
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
 
+from listfair.dataset import write_rows
 from listfair.ordering import collation_key
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
@@ -158,10 +158,7 @@ def build_sp_candidates() -> list[tuple[str, str]]:
 def write_csv(path: Path, header: list[str], rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        write_rows(fh, header, rows)
 
 
 def main() -> None:

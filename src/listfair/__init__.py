@@ -10,7 +10,6 @@ experiment drivers. A single CLI (``listfair``) exposes every stage.
 """
 
 from listfair.dataset import (
-    Gender,
     NameDataset,
     NameRecord,
     load_canonical,

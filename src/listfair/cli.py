@@ -88,6 +88,11 @@ def _open_out(path: str | None):
             yield fh
 
 
+def _shown(text: str) -> str:
+    """A value as a usage error shows it: quoted, or by its length if over 40 characters."""
+    return repr(text) if len(text) <= 40 else f"a value of {len(text)} characters"
+
+
 def _decimal(text: str, what: str) -> int:
     """The value of a numeral already checked to be decimal; int() refuses
     one of more than a few thousand digits."""
@@ -112,15 +117,16 @@ def _integer(flag: str):
 def _parse_years(text: str) -> tuple[int, int]:
     first, sep, last = text.partition(":")
     if not sep or not first.strip().isdecimal() or not last.strip().isdecimal():
-        raise _UsageError(f"--years must look like 1990:2000, got {text!r}")
+        raise _UsageError(f"--years must look like 1990:2000, got {_shown(text)}")
     return _decimal(first, "--years"), _decimal(last, "--years")
 
 
 def _parse_page_sizes(text: str) -> list[int]:
+    parse = _integer("--page-sizes")
     try:
-        sizes = [int(part) for part in text.split(",") if part.strip()]
+        sizes = [parse(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise _UsageError(f"--page-sizes must be comma-separated integers, got {text!r}") from None
+        raise _UsageError(f"--page-sizes must be comma-separated integers, got {_shown(text)}") from None
     if not sizes:
         raise _UsageError("--page-sizes must name at least one size")
     if min(sizes) < 1:
@@ -137,11 +143,11 @@ def _parse_normalizer(text: str) -> float | None:
         try:
             z = float(value)
         except ValueError:
-            raise _UsageError(f"fixed normalizer needs a number, got {value!r}") from None
+            raise _UsageError(f"fixed normalizer needs a number, got {_shown(value)}") from None
         if 0.0 < z < math.inf:  # false for NaN
             return z
         raise _UsageError(f"--normalizer fixed:Z needs a finite Z > 0, got {z}")
-    raise _UsageError(f"--normalizer must be 'theoretical' or 'fixed:Z', got {text!r}")
+    raise _UsageError(f"--normalizer must be 'theoretical' or 'fixed:Z', got {_shown(text)}")
 
 
 def _resolve_seed(args) -> int:
@@ -151,7 +157,7 @@ def _resolve_seed(args) -> int:
         if env is None:
             raise _UsageError(f"provide --seed or set {ENV_SEED}")
         if not env.strip().lstrip("+").isdecimal():
-            raise _UsageError(f"{ENV_SEED} must be an integer, got {env!r}")
+            raise _UsageError(f"{ENV_SEED} must be an integer, got {_shown(env)}")
         seed, source = _decimal(env, ENV_SEED), ENV_SEED
     if not 0 <= seed < 2**64:
         raise _UsageError(f"{source} must be >= 0 and < 2**64, got {seed}")
@@ -199,9 +205,12 @@ def _cmd_sample(args) -> int:
         raise _UsageError(f"--perc-fs must lie in [0, 1], got {args.perc_fs}")
     ds = load_canonical(args.dataset)
     rng = RandomSource(seed, args.stream)
-    indices = draw_sample(ds, args.n, rng, args.perc_fs)
-    with _open_out(args.out) as fh:
-        dump_sample_csv([ds.names[i] for i in indices.tolist()], ds.is_female[indices], fh)
+    try:
+        indices = draw_sample(ds, args.n, rng, args.perc_fs)
+        with _open_out(args.out) as fh:
+            dump_sample_csv([ds.names[i] for i in indices.tolist()], ds.is_female[indices], fh)
+    except MemoryError:
+        raise ListFairError(f"not enough memory for a sample of --n {args.n}") from None
     return 0
 
 

@@ -8,6 +8,10 @@ upper-case on output). A second loader ingests registries that ship one
 headerless ``name,sex,count`` file per birth year (files named
 ``yob<YEAR>.txt``, CRLF or LF) and sums counts across years.
 
+This module owns the format of every CSV listfair reads or writes: rows
+are read by ``csv_rows`` and written by ``write_rows``, and a gender letter
+is read as a female flag and written back from it.
+
 Names are stored verbatim: no trimming, case folding or accent stripping
 happens here. Normalization is an ordering concern, not an ingestion one.
 
@@ -21,7 +25,6 @@ collation rank and draw tables when a sort or a draw first needs them.
 from __future__ import annotations
 
 import csv
-import enum
 import itertools
 import re
 from array import array
@@ -48,22 +51,9 @@ _MAX_COUNT_DIGITS = 40
 _SHOWN_MISSING_YEARS = 10
 
 
-class Gender(str, enum.Enum):
-    FEMALE = "F"
-    MALE = "M"
-
-
-# the letters a gender field may hold; exactly those whose upper case is
-# a Gender value
-GENDER_LETTERS = {
-    "F": Gender.FEMALE,
-    "f": Gender.FEMALE,
-    "M": Gender.MALE,
-    "m": Gender.MALE,
-}
-
-# indexed by a female flag
-_GENDER_OF_FLAG = (Gender.MALE, Gender.FEMALE)
+# the female flag of each letter a gender field may hold; "MF"[flag] is
+# the letter written back
+GENDER_LETTERS = {"F": True, "f": True, "M": False, "m": False}
 
 # the Unicode category Cc, which is exactly these two ranges
 _CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")
@@ -71,10 +61,10 @@ _CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")
 
 @dataclass(frozen=True)
 class NameRecord:
-    """One (name, gender) entry and how many individuals carry it."""
+    """One (name, gender letter F or M) entry and how many individuals carry it."""
 
     name: str
-    gender: Gender
+    gender: str
     count: int
 
 
@@ -92,7 +82,7 @@ class NameRecords(Sequence):
 
     def __getitem__(self, i: int) -> NameRecord:
         ds = self._ds
-        return NameRecord(ds.names[i], _GENDER_OF_FLAG[bool(ds.is_female[i])], int(ds.counts[i]))
+        return NameRecord(ds.names[i], "MF"[bool(ds.is_female[i])], int(ds.counts[i]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,6 +209,13 @@ def csv_rows(path: Path, header: list[str] | None, width: int):
             raise DatasetFormatError(str(exc), path=path, line=line) from None
 
 
+def write_rows(fh, header: list[str], rows) -> None:
+    """Write ``header`` and ``rows`` to ``fh`` as CSV with LF line endings."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
 def check_name(name: str, path, line: int) -> str:
     """A non-empty name without control characters."""
     if not name:
@@ -230,21 +227,22 @@ def check_name(name: str, path, line: int) -> str:
     return name
 
 
-def parse_gender(text: str, path, line: int) -> Gender:
-    gender = GENDER_LETTERS.get(text)
-    if gender is None:
+def parse_gender(text: str, path, line: int) -> bool:
+    """The female flag of a gender field."""
+    female = GENDER_LETTERS.get(text)
+    if female is None:
         raise DatasetFormatError(f"gender must be F or M, got {text!r}", path=path, line=line)
-    return gender
+    return female
 
 
 def parse_list_row(name: str, gender_text: str, path, line: int) -> tuple[str, bool]:
     """The name and female flag of a sample or candidate-list row."""
-    return check_name(name, path, line), parse_gender(gender_text, path, line) is Gender.FEMALE
+    return check_name(name, path, line), parse_gender(gender_text, path, line)
 
 
 def gender_letters(mask: np.ndarray):
     """The gender letter of each entry of a female mask, in order."""
-    return (_GENDER_OF_FLAG[female].value for female in mask.tolist())
+    return ("MF"[female] for female in mask.tolist())
 
 
 def _parse_count(text: str, path, line: int) -> int:
@@ -274,8 +272,7 @@ def _registry_row(fields: list[str], path, line: int) -> tuple[str, bool, int]:
     registry file."""
     name, gender_text, count_text = fields
     check_name(name, path, line)
-    female = parse_gender(gender_text, path, line) is Gender.FEMALE
-    return name, female, _parse_count(count_text, path, line)
+    return name, parse_gender(gender_text, path, line), _parse_count(count_text, path, line)
 
 
 def _check_total(total: int, path, line: int) -> None:
@@ -353,7 +350,6 @@ def _walk_rows(path, names, genders, texts, lines):
     their female flags and counts."""
     flags: list[bool] = []
     counts: list[int] = []
-    # keyed on the flag, not the Gender: an Enum hashes in Python code
     seen: set[tuple[str, bool]] = set()
     total = 0
     for *fields, line in zip(names, genders, texts, lines):
@@ -361,7 +357,7 @@ def _walk_rows(path, names, genders, texts, lines):
         key = (name, female)
         if key in seen:
             raise DuplicateRecordError(
-                f"duplicate record for name {name!r} gender {_GENDER_OF_FLAG[female].value}",
+                f"duplicate record for name {name!r} gender {'MF'[female]}",
                 path=path,
                 line=line,
             )
@@ -385,9 +381,7 @@ def write_canonical(ds: NameDataset, path) -> None:
 
 
 def dump_canonical(ds: NameDataset, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(CANONICAL_HEADER)
-    writer.writerows(zip(ds.names, gender_letters(ds.is_female), ds.counts.tolist()))
+    write_rows(fh, CANONICAL_HEADER, zip(ds.names, gender_letters(ds.is_female), ds.counts.tolist()))
 
 
 def _year_files(directory: Path) -> set[int]:

@@ -17,7 +17,6 @@ reserved stream range.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import sys
@@ -28,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from listfair import stats
-from listfair.dataset import NameDataset, csv_rows, load_canonical, parse_list_row
+from listfair.dataset import NameDataset, csv_rows, load_canonical, parse_list_row, write_rows
 from listfair.errors import (
     DatasetFormatError,
     InfeasibleSampleError,
@@ -289,7 +288,8 @@ def run_datasets(kind: str, datasets, cfg: ExperimentConfig, jobs: int = 1) -> E
         # built once, here: forked workers inherit them and spawned ones
         # receive them pickled. The rank goes first; built after the draw
         # tables, it raised the peak memory of a 100k-record run by 3 MB.
-        ds.rank, ds.cdf, ds.strata
+        # Only rnd_grid draws stratified samples, from strata.
+        ds.rank, ds.strata if kind == RND_GRID else ds.cdf
     _set_run_datasets(list(datasets))
     try:
         outputs = iter(_map_tasks(fn, tasks, jobs))
@@ -515,13 +515,9 @@ def _rnd_rows(cfg: ExperimentConfig, kind: str, grid, per_cell: list[list[dict]]
 
 def _write_rows(path: Path, rows: list[dict]) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if not rows:
-            return
-        header = list(rows[0])
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row[column] for column in header])
+        if rows:
+            header = list(rows[0])
+            write_rows(fh, header, ([row[column] for column in header] for row in rows))
 
 
 def write_result(result: ExperimentResult, out_dir) -> None:

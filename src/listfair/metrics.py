@@ -16,13 +16,13 @@ arrangement of the same list scores 1.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from listfair.dataset import write_rows
 from listfair.errors import SampleTooSmallError
 from listfair.ordering import sort_alphabetical
 
@@ -227,17 +227,12 @@ def page_audit(names, mask: np.ndarray, k1_values, perc_fd: float, list_id: str 
 
 
 def dump_audit_rows(rows, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(AUDIT_HEADER)
-    for row in rows:
-        for k1 in sorted(row.per_k1):
-            writer.writerow(
-                [row.list_id, row.size, row.perc_fd, k1, row.per_k1[k1], row.flags[k1]]
-            )
+    write_rows(fh, AUDIT_HEADER, (
+        [row.list_id, row.size, row.perc_fd, k1, row.per_k1[k1], row.flags[k1]]
+        for row in rows
+        for k1 in sorted(row.per_k1)
+    ))
 
 
 def dump_curve_csv(curve: np.ndarray, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["k", "perc_f"])
-    for k, value in enumerate(curve, start=1):
-        writer.writerow([k, float(value)])
+    write_rows(fh, ["k", "perc_f"], enumerate(curve.tolist(), start=1))

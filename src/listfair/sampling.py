@@ -18,7 +18,6 @@ makes the sample stratified; without one it is proportional.
 
 from __future__ import annotations
 
-import csv
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -26,7 +25,14 @@ from pathlib import Path
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
-from listfair.dataset import _MAX_COUNT_DIGITS, NameDataset, csv_rows, gender_letters, parse_list_row
+from listfair.dataset import (
+    _MAX_COUNT_DIGITS,
+    NameDataset,
+    csv_rows,
+    gender_letters,
+    parse_list_row,
+    write_rows,
+)
 from listfair.errors import DatasetFormatError, InfeasibleSampleError
 
 SAMPLE_HEADER = ["position", "name", "gender"]
@@ -127,9 +133,7 @@ def draw_sample(ds: NameDataset, n: int, rng: RandomSource, perc_fs: float | Non
 def dump_sample_csv(names, mask: np.ndarray, fh) -> None:
     """Write a list given as names and a female mask as
     ``position,name,gender`` rows (1-based)."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(SAMPLE_HEADER)
-    writer.writerows(zip(range(1, len(names) + 1), names, gender_letters(mask)))
+    write_rows(fh, SAMPLE_HEADER, zip(range(1, len(names) + 1), names, gender_letters(mask)))
 
 
 def read_sample_csv(path) -> tuple[tuple[str, ...], np.ndarray]:

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -144,6 +145,9 @@ LONG_NAME = "x" * 200000
 FIELD_LIMIT = "field larger than field limit (131072)"
 # too long for int()
 DIGITS = "9" * 5000
+# the longest value a usage error quotes, and one character more
+QUOTED = "x" * 40
+UNQUOTED = "x" * 41
 # more than the 64 KB the loader decodes in its first chunks
 FILLER = "".join(f"P{i:05d},M,1\n" for i in range(8000))
 
@@ -335,6 +339,12 @@ CLI_TABLE += [
          "usage error: --normalizer must be 'theoretical' or 'fixed:Z', got 'empirical'"),
         ("rnd-normalizer-fixed-abc", ["--normalizer", "fixed:abc"], 1,
          "usage error: fixed normalizer needs a number, got 'abc'"),
+        ("rnd-normalizer-fixed-of-40-characters", ["--normalizer", "fixed:" + QUOTED], 1,
+         f"usage error: fixed normalizer needs a number, got '{QUOTED}'\n"),
+        ("rnd-normalizer-fixed-of-41-characters", ["--normalizer", "fixed:" + UNQUOTED], 1,
+         "usage error: fixed normalizer needs a number, got a value of 41 characters\n"),
+        ("rnd-normalizer-of-41-characters", ["--normalizer", UNQUOTED], 1,
+         "usage error: --normalizer must be 'theoretical' or 'fixed:Z', got a value of 41 characters\n"),
         *(
             (f"rnd-normalizer-fixed-{z}", ["--normalizer", f"fixed:{z}"], 1,
              f"usage error: --normalizer fixed:Z needs a finite Z > 0, got {float(z)}\n")
@@ -368,6 +378,8 @@ CLI_TABLE += [
          f"usage error: {ENV_SEED} must be an integer, got '\u00b2'\n"),
         ("sample-seed-env-of-5000-digits", NAMES, [f"{ENV_SEED}={DIGITS}"] + SAMPLE_UNSEEDED, 1,
          f"usage error: {ENV_SEED} has too many digits: 5000\n"),
+        ("sample-seed-env-of-41-characters", NAMES, [f"{ENV_SEED}={UNQUOTED}"] + SAMPLE_UNSEEDED, 1,
+         f"usage error: {ENV_SEED} must be an integer, got a value of 41 characters\n"),
         ("sample-seed-of-5000-digits", NAMES, SAMPLE_UNSEEDED + ["--seed", DIGITS], 1,
          "usage error: --seed has too many digits: 5000\n"),
         ("sample-seed-of-minus-5000-digits", NAMES, SAMPLE_UNSEEDED + ["--seed", "-" + DIGITS], 1,
@@ -404,6 +416,8 @@ CLI_TABLE += [
          "usage error: --years must look like 1990:2000, got '\u00b2:3'\n"),
         ("convert-ssa-years-of-5000-digits", {}, CONVERT + ["1:" + DIGITS], 1,
          "usage error: --years has too many digits: 5000\n"),
+        ("convert-ssa-years-of-41-characters", {}, CONVERT + [UNQUOTED], 1,
+         "usage error: --years must look like 1990:2000, got a value of 41 characters\n"),
         ("convert-ssa-missing-year", {"yob2001.txt": "Mary,F,7\n"}, CONVERT + ["2000:2001"], 2,
          "error: missing year files: 2000\n"),
         ("convert-ssa-multi-line-name", {"yob2000.txt": 'Ana,F,3\n"Bo\nb",M,2\n'}, CONVERT + ["2000:2000"],
@@ -413,6 +427,10 @@ CLI_TABLE += [
          "usage error: --reference must lie in [0, 1], got 1.5\n"),
         ("audit-page-sizes-abc", AUDIT_LIST, AUDIT[:-1] + ["abc"], 1,
          "usage error: --page-sizes must be comma-separated integers, got 'abc'\n"),
+        ("audit-page-sizes-of-5000-digits", AUDIT_LIST, AUDIT[:-1] + ["5," + DIGITS], 1,
+         "usage error: --page-sizes has too many digits: 5000\n"),
+        ("audit-page-sizes-of-41-characters", AUDIT_LIST, AUDIT[:-1] + ["5," + UNQUOTED[2:]], 1,
+         "usage error: --page-sizes must be comma-separated integers, got a value of 41 characters\n"),
         ("audit-page-sizes-empty", AUDIT_LIST, AUDIT[:-1] + [""], 1,
          "usage error: --page-sizes must name at least one size\n"),
         ("audit-page-sizes-0", {}, AUDIT[:-1] + ["5,0"], 1,
@@ -655,15 +673,37 @@ def test_experiment_rejects_jobs_below_one(capsys, tmp_path, dataset_csv, jobs):
     assert not out.exists()
 
 
-def test_module_entry_point_runs():
+def run_module(argv, **kwargs):
     # the child imports the same package as this process, installed or not
     src = str(Path(listfair.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "listfair", "--version"],
+    return subprocess.run(
+        [sys.executable, "-m", "listfair", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        **kwargs,
     )
+
+
+def test_module_entry_point_runs():
+    proc = run_module(["--version"])
     assert proc.returncode == 0
     assert "listfair" in proc.stdout
+
+
+def limit_address_space():
+    # runs in the child only: 1 GiB, half of what drawing the largest
+    # sample asks for
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("mode", [[], ["--perc-fs", "0.5"]], ids=["proportional", "stratified"])
+def test_sample_out_of_memory_is_a_data_error(tmp_path, data_dir, mode):
+    n = str(2**28 - 1)
+    argv = ["sample", "--dataset", str(data_dir / "fixture.csv"), "--n", n, "--seed", "1",
+            "--out", str(tmp_path / "s.csv"), *mode]
+    proc = run_module(argv, preexec_fn=limit_address_space, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: not enough memory for a sample of --n {n}\n"

@@ -13,7 +13,6 @@ from listfair.dataset import (
     _CONTROL,
     CANONICAL_HEADER,
     GENDER_LETTERS,
-    Gender,
     NameDataset,
     NameRecord,
     csv_rows,
@@ -40,8 +39,8 @@ def test_load_canonical_basic(tmp_path):
     assert ds.female_count == 3
     assert ds.male_count == 5
     assert tuple(ds.records) == (
-        NameRecord("Ana", Gender.FEMALE, 3),
-        NameRecord("Bruno", Gender.MALE, 5),
+        NameRecord("Ana", "F", 3),
+        NameRecord("Bruno", "M", 5),
     )
     assert ds.names == ("Ana", "Bruno")
     assert ds.is_female.tolist() == [True, False]
@@ -54,7 +53,7 @@ def test_load_canonical_accepts_lowercase_gender_and_quoted_comma(tmp_path):
     ds = load_canonical(path, dataset_id="override")
     assert ds.id == "override"
     assert ds.records[0].name == "de la Cruz, Ana"
-    assert ds.records[0].gender is Gender.FEMALE
+    assert ds.records[0].gender == "F"
 
 
 @pytest.mark.parametrize(
@@ -96,12 +95,9 @@ def test_control_pattern_is_exactly_category_cc():
 
 def test_gender_letters_match_upper_case_parse():
     # the rule the loaders applied before the lookup table: upper-case the
-    # field and look it up as a Gender value
-    values = {g.value for g in Gender}
-
+    # field, then F is female, M is male and anything else is rejected
     def parse_by_upper(text):
-        upper = text.upper()
-        return Gender(upper) if upper in values else None
+        return {"F": True, "M": False}.get(text.upper())
 
     for code in range(0x110000):
         ch = chr(code)
@@ -208,7 +204,7 @@ def test_ssa_yearfiles_merge_and_sort(tmp_path):
     write_text(tmp_path / "yob2000.txt", "John,M,30\nAisha,F,25\n")
     ds = load_ssa_yearfiles(tmp_path, (1999, 2000))
     assert ds.id == "ssa_1999_2000"
-    assert [(r.name, r.gender.value, r.count) for r in ds.records] == [
+    assert [(r.name, r.gender, r.count) for r in ds.records] == [
         ("Aisha", "F", 25),
         ("John", "M", 180),
         ("Mary", "F", 120),
@@ -276,7 +272,7 @@ def test_bundled_fixture_loads(fixture_dataset):
     assert fixture_dataset.id == "fixture"
     assert 0.46 <= fixture_dataset.perc_f <= 0.50
     top = max(fixture_dataset.records, key=lambda r: r.count)
-    assert (top.name, top.gender) == ("Aaron", Gender.MALE)
+    assert (top.name, top.gender) == ("Aaron", "M")
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +300,7 @@ def reference_load(path):
             raise DatasetFormatError(
                 f"gender must be F or M, got {gender_text!r}", path=path, line=line
             )
-        gender = Gender(gender_text.upper())
+        gender = gender_text.upper()
         digits = count_text.strip()
         if not digits.isdecimal():
             raise DatasetFormatError(
@@ -321,7 +317,7 @@ def reference_load(path):
             raise DatasetFormatError(f"count must be >= 1, got {count}", path=path, line=line)
         if (name, gender) in seen:
             raise DuplicateRecordError(
-                f"duplicate record for name {name!r} gender {gender.value}", path=path, line=line
+                f"duplicate record for name {name!r} gender {gender}", path=path, line=line
             )
         seen.add((name, gender))
         total += count
@@ -455,11 +451,11 @@ def test_load_canonical_matches_row_reference(tmp_path_factory, case):
     ds, records = got[1], expected[1]
     assert tuple(ds.records) == tuple(records)
     assert ds.names == tuple(r.name for r in records)
-    assert ds.is_female.tolist() == [r.gender is Gender.FEMALE for r in records]
+    assert ds.is_female.tolist() == [r.gender == "F" for r in records]
     assert ds.counts.dtype == np.int64
     assert ds.counts.tolist() == [r.count for r in records]
     assert ds.total_count == sum(r.count for r in records)
-    assert ds.female_count == sum(r.count for r in records if r.gender is Gender.FEMALE)
+    assert ds.female_count == sum(r.count for r in records if r.gender == "F")
     assert ds.male_count == ds.total_count - ds.female_count
     assert len(ds.records) == len(records)
     assert ds.records[-1] == records[-1]

@@ -409,6 +409,16 @@ def test_rank_is_built_once_per_dataset_in_the_parent(monkeypatch, tmp_path, two
     assert all(np.array_equal(ds.rank, real_ranks(ds.names)) for ds in fresh)
 
 
+@pytest.mark.parametrize(("kind", "unused"), [(PERCF, "strata"), (RND_SIZE, "strata"), (RND_GRID, "cdf")])
+def test_run_builds_only_the_draw_table_of_its_kind(kind, unused):
+    # percf and rnd_size draw proportional samples from cdf, rnd_grid
+    # stratified ones from strata
+    fresh = generated_dataset(40, "fresh")
+    run_datasets(kind, [fresh], small_config(), jobs=1)
+    assert "rank" in fresh.__dict__
+    assert unused not in fresh.__dict__
+
+
 def test_spawned_workers_receive_the_datasets(monkeypatch, two_cpus):
     # a spawned worker inherits no module state: the datasets reach it only
     # through the pool initializer

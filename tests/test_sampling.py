@@ -218,7 +218,7 @@ def test_stratified_female_names_come_from_female_records():
     female_names = {"Ana", "Beatriz"}
     for i in sample:
         record = BASIC.records[i]
-        if record.gender.value == "F":
+        if record.gender == "F":
             assert record.name in female_names
         else:
             assert record.name not in female_names

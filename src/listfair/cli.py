@@ -93,38 +93,52 @@ def _shown(text: str) -> str:
     return repr(text) if len(text) <= 40 else f"a value of {len(text)} characters"
 
 
-def _decimal(text: str, what: str) -> int:
-    """The value of a numeral already checked to be decimal; int() refuses
-    one of more than a few thousand digits."""
+def _int(text: str, flag: str) -> int:
+    """int(text), except that a numeral too long for int() is a usage error giving its length."""
     try:
         return int(text)
     except ValueError:
-        raise _UsageError(f"{what} has too many digits: {len(text.strip().lstrip('+-'))}") from None
+        if not _NUMERAL.fullmatch(text.strip()):
+            raise
+    raise _UsageError(f"{flag} has too many digits: {len(text.strip().lstrip('+-'))}")
 
 
-def _integer(flag: str):
-    """The argparse type of an integer flag: int(), except that a numeral
-    too long for int() is a usage error giving its length, not its digits."""
+def _number(flag: str, convert, within, bounds: str):
+    """The argparse type of a numeric flag: ``convert`` (int or float) of the value, which
+    ``within`` accepts and ``bounds`` describes. argparse lets a usage error through unchanged."""
 
-    def parse(text: str) -> int:
-        return _decimal(text, flag) if _NUMERAL.fullmatch(text.strip()) else int(text)
+    def parse(text: str):
+        try:
+            value = _int(text, flag) if convert is int else convert(text)
+        except ValueError:
+            raise _UsageError(f"argument {flag}: invalid {convert.__name__} value: {_shown(text)}") from None
+        if not within(value):
+            raise _UsageError(f"{flag} {bounds}, got {value}")
+        return value
 
-    # argparse names the type when int() refuses a value: "invalid int value"
-    parse.__name__ = "int"
     return parse
+
+
+def _int_in(flag: str, low: int, high: int | None = None):
+    """The type of an integer flag: at least ``low``, and below ``high`` (a power of two) if given."""
+    bounds = f"must be >= {low}" + ("" if high is None else f" and < 2**{high.bit_length() - 1}")
+    return _number(flag, int, lambda value: low <= value and (high is None or value < high), bounds)
+
+
+def _share(flag: str):
+    return _number(flag, float, lambda share: 0.0 <= share <= 1.0, "must lie in [0, 1]")
 
 
 def _parse_years(text: str) -> tuple[int, int]:
     first, sep, last = text.partition(":")
     if not sep or not first.strip().isdecimal() or not last.strip().isdecimal():
         raise _UsageError(f"--years must look like 1990:2000, got {_shown(text)}")
-    return _decimal(first, "--years"), _decimal(last, "--years")
+    return _int(first, "--years"), _int(last, "--years")
 
 
 def _parse_page_sizes(text: str) -> list[int]:
-    parse = _integer("--page-sizes")
     try:
-        sizes = [parse(part) for part in text.split(",") if part.strip()]
+        sizes = [_int(part, "--page-sizes") for part in text.split(",") if part.strip()]
     except ValueError:
         raise _UsageError(f"--page-sizes must be comma-separated integers, got {_shown(text)}") from None
     if not sizes:
@@ -151,17 +165,14 @@ def _parse_normalizer(text: str) -> float | None:
 
 
 def _resolve_seed(args) -> int:
-    seed, source = args.seed, "--seed"
-    if seed is None:
-        env = os.environ.get(ENV_SEED)
-        if env is None:
-            raise _UsageError(f"provide --seed or set {ENV_SEED}")
-        if not env.strip().lstrip("+").isdecimal():
-            raise _UsageError(f"{ENV_SEED} must be an integer, got {_shown(env)}")
-        seed, source = _decimal(env, ENV_SEED), ENV_SEED
-    if not 0 <= seed < 2**64:
-        raise _UsageError(f"{source} must be >= 0 and < 2**64, got {seed}")
-    return seed
+    if args.seed is not None:
+        return args.seed
+    env = os.environ.get(ENV_SEED)
+    if env is None:
+        raise _UsageError(f"provide --seed or set {ENV_SEED}")
+    if not env.strip().lstrip("+").isdecimal():
+        raise _UsageError(f"{ENV_SEED} must be an integer, got {_shown(env)}")
+    return _int_in(ENV_SEED, 0, 2**64)(env)
 
 
 def _write_report(report, as_json: bool, out: str | None) -> None:
@@ -184,7 +195,7 @@ def _write_report(report, as_json: bool, out: str | None) -> None:
 
 
 def _cmd_convert_ssa(args) -> int:
-    ds = load_ssa_yearfiles(args.dir, _parse_years(args.years))
+    ds = load_ssa_yearfiles(args.dir, args.years)
     write_canonical(ds, args.out)
     return 0
 
@@ -197,12 +208,6 @@ def _cmd_sample(args) -> int:
     if args.mode == STRATIFIED and args.perc_fs is None:
         raise _UsageError("--mode stratified needs --perc-fs")
     seed = _resolve_seed(args)
-    if args.stream < 0:
-        raise _UsageError(f"--stream must be >= 0, got {args.stream}")
-    if not 1 <= args.n < MAX_SAMPLE_SIZE:
-        raise _UsageError(f"--n must be >= 1 and < 2**28, got {args.n}")
-    if args.perc_fs is not None and not 0.0 <= args.perc_fs <= 1.0:
-        raise _UsageError(f"--perc-fs must lie in [0, 1], got {args.perc_fs}")
     ds = load_canonical(args.dataset)
     rng = RandomSource(seed, args.stream)
     try:
@@ -231,27 +236,19 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_rnd(args) -> int:
-    if args.step < 2:
-        raise _UsageError(f"--step must be >= 2, got {args.step}")
-    z = _parse_normalizer(args.normalizer)
     _, mask = read_sample_csv(args.infile)
-    _write_report(rnd(mask, step=args.step, z=z), args.json, args.out)
+    _write_report(rnd(mask, step=args.step, z=args.normalizer), args.json, args.out)
     return 0
 
 
 def _cmd_parity(args) -> int:
-    if not 0.0 <= args.reference <= 1.0:
-        raise _UsageError(f"--reference must lie in [0, 1], got {args.reference}")
     _, mask = read_sample_csv(args.infile)
     _write_report(statistical_parity(mask, args.reference), args.json, args.out)
     return 0
 
 
 def _cmd_audit(args) -> int:
-    page_sizes = _parse_page_sizes(args.page_sizes)
-    if args.perc_fd is not None and not 0.0 <= args.perc_fd <= 1.0:
-        raise _UsageError(f"--perc-fd must lie in [0, 1], got {args.perc_fd}")
-    result = run_candidate_audit([args.infile], page_sizes, perc_fd=args.perc_fd)
+    result = run_candidate_audit([args.infile], args.page_sizes, perc_fd=args.perc_fd)
     with _open_out(args.out) as fh:
         dump_audit_rows(result.rows, fh)
     print(f"below_cells {result.below_cells}", file=sys.stderr)
@@ -259,8 +256,6 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.jobs < 1:
-        raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = ExperimentConfig.from_json_file(args.config)
     run_experiment(_EXPERIMENT_KINDS[args.kind], cfg, out_dir=args.out, jobs=args.jobs)
     return 0
@@ -277,22 +272,26 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("convert-ssa", help="merge yob<YEAR>.txt files into a canonical dataset CSV")
     p.add_argument("--dir", required=True, help="directory holding yob<YEAR>.txt files")
-    p.add_argument("--years", required=True, help="inclusive year range, e.g. 1939:2017")
+    p.add_argument("--years", required=True, type=_parse_years, help="inclusive year range, e.g. 1939:2017")
     p.add_argument("--out", required=True, help="canonical CSV to write")
     p.set_defaults(func=_cmd_convert_ssa)
 
     p = sub.add_parser("sample", help="draw a seeded sample from a dataset")
     p.add_argument("--dataset", required=True, help="canonical dataset CSV")
-    p.add_argument("--n", required=True, type=_integer("--n"), help="sample size")
+    p.add_argument("--n", required=True, type=_int_in("--n", 1, MAX_SAMPLE_SIZE), help="sample size")
     p.add_argument(
         "--mode",
         choices=[PROPORTIONAL, STRATIFIED],
         default=None,
         help="sampling mode (default: stratified when --perc-fs is given, else proportional)",
     )
-    p.add_argument("--perc-fs", type=float, default=None, help="stratified female share in [0, 1]")
-    p.add_argument("--seed", type=_integer("--seed"), default=None, help=f"RNG seed (default: ${ENV_SEED})")
-    p.add_argument("--stream", type=_integer("--stream"), default=0, help="substream index (default 0)")
+    p.add_argument(
+        "--perc-fs", type=_share("--perc-fs"), default=None, help="stratified female share in [0, 1]"
+    )
+    p.add_argument(
+        "--seed", type=_int_in("--seed", 0, 2**64), default=None, help=f"RNG seed (default: ${ENV_SEED})"
+    )
+    p.add_argument("--stream", type=_int_in("--stream", 0), default=0, help="substream index (default 0)")
     p.add_argument("--out", required=True, help="sample CSV to write")
     p.set_defaults(func=_cmd_sample)
 
@@ -308,11 +307,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("rnd", help="rND report for a displayed list")
     p.add_argument("--in", dest="infile", required=True, help="sample CSV to read")
-    p.add_argument("--step", type=_integer("--step"), default=10, help="checkpoint step (default 10)")
+    p.add_argument("--step", type=_int_in("--step", 2), default=10, help="checkpoint step (default 10)")
     p.add_argument(
-        "--normalizer",
-        default=THEORETICAL,
-        help="'theoretical' (default) or 'fixed:Z'",
+        "--normalizer", type=_parse_normalizer, default=THEORETICAL, help="'theoretical' (default) or 'fixed:Z'"
     )
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("--out", default=None, help="output file (default stdout)")
@@ -320,17 +317,19 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("parity", help="exact binomial parity test of a sample")
     p.add_argument("--in", dest="infile", required=True, help="sample CSV to read")
-    p.add_argument("--reference", required=True, type=float, help="reference female share")
+    p.add_argument("--reference", required=True, type=_share("--reference"), help="reference female share")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.set_defaults(func=_cmd_parity)
 
     p = sub.add_parser("audit", help="first-page audit of a concrete name,gender list")
     p.add_argument("--in", dest="infile", required=True, help="candidate list CSV to read")
-    p.add_argument("--page-sizes", required=True, help="comma-separated page sizes, e.g. 5,9,15")
+    p.add_argument(
+        "--page-sizes", required=True, type=_parse_page_sizes, help="comma-separated page sizes, e.g. 5,9,15"
+    )
     p.add_argument(
         "--perc-fd",
-        type=float,
+        type=_share("--perc-fd"),
         default=None,
         help="expected female share (default: derived from the list itself)",
     )
@@ -341,7 +340,7 @@ def build_parser() -> _Parser:
     p.add_argument("kind", choices=sorted(_EXPERIMENT_KINDS), help="experiment kind")
     p.add_argument("--config", required=True, help="JSON config file")
     p.add_argument("--out", required=True, help="result directory to write")
-    p.add_argument("--jobs", type=_integer("--jobs"), default=1, help="parallel workers (default 1)")
+    p.add_argument("--jobs", type=_int_in("--jobs", 1), default=1, help="parallel workers (default 1)")
     p.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -170,7 +170,7 @@ def _resolve_seed(args) -> int:
     env = os.environ.get(ENV_SEED)
     if env is None:
         raise _UsageError(f"provide --seed or set {ENV_SEED}")
-    if not env.strip().lstrip("+").isdecimal():
+    if not _NUMERAL.fullmatch(env.strip()):
         raise _UsageError(f"{ENV_SEED} must be an integer, got {_shown(env)}")
     return _int_in(ENV_SEED, 0, 2**64)(env)
 
@@ -257,7 +257,10 @@ def _cmd_audit(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
-    run_experiment(_EXPERIMENT_KINDS[args.kind], cfg, out_dir=args.out, jobs=args.jobs)
+    try:
+        run_experiment(_EXPERIMENT_KINDS[args.kind], cfg, out_dir=args.out, jobs=args.jobs)
+    except MemoryError:
+        raise ListFairError(f"not enough memory for experiment {args.kind} of --config {args.config}") from None
     return 0
 
 

@@ -176,6 +176,9 @@ class ExperimentConfig:
                 raise DatasetFormatError(f"invalid JSON: {exc}", path=path) from None
             except UnicodeDecodeError as exc:
                 raise DatasetFormatError(f"not valid UTF-8: {exc.reason}", path=path) from None
+            except (ValueError, RecursionError) as exc:
+                # a number too long for int(), or arrays nested past the recursion limit
+                raise DatasetFormatError(str(exc), path=path) from None
         if not isinstance(payload, dict):
             raise DatasetFormatError("config must be a JSON object", path=path)
         # "kind" appears in result-directory configs; accept it so those

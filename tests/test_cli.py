@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import resource
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import listfair
-from listfair.cli import ENV_SEED, main
+from listfair.cli import ENV_SEED, build_parser, main
 from listfair.dataset import write_canonical
 
 from helpers import dataset_from_counts
@@ -148,6 +149,8 @@ DIGITS = "9" * 5000
 # the longest value a usage error quotes, and one character more
 QUOTED = "x" * 40
 UNQUOTED = "x" * 41
+# a malformed value that a usage error names by its length
+MALFORMED = "x" * 5000
 # more than the 64 KB the loader decodes in its first chunks
 FILLER = "".join(f"P{i:05d},M,1\n" for i in range(8000))
 
@@ -388,6 +391,26 @@ CLI_TABLE += [
          "usage error: argument --seed: invalid int value: 'abc'\n"),
         ("sample-n-of-5000-digits", NAMES, SAMPLE_UNSEEDED + ["--seed", "1", "--n", DIGITS], 1,
          "usage error: --n has too many digits: 5000\n"),
+        ("sample-seed-env--1", {}, [f"{ENV_SEED}=-1"] + SAMPLE_UNSEEDED, 1,
+         f"usage error: {ENV_SEED} must be >= 0 and < 2**64, got -1\n"),
+        # a flag's value is checked as argparse reads it, so a range error
+        # comes before the missing required flags
+        ("sample-n-of-0-without-other-flags", {}, ["sample", "--n", "0"], 1,
+         "usage error: --n must be >= 1 and < 2**28, got 0\n"),
+        *(
+            (f"{argv[0]}-{flag[2:]}-of-5000-characters", files, argv + [flag, MALFORMED], 1,
+             f"usage error: argument {flag}: invalid {kind} value: a value of 5000 characters\n")
+            for files, argv, flag, kind in [
+                (NAMES, SAMPLE_UNSEEDED[:3], "--n", "int"),
+                (NAMES, SAMPLE_UNSEEDED, "--seed", "int"),
+                (NAMES, SAMPLE_UNSEEDED + ["--seed", "1"], "--stream", "int"),
+                (NAMES, SAMPLE_UNSEEDED + ["--seed", "1"], "--perc-fs", "float"),
+                ({}, RND_ARGS, "--step", "int"),
+                ({}, ["parity", "--in", "{tmp}/list.csv"], "--reference", "float"),
+                (AUDIT_LIST, AUDIT, "--perc-fd", "float"),
+                ({}, EXPERIMENT, "--jobs", "int"),
+            ]
+        ),
         # range errors come before the dataset is read: it does not exist
         ("sample-seed--1", {}, SAMPLE_UNSEEDED + ["--seed", "-1"], 1,
          "usage error: --seed must be >= 0 and < 2**64, got -1\n"),
@@ -449,6 +472,8 @@ CLI_TABLE += [
         ("experiment-samples-per-cell-0",
          {"config.json": '{"dataset_paths": ["names.csv"], "samples_per_cell": 0}'}, EXPERIMENT, 2,
          "error: samples_per_cell must be >= 1 and < 2**24, got 0\n"),
+        ("experiment-config-nested-100000-deep", {"config.json": '{"n": ' + "[" * 100000 + "]" * 100000 + "}"},
+         EXPERIMENT, 2, "error: {tmp}/config.json: maximum recursion depth exceeded"),
     ]
 ]
 
@@ -468,6 +493,15 @@ def test_cli_table(capsys, monkeypatch, tmp_path, files, argv, code, prefix):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith(prefix.format(tmp=tmp_path))
+
+
+def test_no_flag_is_typed_by_bare_int_or_float():
+    # argparse echoes the whole of a value that int() or float() refuses
+    actions = build_parser()._actions
+    (commands,) = [action for action in actions if isinstance(action, argparse._SubParsersAction)]
+    for command in commands.choices.values():
+        for action in command._actions:
+            assert action.type not in (int, float), (command.prog, action.dest)
 
 
 def test_sort_idempotent(tmp_path, dataset_csv):
@@ -698,12 +732,30 @@ def limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.mark.parametrize("mode", [[], ["--perc-fs", "0.5"]], ids=["proportional", "stratified"])
-def test_sample_out_of_memory_is_a_data_error(tmp_path, data_dir, mode):
-    n = str(2**28 - 1)
-    argv = ["sample", "--dataset", str(data_dir / "fixture.csv"), "--n", n, "--seed", "1",
-            "--out", str(tmp_path / "s.csv"), *mode]
+LARGEST_SAMPLE = ["sample", "--dataset", "{data}/fixture.csv", "--n", str(2**28 - 1), "--seed", "1",
+                  "--out", "{tmp}/s.csv"]
+EXPERIMENT_ON = ["--config", "{tmp}/config.json", "--out", "{tmp}/run"]
+
+
+# argv, and what the error says there was not enough memory for
+@pytest.mark.parametrize(
+    "argv, needed",
+    [
+        pytest.param(LARGEST_SAMPLE, f"a sample of --n {2**28 - 1}", id="proportional"),
+        pytest.param(LARGEST_SAMPLE + ["--perc-fs", "0.5"], f"a sample of --n {2**28 - 1}", id="stratified"),
+        # percf's n and rnd-size's size_grid of the config below
+        pytest.param(["experiment", "percf"] + EXPERIMENT_ON, "experiment percf of --config {tmp}/config.json",
+                     id="experiment-percf"),
+        pytest.param(["experiment", "rnd-size"] + EXPERIMENT_ON,
+                     "experiment rnd-size of --config {tmp}/config.json", id="experiment-rnd-size"),
+    ],
+)
+def test_sample_out_of_memory_is_a_data_error(tmp_path, data_dir, argv, needed):
+    config = {"dataset_paths": [str(data_dir / "fixture.csv")], "n": 10**8, "size_grid": [2 * 10**8]}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    argv = [arg.format(data=data_dir, tmp=tmp_path) for arg in argv]
     proc = run_module(argv, preexec_fn=limit_address_space, timeout=120)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert proc.stderr == f"error: not enough memory for a sample of --n {n}\n"
+    assert proc.stderr == f"error: not enough memory for {needed.format(tmp=tmp_path)}\n"
+    assert not (tmp_path / "run").exists()

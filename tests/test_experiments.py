@@ -165,6 +165,11 @@ def test_config_json_round_trip(tmp_path):
         ("[1, 2]", "JSON object"),
         ("{not json", "invalid JSON"),
         ('{"samples": 3}', "unknown config keys: samples"),
+        pytest.param('{"n": ' + "9" * 5001 + "}", "value has 5001 digits", id="n-of-5001-digits"),
+        pytest.param(
+            '{"n": ' + "[" * 100000 + "]" * 100000 + "}", "maximum recursion depth exceeded",
+            id="n-nested-100000-deep",
+        ),
     ],
 )
 def test_config_file_errors(tmp_path, body, fragment):
@@ -172,6 +177,7 @@ def test_config_file_errors(tmp_path, body, fragment):
     path.write_text(body, encoding="utf-8")
     with pytest.raises(DatasetFormatError) as err:
         ExperimentConfig.from_json_file(path)
+    assert str(err.value).startswith(f"{path}: ")
     assert fragment in str(err.value)
 
 

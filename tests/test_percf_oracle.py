@@ -58,9 +58,8 @@ def test_expected_curve_matches_enumeration(rows, n):
     assert np.abs(random - ds.perc_f).max() <= 1e-12
 
 
-def test_percf_means_match_the_exact_curves(fixture_dataset):
-    ds = fixture_dataset
-    cfg = ExperimentConfig(seed=42)
+def check_percf_means(ds, cfg):
+    """run_datasets("percf")'s mean curves against the exact ones."""
     result = run_datasets(PERCF, [ds], cfg)
     mean_random = np.array([row["mean_random"] for row in result.curves])
     mean_alphabetical = np.array([row["mean_alphabetical"] for row in result.curves])
@@ -93,3 +92,22 @@ def test_percf_means_match_the_exact_curves(fixture_dataset):
         assert np.all((agreed == 0) | (agreed == 1))
         chance = np.where(agreed == 0, 1 - exact[~varies], exact[~varies]) ** cfg.samples_per_cell
         assert np.all(chance >= Z5_TAIL)
+
+
+def test_percf_means_match_the_exact_curves(fixture_dataset):
+    check_percf_means(fixture_dataset, ExperimentConfig(seed=42))
+
+
+def test_percf_means_match_the_exact_curves_at_a_second_seed(fixture_dataset):
+    check_percf_means(fixture_dataset, ExperimentConfig(seed=2020))
+
+
+# early female names, then male ones, then a female one: the expected
+# alphabetical share starts above the dataset share of 0.5 and dips below it
+CROSSING = dataset_from_counts([("Ana", "F", 30), ("Bia", "M", 40), ("Caio", "M", 10), ("Dora", "F", 20)])
+
+
+def test_percf_means_match_a_curve_that_crosses_its_share():
+    exact = expected_alphabetical_curve(CROSSING, 20)
+    assert exact.max() > CROSSING.perc_f + 0.4 and exact.min() < CROSSING.perc_f - 0.05
+    check_percf_means(CROSSING, ExperimentConfig(n=20, seed=42))

@@ -69,3 +69,19 @@ def oracle_max_raw(n: int, n_f: int, step: int = 10) -> float:
 
 def chi_square_statistic(observed, expected) -> float:
     return sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+
+
+def reference_bootstrap_ci(values, level: float, resamples: int, rng) -> tuple[float, float]:
+    """``stats.bootstrap_ci`` as a plain loop: blocks of ``BLOCK // size``
+    resamples drawn with ``Generator.integers``, gathered by fancy indexing
+    and averaged with ``mean``."""
+    values = np.asarray(values, dtype=float)
+    size = values.size
+    rows = max(1, (1 << 14) // size)
+    means = np.empty(resamples)
+    for start in range(0, resamples, rows):
+        stop = min(start + rows, resamples)
+        indices = rng.generator.integers(0, size, size=(stop - start, size))
+        means[start:stop] = values[indices].mean(axis=1)
+    lower, upper = np.quantile(means, [(1.0 - level) / 2.0, (1.0 + level) / 2.0]).tolist()
+    return lower, upper

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_bootstrap_ci
 from listfair.sampling import RandomSource
 from listfair.stats import (
     BLOCK,
+    _index_blocks,
     bootstrap_ci,
     nadaraya_watson,
     silverman_bandwidth,
@@ -187,6 +189,110 @@ def test_bootstrap_matches_one_index_matrix(shape, seed):
     lower, upper = np.quantile(means, [(1.0 - 0.95) / 2.0, (1.0 + 0.95) / 2.0]).tolist()
     assert interval == (lower, upper)
     assert rng.generator.random() == reference.random()
+
+
+def _same_generators(ours, theirs):
+    # the 128-bit state, the buffered-half flag, and the buffered half
+    # itself only where it is set: when has_uint32 is 0 it is stale and unused
+    mine, reference = ours.bit_generator.state, theirs.bit_generator.state
+    assert mine["state"] == reference["state"]
+    assert mine["has_uint32"] == reference["has_uint32"]
+    if reference["has_uint32"]:
+        assert mine["uinteger"] == reference["uinteger"]
+    assert ours.random() == theirs.random()
+
+
+# 3 * 2**30 rejects a quarter of the 32-bit words and 2**31 + 1 almost half
+INDEX_SIZES = [1, 2, 3, 100, 3 * 2**30, 2**31 + 1, 2**32 - 1]
+
+
+@pytest.mark.parametrize("size", INDEX_SIZES)
+@pytest.mark.parametrize("buffered", [False, True], ids=["no-half", "buffered-half"])
+@pytest.mark.parametrize("odd", [0, 1], ids=["even", "odd"])
+@given(half=st.integers(0, 150), block=st.integers(1, 80), seed=st.integers(0, 2**32))
+@settings(max_examples=25, deadline=None)
+def test_index_blocks_match_integers(size, buffered, odd, half, block, seed):
+    # the raw-word path must give the indices and the generator state
+    # that one gen.integers(0, size, count) call gives
+    count = 2 * half + odd
+    ours, theirs = (RandomSource(seed, 7).generator for _ in range(2))
+    if buffered:
+        for gen in (ours, theirs):
+            gen.integers(0, 100)
+            assert gen.bit_generator.state["has_uint32"] == 1
+    blocks = list(_index_blocks(ours, size, count, block))
+    expected = theirs.integers(0, size, count)
+    assert [len(indices) for indices in blocks] == [min(block, count - start) for start in range(0, count, block)]
+    drawn = np.concatenate(blocks) if blocks else np.empty(0, np.intp)
+    assert drawn.dtype == expected.dtype
+    assert np.array_equal(drawn, expected)
+    _same_generators(ours, theirs)
+
+
+# PCG64 steps its 128-bit state by this multiplier, then outputs XSL-RR
+PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _pcg64_about_to_output(gen, word: int) -> None:
+    """Set ``gen``'s PCG64 state so that its next 64-bit output is ``word``."""
+    state = gen.bit_generator.state
+    increment = state["state"]["inc"]
+    high = state["state"]["state"] >> 64
+    rotation = high >> 58
+    xored = ((word << rotation) | (word >> (64 - rotation))) & (2**64 - 1)
+    stepped = (high << 64) | (high ^ xored)
+    previous = (stepped - increment) * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128
+    state["state"]["state"] = previous
+    state["has_uint32"] = 0
+    gen.bit_generator.state = state
+
+
+def _word_with_leftover(size: int, leftover: int) -> int:
+    """A 32-bit word x whose product x * size has ``leftover`` as its low half."""
+    twos = (size & -size).bit_length() - 1
+    assert leftover % (1 << twos) == 0
+    modulus = 1 << (32 - twos)
+    return (leftover >> twos) * pow(size >> twos, -1, modulus) % modulus
+
+
+@pytest.mark.parametrize("size", [3, 100, 3 * 2**30, 2**31 + 1, 2**32 - 1])
+@pytest.mark.parametrize("rejected_half", ["low", "high"])
+def test_index_blocks_at_the_rejection_boundary(size, rejected_half):
+    # numpy redraws a word whose leftover is below (2**32 - size) % size;
+    # put the largest rejected leftover and the smallest accepted one in
+    # the two halves of the next 64-bit output
+    threshold = (2**32 - size) % size
+    rejected = _word_with_leftover(size, threshold - (size & -size))
+    accepted = _word_with_leftover(size, threshold)
+    low, high = (rejected, accepted) if rejected_half == "low" else (accepted, rejected)
+    ours, theirs, probe = (RandomSource(5).generator for _ in range(3))
+    for gen in (ours, theirs, probe):
+        _pcg64_about_to_output(gen, low | high << 32)
+    assert int(probe.bit_generator.random_raw()) == low | high << 32
+    drawn = np.concatenate(list(_index_blocks(ours, size, 6, 4)))
+    assert np.array_equal(drawn, theirs.integers(0, size, 6))
+    assert drawn[0] == accepted * size >> 32
+    _same_generators(ours, theirs)
+
+
+@given(
+    st.lists(finite_floats, min_size=1, max_size=300),
+    st.floats(min_value=0.001, max_value=0.999),
+    st.integers(1, 3000),
+    st.integers(min_value=0, max_value=2**32),
+    st.booleans(),
+)
+@example([0.5] * 99, 0.95, 2001, 0, False)
+@example([0.25, 1.0, 3.0], 0.9, 2000, 1, True)
+@settings(max_examples=60, deadline=None)
+def test_bootstrap_matches_the_reference_loop(values, level, resamples, seed, buffered):
+    ours, theirs = RandomSource(seed, 13), RandomSource(seed, 13)
+    if buffered:
+        for rng in (ours, theirs):
+            rng.generator.integers(0, 100)
+    interval = bootstrap_ci(values, level, resamples, rng=ours)
+    assert interval == reference_bootstrap_ci(values, level, resamples, theirs)
+    _same_generators(ours.generator, theirs.generator)
 
 
 def _traced_peak(values, resamples: int) -> int:

@@ -91,6 +91,14 @@ def _is_finite_number(value) -> bool:
     return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
+def _json_int(text: str) -> int:
+    """int() of a JSON integer; one too long for int() is reported by its digit count."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"a number has too many digits: {len(text.lstrip('-'))}") from None
+
+
 def _list_of(test):
     return lambda value: isinstance(value, list) and all(test(item) for item in value)
 
@@ -171,7 +179,7 @@ class ExperimentConfig:
         path = Path(path)
         with path.open(encoding="utf-8") as fh:
             try:
-                payload = json.load(fh)
+                payload = json.load(fh, parse_int=_json_int)
             except json.JSONDecodeError as exc:
                 raise DatasetFormatError(f"invalid JSON: {exc}", path=path) from None
             except UnicodeDecodeError as exc:

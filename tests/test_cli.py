@@ -474,6 +474,8 @@ CLI_TABLE += [
          "error: samples_per_cell must be >= 1 and < 2**24, got 0\n"),
         ("experiment-config-nested-100000-deep", {"config.json": '{"n": ' + "[" * 100000 + "]" * 100000 + "}"},
          EXPERIMENT, 2, "error: {tmp}/config.json: maximum recursion depth exceeded"),
+        ("experiment-config-n-of-5001-digits", {"config.json": '{"n": -' + "9" * 5001 + "}"}, EXPERIMENT, 2,
+         "error: {tmp}/config.json: a number has too many digits: 5001\n"),
     ]
 ]
 

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from listfair.dataset import NameDataset
+from listfair.stats import BLOCK
 
 
 def mask_from_pattern(pattern: str) -> np.ndarray:
@@ -77,7 +78,7 @@ def reference_bootstrap_ci(values, level: float, resamples: int, rng) -> tuple[f
     and averaged with ``mean``."""
     values = np.asarray(values, dtype=float)
     size = values.size
-    rows = max(1, (1 << 14) // size)
+    rows = max(1, BLOCK // size)
     means = np.empty(resamples)
     for start in range(0, resamples, rows):
         stop = min(start + rows, resamples)

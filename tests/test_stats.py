@@ -222,7 +222,8 @@ def test_index_blocks_match_integers(size, buffered, odd, half, block, seed):
             assert gen.bit_generator.state["has_uint32"] == 1
     blocks = list(_index_blocks(ours, size, count, block))
     expected = theirs.integers(0, size, count)
-    assert [len(indices) for indices in blocks] == [min(block, count - start) for start in range(0, count, block)]
+    starts = range(0, count, block)
+    assert [len(indices) for indices in blocks] == [min(block, count - start) for start in starts]
     drawn = np.concatenate(blocks) if blocks else np.empty(0, np.intp)
     assert drawn.dtype == expected.dtype
     assert np.array_equal(drawn, expected)

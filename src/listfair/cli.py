@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import re
@@ -29,34 +28,12 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+# only what argument parsing needs: each command imports the modules it
+# runs, so that a short call loads no experiment driver or process pool
 from listfair import __version__
-from listfair.dataset import load_canonical, load_ssa_yearfiles, write_canonical
 from listfair.errors import ListFairError
-from listfair.experiments import (
-    ExperimentConfig,
-    PERCF,
-    RND_GRID,
-    RND_SIZE,
-    run_candidate_audit,
-    run_experiment,
-)
-from listfair.metrics import (
-    FIXED,
-    THEORETICAL,
-    dump_audit_rows,
-    dump_curve_csv,
-    perc_f_curve,
-    rnd,
-    statistical_parity,
-)
-from listfair.ordering import sort_alphabetical
-from listfair.sampling import (
-    MAX_SAMPLE_SIZE,
-    RandomSource,
-    draw_sample,
-    dump_sample_csv,
-    read_sample_csv,
-)
+from listfair.metrics import FIXED, THEORETICAL
+from listfair.sampling import MAX_SAMPLE_SIZE
 
 ENV_SEED = "LISTFAIR_SEED"
 
@@ -67,7 +44,8 @@ STRATIFIED = "stratified"
 # a sign and decimal digits: a numeral that int() refuses only for its length
 _NUMERAL = re.compile(r"[+-]?\d+")
 
-_EXPERIMENT_KINDS = {"percf": PERCF, "rnd-grid": RND_GRID, "rnd-size": RND_SIZE}
+# the experiment kind of each command-line spelling
+_EXPERIMENT_KINDS = {"percf": "percf", "rnd-grid": "rnd_grid", "rnd-size": "rnd_size"}
 
 
 class _UsageError(Exception):
@@ -181,6 +159,8 @@ def _write_report(report, as_json: bool, out: str | None) -> None:
     fields = asdict(report)
     with _open_out(out) as fh:
         if as_json:
+            import json
+
             json.dump(fields, fh, indent=2, sort_keys=True)
             fh.write("\n")
             return
@@ -195,12 +175,17 @@ def _write_report(report, as_json: bool, out: str | None) -> None:
 
 
 def _cmd_convert_ssa(args) -> int:
+    from listfair.dataset import load_ssa_yearfiles, write_canonical
+
     ds = load_ssa_yearfiles(args.dir, args.years)
     write_canonical(ds, args.out)
     return 0
 
 
 def _cmd_sample(args) -> int:
+    from listfair.dataset import load_canonical
+    from listfair.sampling import RandomSource, draw_sample, dump_sample_csv
+
     # --perc-fs implies stratified mode; --mode only needs to be spelled
     # out when it contradicts that inference
     if args.mode == PROPORTIONAL and args.perc_fs is not None:
@@ -220,6 +205,9 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_sort(args) -> int:
+    from listfair.ordering import sort_alphabetical
+    from listfair.sampling import dump_sample_csv, read_sample_csv
+
     names, mask = read_sample_csv(args.infile)
     order = sort_alphabetical(names)
     with _open_out(args.out) as fh:
@@ -228,6 +216,9 @@ def _cmd_sort(args) -> int:
 
 
 def _cmd_curve(args) -> int:
+    from listfair.metrics import dump_curve_csv, perc_f_curve
+    from listfair.sampling import read_sample_csv
+
     _, mask = read_sample_csv(args.infile)
     curve = perc_f_curve(mask)
     with _open_out(args.out) as fh:
@@ -236,18 +227,26 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_rnd(args) -> int:
+    from listfair.metrics import rnd
+    from listfair.sampling import read_sample_csv
+
     _, mask = read_sample_csv(args.infile)
     _write_report(rnd(mask, step=args.step, z=args.normalizer), args.json, args.out)
     return 0
 
 
 def _cmd_parity(args) -> int:
+    from listfair.metrics import statistical_parity
+    from listfair.sampling import read_sample_csv
+
     _, mask = read_sample_csv(args.infile)
     _write_report(statistical_parity(mask, args.reference), args.json, args.out)
     return 0
 
 
 def _cmd_audit(args) -> int:
+    from listfair.metrics import dump_audit_rows, run_candidate_audit
+
     result = run_candidate_audit([args.infile], args.page_sizes, perc_fd=args.perc_fd)
     with _open_out(args.out) as fh:
         dump_audit_rows(result.rows, fh)
@@ -256,6 +255,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from listfair.experiments import ExperimentConfig, run_experiment
+
     cfg = ExperimentConfig.from_json_file(args.config)
     try:
         run_experiment(_EXPERIMENT_KINDS[args.kind], cfg, out_dir=args.out, jobs=args.jobs)

@@ -2,10 +2,10 @@
 
 One driver runs the three experiment kinds of the measurement protocol:
 prefix-share curves under random vs alphabetical ordering, rND across a
-grid of requested female shares, and rND across sample sizes. A second
-audits concrete candidate lists. Results are written as plain CSVs plus
-the resolved config, so a run is fully described by its output
-directory.
+grid of requested female shares, and rND across sample sizes. Results
+are written as plain CSVs plus the resolved config, so a run is fully
+described by its output directory. The candidate-list audit lives in
+:mod:`listfair.metrics` and is importable from here under the same names.
 
 Determinism: every sample owns a substream keyed by (experiment kind,
 cell identity, sample ordinal). Keying by cell identity rather than grid
@@ -27,17 +27,14 @@ from pathlib import Path
 import numpy as np
 
 from listfair import stats
-from listfair.dataset import NameDataset, csv_rows, load_canonical, parse_list_row, write_rows
+from listfair.dataset import NameDataset, load_canonical, write_rows
 from listfair.errors import (
     DatasetFormatError,
     InfeasibleSampleError,
     SampleTooSmallError,
 )
 from listfair.metrics import (
-    BELOW,
     THEORETICAL,
-    PageAuditRow,
-    page_audit,
     perc_f_curve,
     rnd_checkpoints,
     rnd_raw_of_mask,
@@ -45,6 +42,15 @@ from listfair.metrics import (
 )
 from listfair.ordering import alphabetical_order
 from listfair.sampling import RandomSource, draw_sample
+
+# the candidate-list audit under its names here as well: perfbench/spans.py
+# wraps experiments.read_candidate_list
+from listfair.metrics import (  # noqa: F401
+    CANDIDATE_HEADER,
+    AuditResult,
+    read_candidate_list,
+    run_candidate_audit,
+)
 
 PERCF = "percf"
 RND_GRID = "rnd_grid"
@@ -54,8 +60,6 @@ KINDS = (PERCF, RND_GRID, RND_SIZE)
 PER_BATCH = "per_batch"
 GLOBAL = "global"
 NORMALIZER_SCOPES = (PER_BATCH, GLOBAL, THEORETICAL)
-
-CANDIDATE_HEADER = ["name", "gender"]
 
 DEFAULT_PERC_FS_GRID = [round(0.05 * i, 2) for i in range(1, 20)]
 DEFAULT_SIZE_GRID = [200, 500, 1000, 2000]
@@ -543,44 +547,3 @@ def write_result(result: ExperimentResult, out_dir) -> None:
     _write_rows(out / "raw.csv", result.records)
     _write_rows(out / "aggregate.csv", result.aggregates)
     _write_rows(out / "curves.csv", result.curves)
-
-
-# ---------------------------------------------------------------------------
-# candidate-list audits
-# ---------------------------------------------------------------------------
-
-
-def read_candidate_list(path) -> tuple[tuple[str, ...], np.ndarray]:
-    """Read a concrete ``name,gender`` list (e.g. real election candidates)
-    into its names and female mask."""
-    path = Path(path)
-    rows = [
-        parse_list_row(name, gender_text, path, line)
-        for line, (name, gender_text) in csv_rows(path, CANDIDATE_HEADER, 2)
-    ]
-    if not rows:
-        raise DatasetFormatError("candidate list has no rows", path=path)
-    names, flags = zip(*rows)
-    return names, np.array(flags)
-
-
-@dataclass
-class AuditResult:
-    rows: list[PageAuditRow]
-    below_cells: int
-
-
-def run_candidate_audit(paths, k1_values, perc_fd: float | None = None) -> AuditResult:
-    """Audit one or more candidate lists at the given page sizes.
-
-    Each list is sorted alphabetically and its first page is checked at
-    every page size. ``perc_fd`` is the expected female share; when None
-    it is derived from each list's own composition. ``below_cells`` counts
-    (list, page size) cells whose first page falls below expectation."""
-    rows = []
-    for path in paths:
-        names, mask = read_candidate_list(path)
-        expected = int(mask.sum()) / len(mask) if perc_fd is None else perc_fd
-        rows.append(page_audit(names, mask, k1_values, expected, list_id=Path(path).stem))
-    below = sum(1 for row in rows for flag in row.flags.values() if flag == BELOW)
-    return AuditResult(rows, below)

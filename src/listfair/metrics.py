@@ -19,11 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
-from listfair.dataset import write_rows
-from listfair.errors import SampleTooSmallError
+from listfair.dataset import csv_rows, parse_list_row, write_rows
+from listfair.errors import DatasetFormatError, SampleTooSmallError
 from listfair.ordering import sort_alphabetical
 
 THEORETICAL = "theoretical"
@@ -31,6 +32,7 @@ FIXED = "fixed"
 
 PARITY_ALPHA = 0.05
 
+CANDIDATE_HEADER = ["name", "gender"]
 AUDIT_HEADER = ["list_id", "size", "perc_fd", "k1", "perc_f", "flag"]
 BELOW = "below"
 AT_OR_ABOVE = "at_or_above"
@@ -134,8 +136,9 @@ def rnd(mask: np.ndarray, step: int = 10, z: float | None = None) -> RndReport:
 
     Without ``z``, Z is the theoretical worst-arrangement bound for this
     list's size and composition (mode "theoretical"); a given z must be
-    finite and > 0 (mode "fixed"). A theoretical Z of zero (a
-    single-gender list) reports a normalized 0 by convention.
+    finite and > 0 (mode "fixed"), and large enough that ``raw / z`` is
+    finite. A theoretical Z of zero (a single-gender list) reports a
+    normalized 0 by convention.
     """
     terms = _rnd_terms(np.cumsum(mask), step)
     checkpoints = tuple(
@@ -152,6 +155,9 @@ def rnd(mask: np.ndarray, step: int = 10, z: float | None = None) -> RndReport:
     else:
         mode = FIXED
     normalized = 0.0 if z == 0 else raw / z
+    if not math.isfinite(normalized):
+        # a tiny fixed z overflows the quotient; JSON has no Infinity
+        raise ValueError(f"fixed normalizer {z!r} is too small: raw / Z is not finite (raw {raw!r})")
     return RndReport(checkpoints, raw, float(z), mode, float(normalized))
 
 
@@ -224,6 +230,42 @@ def page_audit(names, mask: np.ndarray, k1_values, perc_fd: float, list_id: str 
         per_k1[k1] = share
         flags[k1] = BELOW if share < perc_fd else AT_OR_ABOVE
     return PageAuditRow(list_id, len(curve), perc_fd, per_k1, flags)
+
+
+def read_candidate_list(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Read a concrete ``name,gender`` list (e.g. real election candidates)
+    into its names and female mask."""
+    path = Path(path)
+    rows = [
+        parse_list_row(name, gender_text, path, line)
+        for line, (name, gender_text) in csv_rows(path, CANDIDATE_HEADER, 2)
+    ]
+    if not rows:
+        raise DatasetFormatError("candidate list has no rows", path=path)
+    names, flags = zip(*rows)
+    return names, np.array(flags)
+
+
+@dataclass
+class AuditResult:
+    rows: list[PageAuditRow]
+    below_cells: int
+
+
+def run_candidate_audit(paths, k1_values, perc_fd: float | None = None) -> AuditResult:
+    """Audit one or more candidate lists at the given page sizes.
+
+    Each list is sorted alphabetically and its first page is checked at
+    every page size. ``perc_fd`` is the expected female share; when None
+    it is derived from each list's own composition. ``below_cells`` counts
+    (list, page size) cells whose first page falls below expectation."""
+    rows = []
+    for path in paths:
+        names, mask = read_candidate_list(path)
+        expected = int(mask.sum()) / len(mask) if perc_fd is None else perc_fd
+        rows.append(page_audit(names, mask, k1_values, expected, list_id=Path(path).stem))
+    below = sum(1 for row in rows for flag in row.flags.values() if flag == BELOW)
+    return AuditResult(rows, below)
 
 
 def dump_audit_rows(rows, fh) -> None:

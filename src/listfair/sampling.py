@@ -23,7 +23,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from numpy.random import PCG64, Generator, SeedSequence
 
 from listfair.dataset import (
     _MAX_COUNT_DIGITS,
@@ -51,7 +50,9 @@ class RandomSource:
             raise ValueError("stream_index must be non-negative")
         self.seed = seed
         self.stream_index = stream_index
-        self.generator = Generator(PCG64(SeedSequence((seed, stream_index))))
+        # np.random, not a module-level import: numpy loads numpy.random on
+        # first use, so callers that only read sample files never load it
+        self.generator = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream_index))))
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, stream_index={self.stream_index})"
@@ -70,7 +71,7 @@ def stratified_female_count(perc_fs: float, n: int) -> int:
     return round_half_up(Fraction(str(perc_fs)) * n)
 
 
-def permutation(n: int, gen: Generator) -> list[int]:
+def permutation(n: int, gen: np.random.Generator) -> list[int]:
     """Uniformly random permutation of ``range(n)``.
 
     Classic Fisher-Yates swap-down over an unbiased integer source, so
@@ -86,7 +87,7 @@ def permutation(n: int, gen: Generator) -> list[int]:
     return perm
 
 
-def _weighted_draw(cdf: np.ndarray, size: int, gen: Generator) -> np.ndarray:
+def _weighted_draw(cdf: np.ndarray, size: int, gen: np.random.Generator) -> np.ndarray:
     """``size`` indices drawn with replacement from the distribution whose
     cumulative probabilities are ``cdf``: the same indices and the same
     stream use as ``gen.choice(len(cdf), size, p=p)``, without checking

@@ -365,6 +365,15 @@ CLI_TABLE.append(
         id="rnd-shorter-than-one-step",
     )
 )
+# raw is 1/6 and raw / 1e-320 overflows: no report with a normalized inf
+CLI_TABLE.append(
+    pytest.param(
+        {"list.csv": sample_text("FMM")},
+        RND_ARGS + ["--step", "2", "--normalizer", "fixed:1e-320", "--json", "--out", "{tmp}/rnd.json"], 2,
+        "error: fixed normalizer 1e-320 is too small: raw / Z is not finite (raw 0.16666666666666669)\n",
+        id="rnd-normalizer-fixed-1e-320-overflows",
+    )
+)
 
 
 NAMES = {"names.csv": HEADER + "Ana,F,3\nBia,M,2\n"}
@@ -492,6 +501,9 @@ def test_cli_table(capsys, monkeypatch, tmp_path, files, argv, code, prefix):
         monkeypatch.setenv(name, value)
         argv = argv[1:]
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
+    if code:
+        # a failed call writes no output file
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith(prefix.format(tmp=tmp_path))
@@ -709,12 +721,12 @@ def test_experiment_rejects_jobs_below_one(capsys, tmp_path, dataset_csv, jobs):
     assert not out.exists()
 
 
-def run_module(argv, **kwargs):
+def run_python(args, **kwargs):
     # the child imports the same package as this process, installed or not
     src = str(Path(listfair.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "listfair", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -722,10 +734,49 @@ def run_module(argv, **kwargs):
     )
 
 
+def run_module(argv, **kwargs):
+    return run_python(["-m", "listfair", *argv], **kwargs)
+
+
 def test_module_entry_point_runs():
     proc = run_module(["--version"])
     assert proc.returncode == 0
     assert "listfair" in proc.stdout
+
+
+# modules that no command of the checking chain needs
+UNNEEDED = ("listfair.experiments", "listfair.stats", "concurrent.futures.process")
+# prints the unneeded modules loaded by importing the CLI and running argv
+LOADED = """
+import sys
+import listfair.cli
+code = listfair.cli.main(sys.argv[2:]) if len(sys.argv) > 2 else 0
+print(*sorted(name for name in sys.argv[1].split() if name in sys.modules))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param([], id="import"),
+        ["sample", "--dataset", "{data}/fixture.csv", "--n", "50", "--seed", "1", "--out", "{tmp}/out.csv"],
+        ["sort", "--in", "{tmp}/list.csv", "--out", "{tmp}/out.csv"],
+        ["curve", "--in", "{tmp}/list.csv", "--out", "{tmp}/out.csv"],
+        ["rnd", "--in", "{tmp}/list.csv", "--json", "--out", "{tmp}/out.json"],
+        ["parity", "--in", "{tmp}/list.csv", "--reference", "0.5", "--json", "--out", "{tmp}/out.json"],
+        ["audit", "--in", "{data}/candidates/sp_federal.csv", "--page-sizes", "5,9,15", "--out", "{tmp}/out.csv"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_chain_commands_load_only_what_they_run(tmp_path, data_dir, argv):
+    (tmp_path / "list.csv").write_text(sample_text(WORST20), encoding="utf-8")
+    # only sample draws, so only sample needs numpy.random
+    unneeded = UNNEEDED + (() if argv[:1] == ["sample"] else ("numpy.random",))
+    argv = [arg.format(data=data_dir, tmp=tmp_path) for arg in argv]
+    proc = run_python(["-c", LOADED, " ".join(unneeded), *argv], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
 
 
 def limit_address_space():

@@ -16,6 +16,13 @@ import importlib
 
 __version__ = "0.1.0"
 
+# defined here, where reading them loads no numpy, because the CLI's
+# argument parsing needs them: the rND normalizer modes, and the bound
+# every sample size stays below (the one ExperimentConfig puts on n)
+THEORETICAL = "theoretical"
+FIXED = "fixed"
+MAX_SAMPLE_SIZE = 2**28
+
 # module -> the names it exports through the package
 _HOMES = {
     "dataset": ("NameDataset", "NameRecord", "load_canonical", "load_ssa_yearfiles", "write_canonical"),

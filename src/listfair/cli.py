@@ -28,12 +28,11 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-# only what argument parsing needs: each command imports the modules it
-# runs, so that a short call loads no experiment driver or process pool
-from listfair import __version__
+# only what argument parsing needs, none of it numpy: each command imports
+# the modules it runs, so that a short call loads no experiment driver or
+# process pool, and --version, --help or a usage error no numpy
+from listfair import FIXED, MAX_SAMPLE_SIZE, THEORETICAL, __version__
 from listfair.errors import ListFairError
-from listfair.metrics import FIXED, THEORETICAL
-from listfair.sampling import MAX_SAMPLE_SIZE
 
 ENV_SEED = "LISTFAIR_SEED"
 

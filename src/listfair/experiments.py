@@ -41,7 +41,7 @@ from listfair.metrics import (
     rnd_theoretical_normalizer,
 )
 from listfair.ordering import alphabetical_order
-from listfair.sampling import RandomSource, draw_sample
+from listfair.sampling import RandomSource, draw_samples
 
 # the candidate-list audit under its names here as well: perfbench/spans.py
 # wraps experiments.read_candidate_list
@@ -252,7 +252,19 @@ def _map_tasks(fn, tasks, jobs: int) -> list:
 
 
 def _alphabetical(ds: NameDataset, indices: np.ndarray) -> np.ndarray:
-    return indices[alphabetical_order(ds.rank[indices])]
+    """Each row of sample indices in alphabetical order."""
+    return np.take_along_axis(indices, alphabetical_order(ds.rank[indices]), axis=-1)
+
+
+def _sample_blocks(cfg: ExperimentConfig, kind: str, code: int, n: int):
+    """The random sources of one cell's samples, in sample order and in
+    blocks of ``max(1, stats.BLOCK // n)``, so that a block is drawn,
+    sorted and scored as one (rows, n) array. Yields each block's first
+    sample ordinal with its sources."""
+    rows = max(1, stats.BLOCK // n)
+    for start in range(0, cfg.samples_per_cell, rows):
+        stop = min(start + rows, cfg.samples_per_cell)
+        yield start, [RandomSource(cfg.seed, sample_stream(kind, code, i)) for i in range(start, stop)]
 
 
 def _smoothed(xs, ys, bandwidth: float | None) -> np.ndarray:
@@ -356,20 +368,21 @@ def _percf_chunk(task) -> tuple[list[dict], np.ndarray, np.ndarray, np.ndarray]:
     random_curves = np.empty((cfg.samples_per_cell, len(ks)))
     alpha_curves = np.empty_like(random_curves)
     columns = slice(ks.start - 1, ks.stop - 1)
-    for i in range(cfg.samples_per_cell):
-        rng = RandomSource(cfg.seed, sample_stream(kind, 0, i))
-        indices = draw_sample(ds, cfg.n, rng)
+    for start, rngs in _sample_blocks(cfg, kind, 0, cfg.n):
+        indices = draw_samples(ds, cfg.n, rngs)
+        block = slice(start, start + len(rngs))
         random_curve = perc_f_curve(ds.is_female[indices])
-        random_curves[i] = random_curve[columns]
-        alpha_curves[i] = perc_f_curve(ds.is_female[_alphabetical(ds, indices)])[columns]
-        records.append(
+        random_curves[block] = random_curve[:, columns]
+        alpha_curves[block] = perc_f_curve(ds.is_female[_alphabetical(ds, indices)])[:, columns]
+        records.extend(
             {
                 "dataset": ds.id,
                 "cell": "proportional",
                 "sample": i,
                 "stream_index": rng.stream_index,
-                "perc_f_sample": float(random_curve[-1]),
+                "perc_f_sample": share,
             }
+            for i, rng, share in zip(range(start, block.stop), rngs, random_curve[:, -1].tolist())
         )
     intervals = np.empty((2, len(ks)))
     # one contiguous row per k: resampling gathers from it twice as fast
@@ -464,19 +477,23 @@ def _rnd_cell(task) -> list[dict]:
         # the size alone decides whether a list reaches the first
         # checkpoint, so say so before drawing anything
         rnd_checkpoints(n, cfg.step)
-        for i in range(cfg.samples_per_cell):
-            rng = RandomSource(cfg.seed, sample_stream(kind, code, i))
-            indices = draw_sample(ds, n, rng, perc_fs)
-            mask = ds.is_female[_alphabetical(ds, indices)]
-            records.append(
+        for start, rngs in _sample_blocks(cfg, kind, code, n):
+            masks = ds.is_female[_alphabetical(ds, draw_samples(ds, n, rngs, perc_fs))]
+            records.extend(
                 {
                     "dataset": ds.id,
                     key: cell,
                     "sample": i,
                     "stream_index": rng.stream_index,
-                    "n_f": int(mask.sum()),
-                    "raw": rnd_raw_of_mask(mask, cfg.step),
+                    "n_f": n_f,
+                    "raw": raw,
                 }
+                for i, rng, n_f, raw in zip(
+                    range(start, start + len(rngs)),
+                    rngs,
+                    masks.sum(axis=1).tolist(),
+                    rnd_raw_of_mask(masks, cfg.step).tolist(),
+                )
             )
     except (InfeasibleSampleError, SampleTooSmallError) as exc:
         raise type(exc)(f"cell {key}={cell}: {exc}") from None

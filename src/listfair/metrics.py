@@ -23,12 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
+from listfair import FIXED, THEORETICAL
 from listfair.dataset import csv_rows, parse_list_row, write_rows
 from listfair.errors import DatasetFormatError, SampleTooSmallError
 from listfair.ordering import sort_alphabetical
-
-THEORETICAL = "theoretical"
-FIXED = "fixed"
 
 PARITY_ALPHA = 0.05
 
@@ -40,10 +38,12 @@ AT_OR_ABOVE = "at_or_above"
 
 def perc_f_curve(mask: np.ndarray) -> np.ndarray:
     """Female share of positions 1..k for every k, from the female mask
-    of a list in display order; ``curve[k - 1]`` is ``Perc_f(k)``."""
-    if len(mask) == 0:
+    of a list in display order; ``curve[k - 1]`` is ``Perc_f(k)``. A 2-D
+    mask holds one list per row and gives one curve per row."""
+    n = mask.shape[-1]
+    if n == 0:
         raise ValueError("curve needs at least one individual")
-    return np.cumsum(mask) / np.arange(1, len(mask) + 1)
+    return np.cumsum(mask, axis=-1) / np.arange(1, n + 1)
 
 
 def rnd_checkpoints(n: int, step: int = 10) -> list[int]:
@@ -84,23 +84,26 @@ class RndCheckpoint:
 
 def _rnd_terms(cumulative: np.ndarray, step: int):
     """Checkpoints, discounts, deviations and terms of rND from the
-    running female count of a list."""
-    n = len(cumulative)
+    running female count of a list, or of each row of a 2-D count."""
+    n = cumulative.shape[-1]
     ks, discounts = _discounted_checkpoints(n, step)
-    deviations = np.abs(cumulative[ks - 1] / ks - cumulative[-1] / n)
+    deviations = np.abs(cumulative[..., ks - 1] / ks - cumulative[..., -1:] / n)
     return ks, discounts, deviations, discounts * deviations
 
 
-def _sum_terms(terms: np.ndarray) -> float:
-    # left to right like a Python loop; np.sum's pairwise summation would
-    # change the last bits of raw
-    return float(sum(terms.tolist()))
+def _sum_terms(terms: np.ndarray) -> np.ndarray:
+    # left to right along the last axis, as a plain loop adds: np.sum's
+    # pairwise summation, and from Python 3.12 on sum()'s compensated
+    # one, would change the last bits of raw
+    return np.add.accumulate(terms, axis=-1)[..., -1]
 
 
-def rnd_raw_of_mask(mask: np.ndarray, step: int = 10) -> float:
+def rnd_raw_of_mask(mask: np.ndarray, step: int = 10) -> float | np.ndarray:
     """Raw (unnormalized) discounted deviation sum of a list given as its
-    female mask in display order."""
-    return _sum_terms(_rnd_terms(np.cumsum(mask), step)[3])
+    female mask in display order; for a 2-D mask, an array of the raw
+    value of each row."""
+    raw = _sum_terms(_rnd_terms(np.cumsum(mask, axis=-1), step)[3])
+    return raw if raw.ndim else float(raw)
 
 
 def rnd_theoretical_normalizer(n: int, n_f: int, step: int = 10) -> float:
@@ -118,7 +121,7 @@ def rnd_theoretical_normalizer(n: int, n_f: int, step: int = 10) -> float:
     women_last = np.maximum(positions - (n - n_f), 0)
     raw_first = _sum_terms(_rnd_terms(women_first, step)[3])
     raw_last = _sum_terms(_rnd_terms(women_last, step)[3])
-    return max(raw_first, raw_last)
+    return float(max(raw_first, raw_last))
 
 
 @dataclass(frozen=True)
@@ -145,7 +148,7 @@ def rnd(mask: np.ndarray, step: int = 10, z: float | None = None) -> RndReport:
         RndCheckpoint(k, discount, deviation, term)
         for k, discount, deviation, term in zip(*(a.tolist() for a in terms))
     )
-    raw = _sum_terms(terms[3])
+    raw = float(_sum_terms(terms[3]))
     if z is None:
         mode, z = THEORETICAL, rnd_theoretical_normalizer(len(mask), int(mask.sum()), step)
     elif z <= 0:

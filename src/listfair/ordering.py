@@ -27,14 +27,18 @@ def collation_key(name: str) -> str:
 
 def dense_rank(keys) -> np.ndarray:
     """Rank of each key among the distinct keys in sorted order; equal
-    keys share a rank, so ranks compare exactly as the keys do."""
+    keys share a rank, so ranks compare exactly as the keys do. The ranks
+    have the narrowest unsigned dtype that holds them: a stable sort
+    depends only on their order, and numpy sorts keys of 16 bits or
+    fewer by radix."""
     order = sorted(range(len(keys)), key=keys.__getitem__)
     ordered = list(map(keys.__getitem__, order))
     # a key opens a new rank where it differs from the one before it
     steps = np.zeros(len(keys), dtype=np.intp)
     steps[1:] = np.fromiter(map(operator.ne, ordered[1:], ordered), dtype=bool)
-    ranks = np.empty(len(keys), dtype=np.intp)
-    ranks[order] = steps.cumsum()
+    steps = steps.cumsum()
+    ranks = np.empty(len(keys), dtype=np.min_scalar_type(steps[-1] if len(keys) else 0))
+    ranks[order] = steps
     return ranks
 
 
@@ -45,9 +49,9 @@ def collation_ranks(names) -> np.ndarray:
 
 
 def alphabetical_order(ranks: np.ndarray) -> np.ndarray:
-    """Positions that put ``ranks`` in order; the sort is stable, so
-    equal ranks keep their arrival order."""
-    return np.argsort(ranks, kind="stable")
+    """Positions that put ``ranks`` in order, along the last axis; the
+    sort is stable, so equal ranks keep their arrival order."""
+    return np.argsort(ranks, axis=-1, kind="stable")
 
 
 def sort_alphabetical(names) -> np.ndarray:

@@ -14,6 +14,13 @@ millions behaves when only a thousand rows are displayed. A sample is an
 index array into a dataset's records, drawn from the tables the
 :class:`~listfair.dataset.NameDataset` keeps. A requested female share
 makes the sample stratified; without one it is proportional.
+
+:func:`draw_samples` draws a block of samples, one per random source, as
+the rows of one array; the experiments draw a cell's samples
+``max(1, stats.BLOCK // n)`` at a time. Each row is the sample its
+source alone gives (:func:`draw_sample` is the one-row case), and a
+stratified row is shuffled by :func:`permutations`, which computes the
+Fisher-Yates swap loop's exact result with array operations.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from listfair import MAX_SAMPLE_SIZE
 from listfair.dataset import (
     _MAX_COUNT_DIGITS,
     NameDataset,
@@ -35,9 +43,6 @@ from listfair.dataset import (
 from listfair.errors import DatasetFormatError, InfeasibleSampleError
 
 SAMPLE_HEADER = ["position", "name", "gender"]
-
-# sample sizes stay below this bound, the one ExperimentConfig puts on n
-MAX_SAMPLE_SIZE = 2**28
 
 
 class RandomSource:
@@ -71,47 +76,93 @@ def stratified_female_count(perc_fs: float, n: int) -> int:
     return round_half_up(Fraction(str(perc_fs)) * n)
 
 
-def permutation(n: int, gen: np.random.Generator) -> list[int]:
-    """Uniformly random permutation of ``range(n)``.
+def permutations(n: int, gens) -> np.ndarray:
+    """One uniformly random permutation of ``range(n)`` per generator, as
+    the rows of a ``(len(gens), n)`` intp array.
 
-    Classic Fisher-Yates swap-down over an unbiased integer source, so
-    every permutation is equally likely. All swap indices come from one
-    ``integers`` call with the bounds n, n-1, ..., 2; numpy draws each
+    Row r is the classic Fisher-Yates swap-down over ``gens[r]``: for
+    i = n-1, ..., 1 it swaps positions i and j_i, with every j_i from one
+    ``integers`` call with the bounds n, n-1, ..., 2. numpy draws each
     bounded integer of an array call exactly as a scalar call with that
-    bound would, so permutation and stream state match one call per swap.
+    bound would, so rows and stream states match one call per swap.
+
+    The swaps are not run one by one. Steps run from i = n-1 down, and
+    step i fixes position i for good with the value that position j_i
+    holds just before it. A position x <= i still holds its starting
+    value x then, unless a step above i targeted it; if so, it holds what
+    the nearest such step moved there, the value at that step's own
+    position just before it. So, with j_0 = 0, the value W(x) at position
+    x just before step x is W of the nearest step above x that targets x,
+    or x if none does. Following these links to their end (pointer
+    jumping: ``parent[parent]`` until nothing changes) gives every W at
+    once, and position i ends with W of the nearest step above i that
+    targets j_i, or with j_i if none does. One stable sort of the targets
+    groups the steps that share one, in step order, for all rows.
     """
-    perm = list(range(n))
-    swaps = gen.integers(0, np.arange(n, 1, -1)).tolist()
-    for i, j in zip(range(n - 1, 0, -1), swaps):
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm
+    rows = len(gens)
+    targets = np.zeros((rows, n), dtype=np.intp)
+    bounds = np.arange(n, 1, -1)
+    for row, gen in zip(targets, gens):
+        row[:0:-1] = gen.integers(0, bounds)
+    size = rows * n
+    if size < 2:
+        return targets
+    # number position i of row r as r*n + i, so one sort serves all rows
+    offsets = np.arange(0, size, n)[:, None]
+    targets = (targets + offsets).ravel()
+    # on keys of 16 bits or fewer a stable argsort is a radix sort
+    steps = targets.astype(np.min_scalar_type(size - 1)).argsort(kind="stable")
+    ordered = targets[steps]
+    same = ordered[1:] == ordered[:-1]
+    # later[k]: the nearest step above steps[k] with its target, else -1
+    later = np.empty(size, dtype=np.intp)
+    later[:-1] = np.where(same, steps[1:], -1)
+    later[-1] = -1
+    # parent[x]: the nearest step above x that targets x, or x for a root.
+    # A target's first step is x itself only when x targets itself, and
+    # W(x) is read only where x's target lies below x, so x stays a root.
+    heads = np.flatnonzero(np.concatenate(([True], ~same)))
+    parent = np.arange(size)
+    parent[ordered[heads]] = steps[heads]
+    while True:
+        root = parent[parent]
+        if np.array_equal(root, parent):
+            break
+        parent = root
+    # step i places what its target held: W of the nearest step above i
+    # with that target, else the target's own starting value
+    final = np.empty(size, dtype=np.intp)
+    final[steps] = np.where(later >= 0, parent[later], ordered)
+    return final.reshape(rows, n) - offsets
 
 
-def _weighted_draw(cdf: np.ndarray, size: int, gen: np.random.Generator) -> np.ndarray:
-    """``size`` indices drawn with replacement from the distribution whose
-    cumulative probabilities are ``cdf``: the same indices and the same
-    stream use as ``gen.choice(len(cdf), size, p=p)``, without checking
-    and summing ``p`` on every call."""
-    return cdf.searchsorted(gen.random(size), side="right")
+def draw_samples(ds: NameDataset, n: int, rngs, perc_fs: float | None = None) -> np.ndarray:
+    """Record indices of one sample of ``n`` individuals per random source,
+    as the rows of a ``(len(rngs), n)`` array.
 
-
-def draw_sample(ds: NameDataset, n: int, rng: RandomSource, perc_fs: float | None = None) -> np.ndarray:
-    """Record indices of ``n`` individuals drawn from a dataset.
-
-    Without ``perc_fs`` the sample is proportional: every position is drawn
+    Without ``perc_fs`` a sample is proportional: every position is drawn
     independently with probability proportional to record count over the
     whole dataset, so arrival order is already random. With ``perc_fs`` it
     is stratified: exactly :func:`stratified_female_count` women are drawn
     from the female records and the rest from the male records (each side
-    weighted by within-gender counts), then Fisher-Yates shuffled together.
+    weighted by within-gender counts), then Fisher-Yates shuffled together
+    (:func:`permutations`).
+
+    Each row is the sample its source alone gives. A source draws the
+    uniforms that ``Generator.choice`` with the counts as ``p`` would
+    draw, the female ones before the male ones, then the swap indices,
+    and its stream ends where drawing that one sample leaves it.
     """
     if n <= 0:
         raise ValueError("sample size n must be >= 1")
     if n >= MAX_SAMPLE_SIZE:
         raise ValueError(f"sample size n must be < 2**28, got {n}")
-    gen = rng.generator
+    gens = [rng.generator for rng in rngs]
+    uniforms = np.empty((len(gens), n))
     if perc_fs is None:
-        return _weighted_draw(ds.cdf, n, gen)
+        for row, gen in zip(uniforms, gens):
+            gen.random(out=row)
+        return ds.cdf.searchsorted(uniforms, side="right")
     if not 0.0 <= perc_fs <= 1.0:
         raise ValueError(f"perc_fs must lie in [0, 1], got {perc_fs}")
     n_f = stratified_female_count(perc_fs, n)
@@ -125,10 +176,23 @@ def draw_sample(ds: NameDataset, n: int, rng: RandomSource, perc_fs: float | Non
         raise InfeasibleSampleError(
             f"dataset {ds.id!r} has no male records but {n_m} men were requested"
         )
+    for row, gen in zip(uniforms, gens):
+        gen.random(out=row[:n_f])
+        gen.random(out=row[n_f:])
     drawn = np.concatenate(
-        [female[_weighted_draw(female_cdf, n_f, gen)], male[_weighted_draw(male_cdf, n_m, gen)]]
+        [
+            female[female_cdf.searchsorted(uniforms[:, :n_f], side="right")],
+            male[male_cdf.searchsorted(uniforms[:, n_f:], side="right")],
+        ],
+        axis=1,
     )
-    return drawn[permutation(n, gen)]
+    return np.take_along_axis(drawn, permutations(n, gens), axis=1)
+
+
+def draw_sample(ds: NameDataset, n: int, rng: RandomSource, perc_fs: float | None = None) -> np.ndarray:
+    """Record indices of ``n`` individuals drawn from a dataset: the one
+    row of :func:`draw_samples` with the source ``rng``."""
+    return draw_samples(ds, n, [rng], perc_fs)[0]
 
 
 def dump_sample_csv(names, mask: np.ndarray, fh) -> None:

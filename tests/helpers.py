@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from listfair.dataset import NameDataset
+from listfair.sampling import stratified_female_count
 from listfair.stats import BLOCK
 
 
@@ -86,3 +87,23 @@ def reference_bootstrap_ci(values, level: float, resamples: int, rng) -> tuple[f
         means[start:stop] = values[indices].mean(axis=1)
     lower, upper = np.quantile(means, [(1.0 - level) / 2.0, (1.0 + level) / 2.0]).tolist()
     return lower, upper
+
+
+def reference_draw_sample(ds: NameDataset, n: int, rng, perc_fs: float | None = None) -> np.ndarray:
+    """One sample as ``sampling.draw_samples`` draws each row, one sample
+    at a time: weighted draws by ``searchsorted`` into the draw tables,
+    then, for a stratified sample, a Fisher-Yates shuffle that runs its
+    swaps in a Python loop."""
+    gen = rng.generator
+    if perc_fs is None:
+        return ds.cdf.searchsorted(gen.random(n), side="right")
+    n_f = stratified_female_count(perc_fs, n)
+    (female, female_cdf), (male, male_cdf) = ds.strata
+    drawn = np.concatenate([
+        female[female_cdf.searchsorted(gen.random(n_f), side="right")],
+        male[male_cdf.searchsorted(gen.random(n - n_f), side="right")],
+    ])
+    perm = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), gen.integers(0, np.arange(n, 1, -1)).tolist()):
+        perm[i], perm[j] = perm[j], perm[i]
+    return drawn[perm]

@@ -35,7 +35,7 @@ from listfair.metrics import (
     rnd_theoretical_normalizer,
 )
 from listfair.ordering import collation_key, sort_alphabetical
-from listfair.sampling import RandomSource, permutation, read_sample_csv
+from listfair.sampling import RandomSource, permutations, read_sample_csv
 from listfair.stats import bootstrap_ci, nadaraya_watson
 
 from helpers import chi_square_statistic, mask_from_pattern
@@ -310,7 +310,7 @@ def test_ac10_shuffle_uniformity_and_summary():
     counts = {}
     rng = RandomSource(seed=99)
     for _ in range(trials):
-        perm = tuple(permutation(3, rng.generator))
+        perm = tuple(permutations(3, [rng.generator])[0].tolist())
         counts[perm] = counts.get(perm, 0) + 1
     stat = chi_square_statistic(counts.values(), [trials / 6] * 6)
     # critical value for 5 degrees of freedom at alpha = 0.01

@@ -756,6 +756,13 @@ sys.exit(code)
 """
 
 
+# calls that only parse their arguments, with their exit code and stdout
+PARSE_ONLY = {
+    "version": (["--version"], 0, f"listfair {listfair.__version__}\n"),
+    "usage-error": (["sample", "--dataset", "{data}/fixture.csv", "--n", "0", "--out", "{tmp}/out.csv"], 1, ""),
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -766,17 +773,26 @@ sys.exit(code)
         ["rnd", "--in", "{tmp}/list.csv", "--json", "--out", "{tmp}/out.json"],
         ["parity", "--in", "{tmp}/list.csv", "--reference", "0.5", "--json", "--out", "{tmp}/out.json"],
         ["audit", "--in", "{data}/candidates/sp_federal.csv", "--page-sizes", "5,9,15", "--out", "{tmp}/out.csv"],
+        *(pytest.param(name, id=name) for name in PARSE_ONLY),
     ],
     ids=lambda argv: argv[0],
 )
 def test_chain_commands_load_only_what_they_run(tmp_path, data_dir, argv):
     (tmp_path / "list.csv").write_text(sample_text(WORST20), encoding="utf-8")
-    # only sample draws, so only sample needs numpy.random
-    unneeded = UNNEEDED + (() if argv[:1] == ["sample"] else ("numpy.random",))
+    code, printed = 0, ""
+    if isinstance(argv, str):
+        # parsing alone needs no numpy at all
+        argv, code, printed = PARSE_ONLY[argv]
+        unneeded = UNNEEDED + ("numpy", "listfair.dataset", "listfair.metrics", "listfair.sampling")
+    else:
+        # only sample draws, so only sample needs numpy.random
+        unneeded = UNNEEDED + (() if argv[:1] == ["sample"] else ("numpy.random",))
     argv = [arg.format(data=data_dir, tmp=tmp_path) for arg in argv]
     proc = run_python(["-c", LOADED, " ".join(unneeded), *argv], timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "\n"
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == printed + "\n"
+    if code:
+        assert proc.stderr.startswith("usage error: ")
 
 
 def limit_address_space():

@@ -33,9 +33,11 @@ from listfair.experiments import (
     share_cell_code,
     write_result,
 )
-from listfair.metrics import rnd_theoretical_normalizer
+from listfair.metrics import perc_f_curve, rnd_raw_of_mask, rnd_theoretical_normalizer
+from listfair.ordering import collation_key
+from listfair.sampling import RandomSource
 
-from helpers import dataset_from_counts
+from helpers import dataset_from_counts, reference_draw_sample
 
 SMALL_DATASET = dataset_from_counts(
     [
@@ -305,6 +307,47 @@ def test_theoretical_scope_normalizes_per_sample():
             assert 0.0 <= record["normalized"] <= 1.0
             if record["z"]:
                 assert record["raw"] <= record["z"] + 1e-12
+
+
+# ALEX and alex share a collation key but not a gender
+TIED_DATASET = dataset_from_counts(
+    [("ALEX", "F", 300), ("alex", "M", 500), ("Bea", "F", 200), ("Bo", "M", 100), ("Zed", "F", 50)],
+    dataset_id="tied",
+)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sample_blocks_match_one_sample_at_a_time(kind):
+    # BLOCK // 3000 is 5, so 12 samples come in blocks of 5, 5 and 2
+    n, share = 3000, 0.3
+    cfg = ExperimentConfig(samples_per_cell=12, n=n, perc_fs_grid=[share], size_grid=[n], seed=11)
+    assert experiments.stats.BLOCK // n == 5
+    ds = TIED_DATASET
+    experiments._set_run_datasets([ds])
+    try:
+        if kind == PERCF:
+            records, random_curves, alpha_curves, _ = experiments._percf_chunk((0, cfg, kind, range(1, n + 1)))
+        else:
+            records = experiments._rnd_cell((0, cfg, kind, share if kind == RND_GRID else n))
+    finally:
+        experiments._set_run_datasets(None)
+    assert [r["sample"] for r in records] == list(range(12))
+    code = {PERCF: 0, RND_GRID: share_cell_code(share), RND_SIZE: n}[kind]
+    for i, record in enumerate(records):
+        rng = RandomSource(cfg.seed, sample_stream(kind, code, i))
+        assert record["stream_index"] == rng.stream_index
+        indices = reference_draw_sample(ds, n, rng, share if kind == RND_GRID else None).tolist()
+        # Python's stable sort on the collation key itself
+        alphabetical = sorted(indices, key=lambda record: collation_key(ds.names[record]))
+        mask = ds.is_female[alphabetical]
+        if kind == PERCF:
+            curve = perc_f_curve(ds.is_female[indices])
+            assert random_curves[i].tolist() == curve.tolist()
+            assert alpha_curves[i].tolist() == perc_f_curve(mask).tolist()
+            assert record["perc_f_sample"] == curve[-1]
+        else:
+            assert record["n_f"] == int(mask.sum())
+            assert record["raw"] == rnd_raw_of_mask(mask, cfg.step)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from listfair import metrics
 from listfair.errors import SampleTooSmallError
 from listfair.metrics import (
     AT_OR_ABOVE,
@@ -84,6 +85,39 @@ def test_rnd_raw_matches_oracle(pattern, step):
     assert rnd_raw_of_mask(mask_from_pattern(pattern), step) == pytest.approx(
         oracle_raw(pattern, step)
     )
+
+
+def test_raw_sums_terms_left_to_right():
+    # sum() of floats is compensated from Python 3.12 on and gives 2.0
+    # here; adding left to right, as a plain loop does, gives 0.0
+    terms = np.array([0.1] * 10 + [1e16, 1.0, -1e16])
+    stack = np.stack([terms, terms[::-1], np.roll(terms, 4)])
+    expected = []
+    for row in stack.tolist():
+        total = 0.0
+        for term in row:
+            total += term
+        expected.append(total)
+    assert expected[0] == 0.0
+    assert float(metrics._sum_terms(terms)) == expected[0]
+    assert metrics._sum_terms(stack).tolist() == expected
+
+
+@given(
+    st.integers(min_value=10, max_value=80).flatmap(
+        lambda n: st.lists(st.text(alphabet="FM", min_size=n, max_size=n), min_size=1, max_size=5)
+    ),
+    st.integers(min_value=2, max_value=10),
+)
+def test_mask_rows_score_as_single_lists(patterns, step):
+    masks = np.stack([mask_from_pattern(p) for p in patterns])
+    raws = rnd_raw_of_mask(masks, step)
+    curves = perc_f_curve(masks)
+    assert raws.shape == (len(patterns),) and curves.shape == masks.shape
+    for mask, raw, curve in zip(masks, raws.tolist(), curves):
+        single = rnd_raw_of_mask(mask, step)
+        assert type(single) is float and single == raw
+        assert perc_f_curve(mask).tolist() == curve.tolist()
 
 
 def test_rnd_raw_zero_iff_proportional_at_every_checkpoint():

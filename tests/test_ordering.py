@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from listfair.ordering import collation_key, collation_ranks, dense_rank, sort_alphabetical
+from listfair.ordering import alphabetical_order, collation_key, collation_ranks, dense_rank, sort_alphabetical
 
 
 @pytest.mark.parametrize(
@@ -106,8 +106,10 @@ unicode_names = stems.flatmap(
 @given(unicode_names)
 def test_collation_ranks_compare_as_keys(names):
     ranks = collation_ranks(names)
-    assert ranks.dtype == np.intp and ranks.shape == (len(names),)
     keys = [collation_key(n) for n in names]
+    # the narrowest unsigned dtype that holds the largest rank
+    assert ranks.dtype == np.min_scalar_type(max(len(set(keys)) - 1, 0))
+    assert ranks.shape == (len(names),)
     assert ranks.tolist() == dict_dense_rank(keys)
     ranks = ranks.tolist()
     for i, a in enumerate(keys):
@@ -119,3 +121,25 @@ def test_collation_ranks_compare_as_keys(names):
 @given(unicode_names)
 def test_dense_rank_matches_dict_reference(keys):
     assert dense_rank(keys).tolist() == dict_dense_rank(keys)
+
+
+@pytest.mark.parametrize(
+    "distinct, dtype",
+    [(1, np.uint8), (255, np.uint8), (256, np.uint8), (257, np.uint16), (65_535, np.uint16),
+     (65_536, np.uint16), (65_537, np.uint32)],
+)
+def test_dense_rank_is_narrow_and_sorts_as_int64(distinct, dtype):
+    rng = np.random.default_rng(distinct)
+    # every distinct key once, a few of them again, in random order
+    keys = [f"K{i:06d}" for i in rng.permutation(distinct).tolist()]
+    keys += keys[: distinct // 3]
+    keys = [keys[i] for i in rng.permutation(len(keys)).tolist()]
+    ranks = dense_rank(keys)
+    assert ranks.dtype == dtype
+    assert int(ranks.max()) == distinct - 1
+    wide = ranks.astype(np.int64)
+    assert np.array_equal(alphabetical_order(ranks), np.argsort(wide, kind="stable"))
+    # one row per sample, as the experiments sort them
+    rows = np.stack([ranks, ranks[::-1]])
+    expected = np.stack([np.argsort(row, kind="stable") for row in rows.astype(np.int64)])
+    assert np.array_equal(alphabetical_order(rows), expected)

@@ -10,14 +10,15 @@ from listfair.errors import DatasetFormatError, InfeasibleSampleError
 from listfair.sampling import (
     RandomSource,
     draw_sample,
+    draw_samples,
     dump_sample_csv,
-    permutation,
+    permutations,
     read_sample_csv,
     round_half_up,
     stratified_female_count,
 )
 
-from helpers import chi_square_statistic, dataset_from_counts
+from helpers import chi_square_statistic, dataset_from_counts, reference_draw_sample
 
 BASIC = dataset_from_counts(
     [
@@ -53,14 +54,14 @@ def test_round_half_up(x, expected):
 
 @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=2**32))
 def test_shuffle_preserves_multiset(n, seed):
-    shuffled = permutation(n, RandomSource(seed).generator)
-    assert sorted(shuffled) == list(range(n))
+    shuffled = permutations(n, [RandomSource(seed).generator])[0]
+    assert sorted(shuffled.tolist()) == list(range(n))
 
 
 def test_shuffle_deterministic_and_input_untouched():
-    one = permutation(5, RandomSource(11, 2).generator)
-    two = permutation(5, RandomSource(11, 2).generator)
-    assert one == two
+    one = permutations(5, [RandomSource(11, 2).generator])[0]
+    two = permutations(5, [RandomSource(11, 2).generator])[0]
+    assert one.tolist() == two.tolist()
     tables = (BASIC.cdf, *BASIC.strata[0], *BASIC.strata[1])
     before = [a.copy() for a in tables]
     draw_sample(BASIC, 30, RandomSource(11, 2), perc_fs=0.5)
@@ -85,10 +86,37 @@ def scalar_permutation(n, gen):
 def test_permutation_matches_scalar_swap_loop(n, seed, stream):
     vector = RandomSource(seed, stream).generator
     scalar = RandomSource(seed, stream).generator
-    assert permutation(n, vector) == scalar_permutation(n, scalar)
+    assert permutations(n, [vector])[0].tolist() == scalar_permutation(n, scalar)
     # the stream is left where the per-swap calls leave it
     assert vector.bit_generator.state == scalar.bit_generator.state
     assert vector.integers(0, 2**40) == scalar.integers(0, 2**40)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=300),
+    rows=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    stream=st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=200, deadline=None)
+def test_permutations_rows_match_scalar_swap_loop(n, rows, seed, stream):
+    gens = [RandomSource(seed, stream + r).generator for r in range(rows)]
+    perms = permutations(n, gens)
+    assert perms.dtype == np.intp and perms.shape == (rows, n)
+    for r, (perm, gen) in enumerate(zip(perms, gens)):
+        scalar = RandomSource(seed, stream + r).generator
+        assert perm.tolist() == scalar_permutation(n, scalar)
+        # each stream is left where its own per-swap calls leave it
+        assert gen.bit_generator.state == scalar.bit_generator.state
+
+
+def test_permutations_beyond_16_bit_positions():
+    # 70,000 positions do not fit the 16-bit keys that numpy radix-sorts
+    gen = RandomSource(2020, 7).generator
+    scalar = RandomSource(2020, 7).generator
+    perm = permutations(70_000, [gen])[0]
+    assert perm.tolist() == scalar_permutation(70_000, scalar)
+    assert gen.bit_generator.state == scalar.bit_generator.state
 
 
 def test_shuffle_uniformity_chi_square():
@@ -98,7 +126,7 @@ def test_shuffle_uniformity_chi_square():
     counts = {}
     rng = RandomSource(seed=2024)
     for _ in range(trials):
-        perm = tuple(permutation(3, rng.generator))
+        perm = tuple(permutations(3, [rng.generator])[0].tolist())
         counts[perm] = counts.get(perm, 0) + 1
     assert len(counts) == 6
     stat = chi_square_statistic(counts.values(), [trials / 6] * 6)
@@ -164,12 +192,40 @@ def test_draws_match_generator_choice(rows, n, perc_fs, seed):
         drawn = np.concatenate(
             [choice_draw(female, counts, n_f, gen), choice_draw(male, counts, n - n_f, gen)]
         )
-        expected = drawn[permutation(n, gen)]
+        expected = drawn[permutations(n, [gen])[0]]
     rng = RandomSource(seed)
     got = draw_sample(ds, n, rng, perc_fs)
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)
     assert rng.generator.bit_generator.state == gen.bit_generator.state
+
+
+# a mixed-gender tie: ALEX and alex share one collation key
+TIED = [("ALEX", "F", 30), ("alex", "M", 50), ("Bea", "F", 20), ("Ze", "M", 5), ("Ana", "F", 1)]
+
+
+@given(
+    extra=st.lists(
+        st.tuples(st.sampled_from("FM"), st.integers(min_value=1, max_value=10**6)),
+        max_size=20,
+    ),
+    n=st.integers(min_value=1, max_value=300),
+    samples=st.integers(min_value=1, max_value=5),
+    perc_fs=st.sampled_from([None, 0.0, 0.25, 0.5, 0.71, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_draw_samples_rows_match_one_draw_per_source(extra, n, samples, perc_fs, seed):
+    ds = dataset_from_counts(TIED + [(f"N{i}", g, c) for i, (g, c) in enumerate(extra)])
+    rngs = [RandomSource(seed, s) for s in range(samples)]
+    got = draw_samples(ds, n, rngs, perc_fs)
+    assert got.dtype == np.intp and got.shape == (samples, n)
+    for s, (row, rng) in enumerate(zip(got, rngs)):
+        reference = RandomSource(seed, s)
+        assert row.tolist() == reference_draw_sample(ds, n, reference, perc_fs).tolist()
+        assert rng.generator.bit_generator.state == reference.generator.bit_generator.state
+    # draw_sample is the one-row case
+    assert draw_sample(ds, n, RandomSource(seed, 0), perc_fs).tolist() == got[0].tolist()
 
 
 @given(

@@ -338,7 +338,7 @@ def test_sample_blocks_match_one_sample_at_a_time(kind):
         assert record["stream_index"] == rng.stream_index
         indices = reference_draw_sample(ds, n, rng, share if kind == RND_GRID else None).tolist()
         # Python's stable sort on the collation key itself
-        alphabetical = sorted(indices, key=lambda record: collation_key(ds.names[record]))
+        alphabetical = sorted(indices, key=lambda index: collation_key(ds.names[index]))
         mask = ds.is_female[alphabetical]
         if kind == PERCF:
             curve = perc_f_curve(ds.is_female[indices])

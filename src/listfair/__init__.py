@@ -48,7 +48,7 @@ _HOMES = {
         "statistical_parity",
     ),
     "ordering": ("collation_key", "sort_alphabetical"),
-    "sampling": ("RandomSource", "draw_sample"),
+    "sampling": ("draw_sample", "random_stream"),
     "stats": ("bootstrap_ci", "nadaraya_watson", "silverman_bandwidth"),
 }
 _EXPORTS = {name: home for home, names in _HOMES.items() for name in names}

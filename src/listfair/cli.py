@@ -183,7 +183,7 @@ def _cmd_convert_ssa(args) -> int:
 
 def _cmd_sample(args) -> int:
     from listfair.dataset import load_canonical
-    from listfair.sampling import RandomSource, draw_sample, dump_sample_csv
+    from listfair.sampling import draw_sample, dump_sample_csv, random_stream
 
     # --perc-fs implies stratified mode; --mode only needs to be spelled
     # out when it contradicts that inference
@@ -193,7 +193,7 @@ def _cmd_sample(args) -> int:
         raise _UsageError("--mode stratified needs --perc-fs")
     seed = _resolve_seed(args)
     ds = load_canonical(args.dataset)
-    rng = RandomSource(seed, args.stream)
+    rng = random_stream(seed, args.stream)
     try:
         indices = draw_sample(ds, args.n, rng, args.perc_fs)
         with _open_out(args.out) as fh:

@@ -41,7 +41,7 @@ from listfair.metrics import (
     rnd_theoretical_normalizer,
 )
 from listfair.ordering import alphabetical_order
-from listfair.sampling import RandomSource, draw_samples
+from listfair.sampling import draw_samples, random_stream
 
 # the candidate-list audit under its names here as well: perfbench/spans.py
 # wraps experiments.read_candidate_list
@@ -257,14 +257,14 @@ def _alphabetical(ds: NameDataset, indices: np.ndarray) -> np.ndarray:
 
 
 def _sample_blocks(cfg: ExperimentConfig, kind: str, code: int, n: int):
-    """The random sources of one cell's samples, in sample order and in
+    """The generators of one cell's samples, in sample order and in
     blocks of ``max(1, stats.BLOCK // n)``, so that a block is drawn,
     sorted and scored as one (rows, n) array. Yields each block's first
-    sample ordinal with its sources."""
+    sample ordinal with its generators."""
     rows = max(1, stats.BLOCK // n)
     for start in range(0, cfg.samples_per_cell, rows):
         stop = min(start + rows, cfg.samples_per_cell)
-        yield start, [RandomSource(cfg.seed, sample_stream(kind, code, i)) for i in range(start, stop)]
+        yield start, [random_stream(cfg.seed, sample_stream(kind, code, i)) for i in range(start, stop)]
 
 
 def _smoothed(xs, ys, bandwidth: float | None) -> np.ndarray:
@@ -291,7 +291,8 @@ def run_datasets(kind: str, datasets, cfg: ExperimentConfig, jobs: int = 1) -> E
 
     The cells of every dataset go through one process pool of at most
     ``jobs`` workers; the rows do not depend on ``jobs``. A percf cell is
-    a range of positions k, so the pool shares the per-k bootstrap.
+    a range of positions k, one per worker started, so the pool shares
+    the per-k bootstrap.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}")
@@ -302,8 +303,9 @@ def run_datasets(kind: str, datasets, cfg: ExperimentConfig, jobs: int = 1) -> E
     if len(set(ids)) != len(ids):
         raise ValueError(f"dataset ids are not unique: {ids}")
     if kind == PERCF:
-        # one contiguous range of positions k per worker
-        ranges = min(max(jobs, 1), cfg.n)
+        # one contiguous range of positions k per worker started: every
+        # range redraws all the samples
+        ranges = _pool_size(jobs, cfg.n, os.cpu_count())
         bounds = [1 + i * cfg.n // ranges for i in range(ranges + 1)]
         cells = [range(first, last) for first, last in zip(bounds, bounds[1:])]
         fn = _percf_chunk
@@ -353,45 +355,31 @@ def run_experiment(kind: str, cfg: ExperimentConfig, out_dir=None, jobs: int = 1
 # ---------------------------------------------------------------------------
 
 
-def _percf_chunk(task) -> tuple[list[dict], np.ndarray, np.ndarray, np.ndarray]:
+def _percf_chunk(task) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw all of a dataset's percf samples and bootstrap the random
     ordering's mean at the positions ``ks``.
 
-    Every task redraws the same samples from their own streams, so every
-    task returns the same records. Returns the records, the
-    random and alphabetical curves restricted to ``ks`` (one row per
+    Every task redraws the same samples from their own streams. Returns
+    the random and alphabetical curves restricted to ``ks`` (one row per
     sample), and the interval bounds as a (2, len(ks)) array.
     """
     ordinal, cfg, kind, ks = task
     ds = _run_datasets[ordinal]
-    records = []
     random_curves = np.empty((cfg.samples_per_cell, len(ks)))
     alpha_curves = np.empty_like(random_curves)
     columns = slice(ks.start - 1, ks.stop - 1)
     for start, rngs in _sample_blocks(cfg, kind, 0, cfg.n):
         indices = draw_samples(ds, cfg.n, rngs)
         block = slice(start, start + len(rngs))
-        random_curve = perc_f_curve(ds.is_female[indices])
-        random_curves[block] = random_curve[:, columns]
+        random_curves[block] = perc_f_curve(ds.is_female[indices])[:, columns]
         alpha_curves[block] = perc_f_curve(ds.is_female[_alphabetical(ds, indices)])[:, columns]
-        records.extend(
-            {
-                "dataset": ds.id,
-                "cell": "proportional",
-                "sample": i,
-                "stream_index": rng.stream_index,
-                "perc_f_sample": share,
-            }
-            for i, rng, share in zip(range(start, block.stop), rngs, random_curve[:, -1].tolist())
-        )
     intervals = np.empty((2, len(ks)))
     # one contiguous row per k: resampling gathers from it twice as fast
     # as from a strided column
     random_by_k = np.ascontiguousarray(random_curves.T)
     for j, k in enumerate(ks):
-        rng = RandomSource(cfg.seed, agg_stream(PERCF, k))
-        intervals[:, j] = stats.bootstrap_ci(random_by_k[j], rng=rng)
-    return records, random_curves, alpha_curves, intervals
+        intervals[:, j] = stats.bootstrap_ci(random_by_k[j], rng=random_stream(cfg.seed, agg_stream(PERCF, k)))
+    return random_curves, alpha_curves, intervals
 
 
 def _percf_rows(ds: NameDataset, cfg: ExperimentConfig, chunks) -> tuple[list, list, list]:
@@ -402,10 +390,7 @@ def _percf_rows(ds: NameDataset, cfg: ExperimentConfig, chunks) -> tuple[list, l
     95% interval of the random-ordering mean, kernel-smoothed versions of
     both mean curves, and the dataset's own female share as reference.
     """
-    records = chunks[0][0]
-    random_curves = np.hstack([chunk[1] for chunk in chunks])
-    alpha_curves = np.hstack([chunk[2] for chunk in chunks])
-    ci_low, ci_high = np.hstack([chunk[3] for chunk in chunks])
+    random_curves, alpha_curves, (ci_low, ci_high) = (np.hstack(parts) for parts in zip(*chunks))
     reference = ds.perc_f
 
     mean_random = random_curves.mean(axis=0)
@@ -432,9 +417,20 @@ def _percf_rows(ds: NameDataset, cfg: ExperimentConfig, chunks) -> tuple[list, l
         for k in range(1, cfg.n + 1)
     ]
 
+    # a sample's share is its random curve at k = n
+    shares = random_curves[:, -1]
+    records = [
+        {
+            "dataset": ds.id,
+            "cell": "proportional",
+            "sample": i,
+            "stream_index": sample_stream(PERCF, 0, i),
+            "perc_f_sample": share,
+        }
+        for i, share in enumerate(shares.tolist())
+    ]
     spc = cfg.samples_per_cell
-    shares = np.array([r["perc_f_sample"] for r in records])
-    share_low, share_high = stats.bootstrap_ci(shares, rng=RandomSource(cfg.seed, agg_stream(PERCF, 0)))
+    share_low, share_high = stats.bootstrap_ci(shares, rng=random_stream(cfg.seed, agg_stream(PERCF, 0)))
     aggregates = [
         {
             "dataset": ds.id,
@@ -484,13 +480,12 @@ def _rnd_cell(task) -> list[dict]:
                     "dataset": ds.id,
                     key: cell,
                     "sample": i,
-                    "stream_index": rng.stream_index,
+                    "stream_index": sample_stream(kind, code, i),
                     "n_f": n_f,
                     "raw": raw,
                 }
-                for i, rng, n_f, raw in zip(
+                for i, n_f, raw in zip(
                     range(start, start + len(rngs)),
-                    rngs,
                     masks.sum(axis=1).tolist(),
                     rnd_raw_of_mask(masks, cfg.step).tolist(),
                 )
@@ -517,7 +512,7 @@ def _rnd_rows(cfg: ExperimentConfig, kind: str, grid, per_cell: list[list[dict]]
             r["z"] = float(z)
             r["normalized"] = 0.0 if z == 0 else r["raw"] / z
         raws = np.array([r["raw"] for r in records])
-        ci_low, ci_high = stats.bootstrap_ci(raws, rng=RandomSource(cfg.seed, agg_stream(kind, code)))
+        ci_low, ci_high = stats.bootstrap_ci(raws, rng=random_stream(cfg.seed, agg_stream(kind, code)))
         aggregates.append(
             {
                 "dataset": records[0]["dataset"],

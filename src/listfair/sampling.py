@@ -1,12 +1,12 @@
 """Seeded randomness, Fisher-Yates shuffling, and sample generation.
 
-Reproducibility contract: a :class:`RandomSource` is keyed by
-``(seed, stream_index)`` and always yields the same value sequence for
-the same key (the pinned generator is numpy's PCG64 seeded through
-``SeedSequence((seed, stream_index))``). Operations consume the stream,
-so re-create the source to replay a draw. Experiment drivers give every
-sample its own stream index, which makes runs independent of scheduling
-and safe to parallelize.
+Reproducibility contract: :func:`random_stream` returns a numpy
+``Generator`` keyed by ``(seed, stream_index)``, which always yields the
+same value sequence for the same key (the pinned generator is numpy's
+PCG64 seeded through ``SeedSequence((seed, stream_index))``). Operations
+consume the stream, so re-create the generator to replay a draw.
+Experiment drivers give every sample its own stream index, which makes
+runs independent of scheduling and safe to parallelize.
 
 Samples are drawn WITH replacement: each position is an independent
 draw from the name-frequency distribution, the same way a registry of
@@ -15,10 +15,10 @@ index array into a dataset's records, drawn from the tables the
 :class:`~listfair.dataset.NameDataset` keeps. A requested female share
 makes the sample stratified; without one it is proportional.
 
-:func:`draw_samples` draws a block of samples, one per random source, as
+:func:`draw_samples` draws a block of samples, one per generator, as
 the rows of one array; the experiments draw a cell's samples
 ``max(1, stats.BLOCK // n)`` at a time. Each row is the sample its
-source alone gives (:func:`draw_sample` is the one-row case), and a
+generator alone gives (:func:`draw_sample` is the one-row case), and a
 stratified row is shuffled by :func:`permutations`, which computes the
 Fisher-Yates swap loop's exact result with array operations.
 """
@@ -45,22 +45,16 @@ from listfair.errors import DatasetFormatError, InfeasibleSampleError
 SAMPLE_HEADER = ["position", "name", "gender"]
 
 
-class RandomSource:
-    """Deterministic random stream keyed by (seed, stream_index)."""
-
-    def __init__(self, seed: int, stream_index: int = 0):
-        if seed < 0 or seed >= 2**64:
-            raise ValueError("seed must be a 64-bit non-negative integer")
-        if stream_index < 0:
-            raise ValueError("stream_index must be non-negative")
-        self.seed = seed
-        self.stream_index = stream_index
-        # np.random, not a module-level import: numpy loads numpy.random on
-        # first use, so callers that only read sample files never load it
-        self.generator = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream_index))))
-
-    def __repr__(self) -> str:
-        return f"RandomSource(seed={self.seed}, stream_index={self.stream_index})"
+def random_stream(seed: int, stream_index: int = 0) -> np.random.Generator:
+    """The generator keyed by ``(seed, stream_index)``: PCG64 seeded
+    through ``SeedSequence((seed, stream_index))``."""
+    if seed < 0 or seed >= 2**64:
+        raise ValueError("seed must be a 64-bit non-negative integer")
+    if stream_index < 0:
+        raise ValueError("stream_index must be non-negative")
+    # np.random, not a module-level import: numpy loads numpy.random on
+    # first use, so callers that only read sample files never load it
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream_index))))
 
 
 def round_half_up(x) -> int:
@@ -137,8 +131,8 @@ def permutations(n: int, gens) -> np.ndarray:
 
 
 def draw_samples(ds: NameDataset, n: int, rngs, perc_fs: float | None = None) -> np.ndarray:
-    """Record indices of one sample of ``n`` individuals per random source,
-    as the rows of a ``(len(rngs), n)`` array.
+    """Record indices of one sample of ``n`` individuals per generator in
+    ``rngs``, as the rows of a ``(len(rngs), n)`` array.
 
     Without ``perc_fs`` a sample is proportional: every position is drawn
     independently with probability proportional to record count over the
@@ -148,7 +142,7 @@ def draw_samples(ds: NameDataset, n: int, rngs, perc_fs: float | None = None) ->
     weighted by within-gender counts), then Fisher-Yates shuffled together
     (:func:`permutations`).
 
-    Each row is the sample its source alone gives. A source draws the
+    Each row is the sample its generator alone gives. A generator draws the
     uniforms that ``Generator.choice`` with the counts as ``p`` would
     draw, the female ones before the male ones, then the swap indices,
     and its stream ends where drawing that one sample leaves it.
@@ -157,11 +151,10 @@ def draw_samples(ds: NameDataset, n: int, rngs, perc_fs: float | None = None) ->
         raise ValueError("sample size n must be >= 1")
     if n >= MAX_SAMPLE_SIZE:
         raise ValueError(f"sample size n must be < 2**28, got {n}")
-    gens = [rng.generator for rng in rngs]
-    uniforms = np.empty((len(gens), n))
+    uniforms = np.empty((len(rngs), n))
     if perc_fs is None:
-        for row, gen in zip(uniforms, gens):
-            gen.random(out=row)
+        for row, rng in zip(uniforms, rngs):
+            rng.random(out=row)
         return ds.cdf.searchsorted(uniforms, side="right")
     if not 0.0 <= perc_fs <= 1.0:
         raise ValueError(f"perc_fs must lie in [0, 1], got {perc_fs}")
@@ -176,9 +169,9 @@ def draw_samples(ds: NameDataset, n: int, rngs, perc_fs: float | None = None) ->
         raise InfeasibleSampleError(
             f"dataset {ds.id!r} has no male records but {n_m} men were requested"
         )
-    for row, gen in zip(uniforms, gens):
-        gen.random(out=row[:n_f])
-        gen.random(out=row[n_f:])
+    for row, rng in zip(uniforms, rngs):
+        rng.random(out=row[:n_f])
+        rng.random(out=row[n_f:])
     drawn = np.concatenate(
         [
             female[female_cdf.searchsorted(uniforms[:, :n_f], side="right")],
@@ -186,12 +179,12 @@ def draw_samples(ds: NameDataset, n: int, rngs, perc_fs: float | None = None) ->
         ],
         axis=1,
     )
-    return np.take_along_axis(drawn, permutations(n, gens), axis=1)
+    return np.take_along_axis(drawn, permutations(n, rngs), axis=1)
 
 
-def draw_sample(ds: NameDataset, n: int, rng: RandomSource, perc_fs: float | None = None) -> np.ndarray:
+def draw_sample(ds: NameDataset, n: int, rng: np.random.Generator, perc_fs: float | None = None) -> np.ndarray:
     """Record indices of ``n`` individuals drawn from a dataset: the one
-    row of :func:`draw_samples` with the source ``rng``."""
+    row of :func:`draw_samples` with the generator ``rng``."""
     return draw_samples(ds, n, [rng], perc_fs)[0]
 
 

@@ -3,7 +3,7 @@
 Where the measurement protocol leaves estimator details open, the
 defaults follow common practice: Gaussian kernel, Silverman's
 rule-of-thumb bandwidth, percentile bootstrap of the mean with 2000
-resamples. Everything is deterministic given a RandomSource.
+resamples. Everything is deterministic given a seeded generator.
 
 The bootstrap's resample indices are exactly the stream of
 ``Generator.integers(0, size)``, drawn 16 Ki at a time. On PCG64 they
@@ -20,8 +20,6 @@ import sys
 
 import numpy as np
 from numpy.random import PCG64
-
-from listfair.sampling import RandomSource
 
 DEFAULT_RESAMPLES = 2000
 
@@ -112,7 +110,7 @@ def bootstrap_ci(
     level: float = 0.95,
     resamples: int = DEFAULT_RESAMPLES,
     *,
-    rng: RandomSource,
+    rng: np.random.Generator,
 ) -> tuple[float, float]:
     """Percentile bootstrap interval ``(lower, upper)`` for the mean of
     ``values``.
@@ -135,7 +133,7 @@ def bootstrap_ci(
     size = values.size
     rows = max(1, BLOCK // size)
     rows += rows & size & 1
-    blocks = _index_blocks(rng.generator, size, resamples * size, rows * size)
+    blocks = _index_blocks(rng, size, resamples * size, rows * size)
     gathered = np.empty((min(rows, resamples), size))
     means = np.empty(resamples)
     for start, indices in zip(range(0, resamples, rows), blocks):

@@ -83,7 +83,7 @@ def reference_bootstrap_ci(values, level: float, resamples: int, rng) -> tuple[f
     means = np.empty(resamples)
     for start in range(0, resamples, rows):
         stop = min(start + rows, resamples)
-        indices = rng.generator.integers(0, size, size=(stop - start, size))
+        indices = rng.integers(0, size, size=(stop - start, size))
         means[start:stop] = values[indices].mean(axis=1)
     lower, upper = np.quantile(means, [(1.0 - level) / 2.0, (1.0 + level) / 2.0]).tolist()
     return lower, upper
@@ -94,16 +94,15 @@ def reference_draw_sample(ds: NameDataset, n: int, rng, perc_fs: float | None = 
     at a time: weighted draws by ``searchsorted`` into the draw tables,
     then, for a stratified sample, a Fisher-Yates shuffle that runs its
     swaps in a Python loop."""
-    gen = rng.generator
     if perc_fs is None:
-        return ds.cdf.searchsorted(gen.random(n), side="right")
+        return ds.cdf.searchsorted(rng.random(n), side="right")
     n_f = stratified_female_count(perc_fs, n)
     (female, female_cdf), (male, male_cdf) = ds.strata
     drawn = np.concatenate([
-        female[female_cdf.searchsorted(gen.random(n_f), side="right")],
-        male[male_cdf.searchsorted(gen.random(n - n_f), side="right")],
+        female[female_cdf.searchsorted(rng.random(n_f), side="right")],
+        male[male_cdf.searchsorted(rng.random(n - n_f), side="right")],
     ])
     perm = list(range(n))
-    for i, j in zip(range(n - 1, 0, -1), gen.integers(0, np.arange(n, 1, -1)).tolist()):
+    for i, j in zip(range(n - 1, 0, -1), rng.integers(0, np.arange(n, 1, -1)).tolist()):
         perm[i], perm[j] = perm[j], perm[i]
     return drawn[perm]

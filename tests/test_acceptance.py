@@ -35,7 +35,7 @@ from listfair.metrics import (
     rnd_theoretical_normalizer,
 )
 from listfair.ordering import collation_key, sort_alphabetical
-from listfair.sampling import RandomSource, permutations, read_sample_csv
+from listfair.sampling import permutations, random_stream, read_sample_csv
 from listfair.stats import bootstrap_ci, nadaraya_watson
 
 from helpers import chi_square_statistic, mask_from_pattern
@@ -296,7 +296,7 @@ def test_ac10_regression_range_bound(points, grid, bandwidth):
 @PROPERTY_SETTINGS
 def test_ac10_bootstrap_nesting(values, seed):
     cis = [
-        bootstrap_ci(values, level=level, resamples=80, rng=RandomSource(seed, 3))
+        bootstrap_ci(values, level=level, resamples=80, rng=random_stream(seed, 3))
         for level in (0.6, 0.9, 0.99)
     ]
     for (tight_lower, tight_upper), (wide_lower, wide_upper) in zip(cis, cis[1:]):
@@ -308,9 +308,9 @@ def test_ac10_shuffle_uniformity_and_summary():
     start = time.perf_counter()
     trials = 10_000
     counts = {}
-    rng = RandomSource(seed=99)
+    rng = random_stream(seed=99)
     for _ in range(trials):
-        perm = tuple(permutations(3, [rng.generator])[0].tolist())
+        perm = tuple(permutations(3, [rng])[0].tolist())
         counts[perm] = counts.get(perm, 0) + 1
     stat = chi_square_statistic(counts.values(), [trials / 6] * 6)
     # critical value for 5 degrees of freedom at alpha = 0.01

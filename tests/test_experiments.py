@@ -35,7 +35,7 @@ from listfair.experiments import (
 )
 from listfair.metrics import perc_f_curve, rnd_raw_of_mask, rnd_theoretical_normalizer
 from listfair.ordering import collation_key
-from listfair.sampling import RandomSource
+from listfair.sampling import random_stream
 
 from helpers import dataset_from_counts, reference_draw_sample
 
@@ -212,7 +212,8 @@ def test_percf_experiment_shapes_and_determinism():
 
 
 def test_percf_parallel_matches_serial(monkeypatch):
-    # each task bootstraps one range of positions k; n = 7 splits unevenly
+    # each task bootstraps one range of positions k, one range per worker
+    # started; n = 7 splits unevenly
     ranges = []
     real_map = experiments._map_tasks
 
@@ -229,7 +230,7 @@ def test_percf_parallel_matches_serial(monkeypatch):
             assert serial.records == parallel.records
             assert serial.curves == parallel.curves
             assert serial.aggregates == parallel.aggregates
-            assert len(ranges[-1]) == jobs
+            assert len(ranges[-1]) == _pool_size(jobs, n, os.cpu_count())
             assert [k for ks in ranges[-1] for k in ks] == list(range(1, n + 1))
 
 
@@ -326,28 +327,28 @@ def test_sample_blocks_match_one_sample_at_a_time(kind):
     experiments._set_run_datasets([ds])
     try:
         if kind == PERCF:
-            records, random_curves, alpha_curves, _ = experiments._percf_chunk((0, cfg, kind, range(1, n + 1)))
+            random_curves, alpha_curves, _ = experiments._percf_chunk((0, cfg, kind, range(1, n + 1)))
+            assert len(random_curves) == len(alpha_curves) == 12
         else:
             records = experiments._rnd_cell((0, cfg, kind, share if kind == RND_GRID else n))
+            assert [r["sample"] for r in records] == list(range(12))
     finally:
         experiments._set_run_datasets(None)
-    assert [r["sample"] for r in records] == list(range(12))
     code = {PERCF: 0, RND_GRID: share_cell_code(share), RND_SIZE: n}[kind]
-    for i, record in enumerate(records):
-        rng = RandomSource(cfg.seed, sample_stream(kind, code, i))
-        assert record["stream_index"] == rng.stream_index
+    for i in range(12):
+        stream = sample_stream(kind, code, i)
+        rng = random_stream(cfg.seed, stream)
         indices = reference_draw_sample(ds, n, rng, share if kind == RND_GRID else None).tolist()
         # Python's stable sort on the collation key itself
         alphabetical = sorted(indices, key=lambda index: collation_key(ds.names[index]))
         mask = ds.is_female[alphabetical]
         if kind == PERCF:
-            curve = perc_f_curve(ds.is_female[indices])
-            assert random_curves[i].tolist() == curve.tolist()
+            assert random_curves[i].tolist() == perc_f_curve(ds.is_female[indices]).tolist()
             assert alpha_curves[i].tolist() == perc_f_curve(mask).tolist()
-            assert record["perc_f_sample"] == curve[-1]
         else:
-            assert record["n_f"] == int(mask.sum())
-            assert record["raw"] == rnd_raw_of_mask(mask, cfg.step)
+            assert records[i]["stream_index"] == stream
+            assert records[i]["n_f"] == int(mask.sum())
+            assert records[i]["raw"] == rnd_raw_of_mask(mask, cfg.step)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -368,7 +369,7 @@ def test_two_datasets_in_one_run(kind):
 
 
 @pytest.mark.parametrize("scope", [PER_BATCH, GLOBAL])
-def test_one_pool_map_per_run_and_no_theoretical_z_outside_its_scope(monkeypatch, scope):
+def test_one_pool_map_per_run_and_no_theoretical_z_outside_its_scope(monkeypatch, two_cpus, scope):
     maps = []
 
     def counting_map(fn, tasks, jobs):
@@ -390,6 +391,24 @@ def test_one_pool_map_per_run_and_no_theoretical_z_outside_its_scope(monkeypatch
 def two_cpus(monkeypatch):
     # the pool is never larger than the CPUs; make sure jobs 2 starts one
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+
+
+def test_percf_makes_one_range_per_worker_started(monkeypatch, two_cpus):
+    # every range redraws all the samples, so jobs beyond the CPUs would
+    # only repeat that work
+    ranges = []
+    real_map = experiments._map_tasks
+
+    def spying_map(fn, tasks, jobs):
+        ranges.append([task[3] for task in tasks])
+        return real_map(fn, tasks, jobs)
+
+    monkeypatch.setattr(experiments, "_map_tasks", spying_map)
+    cfg = small_config()
+    serial = run_datasets(PERCF, [SMALL_DATASET], cfg, jobs=1)
+    assert run_datasets(PERCF, [SMALL_DATASET], cfg, jobs=8) == serial
+    assert [len(tasks) for tasks in ranges] == [1, 2]
+    assert [k for ks in ranges[-1] for k in ks] == list(range(1, cfg.n + 1))
 
 
 @pytest.mark.parametrize("kind", KINDS)

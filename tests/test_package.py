@@ -2,6 +2,10 @@
 objects their home modules define."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +36,7 @@ EXPORTS = {
         "statistical_parity",
     ],
     "ordering": ["collation_key", "sort_alphabetical"],
-    "sampling": ["RandomSource", "draw_sample"],
+    "sampling": ["draw_sample", "random_stream"],
     "stats": ["bootstrap_ci", "nadaraya_watson", "silverman_bandwidth"],
 }
 
@@ -57,3 +61,14 @@ def test_exports_are_listed_and_unknown_names_raise():
         listfair.frobnicate
     with pytest.raises(ImportError):
         exec("from listfair import frobnicate", {})
+
+
+def test_stats_loads_no_sampling():
+    # bootstrap_ci takes any numpy Generator, so stats needs no sampling
+    src = str(Path(listfair.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, listfair.stats; print('listfair.sampling' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

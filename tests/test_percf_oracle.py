@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from listfair.experiments import PERCF, ExperimentConfig, run_datasets, sample_stream
 from listfair.metrics import perc_f_curve
 from listfair.ordering import alphabetical_order, collation_key
-from listfair.sampling import RandomSource, draw_sample
+from listfair.sampling import draw_sample, random_stream
 
 from helpers import dataset_from_counts
 from oracles import expected_alphabetical_curve
@@ -67,7 +67,7 @@ def check_percf_means(ds, cfg):
     # the per-sample curves the means are taken over, drawn again
     random_curves, alphabetical_curves = [], []
     for i in range(cfg.samples_per_cell):
-        indices = draw_sample(ds, cfg.n, RandomSource(cfg.seed, sample_stream(PERCF, 0, i)))
+        indices = draw_sample(ds, cfg.n, random_stream(cfg.seed, sample_stream(PERCF, 0, i)))
         random_curves.append(perc_f_curve(ds.is_female[indices]))
         sorted_indices = indices[alphabetical_order(ds.rank[indices])]
         alphabetical_curves.append(perc_f_curve(ds.is_female[sorted_indices]))

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from listfair.errors import DatasetFormatError, InfeasibleSampleError
 from listfair.sampling import (
-    RandomSource,
     draw_sample,
     draw_samples,
     dump_sample_csv,
     permutations,
+    random_stream,
     read_sample_csv,
     round_half_up,
     stratified_female_count,
@@ -31,17 +31,18 @@ BASIC = dataset_from_counts(
 
 
 def test_random_source_is_deterministic_per_key():
-    a = RandomSource(seed=7, stream_index=3).generator.integers(0, 1000, size=20)
-    b = RandomSource(seed=7, stream_index=3).generator.integers(0, 1000, size=20)
-    c = RandomSource(seed=7, stream_index=4).generator.integers(0, 1000, size=20)
+    a = random_stream(seed=7, stream_index=3).integers(0, 1000, size=20)
+    b = random_stream(seed=7, stream_index=3).integers(0, 1000, size=20)
+    c = random_stream(seed=7, stream_index=4).integers(0, 1000, size=20)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 @pytest.mark.parametrize("seed, stream", [(-1, 0), (2**64, 0), (0, -1)])
 def test_random_source_rejects_bad_keys(seed, stream):
-    with pytest.raises(ValueError):
-        RandomSource(seed=seed, stream_index=stream)
+    message = "stream_index must be non-negative" if stream < 0 else "seed must be a 64-bit non-negative integer"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        random_stream(seed=seed, stream_index=stream)
 
 
 @pytest.mark.parametrize(
@@ -54,17 +55,17 @@ def test_round_half_up(x, expected):
 
 @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=2**32))
 def test_shuffle_preserves_multiset(n, seed):
-    shuffled = permutations(n, [RandomSource(seed).generator])[0]
+    shuffled = permutations(n, [random_stream(seed)])[0]
     assert sorted(shuffled.tolist()) == list(range(n))
 
 
 def test_shuffle_deterministic_and_input_untouched():
-    one = permutations(5, [RandomSource(11, 2).generator])[0]
-    two = permutations(5, [RandomSource(11, 2).generator])[0]
+    one = permutations(5, [random_stream(11, 2)])[0]
+    two = permutations(5, [random_stream(11, 2)])[0]
     assert one.tolist() == two.tolist()
     tables = (BASIC.cdf, *BASIC.strata[0], *BASIC.strata[1])
     before = [a.copy() for a in tables]
-    draw_sample(BASIC, 30, RandomSource(11, 2), perc_fs=0.5)
+    draw_sample(BASIC, 30, random_stream(11, 2), perc_fs=0.5)
     assert all(np.array_equal(a, b) for a, b in zip(tables, before))
 
 
@@ -84,8 +85,8 @@ def scalar_permutation(n, gen):
 )
 @settings(max_examples=300, deadline=None)
 def test_permutation_matches_scalar_swap_loop(n, seed, stream):
-    vector = RandomSource(seed, stream).generator
-    scalar = RandomSource(seed, stream).generator
+    vector = random_stream(seed, stream)
+    scalar = random_stream(seed, stream)
     assert permutations(n, [vector])[0].tolist() == scalar_permutation(n, scalar)
     # the stream is left where the per-swap calls leave it
     assert vector.bit_generator.state == scalar.bit_generator.state
@@ -100,11 +101,11 @@ def test_permutation_matches_scalar_swap_loop(n, seed, stream):
 )
 @settings(max_examples=200, deadline=None)
 def test_permutations_rows_match_scalar_swap_loop(n, rows, seed, stream):
-    gens = [RandomSource(seed, stream + r).generator for r in range(rows)]
+    gens = [random_stream(seed, stream + r) for r in range(rows)]
     perms = permutations(n, gens)
     assert perms.dtype == np.intp and perms.shape == (rows, n)
     for r, (perm, gen) in enumerate(zip(perms, gens)):
-        scalar = RandomSource(seed, stream + r).generator
+        scalar = random_stream(seed, stream + r)
         assert perm.tolist() == scalar_permutation(n, scalar)
         # each stream is left where its own per-swap calls leave it
         assert gen.bit_generator.state == scalar.bit_generator.state
@@ -112,8 +113,8 @@ def test_permutations_rows_match_scalar_swap_loop(n, rows, seed, stream):
 
 def test_permutations_beyond_16_bit_positions():
     # 70,000 positions do not fit the 16-bit keys that numpy radix-sorts
-    gen = RandomSource(2020, 7).generator
-    scalar = RandomSource(2020, 7).generator
+    gen = random_stream(2020, 7)
+    scalar = random_stream(2020, 7)
     perm = permutations(70_000, [gen])[0]
     assert perm.tolist() == scalar_permutation(70_000, scalar)
     assert gen.bit_generator.state == scalar.bit_generator.state
@@ -124,9 +125,9 @@ def test_shuffle_uniformity_chi_square():
     # chi-square critical value for 5 degrees of freedom is 15.09
     trials = 10_000
     counts = {}
-    rng = RandomSource(seed=2024)
+    rng = random_stream(seed=2024)
     for _ in range(trials):
-        perm = tuple(permutations(3, [rng.generator])[0].tolist())
+        perm = tuple(permutations(3, [rng])[0].tolist())
         counts[perm] = counts.get(perm, 0) + 1
     assert len(counts) == 6
     stat = chi_square_statistic(counts.values(), [trials / 6] * 6)
@@ -134,17 +135,17 @@ def test_shuffle_uniformity_chi_square():
 
 
 def test_proportional_sample_shape_and_determinism():
-    sample = draw_sample(BASIC, 50, RandomSource(5, 9))
+    sample = draw_sample(BASIC, 50, random_stream(5, 9))
     assert sample.shape == (50,)
     assert sample.min() >= 0 and sample.max() < len(BASIC.records)
-    again = draw_sample(BASIC, 50, RandomSource(5, 9), perc_fs=None)
+    again = draw_sample(BASIC, 50, random_stream(5, 9), perc_fs=None)
     assert np.array_equal(again, sample)
 
 
 def test_proportional_frequencies_converge():
     # Monte-Carlo check against 3-sigma binomial bounds per name
     n = 20_000
-    sample = draw_sample(BASIC, n, RandomSource(31))
+    sample = draw_sample(BASIC, n, random_stream(31))
     tallies = {}
     for i in sample:
         name = BASIC.records[i].name
@@ -180,7 +181,7 @@ def test_draws_match_generator_choice(rows, n, perc_fs, seed):
     # whose draws of size 0 must leave the stream untouched
     ds = dataset_from_counts([(f"N{i}", g, c) for i, (g, c) in enumerate(rows)])
     counts = np.array([r.count for r in ds.records], dtype=float)
-    gen = RandomSource(seed).generator
+    gen = random_stream(seed)
     if perc_fs is None:
         expected = choice_draw(np.arange(len(counts)), counts, n, gen)
     else:
@@ -193,11 +194,11 @@ def test_draws_match_generator_choice(rows, n, perc_fs, seed):
             [choice_draw(female, counts, n_f, gen), choice_draw(male, counts, n - n_f, gen)]
         )
         expected = drawn[permutations(n, [gen])[0]]
-    rng = RandomSource(seed)
+    rng = random_stream(seed)
     got = draw_sample(ds, n, rng, perc_fs)
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)
-    assert rng.generator.bit_generator.state == gen.bit_generator.state
+    assert rng.bit_generator.state == gen.bit_generator.state
 
 
 # a mixed-gender tie: ALEX and alex share one collation key
@@ -217,15 +218,15 @@ TIED = [("ALEX", "F", 30), ("alex", "M", 50), ("Bea", "F", 20), ("Ze", "M", 5), 
 @settings(max_examples=200, deadline=None)
 def test_draw_samples_rows_match_one_draw_per_source(extra, n, samples, perc_fs, seed):
     ds = dataset_from_counts(TIED + [(f"N{i}", g, c) for i, (g, c) in enumerate(extra)])
-    rngs = [RandomSource(seed, s) for s in range(samples)]
+    rngs = [random_stream(seed, s) for s in range(samples)]
     got = draw_samples(ds, n, rngs, perc_fs)
     assert got.dtype == np.intp and got.shape == (samples, n)
     for s, (row, rng) in enumerate(zip(got, rngs)):
-        reference = RandomSource(seed, s)
+        reference = random_stream(seed, s)
         assert row.tolist() == reference_draw_sample(ds, n, reference, perc_fs).tolist()
-        assert rng.generator.bit_generator.state == reference.generator.bit_generator.state
+        assert rng.bit_generator.state == reference.bit_generator.state
     # draw_sample is the one-row case
-    assert draw_sample(ds, n, RandomSource(seed, 0), perc_fs).tolist() == got[0].tolist()
+    assert draw_sample(ds, n, random_stream(seed, 0), perc_fs).tolist() == got[0].tolist()
 
 
 @given(
@@ -235,7 +236,7 @@ def test_draw_samples_rows_match_one_draw_per_source(extra, n, samples, perc_fs,
 )
 @settings(max_examples=200)
 def test_stratified_counts_are_exact(perc_fs, n, seed):
-    sample = draw_sample(BASIC, n, RandomSource(seed), perc_fs=perc_fs)
+    sample = draw_sample(BASIC, n, random_stream(seed), perc_fs=perc_fs)
     women = int(BASIC.is_female[sample].sum())
     assert women == stratified_female_count(perc_fs, n)
     assert len(sample) == n
@@ -270,7 +271,7 @@ def test_stratified_female_count_rounds_float_ties_up():
 
 
 def test_stratified_female_names_come_from_female_records():
-    sample = draw_sample(BASIC, 200, RandomSource(8), perc_fs=0.5)
+    sample = draw_sample(BASIC, 200, random_stream(8), perc_fs=0.5)
     female_names = {"Ana", "Beatriz"}
     for i in sample:
         record = BASIC.records[i]
@@ -283,30 +284,30 @@ def test_stratified_female_names_come_from_female_records():
 def test_stratified_infeasible_without_gender_records():
     male_only = dataset_from_counts([("Bruno", "M", 10)])
     with pytest.raises(InfeasibleSampleError):
-        draw_sample(male_only, 10, RandomSource(0), perc_fs=0.5)
+        draw_sample(male_only, 10, random_stream(0), perc_fs=0.5)
     # zero women requested needs no female records at all
-    sample = draw_sample(male_only, 10, RandomSource(0), perc_fs=0.0)
+    sample = draw_sample(male_only, 10, random_stream(0), perc_fs=0.0)
     assert not male_only.is_female[sample].any()
 
 
 @pytest.mark.parametrize("bad", [-0.01, 1.01])
 def test_stratified_rejects_out_of_range_share(bad):
     with pytest.raises(ValueError):
-        draw_sample(BASIC, 10, RandomSource(0), perc_fs=bad)
+        draw_sample(BASIC, 10, random_stream(0), perc_fs=bad)
 
 
 def test_draw_sample_rejects_bad_n_and_mode():
     with pytest.raises(ValueError):
-        draw_sample(BASIC, 0, RandomSource(0))
+        draw_sample(BASIC, 0, random_stream(0))
     for n in (2**28, 10**20):
         with pytest.raises(ValueError, match=r"n must be < 2\*\*28"):
-            draw_sample(BASIC, n, RandomSource(0))
+            draw_sample(BASIC, n, random_stream(0))
         with pytest.raises(ValueError, match=r"n must be < 2\*\*28"):
-            draw_sample(BASIC, n, RandomSource(0), perc_fs=0.5)
+            draw_sample(BASIC, n, random_stream(0), perc_fs=0.5)
 
 
 def test_sample_csv_round_trip(tmp_path):
-    indices = draw_sample(BASIC, 25, RandomSource(3))
+    indices = draw_sample(BASIC, 25, random_stream(3))
     names = tuple(BASIC.names[i] for i in indices.tolist())
     path = tmp_path / "sample.csv"
     with path.open("w", encoding="utf-8", newline="") as fh:

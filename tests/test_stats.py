@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_bootstrap_ci
-from listfair.sampling import RandomSource
+from listfair.sampling import random_stream
 from listfair.stats import (
     BLOCK,
     _index_blocks,
@@ -121,8 +121,8 @@ def test_silverman_needs_spread():
 
 def test_bootstrap_deterministic_and_sane():
     values = np.concatenate([np.zeros(50), np.ones(50)])
-    one = bootstrap_ci(values, rng=RandomSource(17, 1))
-    two = bootstrap_ci(values, rng=RandomSource(17, 1))
+    one = bootstrap_ci(values, rng=random_stream(17, 1))
+    two = bootstrap_ci(values, rng=random_stream(17, 1))
     assert one == two
     lower, upper = one
     assert (type(lower), type(upper)) == (float, float)
@@ -130,7 +130,7 @@ def test_bootstrap_deterministic_and_sane():
 
 
 def test_bootstrap_constant_data_gives_point_interval():
-    assert bootstrap_ci(np.full(30, 0.42), rng=RandomSource(0)) == pytest.approx((0.42, 0.42))
+    assert bootstrap_ci(np.full(30, 0.42), rng=random_stream(0)) == pytest.approx((0.42, 0.42))
 
 
 @given(
@@ -140,7 +140,7 @@ def test_bootstrap_constant_data_gives_point_interval():
 @settings(max_examples=150)
 def test_bootstrap_intervals_nest_across_levels(values, seed):
     intervals = [
-        bootstrap_ci(values, level=level, resamples=200, rng=RandomSource(seed, 5))
+        bootstrap_ci(values, level=level, resamples=200, rng=random_stream(seed, 5))
         for level in (0.5, 0.9, 0.99)
     ]
     for (tight_lower, tight_upper), (wide_lower, wide_upper) in zip(intervals, intervals[1:]):
@@ -152,13 +152,13 @@ def test_bootstrap_intervals_nest_across_levels(values, seed):
 
 def test_bootstrap_validation():
     with pytest.raises(ValueError):
-        bootstrap_ci([], rng=RandomSource(0))
+        bootstrap_ci([], rng=random_stream(0))
     with pytest.raises(ValueError):
-        bootstrap_ci([1.0], level=0.0, rng=RandomSource(0))
+        bootstrap_ci([1.0], level=0.0, rng=random_stream(0))
     with pytest.raises(ValueError):
-        bootstrap_ci([1.0], level=1.0, rng=RandomSource(0))
+        bootstrap_ci([1.0], level=1.0, rng=random_stream(0))
     with pytest.raises(ValueError):
-        bootstrap_ci([1.0], resamples=0, rng=RandomSource(0))
+        bootstrap_ci([1.0], resamples=0, rng=random_stream(0))
 
 
 @st.composite
@@ -181,14 +181,14 @@ def test_bootstrap_matches_one_index_matrix(shape, seed):
     # (resamples, size) matrix and leave the generator where it would
     size, resamples = shape
     values = np.random.default_rng(seed).random(size)
-    rng = RandomSource(seed, 11)
+    rng = random_stream(seed, 11)
     interval = bootstrap_ci(values, resamples=resamples, rng=rng)
 
-    reference = RandomSource(seed, 11).generator
+    reference = random_stream(seed, 11)
     means = values[reference.integers(0, size, size=(resamples, size))].mean(axis=1)
     lower, upper = np.quantile(means, [(1.0 - 0.95) / 2.0, (1.0 + 0.95) / 2.0]).tolist()
     assert interval == (lower, upper)
-    assert rng.generator.random() == reference.random()
+    assert rng.random() == reference.random()
 
 
 def _same_generators(ours, theirs):
@@ -215,7 +215,7 @@ def test_index_blocks_match_integers(size, buffered, odd, half, block, seed):
     # the raw-word path must give the indices and the generator state
     # that one gen.integers(0, size, count) call gives
     count = 2 * half + odd
-    ours, theirs = (RandomSource(seed, 7).generator for _ in range(2))
+    ours, theirs = (random_stream(seed, 7) for _ in range(2))
     if buffered:
         for gen in (ours, theirs):
             gen.integers(0, 100)
@@ -266,7 +266,7 @@ def test_index_blocks_at_the_rejection_boundary(size, rejected_half):
     rejected = _word_with_leftover(size, threshold - (size & -size))
     accepted = _word_with_leftover(size, threshold)
     low, high = (rejected, accepted) if rejected_half == "low" else (accepted, rejected)
-    ours, theirs, probe = (RandomSource(5).generator for _ in range(3))
+    ours, theirs, probe = (random_stream(5) for _ in range(3))
     for gen in (ours, theirs, probe):
         _pcg64_about_to_output(gen, low | high << 32)
     assert int(probe.bit_generator.random_raw()) == low | high << 32
@@ -287,17 +287,17 @@ def test_index_blocks_at_the_rejection_boundary(size, rejected_half):
 @example([0.25, 1.0, 3.0], 0.9, 2000, 1, True)
 @settings(max_examples=60, deadline=None)
 def test_bootstrap_matches_the_reference_loop(values, level, resamples, seed, buffered):
-    ours, theirs = RandomSource(seed, 13), RandomSource(seed, 13)
+    ours, theirs = random_stream(seed, 13), random_stream(seed, 13)
     if buffered:
         for rng in (ours, theirs):
-            rng.generator.integers(0, 100)
+            rng.integers(0, 100)
     interval = bootstrap_ci(values, level, resamples, rng=ours)
     assert interval == reference_bootstrap_ci(values, level, resamples, theirs)
-    _same_generators(ours.generator, theirs.generator)
+    _same_generators(ours, theirs)
 
 
 def _traced_peak(values, resamples: int) -> int:
-    rng = RandomSource(3)
+    rng = random_stream(3)
     tracemalloc.start()
     try:
         bootstrap_ci(values, resamples=resamples, rng=rng)
@@ -308,7 +308,7 @@ def _traced_peak(values, resamples: int) -> int:
 
 def test_bootstrap_memory_is_bounded_by_blocks():
     values = np.random.default_rng(0).random(100)
-    bootstrap_ci(values, rng=RandomSource(3))  # lazy numpy imports happen here
+    bootstrap_ci(values, rng=random_stream(3))  # lazy numpy imports happen here
     base = _traced_peak(values, 2000)
     assert base < 1_000_000
     # past the blocks, only the means and the copy np.quantile partitions

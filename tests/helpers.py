@@ -9,9 +9,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import listfair
 from listfair.dataset import NameDataset
 from listfair.sampling import stratified_female_count
 from listfair.stats import BLOCK
@@ -106,3 +111,16 @@ def reference_draw_sample(ds: NameDataset, n: int, rng, perc_fs: float | None = 
     for i, j in zip(range(n - 1, 0, -1), rng.integers(0, np.arange(n, 1, -1)).tolist()):
         perm[i], perm[j] = perm[j], perm[i]
     return drawn[perm]
+
+
+def run_python(args, **kwargs):
+    # the child imports the same package as this process, installed or not
+    src = str(Path(listfair.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        **kwargs,
+    )

@@ -1,10 +1,7 @@
 import argparse
 import json
-import os
 import resource
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -12,7 +9,7 @@ import listfair
 from listfair.cli import ENV_SEED, build_parser, main
 from listfair.dataset import write_canonical
 
-from helpers import dataset_from_counts
+from helpers import dataset_from_counts, run_python
 
 DATASET_ROWS = [
     ("Aaron", "M", 500),
@@ -719,19 +716,6 @@ def test_experiment_rejects_jobs_below_one(capsys, tmp_path, dataset_csv, jobs):
     assert main(args) == 1
     assert "--jobs must be >= 1" in capsys.readouterr().err
     assert not out.exists()
-
-
-def run_python(args, **kwargs):
-    # the child imports the same package as this process, installed or not
-    src = str(Path(listfair.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        **kwargs,
-    )
 
 
 def run_module(argv, **kwargs):

@@ -1,15 +1,14 @@
 """The names the ``listfair`` package exports resolve, on first use, to the
-objects their home modules define."""
+objects their home modules define, and a module loads only the modules
+it uses."""
 
 import importlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import listfair
+
+from helpers import run_python
 
 # every exported name, by the module that defines it
 EXPORTS = {
@@ -65,10 +64,5 @@ def test_exports_are_listed_and_unknown_names_raise():
 
 def test_stats_loads_no_sampling():
     # bootstrap_ci takes any numpy Generator, so stats needs no sampling
-    src = str(Path(listfair.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import sys, listfair.stats; print('listfair.sampling' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
-    )
+    proc = run_python(["-c", "import sys, listfair.stats; print('listfair.sampling' in sys.modules)"])
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

@@ -18,10 +18,10 @@ from listfair.experiments import (
     RND_GRID,
     RND_SIZE,
     ExperimentConfig,
-    run_candidate_audit,
     run_datasets,
     write_result,
 )
+from listfair.metrics import run_candidate_audit
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 

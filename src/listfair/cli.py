@@ -182,8 +182,8 @@ def _cmd_convert_ssa(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    from listfair.dataset import load_canonical
-    from listfair.sampling import draw_sample, dump_sample_csv, random_stream
+    from listfair.dataset import dump_sample_csv, load_canonical
+    from listfair.sampling import draw_sample, random_stream
 
     # --perc-fs implies stratified mode; --mode only needs to be spelled
     # out when it contradicts that inference
@@ -204,8 +204,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_sort(args) -> int:
+    from listfair.dataset import dump_sample_csv, read_sample_csv
     from listfair.ordering import sort_alphabetical
-    from listfair.sampling import dump_sample_csv, read_sample_csv
 
     names, mask = read_sample_csv(args.infile)
     order = sort_alphabetical(names)
@@ -215,8 +215,8 @@ def _cmd_sort(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    from listfair.metrics import dump_curve_csv, perc_f_curve
-    from listfair.sampling import read_sample_csv
+    from listfair.dataset import dump_curve_csv, read_sample_csv
+    from listfair.metrics import perc_f_curve
 
     _, mask = read_sample_csv(args.infile)
     curve = perc_f_curve(mask)
@@ -226,8 +226,8 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_rnd(args) -> int:
+    from listfair.dataset import read_sample_csv
     from listfair.metrics import rnd
-    from listfair.sampling import read_sample_csv
 
     _, mask = read_sample_csv(args.infile)
     _write_report(rnd(mask, step=args.step, z=args.normalizer), args.json, args.out)
@@ -235,8 +235,8 @@ def _cmd_rnd(args) -> int:
 
 
 def _cmd_parity(args) -> int:
+    from listfair.dataset import read_sample_csv
     from listfair.metrics import statistical_parity
-    from listfair.sampling import read_sample_csv
 
     _, mask = read_sample_csv(args.infile)
     _write_report(statistical_parity(mask, args.reference), args.json, args.out)
@@ -244,7 +244,8 @@ def _cmd_parity(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    from listfair.metrics import dump_audit_rows, run_candidate_audit
+    from listfair.dataset import dump_audit_rows
+    from listfair.metrics import run_candidate_audit
 
     result = run_candidate_audit([args.infile], args.page_sizes, perc_fd=args.perc_fd)
     with _open_out(args.out) as fh:

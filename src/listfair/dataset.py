@@ -10,7 +10,10 @@ headerless ``name,sex,count`` file per birth year (files named
 
 This module owns the format of every CSV listfair reads or writes: rows
 are read by ``csv_rows`` and written by ``write_rows``, and a gender letter
-is read as a female flag and written back from it.
+is read as a female flag and written back from it. That covers the list
+files too: ``read_sample_csv`` and ``read_candidate_list`` read a list as
+its names and female mask, and ``dump_sample_csv``, ``dump_curve_csv``
+and ``dump_audit_rows`` write samples, curves and audits.
 
 Names are stored verbatim: no trimming, case folding or accent stripping
 happens here. Normalization is an ordering concern, not an ingestion one.
@@ -39,6 +42,9 @@ from listfair.errors import DatasetFormatError, DuplicateRecordError, MissingYea
 from listfair.ordering import collation_ranks
 
 CANONICAL_HEADER = ["name", "gender", "count"]
+SAMPLE_HEADER = ["position", "name", "gender"]
+CANDIDATE_HEADER = ["name", "gender"]
+AUDIT_HEADER = ["list_id", "size", "perc_fd", "k1", "perc_f", "flag"]
 
 # the largest count and the largest dataset total: up to 2**53 every
 # integer is exact as a float64, so counts and totals enter the draw
@@ -235,11 +241,6 @@ def parse_gender(text: str, path, line: int) -> bool:
     return female
 
 
-def parse_list_row(name: str, gender_text: str, path, line: int) -> tuple[str, bool]:
-    """The name and female flag of a sample or candidate-list row."""
-    return check_name(name, path, line), parse_gender(gender_text, path, line)
-
-
 def gender_letters(mask: np.ndarray):
     """The gender letter of each entry of a female mask, in order."""
     return ("MF"[female] for female in mask.tolist())
@@ -382,6 +383,55 @@ def write_canonical(ds: NameDataset, path) -> None:
 
 def dump_canonical(ds: NameDataset, fh) -> None:
     write_rows(fh, CANONICAL_HEADER, zip(ds.names, gender_letters(ds.is_female), ds.counts.tolist()))
+
+
+def _read_list(path, header: list[str], empty: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """The names and female mask of a list file with rows ``header``, which
+    ends in name,gender. Leading positions must run 1..N in file order."""
+    path = Path(path)
+    names, flags = [], []
+    for line, (*position, name, gender_text) in csv_rows(path, header, len(header)):
+        if position:
+            digits = position[0].strip()
+            # a numeral too long for int() is reported by its length, like a count
+            too_long = digits.isdecimal() and len(digits) > _MAX_COUNT_DIGITS
+            if too_long or not digits.isdecimal() or int(digits) != len(names) + 1:
+                got = f"a {len(digits)}-digit number" if too_long else repr(position[0])
+                raise DatasetFormatError(f"expected position {len(names) + 1}, got {got}", path=path, line=line)
+        names.append(check_name(name, path, line))
+        flags.append(parse_gender(gender_text, path, line))
+    if not names:
+        raise DatasetFormatError(empty, path=path)
+    return tuple(names), np.array(flags)
+
+
+def read_sample_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Read a ``position,name,gender`` file back into its names and female mask."""
+    return _read_list(path, SAMPLE_HEADER, "sample file has no rows")
+
+
+def read_candidate_list(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Read a concrete ``name,gender`` list (e.g. real election candidates)
+    into its names and female mask."""
+    return _read_list(path, CANDIDATE_HEADER, "candidate list has no rows")
+
+
+def dump_sample_csv(names, mask: np.ndarray, fh) -> None:
+    """Write a list given as names and a female mask as
+    ``position,name,gender`` rows (1-based)."""
+    write_rows(fh, SAMPLE_HEADER, zip(range(1, len(names) + 1), names, gender_letters(mask)))
+
+
+def dump_curve_csv(curve: np.ndarray, fh) -> None:
+    write_rows(fh, ["k", "perc_f"], enumerate(curve.tolist(), start=1))
+
+
+def dump_audit_rows(rows, fh) -> None:
+    write_rows(fh, AUDIT_HEADER, (
+        [row.list_id, row.size, row.perc_fd, k1, row.per_k1[k1], row.flags[k1]]
+        for row in rows
+        for k1 in sorted(row.per_k1)
+    ))
 
 
 def _year_files(directory: Path) -> set[int]:

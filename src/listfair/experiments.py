@@ -5,7 +5,8 @@ prefix-share curves under random vs alphabetical ordering, rND across a
 grid of requested female shares, and rND across sample sizes. Results
 are written as plain CSVs plus the resolved config, so a run is fully
 described by its output directory. The candidate-list audit lives in
-:mod:`listfair.metrics` and is importable from here under the same names.
+:mod:`listfair.metrics` (``run_candidate_audit``), and list files are
+read by :mod:`listfair.dataset`.
 
 Determinism: every sample owns a substream keyed by (experiment kind,
 cell identity, sample ordinal). Keying by cell identity rather than grid
@@ -43,14 +44,9 @@ from listfair.metrics import (
 from listfair.ordering import alphabetical_order
 from listfair.sampling import draw_samples, random_stream
 
-# the candidate-list audit under its names here as well: perfbench/spans.py
-# wraps experiments.read_candidate_list
-from listfair.metrics import (  # noqa: F401
-    CANDIDATE_HEADER,
-    AuditResult,
-    read_candidate_list,
-    run_candidate_audit,
-)
+# perfbench/spans.py wraps read_candidate_list under this module's name;
+# the import goes when the benchmark reads the stage timer (ROADMAP item 2)
+from listfair.dataset import read_candidate_list  # noqa: F401
 
 PERCF = "percf"
 RND_GRID = "rnd_grid"
@@ -329,8 +325,8 @@ def run_datasets(kind: str, datasets, cfg: ExperimentConfig, jobs: int = 1) -> E
     if kind == PERCF:
         parts = [_percf_rows(ds, cfg, chunks) for ds, chunks in zip(datasets, per_dataset)]
     else:
-        global_z = max(r["raw"] for per_cell in per_dataset for cell in per_cell for r in cell)
-        parts = [_rnd_rows(cfg, kind, cells, per_cell, global_z) for per_cell in per_dataset]
+        global_z = max(raw.max() for per_cell in per_dataset for _, raw in per_cell)
+        parts = [_rnd_rows(ds, cfg, kind, cells, per_cell, global_z) for ds, per_cell in zip(datasets, per_dataset)]
     result = ExperimentResult(kind, cfg, [], [], [])
     for records, aggregates, curves in parts:
         result.records.extend(records)
@@ -463,67 +459,60 @@ def _rnd_cell_spec(cfg: ExperimentConfig, kind: str, cell):
     return cell, None, cell
 
 
-def _rnd_cell(task) -> list[dict]:
+def _rnd_cell(task) -> tuple[np.ndarray, np.ndarray]:
+    """The female count and raw rND of one cell's samples, in sample order."""
     ordinal, cfg, kind, cell = task
     ds = _run_datasets[ordinal]
     n, perc_fs, code = _rnd_cell_spec(cfg, kind, cell)
-    key = _rnd_cell_key(kind)
-    records = []
+    n_f = np.empty(cfg.samples_per_cell, dtype=np.int64)
+    raw = np.empty(cfg.samples_per_cell)
     try:
         # the size alone decides whether a list reaches the first
         # checkpoint, so say so before drawing anything
         rnd_checkpoints(n, cfg.step)
         for start, rngs in _sample_blocks(cfg, kind, code, n):
             masks = ds.is_female[_alphabetical(ds, draw_samples(ds, n, rngs, perc_fs))]
-            records.extend(
-                {
-                    "dataset": ds.id,
-                    key: cell,
-                    "sample": i,
-                    "stream_index": sample_stream(kind, code, i),
-                    "n_f": n_f,
-                    "raw": raw,
-                }
-                for i, n_f, raw in zip(
-                    range(start, start + len(rngs)),
-                    masks.sum(axis=1).tolist(),
-                    rnd_raw_of_mask(masks, cfg.step).tolist(),
-                )
-            )
+            block = slice(start, start + len(rngs))
+            n_f[block] = masks.sum(axis=1)
+            raw[block] = rnd_raw_of_mask(masks, cfg.step)
     except (InfeasibleSampleError, SampleTooSmallError) as exc:
-        raise type(exc)(f"cell {key}={cell}: {exc}") from None
-    return records
+        raise type(exc)(f"cell {_rnd_cell_key(kind)}={cell}: {exc}") from None
+    return n_f, raw
 
 
-def _rnd_rows(cfg: ExperimentConfig, kind: str, grid, per_cell: list[list[dict]], global_z: float):
-    """Records, aggregate and curve rows of one dataset's rND cells: each
-    record is normalized under the configured scope, each cell aggregated,
-    and the cell means smoothed."""
+def _rnd_rows(ds: NameDataset, cfg: ExperimentConfig, kind: str, grid, per_cell, global_z: float):
+    """Records, aggregate and curve rows of one dataset's rND cells, from
+    their ``_rnd_cell`` arrays: each sample is normalized under the
+    configured scope, each cell aggregated, and the cell means smoothed."""
     key = _rnd_cell_key(kind)
-    batch_z = max(r["raw"] for records in per_cell for r in records)
-    aggregates = []
-    for cell, records in zip(grid, per_cell):
+    batch_z = max(raw.max() for _, raw in per_cell)
+    records, aggregates = [], []
+    for cell, (n_f, raw) in zip(grid, per_cell):
         n, _, code = _rnd_cell_spec(cfg, kind, cell)
-        for r in records:
-            if cfg.normalizer_scope == THEORETICAL:
-                z = rnd_theoretical_normalizer(n, r["n_f"], cfg.step)
-            else:
-                z = global_z if cfg.normalizer_scope == GLOBAL else batch_z
-            r["z"] = float(z)
-            r["normalized"] = 0.0 if z == 0 else r["raw"] / z
-        raws = np.array([r["raw"] for r in records])
-        ci_low, ci_high = stats.bootstrap_ci(raws, rng=random_stream(cfg.seed, agg_stream(kind, code)))
+        if cfg.normalizer_scope == THEORETICAL:
+            z = np.array([rnd_theoretical_normalizer(n, f, cfg.step) for f in n_f.tolist()])
+        else:
+            z = np.full(len(raw), global_z if cfg.normalizer_scope == GLOBAL else batch_z)
+        # a zero Z (every raw value 0, or a single-gender sample) gives 0
+        normalized = np.divide(raw, z, out=np.zeros_like(raw), where=z != 0)
+        records.extend(
+            {"dataset": ds.id, key: cell, "sample": i, "stream_index": sample_stream(kind, code, i),
+             "n_f": females, "raw": value, "z": bound, "normalized": share}
+            for i, (females, value, bound, share) in enumerate(
+                zip(n_f.tolist(), raw.tolist(), z.tolist(), normalized.tolist()))
+        )
+        ci_low, ci_high = stats.bootstrap_ci(raw, rng=random_stream(cfg.seed, agg_stream(kind, code)))
         aggregates.append(
             {
-                "dataset": records[0]["dataset"],
+                "dataset": ds.id,
                 key: cell,
-                "n_samples": len(records),
-                "mean_raw": float(raws.mean()),
-                "std_raw": float(raws.std(ddof=1)) if len(raws) > 1 else 0.0,
+                "n_samples": len(raw),
+                "mean_raw": float(raw.mean()),
+                "std_raw": float(raw.std(ddof=1)) if len(raw) > 1 else 0.0,
                 "ci_low_raw": ci_low,
                 "ci_high_raw": ci_high,
-                "mean_normalized": float(np.mean([r["normalized"] for r in records])),
-                "z": max(r["z"] for r in records),
+                "mean_normalized": float(normalized.mean()),
+                "z": float(z.max()),
             }
         )
     xs = [row[key] for row in aggregates]
@@ -532,7 +521,7 @@ def _rnd_rows(cfg: ExperimentConfig, kind: str, grid, per_cell: list[list[dict]]
         {"dataset": row["dataset"], key: row[key], "mean_raw": row["mean_raw"], "nw_mean_raw": float(nw)}
         for row, nw in zip(aggregates, _smoothed(xs, means, cfg.bandwidth))
     ]
-    return [r for records in per_cell for r in records], aggregates, curves
+    return records, aggregates, curves
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ discounting checkpoint k by 1/log2(k):
 The last checkpoint is N itself when N is not a multiple of the step, so
 the whole list always closes the sum. ``raw / Z`` is the reported score;
 0 is fairest, and with the theoretical normalizer the worst possible
-arrangement of the same list scores 1.
+arrangement of the same list scores 1. Candidate lists are read, and
+curves and audits written, by :mod:`listfair.dataset`.
 """
 
 from __future__ import annotations
@@ -24,14 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from listfair import FIXED, THEORETICAL
-from listfair.dataset import csv_rows, parse_list_row, write_rows
-from listfair.errors import DatasetFormatError, SampleTooSmallError
+from listfair.dataset import read_candidate_list
+from listfair.errors import SampleTooSmallError
 from listfair.ordering import sort_alphabetical
 
 PARITY_ALPHA = 0.05
 
-CANDIDATE_HEADER = ["name", "gender"]
-AUDIT_HEADER = ["list_id", "size", "perc_fd", "k1", "perc_f", "flag"]
 BELOW = "below"
 AT_OR_ABOVE = "at_or_above"
 
@@ -235,20 +234,6 @@ def page_audit(names, mask: np.ndarray, k1_values, perc_fd: float, list_id: str 
     return PageAuditRow(list_id, len(curve), perc_fd, per_k1, flags)
 
 
-def read_candidate_list(path) -> tuple[tuple[str, ...], np.ndarray]:
-    """Read a concrete ``name,gender`` list (e.g. real election candidates)
-    into its names and female mask."""
-    path = Path(path)
-    rows = [
-        parse_list_row(name, gender_text, path, line)
-        for line, (name, gender_text) in csv_rows(path, CANDIDATE_HEADER, 2)
-    ]
-    if not rows:
-        raise DatasetFormatError("candidate list has no rows", path=path)
-    names, flags = zip(*rows)
-    return names, np.array(flags)
-
-
 @dataclass
 class AuditResult:
     rows: list[PageAuditRow]
@@ -270,14 +255,3 @@ def run_candidate_audit(paths, k1_values, perc_fd: float | None = None) -> Audit
     below = sum(1 for row in rows for flag in row.flags.values() if flag == BELOW)
     return AuditResult(rows, below)
 
-
-def dump_audit_rows(rows, fh) -> None:
-    write_rows(fh, AUDIT_HEADER, (
-        [row.list_id, row.size, row.perc_fd, k1, row.per_k1[k1], row.flags[k1]]
-        for row in rows
-        for k1 in sorted(row.per_k1)
-    ))
-
-
-def dump_curve_csv(curve: np.ndarray, fh) -> None:
-    write_rows(fh, ["k", "perc_f"], enumerate(curve.tolist(), start=1))

@@ -21,28 +21,23 @@ the rows of one array; the experiments draw a cell's samples
 generator alone gives (:func:`draw_sample` is the one-row case), and a
 stratified row is shuffled by :func:`permutations`, which computes the
 Fisher-Yates swap loop's exact result with array operations.
+Sample files are read and written by :mod:`listfair.dataset`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
 from listfair import MAX_SAMPLE_SIZE
-from listfair.dataset import (
-    _MAX_COUNT_DIGITS,
-    NameDataset,
-    csv_rows,
-    gender_letters,
-    parse_list_row,
-    write_rows,
-)
-from listfair.errors import DatasetFormatError, InfeasibleSampleError
+from listfair.dataset import NameDataset
+from listfair.errors import InfeasibleSampleError
 
-SAMPLE_HEADER = ["position", "name", "gender"]
+# perfbench/spans.py wraps read_sample_csv under this module's name; the
+# import goes when the benchmark reads the stage timer (ROADMAP item 2)
+from listfair.dataset import read_sample_csv  # noqa: F401
 
 
 def random_stream(seed: int, stream_index: int = 0) -> np.random.Generator:
@@ -187,32 +182,3 @@ def draw_sample(ds: NameDataset, n: int, rng: np.random.Generator, perc_fs: floa
     row of :func:`draw_samples` with the generator ``rng``."""
     return draw_samples(ds, n, [rng], perc_fs)[0]
 
-
-def dump_sample_csv(names, mask: np.ndarray, fh) -> None:
-    """Write a list given as names and a female mask as
-    ``position,name,gender`` rows (1-based)."""
-    write_rows(fh, SAMPLE_HEADER, zip(range(1, len(names) + 1), names, gender_letters(mask)))
-
-
-def read_sample_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
-    """Read a ``position,name,gender`` file back into its names and female
-    mask.
-
-    Positions must run 1..N in file order; any gap or reordering means
-    the file was not produced by this pipeline and is rejected.
-    """
-    path = Path(path)
-    rows: list[tuple[str, bool]] = []
-    for line, (position_text, name, gender_text) in csv_rows(path, SAMPLE_HEADER, 3):
-        expected = len(rows) + 1
-        digits = position_text.strip()
-        # a numeral too long for int() is reported by its length, like a count
-        too_long = digits.isdecimal() and len(digits) > _MAX_COUNT_DIGITS
-        if too_long or not digits.isdecimal() or int(digits) != expected:
-            got = f"a {len(digits)}-digit number" if too_long else repr(position_text)
-            raise DatasetFormatError(f"expected position {expected}, got {got}", path=path, line=line)
-        rows.append(parse_list_row(name, gender_text, path, line))
-    if not rows:
-        raise DatasetFormatError("sample file has no rows", path=path)
-    names, flags = zip(*rows)
-    return names, np.array(flags)

@@ -18,13 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from listfair.cli import main as cli_main
-from listfair.dataset import load_canonical
+from listfair.dataset import load_canonical, read_sample_csv
 from listfair.experiments import (
     PERCF,
     RND_GRID,
     RND_SIZE,
     ExperimentConfig,
-    run_candidate_audit,
     run_datasets,
 )
 from listfair.metrics import (
@@ -33,9 +32,10 @@ from listfair.metrics import (
     rnd,
     rnd_raw_of_mask,
     rnd_theoretical_normalizer,
+    run_candidate_audit,
 )
 from listfair.ordering import collation_key, sort_alphabetical
-from listfair.sampling import permutations, random_stream, read_sample_csv
+from listfair.sampling import permutations, random_stream
 from listfair.stats import bootstrap_ci, nadaraya_watson
 
 from helpers import chi_square_statistic, mask_from_pattern

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from listfair import metrics
+from listfair.dataset import dump_audit_rows, dump_curve_csv
 from listfair.errors import SampleTooSmallError
 from listfair.metrics import (
     AT_OR_ABOVE,
@@ -16,8 +17,6 @@ from listfair.metrics import (
     FIXED,
     THEORETICAL,
     binomial_two_sided_p,
-    dump_audit_rows,
-    dump_curve_csv,
     page_audit,
     perc_f_curve,
     rnd,

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from listfair.dataset import dump_sample_csv, read_sample_csv
 from listfair.errors import DatasetFormatError, InfeasibleSampleError
 from listfair.sampling import (
     draw_sample,
     draw_samples,
-    dump_sample_csv,
     permutations,
     random_stream,
-    read_sample_csv,
     round_half_up,
     stratified_female_count,
 )

@@ -110,7 +110,10 @@ def _parse_years(text: str) -> tuple[int, int]:
     first, sep, last = text.partition(":")
     if not sep or not first.strip().isdecimal() or not last.strip().isdecimal():
         raise _UsageError(f"--years must look like 1990:2000, got {_shown(text)}")
-    return _int(first, "--years"), _int(last, "--years")
+    years = _int(first, "--years"), _int(last, "--years")
+    if years[0] > years[1]:
+        raise _UsageError(f"--years must not end before it starts, got {_shown(text)}")
+    return years
 
 
 def _parse_page_sizes(text: str) -> list[int]:

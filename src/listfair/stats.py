@@ -81,20 +81,27 @@ def nadaraya_watson(x, y, grid, bandwidth: float) -> np.ndarray:
         raise ValueError("bandwidth must be positive")
     if len(x) == 0:
         raise ValueError("regression needs at least one data point")
-    with np.errstate(over="ignore"):
-        scaled = (grid[:, None] - x[None, :]) / bandwidth
-        squared = 0.5 * scaled * scaled
-        # where every exponent of a grid point overflowed, take the limit as
-        # the bandwidth goes to 0: the mean y of the nearest points
-        far = np.isinf(squared.min(axis=1))
-        distance = np.abs(grid[far, None] - x[None, :])
-        squared[far] = np.where(distance == distance.min(axis=1, keepdims=True), 0.0, np.inf)
-    # shift per grid point so the nearest weight is exp(0); the estimate is
-    # scale-free in the weights and this avoids all-zero underflow far from
-    # the data
-    squared -= squared.min(axis=1, keepdims=True)
-    weights = np.exp(-squared)
-    return (weights * y[None, :]).sum(axis=1) / weights.sum(axis=1)
+    # a block of grid points at a time, so that memory is bounded by BLOCK
+    # and not by len(grid) * len(x); each row's arithmetic is its own
+    rows = max(1, BLOCK // len(x))
+    estimates = np.empty(len(grid))
+    for start in range(0, len(grid), rows):
+        block = grid[start : start + rows]
+        with np.errstate(over="ignore"):
+            scaled = (block[:, None] - x[None, :]) / bandwidth
+            squared = 0.5 * scaled * scaled
+            # where every exponent of a grid point overflowed, take the limit
+            # as the bandwidth goes to 0: the mean y of the nearest points
+            far = np.isinf(squared.min(axis=1))
+            distance = np.abs(block[far, None] - x[None, :])
+            squared[far] = np.where(distance == distance.min(axis=1, keepdims=True), 0.0, np.inf)
+        # shift per grid point so the nearest weight is exp(0); the estimate
+        # is scale-free in the weights and this avoids all-zero underflow far
+        # from the data
+        squared -= squared.min(axis=1, keepdims=True)
+        weights = np.exp(-squared)
+        estimates[start : start + rows] = (weights * y[None, :]).sum(axis=1) / weights.sum(axis=1)
+    return estimates
 
 
 def silverman_bandwidth(xs) -> float:

@@ -447,6 +447,9 @@ CLI_TABLE += [
          "usage error: --years has too many digits: 5000\n"),
         ("convert-ssa-years-of-41-characters", {}, CONVERT + [UNQUOTED], 1,
          "usage error: --years must look like 1990:2000, got a value of 41 characters\n"),
+        # an empty range names no file, and no file is read
+        ("convert-ssa-years-backwards", {"yob2000.txt": "Mary,F,7\n"}, CONVERT + ["2000:1990"], 1,
+         "usage error: --years must not end before it starts, got '2000:1990'\n"),
         ("convert-ssa-missing-year", {"yob2001.txt": "Mary,F,7\n"}, CONVERT + ["2000:2001"], 2,
          "error: missing year files: 2000\n"),
         ("convert-ssa-multi-line-name", {"yob2000.txt": 'Ana,F,3\n"Bo\nb",M,2\n'}, CONVERT + ["2000:2000"],

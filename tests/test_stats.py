@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_bootstrap_ci
+from listfair import stats
 from listfair.sampling import random_stream
 from listfair.stats import (
     BLOCK,
@@ -77,6 +79,36 @@ def test_regression_survives_distant_grid_points():
     # a row with a finite exponent gets the same bits beside overflowing rows
     wide = nadaraya_watson(x, y, [1.0 + 1e-300, 0.4], 1e-300)
     assert wide[0] == nadaraya_watson(x, y, [1.0 + 1e-300], 1e-300)[0]
+
+
+@given(
+    st.lists(st.tuples(finite_floats, finite_floats), min_size=1, max_size=12),
+    st.lists(finite_floats, min_size=1, max_size=20),
+    st.one_of(st.floats(min_value=1e-3, max_value=1e3), st.sampled_from([1e-300, 5e-324])),
+    # BLOCK // len(x) grid points per block: from 1 up to more than the grid
+    st.integers(min_value=1, max_value=40),
+)
+@example([(0.0, 0.0), (1.0, 1.0), (3.0, 5.0), (3.0, 6.0)], [0.4, 2.9, 1.0 + 1e-300, 2.0, 1e6], 1e-300, 4)
+@example([(0.0, 2.0), (1.0, 4.0)], [1e6, 0.5, 0.25], 0.01, 2)
+def test_regression_blocks_match_one_grid_point_at_a_time(points, grid, bandwidth, block):
+    x, y = zip(*points)
+    single = [nadaraya_watson(x, y, [g], bandwidth)[0] for g in grid]
+    with mock.patch.object(stats, "BLOCK", block):
+        blocked = nadaraya_watson(x, y, grid, bandwidth)
+    assert blocked.tolist() == single
+
+
+def test_regression_memory_is_bounded_by_blocks():
+    # one (len(grid), len(x)) float matrix is 128 MB at n = 4000; a block of
+    # BLOCK // n grid points holds BLOCK floats, 128 KB, per temporary
+    x = np.arange(4000.0)
+    tracemalloc.start()
+    try:
+        nadaraya_watson(x, np.sin(x), x, 50.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_xyseries_validation():

@@ -254,4 +254,3 @@ def run_candidate_audit(paths, k1_values, perc_fd: float | None = None) -> Audit
         rows.append(page_audit(names, mask, k1_values, expected, list_id=Path(path).stem))
     below = sum(1 for row in rows for flag in row.flags.values() if flag == BELOW)
     return AuditResult(rows, below)
-

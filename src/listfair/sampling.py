@@ -181,4 +181,3 @@ def draw_sample(ds: NameDataset, n: int, rng: np.random.Generator, perc_fs: floa
     """Record indices of ``n`` individuals drawn from a dataset: the one
     row of :func:`draw_samples` with the generator ``rng``."""
     return draw_samples(ds, n, [rng], perc_fs)[0]
-

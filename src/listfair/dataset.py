@@ -281,8 +281,9 @@ def _check_total(total: int, path, line: int) -> None:
         raise DatasetFormatError("total count exceeds 2**53", path=path, line=line)
 
 
-def load_canonical(path, dataset_id: str | None = None) -> NameDataset:
-    """Load a canonical ``name,gender,count`` CSV.
+def load_canonical(path) -> NameDataset:
+    """Load a canonical ``name,gender,count`` CSV as a dataset whose id is
+    the file's stem.
 
     Rejects a missing or malformed header, rows with the wrong field
     count, empty names, names containing control characters, non-positive
@@ -315,7 +316,7 @@ def load_canonical(path, dataset_id: str | None = None) -> NameDataset:
     columns = _checked_columns(names, genders, texts)
     if columns is None:
         columns = _walk_rows(path, names, genders, texts, lines)
-    return NameDataset.from_columns(dataset_id or path.stem, names, *columns)
+    return NameDataset.from_columns(path.stem, names, *columns)
 
 
 def _checked_columns(names, genders, texts):
@@ -444,7 +445,7 @@ def _year_files(directory: Path) -> set[int]:
     return years
 
 
-def load_ssa_yearfiles(directory, years: tuple[int, int], dataset_id: str | None = None) -> NameDataset:
+def load_ssa_yearfiles(directory, years: tuple[int, int]) -> NameDataset:
     """Load and merge per-year ``yob<YEAR>.txt`` files.
 
     ``years`` is an inclusive (first, last) interval; all files in the
@@ -453,6 +454,7 @@ def load_ssa_yearfiles(directory, years: tuple[int, int], dataset_id: str | None
     what the directory holds. Counts for identical (name, gender) pairs
     are summed across years, and the resulting records are sorted by
     (name, gender) so the outcome does not depend on any processing order.
+    The dataset's id is ``ssa_<first>_<last>``.
     """
     directory = Path(directory)
     first, last = years
@@ -479,7 +481,7 @@ def load_ssa_yearfiles(directory, years: tuple[int, int], dataset_id: str | None
     # F sorts before M, so a name's female record comes first
     keys = sorted(totals, key=lambda key: (key[0], not key[1]))
     return NameDataset.from_columns(
-        dataset_id or f"ssa_{first}_{last}",
+        f"ssa_{first}_{last}",
         [name for name, _ in keys],
         [female for _, female in keys],
         [totals[key] for key in keys],

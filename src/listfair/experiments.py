@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from listfair import stats
+from listfair import MAX_SAMPLE_SIZE, THEORETICAL, stats
 from listfair.dataset import NameDataset, load_canonical, write_rows
 from listfair.errors import (
     DatasetFormatError,
@@ -35,7 +35,6 @@ from listfair.errors import (
     SampleTooSmallError,
 )
 from listfair.metrics import (
-    THEORETICAL,
     perc_f_curve,
     rnd_checkpoints,
     rnd_raw_of_mask,
@@ -61,13 +60,12 @@ DEFAULT_PERC_FS_GRID = [round(0.05 * i, 2) for i in range(1, 20)]
 DEFAULT_SIZE_GRID = [200, 500, 1000, 2000]
 
 # Substream layout (see module docstring): bits 52+ carry the experiment
-# kind, bits 24..51 the cell identity, bits 0..23 the sample ordinal.
-# Aggregation streams set a reserved high bit so they can never collide
-# with sample streams.
+# kind, bits 24..51 the cell identity (< MAX_SAMPLE_SIZE), bits 0..23 the
+# sample ordinal. Aggregation streams set a reserved high bit so they can
+# never collide with sample streams.
 _KIND_CODE = {PERCF: 1, RND_GRID: 2, RND_SIZE: 3}
 _AGG_BIT = 1 << 62
 _MAX_SAMPLES = 1 << 24
-_MAX_CELL_CODE = 1 << 28
 
 
 def sample_stream(kind: str, cell_code: int, sample: int) -> int:
@@ -146,7 +144,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"samples_per_cell must be >= 1 and < 2**24, got {self.samples_per_cell}"
             )
-        if not 1 <= self.n < _MAX_CELL_CODE:
+        if not 1 <= self.n < MAX_SAMPLE_SIZE:
             raise ValueError(f"n must be >= 1 and < 2**28, got {self.n}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit non-negative integer")
@@ -163,7 +161,7 @@ class ExperimentConfig:
         if not self.size_grid:
             raise ValueError("size_grid must be non-empty")
         for size in self.size_grid:
-            if not 1 <= size < _MAX_CELL_CODE:
+            if not 1 <= size < MAX_SAMPLE_SIZE:
                 raise ValueError(f"size_grid entries must be >= 1 and < 2**28, got {size}")
         if len(set(self.size_grid)) != len(self.size_grid):
             raise ValueError("size_grid entries are not distinct")
@@ -490,7 +488,9 @@ def _rnd_rows(ds: NameDataset, cfg: ExperimentConfig, kind: str, grid, per_cell,
     for cell, (n_f, raw) in zip(grid, per_cell):
         n, _, code = _rnd_cell_spec(cfg, kind, cell)
         if cfg.normalizer_scope == THEORETICAL:
-            z = np.array([rnd_theoretical_normalizer(n, f, cfg.step) for f in n_f.tolist()])
+            # Z depends on the sample only through n_f: once per distinct value
+            distinct, which = np.unique(n_f, return_inverse=True)
+            z = np.array([rnd_theoretical_normalizer(n, f, cfg.step) for f in distinct.tolist()])[which]
         else:
             z = np.full(len(raw), global_z if cfg.normalizer_scope == GLOBAL else batch_z)
         # a zero Z (every raw value 0, or a single-gender sample) gives 0

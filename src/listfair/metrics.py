@@ -115,12 +115,8 @@ def rnd_theoretical_normalizer(n: int, n_f: int, step: int = 10) -> float:
     """
     if not 0 <= n_f <= n:
         raise ValueError(f"n_f={n_f} outside 0..{n}")
-    positions = np.arange(1, n + 1)
-    women_first = np.minimum(positions, n_f)
-    women_last = np.maximum(positions - (n - n_f), 0)
-    raw_first = _sum_terms(_rnd_terms(women_first, step)[3])
-    raw_last = _sum_terms(_rnd_terms(women_last, step)[3])
-    return float(max(raw_first, raw_last))
+    positions = np.arange(n)
+    return float(rnd_raw_of_mask(np.stack([positions < n_f, positions >= n - n_f]), step).max())
 
 
 @dataclass(frozen=True)

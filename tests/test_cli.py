@@ -1,9 +1,12 @@
 import argparse
 import json
+import os
 import resource
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import listfair
 from listfair.cli import ENV_SEED, build_parser, main
@@ -815,3 +818,87 @@ def test_sample_out_of_memory_is_a_data_error(tmp_path, data_dir, argv, needed):
     assert "Traceback" not in proc.stderr
     assert proc.stderr == f"error: not enough memory for {needed.format(tmp=tmp_path)}\n"
     assert not (tmp_path / "run").exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory, data_dir):
+    """The directory the fuzz guard below runs in, with each of its inputs
+    and an unedited copy of each under ``unedited/``."""
+    root = tmp_path_factory.mktemp("fuzz")
+    for directory in ("years", "unedited", "unedited/years"):
+        (root / directory).mkdir()
+    config = {"dataset_paths": ["fixture.csv"], "samples_per_cell": 4, "n": 20, "perc_fs_grid": [0.3, 0.6],
+              "size_grid": [20, 30], "seed": 3, "step": 10}
+    inputs = {
+        "fixture.csv": (data_dir / "fixture.csv").read_bytes(),
+        "sample.csv": sample_text("FMMFMFFFMMFMMMFFMFMFMMFFM").encode(),
+        "list.csv": (data_dir / "candidates" / "ac_federal.csv").read_bytes(),
+        "years/yob2001.txt": b"Mary,F,7\r\nJohn,M,9\r\nAna,F,3\r\n",
+        "config.json": json.dumps(config).encode(),
+    }
+    for name, content in inputs.items():
+        (root / name).write_bytes(content)
+        (root / "unedited" / name).write_bytes(content)
+    return root
+
+
+# each input, with the commands of the CLI that read it; all paths are
+# relative to the fuzz directory
+SAMPLE_CALLS = [["sort"], ["curve"], ["rnd", "--json"], ["parity", "--reference", "0.5"]]
+EXPERIMENT_CALLS = [["experiment", kind, "--config", "config.json", "--out", "run"]
+                    for kind in ("percf", "rnd-grid", "rnd-size")]
+FUZZ_CALLS = {
+    "years/yob2001.txt": [["convert-ssa", "--dir", "years", "--years", "2001:2001", "--out", "out"]],
+    "fixture.csv": [
+        ["sample", "--dataset", "fixture.csv", "--n", "30", "--seed", "5", "--out", "out"],
+        ["sample", "--dataset", "fixture.csv", "--n", "30", "--perc-fs", "0.4", "--seed", "5", "--out", "out"],
+        *EXPERIMENT_CALLS,
+    ],
+    "sample.csv": [[command, "--in", "sample.csv", *flags, "--out", "out"] for command, *flags in SAMPLE_CALLS],
+    "list.csv": [["audit", "--in", "list.csv", "--page-sizes", "5,9,15", "--out", "out"]],
+    "config.json": EXPERIMENT_CALLS,
+}
+
+
+def small_work(value, key=None) -> bool:
+    """Whether no number of a config, other than its seed, is 100 or more."""
+    if isinstance(value, dict):
+        return all(small_work(item, name) for name, item in value.items())
+    if isinstance(value, list):
+        return all(small_work(item) for item in value)
+    return key == "seed" or isinstance(value, str) or value is None or abs(value) < 100
+
+
+@st.composite
+def edited_calls(draw):
+    name = draw(st.sampled_from(sorted(FUZZ_CALLS)))
+    argv = draw(st.sampled_from(FUZZ_CALLS[name]))
+    edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+    # any byte, or one that the formats give a meaning to
+    byte = bytes([draw(st.integers(0, 255) | st.sampled_from(b'0123456789-+.,:"[]{}eE\r\n '))])
+    return name, argv, edit, byte, draw(st.floats(0, 1, exclude_max=True))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(edited_calls())
+def test_one_byte_edit_of_any_input_ends_in_an_exit_code(fuzz_dir, call):
+    name, argv, edit, byte, where = call
+    content = (fuzz_dir / "unedited" / name).read_bytes()
+    at = int(where * len(content))
+    edited = content[:at] + (b"" if edit == "delete" else byte) + content[at + (edit != "insert"):]
+    if name == "config.json":
+        try:
+            config = json.loads(edited)
+        except ValueError:
+            config = None
+        assume(small_work(config))
+    cwd = os.getcwd()
+    try:
+        (fuzz_dir / name).write_bytes(edited)
+        os.chdir(fuzz_dir)
+        code = main(argv)
+    finally:
+        os.chdir(cwd)
+        (fuzz_dir / name).write_bytes(content)
+    # an exception that escaped main has already failed the example
+    assert code in (0, 1, 2)

@@ -50,8 +50,8 @@ def test_load_canonical_basic(tmp_path):
 def test_load_canonical_accepts_lowercase_gender_and_quoted_comma(tmp_path):
     path = tmp_path / "d.csv"
     write_text(path, 'name,gender,count\n"de la Cruz, Ana",f,2\nBruno,m,1\n')
-    ds = load_canonical(path, dataset_id="override")
-    assert ds.id == "override"
+    ds = load_canonical(path)
+    assert ds.id == "d"
     assert ds.records[0].name == "de la Cruz, Ana"
     assert ds.records[0].gender == "F"
 
@@ -186,7 +186,7 @@ def test_write_then_load_round_trip(tmp_path):
     )
     path = tmp_path / "out.csv"
     write_canonical(ds, path)
-    back = load_canonical(path, dataset_id="test")
+    back = load_canonical(path)
     assert set(back.records) == set(ds.records)
     assert back.total_count == ds.total_count
 
@@ -222,8 +222,8 @@ def test_ssa_yearfiles_result_independent_of_creation_order(tmp_path):
         write_text(a / name, lines[name])
     for name in reversed(list(lines)):
         write_text(b / name, lines[name])
-    ds_a = load_ssa_yearfiles(a, (1990, 1991), dataset_id="x")
-    ds_b = load_ssa_yearfiles(b, (1990, 1991), dataset_id="x")
+    ds_a = load_ssa_yearfiles(a, (1990, 1991))
+    ds_b = load_ssa_yearfiles(b, (1990, 1991))
     assert ds_a == ds_b
 
 
@@ -482,10 +482,12 @@ def test_plain_file_loads_without_per_row_checks(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Path, "open", open_once)
     monkeypatch.setattr(dataset_module, "_registry_row", refuse)
-    expected = load_canonical(plain, dataset_id="d")
-    assert expected.names == ("Ana", "Ana", "Bruno", "José")
-    assert expected.is_female.tolist() == [True, False, False, True]
-    assert expected.counts.tolist() == [3, 12, 5, 7]
+
+    def columns(ds):
+        return ds.names, ds.is_female.tolist(), ds.counts.tolist()
+
+    expected = (("Ana", "Ana", "Bruno", "José"), [True, False, False, True], [3, 12, 5, 7])
+    assert columns(load_canonical(plain)) == expected
 
     walked = []
 
@@ -494,6 +496,7 @@ def test_plain_file_loads_without_per_row_checks(tmp_path, monkeypatch):
         return registry_row(fields, path, line)
 
     monkeypatch.setattr(dataset_module, "_registry_row", spy)
-    assert load_canonical(padded, dataset_id="d") == expected
+    # the stems differ, so the columns are compared, not the datasets
+    assert columns(load_canonical(padded)) == expected
     assert walked == [2, 3, 4, 5]
     assert opened == ["plain.csv", "padded.csv"]

@@ -313,6 +313,23 @@ def test_theoretical_scope_normalizes_per_sample():
                 assert record["raw"] <= record["z"] + 1e-12
 
 
+@pytest.mark.parametrize("kind", [RND_GRID, RND_SIZE])
+def test_theoretical_z_is_computed_once_per_female_count(monkeypatch, kind):
+    calls = []
+
+    def counting(n, n_f, step):
+        calls.append((n, n_f))
+        return rnd_theoretical_normalizer(n, n_f, step)
+
+    monkeypatch.setattr(experiments, "rnd_theoretical_normalizer", counting)
+    cfg = small_config(normalizer_scope=THEORETICAL, samples_per_cell=30)
+    result = run_datasets(kind, [SMALL_DATASET], cfg)
+    keys = {(record.get("n", cfg.n), record["n_f"]) for record in result.records}
+    assert sorted(calls) == sorted(keys)
+    # a stratified cell fixes n_f; proportional ones repeat some counts
+    assert len(keys) == len(cfg.perc_fs_grid) if kind == RND_GRID else len(keys) < len(result.records)
+
+
 # ALEX and alex share a collation key but not a gender
 TIED_DATASET = dataset_from_counts(
     [("ALEX", "F", 300), ("alex", "M", 500), ("Bea", "F", 200), ("Bo", "M", 100), ("Zed", "F", 50)],

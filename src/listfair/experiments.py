@@ -128,16 +128,13 @@ class ExperimentConfig:
     normalizer_scope: str = PER_BATCH
     bandwidth: float | None = None
 
-    def _check_types(self) -> None:
-        """Raise ValueError for the first field whose value has the wrong
-        type, such as a string, a bool or a float where an integer belongs."""
+    def validate(self, require_paths: bool = False) -> None:
+        """Raise ValueError for the first field of the wrong type, such as a
+        string or a bool where an integer belongs, then for the first out of range."""
         for name, (is_valid, expected) in _FIELD_TYPES.items():
             value = getattr(self, name)
             if not is_valid(value):
                 raise ValueError(f"{name} must be {expected}, got {value!r}")
-
-    def validate(self, require_paths: bool = False) -> None:
-        self._check_types()
         if require_paths and not self.dataset_paths:
             raise ValueError("config needs at least one dataset path")
         if not 1 <= self.samples_per_cell < _MAX_SAMPLES:
@@ -198,7 +195,8 @@ class ExperimentConfig:
             )
         cfg = cls(**payload)
         try:
-            cfg._check_types()
+            # path-less configs load too: run_datasets takes loaded datasets
+            cfg.validate()
         except ValueError as exc:
             raise DatasetFormatError(str(exc), path=path) from None
         return cfg
@@ -245,20 +243,20 @@ def _map_tasks(fn, tasks, jobs: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-def _alphabetical(ds: NameDataset, indices: np.ndarray) -> np.ndarray:
-    """Each row of sample indices in alphabetical order."""
-    return np.take_along_axis(indices, alphabetical_order(ds.rank[indices]), axis=-1)
-
-
-def _sample_blocks(cfg: ExperimentConfig, kind: str, code: int, n: int):
-    """The generators of one cell's samples, in sample order and in
-    blocks of ``max(1, stats.BLOCK // n)``, so that a block is drawn,
-    sorted and scored as one (rows, n) array. Yields each block's first
-    sample ordinal with its generators."""
+def _blocks(ds: NameDataset, cfg: ExperimentConfig, kind: str, code: int, n: int, perc_fs: float | None = None):
+    """One cell's samples in blocks of ``max(1, stats.BLOCK // n)``, each
+    sample from its own stream, so that a block is drawn, shuffled and
+    sorted as one (rows, n) array. Yields each block's rows (a slice of sample
+    ordinals) and its female masks in draw order and in alphabetical order."""
     rows = max(1, stats.BLOCK // n)
     for start in range(0, cfg.samples_per_cell, rows):
         stop = min(start + rows, cfg.samples_per_cell)
-        yield start, [random_stream(cfg.seed, sample_stream(kind, code, i)) for i in range(start, stop)]
+        rngs = [random_stream(cfg.seed, sample_stream(kind, code, i)) for i in range(start, stop)]
+        drawn = draw_samples(ds, n, rngs, perc_fs)
+        masks = ds.is_female[drawn]
+        alphabetical = np.take_along_axis(masks, alphabetical_order(ds.rank[drawn]), axis=-1)
+        del drawn  # 8 bytes a position: only the 1-byte masks live across the yield
+        yield slice(start, stop), masks, alphabetical
 
 
 def _smoothed(xs, ys, bandwidth: float | None) -> np.ndarray:
@@ -304,7 +302,11 @@ def run_datasets(kind: str, datasets, cfg: ExperimentConfig, jobs: int = 1) -> E
         cells = [range(first, last) for first, last in zip(bounds, bounds[1:])]
         fn = _percf_chunk
     else:
-        cells = cfg.perc_fs_grid if kind == RND_GRID else cfg.size_grid
+        # an rND cell is (grid value, sample size, female share or None, stream code)
+        if kind == RND_GRID:
+            cells = [(share, cfg.n, share, share_cell_code(share)) for share in cfg.perc_fs_grid]
+        else:
+            cells = [(size, size, None, size) for size in cfg.size_grid]
         fn = _rnd_cell
     tasks = [(ordinal, cfg, kind, cell) for ordinal in range(len(datasets)) for cell in cells]
     for ds in datasets:
@@ -362,11 +364,9 @@ def _percf_chunk(task) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     random_curves = np.empty((cfg.samples_per_cell, len(ks)))
     alpha_curves = np.empty_like(random_curves)
     columns = slice(ks.start - 1, ks.stop - 1)
-    for start, rngs in _sample_blocks(cfg, kind, 0, cfg.n):
-        indices = draw_samples(ds, cfg.n, rngs)
-        block = slice(start, start + len(rngs))
-        random_curves[block] = perc_f_curve(ds.is_female[indices])[:, columns]
-        alpha_curves[block] = perc_f_curve(ds.is_female[_alphabetical(ds, indices)])[:, columns]
+    for rows, drawn, alphabetical in _blocks(ds, cfg, kind, 0, cfg.n):
+        random_curves[rows] = perc_f_curve(drawn)[:, columns]
+        alpha_curves[rows] = perc_f_curve(alphabetical)[:, columns]
     intervals = np.empty((2, len(ks)))
     # one contiguous row per k: resampling gathers from it twice as fast
     # as from a strided column
@@ -449,44 +449,32 @@ def _rnd_cell_key(kind: str) -> str:
     return "perc_fs" if kind == RND_GRID else "n"
 
 
-def _rnd_cell_spec(cfg: ExperimentConfig, kind: str, cell):
-    """Sample size, requested female share (None for a proportional
-    sample) and stream code of one rND cell."""
-    if kind == RND_GRID:
-        return cfg.n, cell, share_cell_code(cell)
-    return cell, None, cell
-
-
 def _rnd_cell(task) -> tuple[np.ndarray, np.ndarray]:
     """The female count and raw rND of one cell's samples, in sample order."""
-    ordinal, cfg, kind, cell = task
+    ordinal, cfg, kind, (cell, n, perc_fs, code) = task
     ds = _run_datasets[ordinal]
-    n, perc_fs, code = _rnd_cell_spec(cfg, kind, cell)
     n_f = np.empty(cfg.samples_per_cell, dtype=np.int64)
     raw = np.empty(cfg.samples_per_cell)
     try:
         # the size alone decides whether a list reaches the first
         # checkpoint, so say so before drawing anything
         rnd_checkpoints(n, cfg.step)
-        for start, rngs in _sample_blocks(cfg, kind, code, n):
-            masks = ds.is_female[_alphabetical(ds, draw_samples(ds, n, rngs, perc_fs))]
-            block = slice(start, start + len(rngs))
-            n_f[block] = masks.sum(axis=1)
-            raw[block] = rnd_raw_of_mask(masks, cfg.step)
+        for rows, _, alphabetical in _blocks(ds, cfg, kind, code, n, perc_fs):
+            n_f[rows] = alphabetical.sum(axis=1)
+            raw[rows] = rnd_raw_of_mask(alphabetical, cfg.step)
     except (InfeasibleSampleError, SampleTooSmallError) as exc:
         raise type(exc)(f"cell {_rnd_cell_key(kind)}={cell}: {exc}") from None
     return n_f, raw
 
 
-def _rnd_rows(ds: NameDataset, cfg: ExperimentConfig, kind: str, grid, per_cell, global_z: float):
+def _rnd_rows(ds: NameDataset, cfg: ExperimentConfig, kind: str, cells, per_cell, global_z: float):
     """Records, aggregate and curve rows of one dataset's rND cells, from
     their ``_rnd_cell`` arrays: each sample is normalized under the
     configured scope, each cell aggregated, and the cell means smoothed."""
     key = _rnd_cell_key(kind)
     batch_z = max(raw.max() for _, raw in per_cell)
     records, aggregates = [], []
-    for cell, (n_f, raw) in zip(grid, per_cell):
-        n, _, code = _rnd_cell_spec(cfg, kind, cell)
+    for (cell, n, _, code), (n_f, raw) in zip(cells, per_cell):
         if cfg.normalizer_scope == THEORETICAL:
             # Z depends on the sample only through n_f: once per distinct value
             distinct, which = np.unique(n_f, return_inverse=True)

@@ -16,7 +16,7 @@ index array into a dataset's records, drawn from the tables the
 makes the sample stratified; without one it is proportional.
 
 :func:`draw_samples` draws a block of samples, one per generator, as
-the rows of one array; the experiments draw a cell's samples
+the rows of one array; ``experiments._blocks`` draws a cell's samples
 ``max(1, stats.BLOCK // n)`` at a time. Each row is the sample its
 generator alone gives (:func:`draw_sample` is the one-row case), and a
 stratified row is shuffled by :func:`permutations`, which computes the

@@ -483,7 +483,7 @@ CLI_TABLE += [
          "error: [Errno 2] No such file or directory: '{tmp}/config.json'\n"),
         ("experiment-samples-per-cell-0",
          {"config.json": '{"dataset_paths": ["names.csv"], "samples_per_cell": 0}'}, EXPERIMENT, 2,
-         "error: samples_per_cell must be >= 1 and < 2**24, got 0\n"),
+         "error: {tmp}/config.json: samples_per_cell must be >= 1 and < 2**24, got 0\n"),
         ("experiment-config-nested-100000-deep", {"config.json": '{"n": ' + "[" * 100000 + "]" * 100000 + "}"},
          EXPERIMENT, 2, "error: {tmp}/config.json: maximum recursion depth exceeded"),
         ("experiment-config-n-of-5001-digits", {"config.json": '{"n": -' + "9" * 5001 + "}"}, EXPERIMENT, 2,
@@ -701,6 +701,10 @@ def test_experiment_round_trip(tmp_path, dataset_csv):
         ({"bandwidth": 10**400}, "bandwidth must be a finite number or null"),
         ({"dataset_paths": [3]}, "dataset_paths must be a list of strings, got [3]"),
         ({"dataset_paths": "x.csv"}, "dataset_paths must be a list of strings, got 'x.csv'"),
+        # range errors name the file too
+        ({"n": 0}, "n must be >= 1 and < 2**28, got 0"),
+        ({"perc_fs_grid": [0.5, 0.5]}, "perc_fs_grid entries are not distinct"),
+        ({"bandwidth": 0.0}, "bandwidth must be positive when given"),
     ],
 )
 def test_experiment_config_types_are_data_errors(capsys, tmp_path, dataset_csv, fields, message):

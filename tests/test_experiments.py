@@ -344,24 +344,31 @@ def test_sample_blocks_match_one_sample_at_a_time(kind):
     cfg = ExperimentConfig(samples_per_cell=12, n=n, perc_fs_grid=[share], size_grid=[n], seed=11)
     assert experiments.stats.BLOCK // n == 5
     ds = TIED_DATASET
+    perc_fs = share if kind == RND_GRID else None
+    code = {PERCF: 0, RND_GRID: share_cell_code(share), RND_SIZE: n}[kind]
+    blocks = list(experiments._blocks(ds, cfg, kind, code, n, perc_fs))
+    assert [(rows.start, rows.stop) for rows, _, _ in blocks] == [(0, 5), (5, 10), (10, 12)]
+    drawn = np.concatenate([masks for _, masks, _ in blocks])
+    alphabetical = np.concatenate([masks for _, _, masks in blocks])
+    assert drawn.dtype == alphabetical.dtype == bool
     experiments._set_run_datasets([ds])
     try:
         if kind == PERCF:
             random_curves, alpha_curves, _ = experiments._percf_chunk((0, cfg, kind, range(1, n + 1)))
             assert len(random_curves) == len(alpha_curves) == 12
         else:
-            n_f, raw = experiments._rnd_cell((0, cfg, kind, share if kind == RND_GRID else n))
+            cell = (share if kind == RND_GRID else n, n, perc_fs, code)
+            n_f, raw = experiments._rnd_cell((0, cfg, kind, cell))
             assert len(n_f) == len(raw) == 12
     finally:
         experiments._set_run_datasets(None)
-    code = {PERCF: 0, RND_GRID: share_cell_code(share), RND_SIZE: n}[kind]
     for i in range(12):
-        stream = sample_stream(kind, code, i)
-        rng = random_stream(cfg.seed, stream)
-        indices = reference_draw_sample(ds, n, rng, share if kind == RND_GRID else None).tolist()
+        rng = random_stream(cfg.seed, sample_stream(kind, code, i))
+        indices = reference_draw_sample(ds, n, rng, perc_fs).tolist()
         # Python's stable sort on the collation key itself
-        alphabetical = sorted(indices, key=lambda index: collation_key(ds.names[index]))
-        mask = ds.is_female[alphabetical]
+        mask = ds.is_female[sorted(indices, key=lambda index: collation_key(ds.names[index]))]
+        assert drawn[i].tolist() == ds.is_female[indices].tolist()
+        assert alphabetical[i].tolist() == mask.tolist()
         if kind == PERCF:
             assert random_curves[i].tolist() == perc_f_curve(ds.is_female[indices]).tolist()
             assert alpha_curves[i].tolist() == perc_f_curve(mask).tolist()

@@ -245,8 +245,8 @@ def _map_tasks(fn, tasks, jobs: int) -> list:
 
 def _blocks(ds: NameDataset, cfg: ExperimentConfig, kind: str, code: int, n: int, perc_fs: float | None = None):
     """One cell's samples in blocks of ``max(1, stats.BLOCK // n)``, each
-    sample from its own stream, so that a block is drawn, shuffled and
-    sorted as one (rows, n) array. Yields each block's rows (a slice of sample
+    from its own stream, so that a block is drawn, shuffled and sorted as
+    one (rows, n) array. Yields each block's rows (a slice of sample
     ordinals) and its female masks in draw order and in alphabetical order."""
     rows = max(1, stats.BLOCK // n)
     for start in range(0, cfg.samples_per_cell, rows):

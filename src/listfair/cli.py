@@ -59,6 +59,8 @@ class _Parser(argparse.ArgumentParser):
 @contextlib.contextmanager
 def _open_out(path: str | None):
     if path is None:
+        if sys.stdout is None:  # started with stdout closed
+            raise ListFairError("stdout is closed; name a file with --out")
         yield sys.stdout
     else:
         with Path(path).open("w", encoding="utf-8", newline="") as fh:
@@ -186,7 +188,8 @@ def _cmd_convert_ssa(args) -> int:
 
 def _cmd_sample(args) -> int:
     from listfair.dataset import dump_sample_csv, load_canonical
-    from listfair.sampling import draw_sample, random_stream
+    from listfair.sampling import draw_sample
+    from listfair.streams import random_stream
 
     # --perc-fs implies stratified mode; --mode only needs to be spelled
     # out when it contradicts that inference
@@ -196,9 +199,8 @@ def _cmd_sample(args) -> int:
         raise _UsageError("--mode stratified needs --perc-fs")
     seed = _resolve_seed(args)
     ds = load_canonical(args.dataset)
-    rng = random_stream(seed, args.stream)
     try:
-        indices = draw_sample(ds, args.n, rng, args.perc_fs)
+        indices = draw_sample(ds, args.n, random_stream(seed, args.stream), args.perc_fs)
         with _open_out(args.out) as fh:
             dump_sample_csv([ds.names[i] for i in indices.tolist()], ds.is_female[indices], fh)
     except MemoryError:
@@ -353,13 +355,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _failed(message: str, code: int) -> int:
+    """``code``, after writing ``message`` to stderr if stderr is open."""
+    with contextlib.suppress(AttributeError, OSError):  # stderr is None, or its fd closed
+        sys.stderr.write(f"{message}\n")
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        return _failed(f"usage error: {exc}", 1)
     except SystemExit as exc:
         # argparse exits directly for --help/--version; keep 0 as 0 and
         # map anything else onto the usage-error code
@@ -367,11 +375,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        return _failed(f"usage error: {exc}", 1)
     except (ListFairError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _failed(f"error: {exc}", 2)
 
 
 def run() -> None:

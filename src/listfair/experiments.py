@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # noqa: F401  loaded before workers fork, so that they share its pages
 
 from listfair import MAX_SAMPLE_SIZE, THEORETICAL, stats
 from listfair.dataset import NameDataset, load_canonical, write_rows
@@ -41,7 +42,8 @@ from listfair.metrics import (
     rnd_theoretical_normalizer,
 )
 from listfair.ordering import alphabetical_order
-from listfair.sampling import draw_samples, random_stream
+from listfair.sampling import draw_samples
+from listfair.streams import random_stream
 
 # perfbench/spans.py wraps read_candidate_list under this module's name;
 # the import goes when the benchmark reads the stage timer (ROADMAP item 2)
@@ -251,8 +253,8 @@ def _blocks(ds: NameDataset, cfg: ExperimentConfig, kind: str, code: int, n: int
     rows = max(1, stats.BLOCK // n)
     for start in range(0, cfg.samples_per_cell, rows):
         stop = min(start + rows, cfg.samples_per_cell)
-        rngs = [random_stream(cfg.seed, sample_stream(kind, code, i)) for i in range(start, stop)]
-        drawn = draw_samples(ds, n, rngs, perc_fs)
+        streams = [random_stream(cfg.seed, sample_stream(kind, code, i)) for i in range(start, stop)]
+        drawn = draw_samples(ds, n, streams, perc_fs)
         masks = ds.is_female[drawn]
         alphabetical = np.take_along_axis(masks, alphabetical_order(ds.rank[drawn]), axis=-1)
         del drawn  # 8 bytes a position: only the 1-byte masks live across the yield

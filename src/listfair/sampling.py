@@ -1,12 +1,4 @@
-"""Seeded randomness, Fisher-Yates shuffling, and sample generation.
-
-Reproducibility contract: :func:`random_stream` returns a numpy
-``Generator`` keyed by ``(seed, stream_index)``, which always yields the
-same value sequence for the same key (the pinned generator is numpy's
-PCG64 seeded through ``SeedSequence((seed, stream_index))``). Operations
-consume the stream, so re-create the generator to replay a draw.
-Experiment drivers give every sample its own stream index, which makes
-runs independent of scheduling and safe to parallelize.
+"""Fisher-Yates shuffling and sample generation.
 
 Samples are drawn WITH replacement: each position is an independent
 draw from the name-frequency distribution, the same way a registry of
@@ -15,13 +7,14 @@ index array into a dataset's records, drawn from the tables the
 :class:`~listfair.dataset.NameDataset` keeps. A requested female share
 makes the sample stratified; without one it is proportional.
 
-:func:`draw_samples` draws a block of samples, one per generator, as
-the rows of one array; ``experiments._blocks`` draws a cell's samples
-``max(1, stats.BLOCK // n)`` at a time. Each row is the sample its
-generator alone gives (:func:`draw_sample` is the one-row case), and a
-stratified row is shuffled by :func:`permutations`, which computes the
-Fisher-Yates swap loop's exact result with array operations.
-Sample files are read and written by :mod:`listfair.dataset`.
+:func:`draw_samples` draws a block of samples, one per
+:func:`~listfair.streams.random_stream` stream, as the rows of one array;
+``experiments._blocks`` draws a cell's samples ``max(1, stats.BLOCK // n)``
+at a time. Each row is the sample its stream alone gives (:func:`draw_sample`
+is the one-row case), and a stratified row is shuffled by
+:func:`permutations`, which computes the Fisher-Yates swap loop's exact
+result with array operations. Sample files are read and written by
+:mod:`listfair.dataset`.
 """
 
 from __future__ import annotations
@@ -34,22 +27,11 @@ import numpy as np
 from listfair import MAX_SAMPLE_SIZE
 from listfair.dataset import NameDataset
 from listfair.errors import InfeasibleSampleError
+from listfair.streams import bounded, uniforms
 
 # perfbench/spans.py wraps read_sample_csv under this module's name; the
 # import goes when the benchmark reads the stage timer (ROADMAP item 2)
 from listfair.dataset import read_sample_csv  # noqa: F401
-
-
-def random_stream(seed: int, stream_index: int = 0) -> np.random.Generator:
-    """The generator keyed by ``(seed, stream_index)``: PCG64 seeded
-    through ``SeedSequence((seed, stream_index))``."""
-    if seed < 0 or seed >= 2**64:
-        raise ValueError("seed must be a 64-bit non-negative integer")
-    if stream_index < 0:
-        raise ValueError("stream_index must be non-negative")
-    # np.random, not a module-level import: numpy loads numpy.random on
-    # first use, so callers that only read sample files never load it
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream_index))))
 
 
 def round_half_up(x) -> int:
@@ -65,15 +47,13 @@ def stratified_female_count(perc_fs: float, n: int) -> int:
     return round_half_up(Fraction(str(perc_fs)) * n)
 
 
-def permutations(n: int, gens) -> np.ndarray:
-    """One uniformly random permutation of ``range(n)`` per generator, as
-    the rows of a ``(len(gens), n)`` intp array.
+def permutations(n: int, streams) -> np.ndarray:
+    """One uniformly random permutation of ``range(n)`` per stream, as the
+    rows of a ``(len(streams), n)`` intp array.
 
-    Row r is the classic Fisher-Yates swap-down over ``gens[r]``: for
+    Row r is the classic Fisher-Yates swap-down over ``streams[r]``: for
     i = n-1, ..., 1 it swaps positions i and j_i, with every j_i from one
-    ``integers`` call with the bounds n, n-1, ..., 2. numpy draws each
-    bounded integer of an array call exactly as a scalar call with that
-    bound would, so rows and stream states match one call per swap.
+    :func:`~listfair.streams.bounded` call with the bounds n, n-1, ..., 2.
 
     The swaps are not run one by one. Steps run from i = n-1 down, and
     step i fixes position i for good with the value that position j_i
@@ -88,11 +68,11 @@ def permutations(n: int, gens) -> np.ndarray:
     targets j_i, or with j_i if none does. One stable sort of the targets
     groups the steps that share one, in step order, for all rows.
     """
-    rows = len(gens)
+    rows = len(streams)
     targets = np.zeros((rows, n), dtype=np.intp)
-    bounds = np.arange(n, 1, -1)
-    for row, gen in zip(targets, gens):
-        row[:0:-1] = gen.integers(0, bounds)
+    bounds = np.arange(n, 1, -1, dtype=np.uint64)
+    for row, stream in zip(targets, streams):
+        row[:0:-1] = bounded(stream, bounds, len(bounds))[0]
     size = rows * n
     if size < 2:
         return targets
@@ -125,9 +105,9 @@ def permutations(n: int, gens) -> np.ndarray:
     return final.reshape(rows, n) - offsets
 
 
-def draw_samples(ds: NameDataset, n: int, rngs, perc_fs: float | None = None) -> np.ndarray:
-    """Record indices of one sample of ``n`` individuals per generator in
-    ``rngs``, as the rows of a ``(len(rngs), n)`` array.
+def draw_samples(ds: NameDataset, n: int, streams, perc_fs: float | None = None) -> np.ndarray:
+    """Record indices of one sample of ``n`` individuals per stream in
+    ``streams``, as the rows of a ``(len(streams), n)`` array.
 
     Without ``perc_fs`` a sample is proportional: every position is drawn
     independently with probability proportional to record count over the
@@ -137,47 +117,31 @@ def draw_samples(ds: NameDataset, n: int, rngs, perc_fs: float | None = None) ->
     weighted by within-gender counts), then Fisher-Yates shuffled together
     (:func:`permutations`).
 
-    Each row is the sample its generator alone gives. A generator draws the
+    Each row is the sample its stream alone gives. A stream gives the
     uniforms that ``Generator.choice`` with the counts as ``p`` would
-    draw, the female ones before the male ones, then the swap indices,
-    and its stream ends where drawing that one sample leaves it.
+    draw, the female ones before the male ones, then the swap indices.
     """
     if n <= 0:
         raise ValueError("sample size n must be >= 1")
     if n >= MAX_SAMPLE_SIZE:
         raise ValueError(f"sample size n must be < 2**28, got {n}")
-    uniforms = np.empty((len(rngs), n))
     if perc_fs is None:
-        for row, rng in zip(uniforms, rngs):
-            rng.random(out=row)
-        return ds.cdf.searchsorted(uniforms, side="right")
+        return ds.cdf.searchsorted(uniforms(streams, n), side="right")
     if not 0.0 <= perc_fs <= 1.0:
         raise ValueError(f"perc_fs must lie in [0, 1], got {perc_fs}")
     n_f = stratified_female_count(perc_fs, n)
-    n_m = n - n_f
     (female, female_cdf), (male, male_cdf) = ds.strata
     if n_f > 0 and not len(female):
-        raise InfeasibleSampleError(
-            f"dataset {ds.id!r} has no female records but {n_f} women were requested"
-        )
-    if n_m > 0 and not len(male):
-        raise InfeasibleSampleError(
-            f"dataset {ds.id!r} has no male records but {n_m} men were requested"
-        )
-    for row, rng in zip(uniforms, rngs):
-        rng.random(out=row[:n_f])
-        rng.random(out=row[n_f:])
-    drawn = np.concatenate(
-        [
-            female[female_cdf.searchsorted(uniforms[:, :n_f], side="right")],
-            male[male_cdf.searchsorted(uniforms[:, n_f:], side="right")],
-        ],
-        axis=1,
-    )
-    return np.take_along_axis(drawn, permutations(n, rngs), axis=1)
+        raise InfeasibleSampleError(f"dataset {ds.id!r} has no female records but {n_f} women were requested")
+    if n > n_f and not len(male):
+        raise InfeasibleSampleError(f"dataset {ds.id!r} has no male records but {n - n_f} men were requested")
+    doubles = uniforms(streams, n)
+    drawn = np.concatenate([female[female_cdf.searchsorted(doubles[:, :n_f], side="right")],
+                            male[male_cdf.searchsorted(doubles[:, n_f:], side="right")]], axis=1)
+    return np.take_along_axis(drawn, permutations(n, streams), axis=1)
 
 
-def draw_sample(ds: NameDataset, n: int, rng: np.random.Generator, perc_fs: float | None = None) -> np.ndarray:
+def draw_sample(ds: NameDataset, n: int, stream, perc_fs: float | None = None) -> np.ndarray:
     """Record indices of ``n`` individuals drawn from a dataset: the one
-    row of :func:`draw_samples` with the generator ``rng``."""
-    return draw_samples(ds, n, [rng], perc_fs)[0]
+    row of :func:`draw_samples` with ``stream``."""
+    return draw_samples(ds, n, [stream], perc_fs)[0]

@@ -3,23 +3,14 @@
 Where the measurement protocol leaves estimator details open, the
 defaults follow common practice: Gaussian kernel, Silverman's
 rule-of-thumb bandwidth, percentile bootstrap of the mean with 2000
-resamples. Everything is deterministic given a seeded generator.
-
-The bootstrap's resample indices are exactly the stream of
-``Generator.integers(0, size)``, drawn 16 Ki at a time. On PCG64 they
-come from raw 64-bit words, each split into its low then its high 32-bit
-half, and numpy's Lemire step (Lemire, *Fast Random Integer Generation
-in an Interval*, 2019): a word x gives the index (x * size) >> 32 unless
-the low half of x * size falls below (2**32 - size) % size, when x is
-redrawn. ``tests/test_stats.py`` checks both against ``integers``.
+resamples. Everything is deterministic given a seeded stream.
 """
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
-from numpy.random import PCG64
+
+from listfair.streams import bounded
 
 DEFAULT_RESAMPLES = 2000
 
@@ -29,38 +20,6 @@ DEFAULT_RESAMPLES = 2000
 # percf in a fresh process with glibc 2.36: 16 Ki gives about 7k minor
 # faults per run, 32 Ki sometimes gives 100k, when the heap top is trimmed.
 BLOCK = 1 << 14
-
-
-def _index_blocks(gen, size: int, count: int, block: int):
-    """Yield the indices ``gen.integers(0, size, count)`` returns, in
-    consecutive blocks of ``block`` (the last may be shorter), and leave
-    ``gen`` in the state that call leaves it in.
-
-    A block of an even count, drawn when the generator holds no buffered
-    32-bit half, takes ``count // 2`` raw PCG64 words; any other block
-    calls ``integers`` itself.
-    """
-    bitgen = gen.bit_generator
-    fast = sys.byteorder == "little" and type(bitgen) is PCG64 and 1 < size < 2**32
-    threshold = (2**32 - size) % size
-    paired = fast and not bitgen.state["has_uint32"]
-    for start in range(0, count, block):
-        n = min(block, count - start)
-        if not paired or n % 2:
-            yield gen.integers(0, size, n)
-            paired = fast and not bitgen.state["has_uint32"]
-            continue
-        product = np.multiply(bitgen.random_raw(n // 2).view(np.uint32), size, dtype=np.uint64)
-        low = product.view(np.uint32)[::2]
-        if threshold and low.min() < threshold:
-            # rare (p ~ 3.6e-4 per block at size 100): keep the accepted
-            # words and let integers draw the rest, as it would have
-            kept = product[low >= threshold] >> 32
-            yield np.concatenate([kept.view(np.intp), gen.integers(0, size, n - kept.size)])
-            paired = not bitgen.state["has_uint32"]
-            continue
-        product >>= 32
-        yield product.view(np.intp)
 
 
 def nadaraya_watson(x, y, grid, bandwidth: float) -> np.ndarray:
@@ -117,15 +76,16 @@ def bootstrap_ci(
     level: float = 0.95,
     resamples: int = DEFAULT_RESAMPLES,
     *,
-    rng: np.random.Generator,
+    rng,
 ) -> tuple[float, float]:
     """Percentile bootstrap interval ``(lower, upper)`` for the mean of
     ``values``.
 
-    Draws ``resamples`` resamples with replacement, takes each mean, and
-    returns the (1 - level)/2 and (1 + level)/2 empirical quantiles. With
-    a fixed rng the result is deterministic, and intervals at lower levels
-    nest inside intervals at higher levels.
+    Draws ``resamples`` resamples with replacement, their indices from the
+    stream ``rng`` (:func:`~listfair.streams.random_stream`), takes each
+    mean, and returns the (1 - level)/2 and (1 + level)/2 empirical
+    quantiles. With a fixed stream the result is deterministic, and
+    intervals at lower levels nest inside intervals at higher levels.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
@@ -134,17 +94,14 @@ def bootstrap_ci(
         raise ValueError("level must lie in (0, 1)")
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
-    # consecutive (rows, size) draws give the same indices and leave the
-    # generator in the same state as one (resamples, size) draw; an even
-    # block keeps the raw-word fast path of _index_blocks
     size = values.size
     rows = max(1, BLOCK // size)
-    rows += rows & size & 1
-    blocks = _index_blocks(rng, size, resamples * size, rows * size)
     gathered = np.empty((min(rows, resamples), size))
     means = np.empty(resamples)
-    for start, indices in zip(range(0, resamples, rows), blocks):
+    halves = ()
+    for start in range(0, resamples, rows):
         stop = min(start + rows, resamples)
+        indices, halves = bounded(rng, size, (stop - start) * size, halves)
         # the indices are in range, so "wrap" changes none of them; it
         # spares the copy "raise" makes of out
         block = np.take(values, indices.reshape(stop - start, size), out=gathered[: stop - start], mode="wrap")

@@ -78,10 +78,11 @@ def chi_square_statistic(observed, expected) -> float:
     return sum((o - e) ** 2 / e for o, e in zip(observed, expected))
 
 
-def reference_bootstrap_ci(values, level: float, resamples: int, rng) -> tuple[float, float]:
+def reference_bootstrap_ci(values, level: float, resamples: int, stream) -> tuple[float, float]:
     """``stats.bootstrap_ci`` as a plain loop: blocks of ``BLOCK // size``
-    resamples drawn with ``Generator.integers``, gathered by fancy indexing
-    and averaged with ``mean``."""
+    resamples drawn with numpy's ``Generator.integers`` over ``stream``,
+    gathered by fancy indexing and averaged with ``mean``."""
+    rng = np.random.Generator(stream)
     values = np.asarray(values, dtype=float)
     size = values.size
     rows = max(1, BLOCK // size)
@@ -94,11 +95,12 @@ def reference_bootstrap_ci(values, level: float, resamples: int, rng) -> tuple[f
     return lower, upper
 
 
-def reference_draw_sample(ds: NameDataset, n: int, rng, perc_fs: float | None = None) -> np.ndarray:
+def reference_draw_sample(ds: NameDataset, n: int, stream, perc_fs: float | None = None) -> np.ndarray:
     """One sample as ``sampling.draw_samples`` draws each row, one sample
-    at a time: weighted draws by ``searchsorted`` into the draw tables,
-    then, for a stratified sample, a Fisher-Yates shuffle that runs its
-    swaps in a Python loop."""
+    at a time, with numpy's ``Generator`` over ``stream``: weighted draws
+    by ``searchsorted`` into the draw tables, then, for a stratified
+    sample, a Fisher-Yates shuffle that runs its swaps in a Python loop."""
+    rng = np.random.Generator(stream)
     if perc_fs is None:
         return ds.cdf.searchsorted(rng.random(n), side="right")
     n_f = stratified_female_count(perc_fs, n)
@@ -113,12 +115,12 @@ def reference_draw_sample(ds: NameDataset, n: int, rng, perc_fs: float | None = 
     return drawn[perm]
 
 
-def run_python(args, **kwargs):
+def run_python(args, command=(sys.executable,), **kwargs):
     # the child imports the same package as this process, installed or not
     src = str(Path(listfair.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args],
+        [*command, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},

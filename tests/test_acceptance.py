@@ -35,7 +35,8 @@ from listfair.metrics import (
     run_candidate_audit,
 )
 from listfair.ordering import collation_key, sort_alphabetical
-from listfair.sampling import permutations, random_stream
+from listfair.sampling import permutations
+from listfair.streams import random_stream
 from listfair.stats import bootstrap_ci, nadaraya_watson
 
 from helpers import chi_square_statistic, mask_from_pattern

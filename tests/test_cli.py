@@ -789,6 +789,44 @@ def test_chain_commands_load_only_what_they_run(tmp_path, data_dir, argv):
         assert proc.stderr.startswith("usage error: ")
 
 
+def run_closed(argv, redirect: str):
+    # sh starts python -m listfair with stdout (">&-") or stderr ("2>&-") closed
+    return run_python(argv, command=("sh", "-c", f'"$0" -m listfair "$@" {redirect}', sys.executable))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "--in", "{tmp}/list.csv"],
+        ["rnd", "--in", "{tmp}/list.csv"],
+        ["parity", "--in", "{tmp}/list.csv", "--reference", "0.5", "--json"],
+        ["audit", "--in", "{data}/candidates/sp_federal.csv", "--page-sizes", "5,9,15"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_closed_stdout_is_a_data_error(tmp_path, data_dir, argv):
+    (tmp_path / "list.csv").write_text(sample_text(WORST20), encoding="utf-8")
+    proc = run_closed([arg.format(data=data_dir, tmp=tmp_path) for arg in argv], ">&-")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: stdout is closed; name a file with --out\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        pytest.param(["curve", "--in", "{tmp}/missing.csv"], 2, id="data-error"),
+        pytest.param(["curve", "--in", "{tmp}/list.csv", "--step", "3"], 1, id="usage-error"),
+        pytest.param(["sort", "--in", "{tmp}/list.csv", "--out", "{tmp}/sorted.csv"], 0, id="success"),
+    ],
+)
+# a closed stderr is None in Python; one open for reading fails each write
+@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+def test_closed_stderr_keeps_the_exit_code(tmp_path, argv, code, redirect):
+    (tmp_path / "list.csv").write_text(sample_text(WORST20), encoding="utf-8")
+    proc = run_closed([arg.format(tmp=tmp_path) for arg in argv], redirect)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", "")
+
+
 def limit_address_space():
     # runs in the child only: 1 GiB, half of what drawing the largest
     # sample asks for

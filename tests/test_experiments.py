@@ -38,7 +38,7 @@ from listfair.metrics import (
     run_candidate_audit,
 )
 from listfair.ordering import collation_key
-from listfair.sampling import random_stream
+from listfair.streams import random_stream
 
 from helpers import dataset_from_counts, reference_draw_sample
 
@@ -269,6 +269,25 @@ def test_rnd_grid_records_and_normalization():
         assert row["ci_low_raw"] <= row["mean_raw"] <= row["ci_high_raw"]
 
 
+@pytest.mark.parametrize("scope", [PER_BATCH, GLOBAL, THEORETICAL])
+@pytest.mark.parametrize("kind", [RND_GRID, RND_SIZE])
+def test_aggregate_z_is_the_largest_z_of_its_cell(kind, scope):
+    cfg = small_config(normalizer_scope=scope, samples_per_cell=30)
+    result = run_datasets(kind, [SMALL_DATASET, OTHER_DATASET], cfg)
+    key = "perc_fs" if kind == RND_GRID else "n"
+    distinct = []
+    for row in result.aggregates:
+        zs = {r["z"] for r in result.records if (r["dataset"], r[key]) == (row["dataset"], row[key])}
+        assert row["z"] == max(zs)
+        distinct.append(len(zs))
+    # one Z per batch or per run; under the theoretical scope the female
+    # counts of a proportional cell differ, and with them its Zs
+    if scope != THEORETICAL:
+        assert set(distinct) == {1}
+    elif kind == RND_SIZE:
+        assert max(distinct) > 1
+
+
 def test_rnd_grid_stratified_counts_recorded():
     cfg = small_config(perc_fs_grid=[0.5])
     result = run_datasets(RND_GRID, [SMALL_DATASET], cfg)
@@ -363,8 +382,8 @@ def test_sample_blocks_match_one_sample_at_a_time(kind):
     finally:
         experiments._set_run_datasets(None)
     for i in range(12):
-        rng = random_stream(cfg.seed, sample_stream(kind, code, i))
-        indices = reference_draw_sample(ds, n, rng, perc_fs).tolist()
+        stream = random_stream(cfg.seed, sample_stream(kind, code, i))
+        indices = reference_draw_sample(ds, n, stream, perc_fs).tolist()
         # Python's stable sort on the collation key itself
         mask = ds.is_female[sorted(indices, key=lambda index: collation_key(ds.names[index]))]
         assert drawn[i].tolist() == ds.is_female[indices].tolist()

@@ -25,3 +25,10 @@ def test_stats_loads_no_sampling():
     # bootstrap_ci takes any numpy Generator, so stats needs no sampling
     proc = run_python(["-c", "import sys, listfair.stats; print('listfair.sampling' in sys.modules)"])
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def test_streams_loads_no_numpy_random_and_no_other_module():
+    # numpy.random loads on the first random_stream call, not on import
+    code = "import sys, listfair.streams; print(sorted(m for m in sys.modules if m.startswith(('listfair', 'numpy.random'))))"
+    proc = run_python(["-c", code])
+    assert (proc.returncode, proc.stdout) == (0, "['listfair', 'listfair.streams']\n"), proc.stderr

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from listfair.experiments import PERCF, ExperimentConfig, run_datasets, sample_stream
 from listfair.metrics import perc_f_curve
 from listfair.ordering import alphabetical_order, collation_key
-from listfair.sampling import draw_sample, random_stream
+from listfair.sampling import draw_sample
+from listfair.streams import random_stream
 
 from helpers import dataset_from_counts
 from oracles import expected_alphabetical_curve

@@ -12,10 +12,10 @@ from listfair.sampling import (
     draw_sample,
     draw_samples,
     permutations,
-    random_stream,
     round_half_up,
     stratified_female_count,
 )
+from listfair.streams import random_stream
 
 from helpers import chi_square_statistic, dataset_from_counts, reference_draw_sample
 
@@ -30,9 +30,9 @@ BASIC = dataset_from_counts(
 
 
 def test_random_source_is_deterministic_per_key():
-    a = random_stream(seed=7, stream_index=3).integers(0, 1000, size=20)
-    b = random_stream(seed=7, stream_index=3).integers(0, 1000, size=20)
-    c = random_stream(seed=7, stream_index=4).integers(0, 1000, size=20)
+    a = random_stream(seed=7, stream_index=3).random_raw(20)
+    b = random_stream(seed=7, stream_index=3).random_raw(20)
+    c = random_stream(seed=7, stream_index=4).random_raw(20)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -68,8 +68,9 @@ def test_shuffle_deterministic_and_input_untouched():
     assert all(np.array_equal(a, b) for a, b in zip(tables, before))
 
 
-def scalar_permutation(n, gen):
-    """Reference Fisher-Yates: one ``integers`` call per swap."""
+def scalar_permutation(n, stream):
+    """Reference Fisher-Yates: one ``Generator.integers`` call per swap."""
+    gen = np.random.Generator(stream)
     perm = list(range(n))
     for i in range(n - 1, 0, -1):
         j = int(gen.integers(0, i + 1))
@@ -87,9 +88,8 @@ def test_permutation_matches_scalar_swap_loop(n, seed, stream):
     vector = random_stream(seed, stream)
     scalar = random_stream(seed, stream)
     assert permutations(n, [vector])[0].tolist() == scalar_permutation(n, scalar)
-    # the stream is left where the per-swap calls leave it
-    assert vector.bit_generator.state == scalar.bit_generator.state
-    assert vector.integers(0, 2**40) == scalar.integers(0, 2**40)
+    # the stream has drawn the words the per-swap calls draw
+    assert vector.state["state"] == scalar.state["state"]
 
 
 @given(
@@ -100,23 +100,23 @@ def test_permutation_matches_scalar_swap_loop(n, seed, stream):
 )
 @settings(max_examples=200, deadline=None)
 def test_permutations_rows_match_scalar_swap_loop(n, rows, seed, stream):
-    gens = [random_stream(seed, stream + r) for r in range(rows)]
-    perms = permutations(n, gens)
+    streams = [random_stream(seed, stream + r) for r in range(rows)]
+    perms = permutations(n, streams)
     assert perms.dtype == np.intp and perms.shape == (rows, n)
-    for r, (perm, gen) in enumerate(zip(perms, gens)):
+    for r, (perm, drawn) in enumerate(zip(perms, streams)):
         scalar = random_stream(seed, stream + r)
         assert perm.tolist() == scalar_permutation(n, scalar)
-        # each stream is left where its own per-swap calls leave it
-        assert gen.bit_generator.state == scalar.bit_generator.state
+        # each stream has drawn the words its own per-swap calls draw
+        assert drawn.state["state"] == scalar.state["state"]
 
 
 def test_permutations_beyond_16_bit_positions():
     # 70,000 positions do not fit the 16-bit keys that numpy radix-sorts
-    gen = random_stream(2020, 7)
+    stream = random_stream(2020, 7)
     scalar = random_stream(2020, 7)
-    perm = permutations(70_000, [gen])[0]
+    perm = permutations(70_000, [stream])[0]
     assert perm.tolist() == scalar_permutation(70_000, scalar)
-    assert gen.bit_generator.state == scalar.bit_generator.state
+    assert stream.state["state"] == scalar.state["state"]
 
 
 def test_shuffle_uniformity_chi_square():
@@ -180,7 +180,7 @@ def test_draws_match_generator_choice(rows, n, perc_fs, seed):
     # whose draws of size 0 must leave the stream untouched
     ds = dataset_from_counts([(f"N{i}", g, c) for i, (g, c) in enumerate(rows)])
     counts = np.array([r.count for r in ds.records], dtype=float)
-    gen = random_stream(seed)
+    gen = np.random.Generator(random_stream(seed))
     if perc_fs is None:
         expected = choice_draw(np.arange(len(counts)), counts, n, gen)
     else:
@@ -192,12 +192,12 @@ def test_draws_match_generator_choice(rows, n, perc_fs, seed):
         drawn = np.concatenate(
             [choice_draw(female, counts, n_f, gen), choice_draw(male, counts, n - n_f, gen)]
         )
-        expected = drawn[permutations(n, [gen])[0]]
-    rng = random_stream(seed)
-    got = draw_sample(ds, n, rng, perc_fs)
+        expected = drawn[permutations(n, [gen.bit_generator])[0]]
+    stream = random_stream(seed)
+    got = draw_sample(ds, n, stream, perc_fs)
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)
-    assert rng.bit_generator.state == gen.bit_generator.state
+    assert stream.state["state"] == gen.bit_generator.state["state"]
 
 
 # a mixed-gender tie: ALEX and alex share one collation key
@@ -217,13 +217,13 @@ TIED = [("ALEX", "F", 30), ("alex", "M", 50), ("Bea", "F", 20), ("Ze", "M", 5), 
 @settings(max_examples=200, deadline=None)
 def test_draw_samples_rows_match_one_draw_per_source(extra, n, samples, perc_fs, seed):
     ds = dataset_from_counts(TIED + [(f"N{i}", g, c) for i, (g, c) in enumerate(extra)])
-    rngs = [random_stream(seed, s) for s in range(samples)]
-    got = draw_samples(ds, n, rngs, perc_fs)
+    streams = [random_stream(seed, s) for s in range(samples)]
+    got = draw_samples(ds, n, streams, perc_fs)
     assert got.dtype == np.intp and got.shape == (samples, n)
-    for s, (row, rng) in enumerate(zip(got, rngs)):
+    for s, (row, stream) in enumerate(zip(got, streams)):
         reference = random_stream(seed, s)
         assert row.tolist() == reference_draw_sample(ds, n, reference, perc_fs).tolist()
-        assert rng.bit_generator.state == reference.bit_generator.state
+        assert stream.state["state"] == reference.state["state"]
     # draw_sample is the one-row case
     assert draw_sample(ds, n, random_stream(seed, 0), perc_fs).tolist() == got[0].tolist()
 

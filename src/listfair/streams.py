@@ -1,5 +1,4 @@
-"""Keyed PCG64 streams, and the uniforms and bounded integers drawn from
-their raw 64-bit words.
+"""Keyed PCG64 streams, and the draws made from their raw 64-bit words.
 
 numpy guarantees the words of PCG64 seeded through ``SeedSequence`` on
 every release (NEP 19), but not the draws of ``Generator``'s methods. So
@@ -45,25 +44,33 @@ def bounded(stream, bound, count: int, halves=()):
     of x * bound is below (2**32 - bound) % bound and the next half is tried.
     """
     draws = np.empty(count, "<u8")
+    per_draw = np.ndim(bound) > 0
     # a rejection needs a low half below the threshold, so below the bound
-    top = bound if isinstance(bound, int) else bound.max(initial=1)
+    top = int(bound.max(initial=1)) if per_draw else bound
+    # A rejected half moves each later draw on to the next half. Under one
+    # bound their products stay; under a bound per draw they are redone, in
+    # windows of 2**35 // top draws, with under eight rejections expected.
+    window = 2**35 // top if per_draw else count
     done = 0
     while done < count:
-        need = count - done - len(halves)
-        if need > 0:
+        stop = min(done + window, count)
+        if stop - done > len(halves):
             # little-endian words, so that each low half comes first
-            fresh = stream.random_raw((need + 1) // 2).astype("<u8", copy=False).view("<u4")
+            fresh = stream.random_raw((count - done - len(halves) + 1) // 2).astype("<u8", copy=False).view("<u4")
             halves = np.concatenate((halves, fresh)) if len(halves) else fresh
-        product = np.multiply(halves[: count - done], bound, out=draws[done:], dtype="<u8")
+        b = bound[done:stop] if per_draw else bound
+        product = np.multiply(halves[: stop - done], b, out=draws[done:stop], dtype="<u8")
         low = product.view("<u4")[::2]
-        rejected = np.flatnonzero(low < (2**32 - bound) % bound) if low.min() < top else ()
-        if not len(rejected):
-            halves = halves[count - done :]
-            break
-        first = int(rejected[0])
-        done += first
-        halves = halves[first + 1 :]
-        if not isinstance(bound, int):
-            bound = bound[first:]
+        rejected = np.flatnonzero(low < (2**32 - b) % b).tolist() if low.min() < top else []
+        used = stop - done
+        if rejected and per_draw:
+            stop, used = done + rejected[0], rejected[0] + 1
+        elif rejected:
+            # move each run of accepted draws down over the rejections so far
+            for shift, (start, end) in enumerate(zip(rejected, [*rejected[1:], used]), 1):
+                product[start + 1 - shift : end - shift] = product[start + 1 : end]
+            stop -= len(rejected)
+        halves = halves[used:]
+        done = stop
     draws >>= 32
     return draws.view("<i8"), halves

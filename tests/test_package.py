@@ -22,7 +22,7 @@ def test_package_defines_only_the_constants_and_loads_nothing():
 
 
 def test_stats_loads_no_sampling():
-    # bootstrap_ci takes any numpy Generator, so stats needs no sampling
+    # bootstrap_ci draws through listfair.streams, so stats needs no sampling
     proc = run_python(["-c", "import sys, listfair.stats; print('listfair.sampling' in sys.modules)"])
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 

@@ -5,10 +5,12 @@ only as a reference here; a numpy release that moved a primitive fails
 the test named after it."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pcg64_spec
+from listfair import streams
 from listfair.experiments import PERCF, agg_stream
 from listfair.streams import bounded, random_stream, uniforms
 
@@ -114,3 +116,46 @@ def test_bounded_array_bounds_match_integers(n, key):
     assert drawn.tolist() == generator.integers(0, np.arange(n, 1, -1)).tolist()
     assert stream.state["state"] == generator.bit_generator.state["state"]
     assert len(halves) == generator.bit_generator.state["has_uint32"]
+
+
+@given(bounds=st.lists(st.integers(2, 2**32), max_size=300), key=keys)
+@example(bounds=[2**32 - 1] * 300, key=(0, 0))
+@settings(max_examples=100, deadline=None)
+def test_bounded_windows_match_integers(bounds, key):
+    # bounds this large are drawn a few at a time, a rejection redoing the
+    # draws after it; a bound of 1 is left out, as numpy draws no half for
+    # it where this takes one
+    stream, generator = random_stream(*key), np.random.Generator(random_stream(*key))
+    drawn, halves = bounded(stream, np.array(bounds, np.uint64), len(bounds))
+    assert drawn.tolist() == generator.integers(0, np.array(bounds, np.int64)).tolist()
+    assert stream.state["state"] == generator.bit_generator.state["state"]
+    assert len(halves) == generator.bit_generator.state["has_uint32"]
+
+
+class _CountingNumpy:
+    """numpy, counting the halves that ``multiply`` is given."""
+
+    def __init__(self):
+        self.multiplied = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def multiply(self, halves, *args, **kwargs):
+        self.multiplied += len(halves)
+        return np.multiply(halves, *args, **kwargs)
+
+
+@pytest.mark.parametrize("bound", ["fisher-yates", 10**6], ids=["fisher-yates", "bootstrap"])
+def test_bounded_work_grows_with_the_count_alone(monkeypatch, bound):
+    # at 10**6 draws the Fisher-Yates bounds reject about 60 halves and a
+    # bound of 10**6 about 250; redoing every later draw after each would
+    # multiply tens of times the count
+    count = 10**6
+    counting = _CountingNumpy()
+    monkeypatch.setattr(streams, "np", counting)
+    bounds = np.arange(count + 1, 1, -1, dtype=np.uint64) if bound == "fisher-yates" else bound
+    drawn, _ = streams.bounded(random_stream(3), bounds, count)
+    monkeypatch.undo()
+    assert counting.multiplied < 4 * count
+    assert drawn.tolist() == np.random.Generator(random_stream(3)).integers(0, bounds, count).tolist()

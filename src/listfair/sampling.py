@@ -11,9 +11,10 @@ makes the sample stratified; without one it is proportional.
 :func:`~listfair.streams.random_stream` stream, as the rows of one array;
 ``experiments._blocks`` draws a cell's samples ``max(1, stats.BLOCK // n)``
 at a time. Each row is the sample its stream alone gives (:func:`draw_sample`
-is the one-row case); :func:`permutations` shuffles a stratified row, with
-array operations that give the Fisher-Yates swap loop's exact result.
-Sample files are read and written by :mod:`listfair.dataset`.
+is the one-row case), and a stratified row is shuffled by
+:func:`permutations`, which computes the Fisher-Yates swap loop's exact
+result with array operations. Sample files are read and written by
+:mod:`listfair.dataset`.
 """
 
 from __future__ import annotations

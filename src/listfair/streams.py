@@ -1,4 +1,5 @@
-"""Keyed PCG64 streams, and the draws made from their raw 64-bit words.
+"""Keyed PCG64 streams, and the uniforms and bounded integers drawn from
+their raw 64-bit words.
 
 numpy guarantees the words of PCG64 seeded through ``SeedSequence`` on
 every release (NEP 19), but not the draws of ``Generator``'s methods. So

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from listfair.dataset import load_canonical
+from listfair.dataset import load_canonical, read_candidate_list
 from listfair.experiments import (
     PERCF,
     RND_GRID,
@@ -21,7 +21,7 @@ from listfair.experiments import (
     run_datasets,
     write_result,
 )
-from listfair.metrics import run_candidate_audit
+from listfair.metrics import page_audit
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -74,14 +74,15 @@ def main() -> None:
             summarize_rnd(result, "n")
 
     print("\nfirst-page audit of the bundled candidate lists (5/9/15 per page):")
-    audit = run_candidate_audit(
-        sorted((REPO_ROOT / "data" / "candidates").glob("*.csv")),
-        k1_values=(5, 9, 15),
-    )
-    for row in audit.rows:
-        shares = {k: round(v, 3) for k, v in row.per_k1.items()}
-        print(f"  {row.list_id}: {row.size} rows, expected {row.perc_fd:.3f}, first page {shares}")
-    print(f"  cells below expectation: {audit.below_cells}")
+    below_cells = 0
+    for path in sorted((REPO_ROOT / "data" / "candidates").glob("*.csv")):
+        names, mask = read_candidate_list(path)
+        perc_fd = int(mask.sum()) / len(mask)
+        rows = page_audit(names, mask, (5, 9, 15), perc_fd)
+        shares = {k1: round(share, 3) for k1, share, _ in rows}
+        print(f"  {path.stem}: {len(mask)} rows, expected {perc_fd:.3f}, first page {shares}")
+        below_cells += sum(below for _, _, below in rows)
+    print(f"  cells below expectation: {below_cells}")
 
 
 if __name__ == "__main__":

@@ -249,14 +249,17 @@ def _cmd_parity(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    from listfair.dataset import dump_audit_rows
-    from listfair.metrics import run_candidate_audit
+    from listfair.dataset import dump_audit_rows, read_candidate_list
+    from listfair.metrics import page_audit
 
-    result = run_candidate_audit([args.infile], args.page_sizes, perc_fd=args.perc_fd)
+    names, mask = read_candidate_list(args.infile)
+    # derived from the list itself unless given; the CSV prints its repr
+    perc_fd = int(mask.sum()) / len(mask) if args.perc_fd is None else args.perc_fd
+    rows = page_audit(names, mask, args.page_sizes, perc_fd)
     with _open_out(args.out) as fh:
-        dump_audit_rows(result.rows, fh)
-    print(f"below_cells {result.below_cells}", file=sys.stderr)
-    return 0
+        dump_audit_rows(Path(args.infile).stem, len(mask), perc_fd, rows, fh)
+    # a note, not a failure: written as _failed writes, so that a closed stderr keeps exit 0
+    return _failed(f"below_cells {sum(below for _, _, below in rows)}", 0)
 
 
 def _cmd_experiment(args) -> int:

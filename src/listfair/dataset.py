@@ -427,11 +427,11 @@ def dump_curve_csv(curve: np.ndarray, fh) -> None:
     write_rows(fh, ["k", "perc_f"], enumerate(curve.tolist(), start=1))
 
 
-def dump_audit_rows(rows, fh) -> None:
+def dump_audit_rows(list_id: str, size: int, perc_fd: float, rows, fh) -> None:
+    """Write the ``(k1, share, below)`` rows of one list's page audit, with
+    each flag spelled ``below`` or ``at_or_above``."""
     write_rows(fh, AUDIT_HEADER, (
-        [row.list_id, row.size, row.perc_fd, k1, row.per_k1[k1], row.flags[k1]]
-        for row in rows
-        for k1 in sorted(row.per_k1)
+        [list_id, size, perc_fd, k1, share, "below" if below else "at_or_above"] for k1, share, below in rows
     ))
 
 

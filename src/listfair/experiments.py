@@ -4,9 +4,9 @@ One driver runs the three experiment kinds of the measurement protocol:
 prefix-share curves under random vs alphabetical ordering, rND across a
 grid of requested female shares, and rND across sample sizes. Results
 are written as plain CSVs plus the resolved config, so a run is fully
-described by its output directory. The candidate-list audit lives in
-:mod:`listfair.metrics` (``run_candidate_audit``), and list files are
-read by :mod:`listfair.dataset`.
+described by its output directory. The candidate-list audit is
+:mod:`listfair.metrics`' ``page_audit``, and list files are read by
+:mod:`listfair.dataset`.
 
 Determinism: every sample owns a substream keyed by (experiment kind,
 cell identity, sample ordinal). Keying by cell identity rather than grid

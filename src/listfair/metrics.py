@@ -11,8 +11,9 @@ discounting checkpoint k by 1/log2(k):
 The last checkpoint is N itself when N is not a multiple of the step, so
 the whole list always closes the sum. ``raw / Z`` is the reported score;
 0 is fairest, and with the theoretical normalizer the worst possible
-arrangement of the same list scores 1. Candidate lists are read, and
-curves and audits written, by :mod:`listfair.dataset`.
+arrangement of the same list scores 1. The functions here compute on
+masks in memory and return plain values: :mod:`listfair.dataset` reads
+list files and writes curves and audits.
 """
 
 from __future__ import annotations
@@ -20,19 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
 from listfair import FIXED, THEORETICAL
-from listfair.dataset import read_candidate_list
 from listfair.errors import SampleTooSmallError
 from listfair.ordering import sort_alphabetical
 
 PARITY_ALPHA = 0.05
-
-BELOW = "below"
-AT_OR_ABOVE = "at_or_above"
 
 
 def perc_f_curve(mask: np.ndarray) -> np.ndarray:
@@ -197,56 +193,21 @@ def statistical_parity(mask: np.ndarray, reference: float) -> ParityReport:
     return ParityReport(females / n, reference, p_value, p_value >= PARITY_ALPHA)
 
 
-@dataclass(frozen=True)
-class PageAuditRow:
-    """First-page female shares of one list at several page sizes, each
-    flagged against the expected share ``perc_fd``."""
-
-    list_id: str
-    size: int
-    perc_fd: float
-    per_k1: dict[int, float]
-    flags: dict[int, str]
-
-
-def page_audit(names, mask: np.ndarray, k1_values, perc_fd: float, list_id: str = "list") -> PageAuditRow:
+def page_audit(names, mask: np.ndarray, k1_values, perc_fd: float) -> list[tuple[int, float, bool]]:
     """Audit the first page of a list once it is sorted alphabetically.
 
     ``names`` and the female ``mask`` describe the list in any order. For
-    each page size k1, reports the female share of sorted positions
-    1..k1 and flags it "below" when it is under ``perc_fd``.
+    each distinct page size k1, in ascending order, gives ``(k1, share,
+    below)``: the female share of sorted positions 1..k1, and whether it
+    is under the expected share ``perc_fd``.
     """
     curve = perc_f_curve(mask[sort_alphabetical(names)])
-    per_k1: dict[int, float] = {}
-    flags: dict[int, str] = {}
+    rows = []
     for k1 in sorted(set(k1_values)):
         if k1 < 1:
             raise ValueError("page size k1 must be >= 1")
         if k1 > len(curve):
             raise ValueError(f"page size k1={k1} exceeds list size {len(curve)}")
         share = float(curve[k1 - 1])
-        per_k1[k1] = share
-        flags[k1] = BELOW if share < perc_fd else AT_OR_ABOVE
-    return PageAuditRow(list_id, len(curve), perc_fd, per_k1, flags)
-
-
-@dataclass
-class AuditResult:
-    rows: list[PageAuditRow]
-    below_cells: int
-
-
-def run_candidate_audit(paths, k1_values, perc_fd: float | None = None) -> AuditResult:
-    """Audit one or more candidate lists at the given page sizes.
-
-    Each list is sorted alphabetically and its first page is checked at
-    every page size. ``perc_fd`` is the expected female share; when None
-    it is derived from each list's own composition. ``below_cells`` counts
-    (list, page size) cells whose first page falls below expectation."""
-    rows = []
-    for path in paths:
-        names, mask = read_candidate_list(path)
-        expected = int(mask.sum()) / len(mask) if perc_fd is None else perc_fd
-        rows.append(page_audit(names, mask, k1_values, expected, list_id=Path(path).stem))
-    below = sum(1 for row in rows for flag in row.flags.values() if flag == BELOW)
-    return AuditResult(rows, below)
+        rows.append((k1, share, share < perc_fd))
+    return rows

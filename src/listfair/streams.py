@@ -38,11 +38,13 @@ def bounded(stream, bound, count: int, halves=()):
     """``count`` integers, the i-th uniform on ``[0, bound_i)``, and the
     32-bit halves left over for the next call.
 
-    ``bound`` is an int or a uint64 array of ``count`` bounds in [1, 2**32].
-    Draws take ``halves`` first, then each word's low and high half, by
-    numpy's Lemire step (Lemire, *Fast Random Integer Generation in an
-    Interval*, 2019): half x gives (x * bound) >> 32, unless the low half
-    of x * bound is below (2**32 - bound) % bound and the next half is tried.
+    ``bound`` is an int in [1, 2**32] or a uint64 array of ``count`` bounds
+    in [2, 2**32]: numpy draws no half for a bound of 1, and a scalar bound
+    of 1 gives zeros from halves that numpy would not draw. Draws take
+    ``halves`` first, then each word's low and high half, by numpy's Lemire
+    step (Lemire, *Fast Random Integer Generation in an Interval*, 2019):
+    half x gives (x * bound) >> 32, unless the low half of x * bound is
+    below (2**32 - bound) % bound and the next half is tried.
     """
     draws = np.empty(count, "<u8")
     per_draw = np.ndim(bound) > 0

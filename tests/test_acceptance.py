@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from listfair.cli import main as cli_main
-from listfair.dataset import load_canonical, read_sample_csv
+from listfair.dataset import load_canonical, read_candidate_list, read_sample_csv
 from listfair.experiments import (
     PERCF,
     RND_GRID,
@@ -27,12 +27,11 @@ from listfair.experiments import (
     run_datasets,
 )
 from listfair.metrics import (
-    BELOW,
+    page_audit,
     perc_f_curve,
     rnd,
     rnd_raw_of_mask,
     rnd_theoretical_normalizer,
-    run_candidate_audit,
 )
 from listfair.ordering import collation_key, sort_alphabetical
 from listfair.sampling import permutations
@@ -196,17 +195,16 @@ def test_ac7_rnd_grows_with_size(fixture_ds):
 
 
 def test_ac8_first_page_audit(data_dir):
-    result = run_candidate_audit(
-        [data_dir / "candidates" / "sp_federal.csv"], (5, 9, 15), perc_fd=0.31
-    )
-    row = result.rows[0]
+    names, mask = read_candidate_list(data_dir / "candidates" / "sp_federal.csv")
+    rows = page_audit(names, mask, (5, 9, 15), 0.31)
+    shares = {k1: share for k1, share, _ in rows}
     ok = (
-        row.size == 1603
-        and row.per_k1 == {5: 0.0, 9: 0.0, 15: 0.0}
-        and all(flag == BELOW for flag in row.flags.values())
-        and result.below_cells == 3
+        len(mask) == 1603
+        and shares == {5: 0.0, 9: 0.0, 15: 0.0}
+        and all(below for _, _, below in rows)
+        and sum(below for _, _, below in rows) == 3
     )
-    report("AC8", ok, f"1603-row list: first page shares {row.per_k1}, all below 0.31")
+    report("AC8", ok, f"1603-row list: first page shares {shares}, all below 0.31")
 
 
 def test_ac9_experiment_determinism(tmp_path, fixture_path):

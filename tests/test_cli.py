@@ -1,8 +1,12 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import resource
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -661,6 +665,23 @@ def test_audit_fixture_list(capsys, tmp_path):
     assert lines[3] == "sp_federal,1603,0.31,15,0.0,below"
 
 
+def test_audit_derives_the_expected_share_from_the_list(capsys, tmp_path):
+    path = tmp_path / "list.csv"
+    # sorted order: Ana F, Bea F, Caio M, Davi M, Edu M, Fabio M -> share 1/3
+    path.write_text("name,gender\nFabio,M\nAna,F\nDavi,M\nBea,F\nCaio,M\nEdu,M\n", encoding="utf-8")
+    assert main(["audit", "--in", str(path), "--page-sizes", "3,2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "list_id,size,perc_fd,k1,perc_f,flag",
+        f"list,6,{1 / 3!r},2,1.0,at_or_above",
+        f"list,6,{1 / 3!r},3,{2 / 3!r},at_or_above",
+    ]
+    assert captured.err == "below_cells 0\n"
+
+    assert main(["audit", "--in", str(path), "--page-sizes", "2,3", "--perc-fd", "0.9"]) == 0
+    assert capsys.readouterr().err == "below_cells 1\n"  # only k1=3 falls below 0.9
+
+
 def test_experiment_round_trip(tmp_path, dataset_csv):
     config = {
         "dataset_paths": [str(dataset_csv)],
@@ -817,13 +838,16 @@ def test_closed_stdout_is_a_data_error(tmp_path, data_dir, argv):
         pytest.param(["curve", "--in", "{tmp}/missing.csv"], 2, id="data-error"),
         pytest.param(["curve", "--in", "{tmp}/list.csv", "--step", "3"], 1, id="usage-error"),
         pytest.param(["sort", "--in", "{tmp}/list.csv", "--out", "{tmp}/sorted.csv"], 0, id="success"),
+        # audit's below_cells line goes to stderr after its output
+        pytest.param(["audit", "--in", "{data}/candidates/sp_federal.csv", "--page-sizes", "5", "--out", "{tmp}/a.csv"],
+                     0, id="audit"),
     ],
 )
 # a closed stderr is None in Python; one open for reading fails each write
 @pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
-def test_closed_stderr_keeps_the_exit_code(tmp_path, argv, code, redirect):
+def test_closed_stderr_keeps_the_exit_code(tmp_path, data_dir, argv, code, redirect):
     (tmp_path / "list.csv").write_text(sample_text(WORST20), encoding="utf-8")
-    proc = run_closed([arg.format(tmp=tmp_path) for arg in argv], redirect)
+    proc = run_closed([arg.format(data=data_dir, tmp=tmp_path) for arg in argv], redirect)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", "")
 
 
@@ -942,5 +966,83 @@ def test_one_byte_edit_of_any_input_ends_in_an_exit_code(fuzz_dir, call):
     finally:
         os.chdir(cwd)
         (fuzz_dir / name).write_bytes(content)
+    # an exception that escaped main has already failed the example
+    assert code in (0, 1, 2)
+
+
+# the tiny inputs of the argv fuzz guard below, by the name a file flag gives
+ARGV_INPUTS = {
+    "sample.csv": sample_text("FMMFMFFFMMFM"),
+    "list.csv": "name,gender\nBia,F\nAna,M\nCaio,M\nDavi,F\nEdu,M\n",
+    "names.csv": HEADER + "Ana,F,30\nBia,F,20\nCaio,M,25\nDavi,M,15\nEdu,M,10\n",
+    "config.json": json.dumps({"dataset_paths": ["names.csv"], "samples_per_cell": 2, "n": 12,
+                               "perc_fs_grid": [0.5], "size_grid": [10, 12], "seed": 3, "step": 5}),
+    "years/yob2001.txt": "Mary,F,7\nJohn,M,9\n",
+}
+# every file flag names an input, a missing path or a directory; each flag
+# lists the file it reads first, so that it names that file most often
+FILES = [*ARGV_INPUTS, "missing.csv", "years"]
+OUTS = ["out", "years", "missing/out"]
+# the values any flag, positional or LISTFAIR_SEED may get instead: empty,
+# whitespace, a numeral too long for int(), float spellings int() refuses, and
+# the lone surrogate that os.fsdecode makes of an undecodable byte
+EDGES = ["", " \t\n", DIGITS, "nan", "inf", "-0", os.fsdecode(b"\xff")]
+# the flags of each command with well-formed values; None marks a switch
+ARGV_FLAGS = {
+    "convert-ssa": {"--dir": ["years", *FILES], "--years": ["2001:2001", "2001:2002"], "--out": OUTS},
+    "sample": {"--dataset": ["names.csv", *FILES], "--n": ["5", "40"], "--mode": ["proportional", "stratified"],
+               "--perc-fs": ["0.4", "1"], "--seed": ["5"], "--stream": ["1"], "--out": OUTS},
+    "sort": {"--in": ["sample.csv", *FILES], "--out": OUTS},
+    "curve": {"--in": ["sample.csv", *FILES], "--out": OUTS},
+    "rnd": {"--in": ["sample.csv", *FILES], "--step": ["3", "20"], "--normalizer": ["theoretical", "fixed:0.5"], "--json": None,
+            "--out": OUTS},
+    "parity": {"--in": ["sample.csv", *FILES], "--reference": ["0.5", "0"], "--json": None, "--out": OUTS},
+    "audit": {"--in": ["list.csv", *FILES], "--page-sizes": ["5,1", "9"], "--perc-fd": ["0.3"], "--out": OUTS},
+    # --jobs stays at most 2
+    "experiment": {"--config": ["config.json", *FILES], "--out": OUTS, "--jobs": ["1", "2"]},
+}
+
+
+def flag_value(values):
+    # well-formed three times in four, so that most calls get past parsing
+    return st.sampled_from([values, values, values, EDGES]).flatmap(st.sampled_from)
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A command with each flag absent, well-formed or an edge value, and LISTFAIR_SEED unset or set."""
+    command = draw(st.sampled_from(sorted(ARGV_FLAGS)))
+    argv = [command]
+    if command == "experiment":
+        argv.append(draw(flag_value(["percf", "rnd-grid", "rnd-size"])))
+    for flag, values in ARGV_FLAGS[command].items():
+        if values is None:
+            argv += [flag] * draw(st.booleans())
+        elif draw(st.sampled_from([True, True, True, False])):
+            argv += [flag, draw(flag_value(values))]
+    return argv, draw(st.none() | st.sampled_from(["5", *EDGES]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(fuzzed_argv())
+def test_any_argv_and_seed_variable_end_in_an_exit_code(call):
+    argv, seed = call
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        for name, text in ARGV_INPUTS.items():
+            Path(work, name).parent.mkdir(exist_ok=True)
+            Path(work, name).write_text(text, encoding="utf-8")
+        env = os.environ.pop(ENV_SEED, None)
+        try:
+            if seed is not None:
+                os.environ[ENV_SEED] = seed
+            os.chdir(work)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+            os.environ.pop(ENV_SEED, None)
+            if env is not None:
+                os.environ[ENV_SEED] = env
     # an exception that escaped main has already failed the example
     assert code in (0, 1, 2)

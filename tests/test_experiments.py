@@ -31,11 +31,9 @@ from listfair.experiments import (
     write_result,
 )
 from listfair.metrics import (
-    AuditResult,
     perc_f_curve,
     rnd_raw_of_mask,
     rnd_theoretical_normalizer,
-    run_candidate_audit,
 )
 from listfair.ordering import collation_key
 from listfair.streams import random_stream
@@ -662,21 +660,3 @@ def test_read_candidate_list_errors(tmp_path):
     empty.write_text("name,gender\n", encoding="utf-8")
     with pytest.raises(DatasetFormatError):
         read_candidate_list(empty)
-
-
-def test_run_candidate_audit_with_derived_share(tmp_path):
-    path = tmp_path / "list.csv"
-    # sorted order: Ana F, Bea F, Caio M, Davi M, Edu M, Fabio M -> share 1/3
-    path.write_text(
-        "name,gender\nFabio,M\nAna,F\nDavi,M\nBea,F\nCaio,M\nEdu,M\n",
-        encoding="utf-8",
-    )
-    result = run_candidate_audit([path], k1_values=(2, 3), perc_fd=None)
-    assert isinstance(result, AuditResult)
-    row = result.rows[0]
-    assert row.perc_fd == pytest.approx(1 / 3)
-    assert row.per_k1 == {2: 1.0, 3: pytest.approx(2 / 3)}
-    assert result.below_cells == 0
-
-    forced = run_candidate_audit([path], k1_values=(2, 3), perc_fd=0.9)
-    assert forced.below_cells == 1  # only k1=3 falls below 0.9

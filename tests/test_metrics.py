@@ -12,8 +12,6 @@ from listfair import metrics
 from listfair.dataset import dump_audit_rows, dump_curve_csv
 from listfair.errors import SampleTooSmallError
 from listfair.metrics import (
-    AT_OR_ABOVE,
-    BELOW,
     FIXED,
     THEORETICAL,
     binomial_two_sided_p,
@@ -319,48 +317,42 @@ def test_parity_json_shape():
     assert list(payload) == ["perc_f_sample", "perc_f_reference", "p_value", "passes"]
 
 
-def audit(pattern, k1_values, perc_fd, names=None, **kwargs):
+def audit(pattern, k1_values, perc_fd, names=None):
     names = names or [f"P{i:04d}" for i in range(len(pattern))]
-    return page_audit(names, mask_from_pattern(pattern), k1_values, perc_fd, **kwargs)
+    return page_audit(names, mask_from_pattern(pattern), k1_values, perc_fd)
 
 
 def test_page_audit_flags_and_exact_curve_agreement():
     # names chosen so the sorted order equals the pattern order
     pattern = "MFFMM" + "F" * 5
     names = [f"N{i:02d}" for i in range(len(pattern))]
-    row = audit(pattern, (5, 9), 0.5, names, list_id="demo")
+    rows = audit(pattern, (9, 5, 9), 0.5, names)
     curve = perc_f_curve(mask_from_pattern(pattern))
-    assert row.per_k1[5] == curve[4]
-    assert row.per_k1[9] == curve[8]
-    assert row.flags[5] == BELOW
-    assert row.flags[9] == AT_OR_ABOVE  # 5/9 >= 0.5
-    assert row.size == 10
-    assert row.list_id == "demo"
+    # one row per distinct page size, ascending
+    assert rows == [(5, curve[4], True), (9, curve[8], False)]  # 2/5 < 0.5 <= 5/9
+    assert all(type(share) is float for _, share, _ in rows)
 
 
 def test_page_audit_boundary_is_at_or_above():
-    row = audit("FMMF", (2,), 0.5)
-    assert row.per_k1[2] == 0.5
-    assert row.flags[2] == AT_OR_ABOVE
+    assert audit("FMMF", (2,), 0.5) == [(2, 0.5, False)]
 
 
 def test_page_audit_sorts_its_input():
     # arrival order F, M, M; sorted order Ana (M), Bia (F), Caio (M)
-    row = audit("FMM", (1, 2), 0.5, names=["Bia", "Ana", "Caio"])
-    assert row.per_k1 == {1: 0.0, 2: 0.5}
+    rows = audit("FMM", (1, 2), 0.5, names=["Bia", "Ana", "Caio"])
+    assert [(k1, share) for k1, share, _ in rows] == [(1, 0.0), (2, 0.5)]
 
 
 def test_page_audit_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceeds list size 4"):
         audit("FMFM", (5,), 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be >= 1"):
         audit("FMFM", (0,), 0.5)
 
 
 def test_dump_audit_rows_format():
-    row = audit("MMFF", (2, 4), 0.5, list_id="L")
     buf = io.StringIO()
-    dump_audit_rows([row], buf)
+    dump_audit_rows("L", 4, 0.5, audit("MMFF", (2, 4), 0.5), buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "list_id,size,perc_fd,k1,perc_f,flag"
     assert lines[1] == "L,4,0.5,2,0.0,below"

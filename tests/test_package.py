@@ -32,3 +32,9 @@ def test_streams_loads_no_numpy_random_and_no_other_module():
     code = "import sys, listfair.streams; print(sorted(m for m in sys.modules if m.startswith(('listfair', 'numpy.random'))))"
     proc = run_python(["-c", code])
     assert (proc.returncode, proc.stdout) == (0, "['listfair', 'listfair.streams']\n"), proc.stderr
+
+
+def test_metrics_loads_no_dataset():
+    # metrics computes on masks in memory; list files are dataset's concern
+    proc = run_python(["-c", "import sys, listfair.metrics; print('listfair.dataset' in sys.modules)"])
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

@@ -4,7 +4,9 @@ Extracts REV and HEAD with ``git archive`` into two sibling directories
 under ``.bench_work/pairs/`` whose paths have the same length: the heap
 placement of large buffers, and with it the timing of fixture workloads,
 moves with the length of the checkout path. Each checkout links to this
-repository's ``.bench_cache``, so a seed's registry is generated once.
+repository's ``.bench_cache``, so a seed's registry is generated once, and
+has its ``src`` and ``perfbench`` compiled to bytecode, so that no run's
+start-up (``setup_s``) compiles them.
 For every workload and seed, both checkouts run ``perfbench/run.py
 --trace 0``, the parent first in even pairs and the change first in odd
 ones; a pair in which either run fails is counted as failed and left out.
@@ -50,6 +52,8 @@ def checkout(rev: str, dest: Path) -> None:
     cache = REPO_ROOT / ".bench_cache"
     cache.mkdir(exist_ok=True)
     (dest / ".bench_cache").symlink_to(cache, target_is_directory=True)
+    # by the interpreter that runs the benchmark, so that its cache tag matches
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=dest, check=True)
 
 
 def revision(rev: str) -> str:

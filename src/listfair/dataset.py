@@ -101,6 +101,12 @@ class NameDataset:
     the columns at construction time; build instances through
     :meth:`from_columns` so they can never drift. ``rank``, ``cdf`` and
     ``strata`` are derived on first use and kept; every array is read-only.
+    A draw table, ``cdf`` or a stratum's, is a pair: the cumulative
+    probabilities of a draw and their guide table (Chen & Asau, "On
+    generating random variates from an empirical distribution", *AIIE
+    Transactions* 6(2), 1974). With M buckets, a power of two no smaller
+    than the table, ``guide[b]`` is ``cdf.searchsorted(b / M, "right")``:
+    where the lookup of a uniform u in [b / M, (b + 1) / M) starts.
     Two datasets are equal when their ids and columns are.
     """
 
@@ -141,17 +147,17 @@ class NameDataset:
         return _read_only(collation_ranks(self.names))
 
     @cached_property
-    def cdf(self) -> np.ndarray:
-        """Cumulative probabilities of a draw over all records, by count."""
-        return _cdf(self.counts)
+    def cdf(self) -> tuple[np.ndarray, np.ndarray]:
+        """The draw table over all records, by count."""
+        return _draw_table(self.counts)
 
     @cached_property
-    def strata(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    def strata(self) -> tuple[tuple[np.ndarray, tuple], tuple[np.ndarray, tuple]]:
         """The female and the male stratum: the record indices of that
-        gender and the cumulative probabilities of a draw among them."""
+        gender and the draw table among them."""
         female = _read_only(np.flatnonzero(self.is_female))
         male = _read_only(np.flatnonzero(~self.is_female))
-        return (female, _cdf(self.counts[female])), (male, _cdf(self.counts[male]))
+        return (female, _draw_table(self.counts[female])), (male, _draw_table(self.counts[male]))
 
     def __eq__(self, other):
         if not isinstance(other, NameDataset):
@@ -168,14 +174,20 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _cdf(counts: np.ndarray) -> np.ndarray:
+def _draw_table(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # exact: counts and their total are at most 2**53
     cdf = counts.astype(np.float64)
     if len(cdf):
         # normalized exactly as Generator.choice normalizes its p argument
         cdf = (cdf / cdf.sum()).cumsum()
         cdf /= cdf[-1]
-    return _read_only(cdf)
+    # a power of two, so that b / M and u * M are exact
+    buckets = 1 << max(len(cdf) - 1, 0).bit_length()
+    edges = np.arange(buckets, dtype=np.float64)
+    edges /= buckets
+    # int32: a dataset of 2**31 records would not fit in memory as names
+    guide = cdf.searchsorted(edges, side="right").astype(np.int32)
+    return _read_only(cdf), _read_only(guide)
 
 
 def csv_rows(path: Path, header: list[str] | None, width: int):

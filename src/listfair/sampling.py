@@ -13,7 +13,11 @@ makes the sample stratified; without one it is proportional.
 at a time. Each row is the sample its stream alone gives (:func:`draw_sample`
 is the one-row case), and a stratified row is shuffled by
 :func:`permutations`, which computes the Fisher-Yates swap loop's exact
-result with array operations. Sample files are read and written by
+result with array operations. A uniform becomes a record by
+:func:`lookup`, which finds ``cdf.searchsorted(u, side="right")`` from the
+draw table's guide table (Chen & Asau, "On generating random variates
+from an empirical distribution", *AIIE Transactions* 6(2), 1974) with no
+binary search. Sample files are read and written by
 :mod:`listfair.dataset`.
 """
 
@@ -47,6 +51,27 @@ def stratified_female_count(perc_fs: float, n: int) -> int:
     return round_half_up(Fraction(str(perc_fs)) * n)
 
 
+def lookup(table: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
+    """``cdf.searchsorted(u, side="right")`` of ``table = (cdf, guide)``
+    for an array ``u`` of uniforms in [0, 1).
+
+    The guide table has M buckets, M a power of two, so ``floor(u * M)``
+    is exact and ``guide[floor(u * M)]``, the search of the bucket's lower
+    edge, is at most the search of u. Each lookup starts there and steps
+    forward while the cdf entry is at most u; only the lookups still
+    stepping are touched again.
+    """
+    cdf, guide = table
+    shape, u = u.shape, u.ravel()
+    found = (u * len(guide)).astype(np.intp)
+    found[:] = guide[found]
+    live = np.flatnonzero(cdf[found] <= u)
+    while len(live):
+        found[live] += 1
+        live = live[cdf[found[live]] <= u[live]]
+    return found.reshape(shape)
+
+
 def permutations(n: int, streams) -> np.ndarray:
     """One uniformly random permutation of ``range(n)`` per stream, as the
     rows of a ``(len(streams), n)`` intp array.
@@ -69,40 +94,46 @@ def permutations(n: int, streams) -> np.ndarray:
     groups the steps that share one, in step order, for all rows.
     """
     rows = len(streams)
-    targets = np.zeros((rows, n), dtype=np.intp)
+    size = rows * n
+    # every position fits this type: 16 bits up to 2**16 positions
+    index = np.min_scalar_type(max(size - 1, 0))
+    targets = np.zeros((rows, n), dtype=index)
     bounds = np.arange(n, 1, -1, dtype=np.uint64)
     for row, stream in zip(targets, streams):
         row[:0:-1] = bounded(stream, bounds, len(bounds))[0]
-    size = rows * n
     if size < 2:
-        return targets
+        return targets.astype(np.intp)
     # number position i of row r as r*n + i, so one sort serves all rows
-    offsets = np.arange(0, size, n)[:, None]
-    targets = (targets + offsets).ravel()
+    offsets = np.arange(0, size, n, dtype=index)[:, None]
+    targets += offsets
+    targets = targets.ravel()
     # on keys of 16 bits or fewer a stable argsort is a radix sort
-    steps = targets.astype(np.min_scalar_type(size - 1)).argsort(kind="stable")
-    ordered = targets[steps]
+    steps = targets.argsort(kind="stable").astype(index)
+    ordered = targets.take(steps)
     same = ordered[1:] == ordered[:-1]
-    # later[k]: the nearest step above steps[k] with its target, else -1
-    later = np.empty(size, dtype=np.intp)
-    later[:-1] = np.where(same, steps[1:], -1)
-    later[-1] = -1
+    # later[k]: the nearest step above steps[k] with its target, else 0;
+    # step 0 is above no step, so it is never a later one
+    later = np.zeros(size, dtype=index)
+    np.multiply(steps[1:], same, out=later[:-1])
     # parent[x]: the nearest step above x that targets x, or x for a root.
     # A target's first step is x itself only when x targets itself, and
     # W(x) is read only where x's target lies below x, so x stays a root.
-    heads = np.flatnonzero(np.concatenate(([True], ~same)))
-    parent = np.arange(size)
-    parent[ordered[heads]] = steps[heads]
+    first = np.ones(size, dtype=bool)
+    np.logical_not(same, out=first[1:])
+    parent = np.arange(size, dtype=index)
+    parent[ordered.compress(first)] = steps.compress(first)
+    root = np.empty_like(parent)
     while True:
-        root = parent[parent]
+        np.take(parent, parent, out=root)
         if np.array_equal(root, parent):
             break
-        parent = root
+        parent, root = root, parent
     # step i places what its target held: W of the nearest step above i
     # with that target, else the target's own starting value
-    final = np.empty(size, dtype=np.intp)
-    final[steps] = np.where(later >= 0, parent[later], ordered)
-    return final.reshape(rows, n) - offsets
+    final = np.empty((rows, n), dtype=np.intp)
+    final.ravel()[steps] = np.where(later > 0, parent.take(later), ordered)
+    final -= offsets
+    return final
 
 
 def draw_samples(ds: NameDataset, n: int, streams, perc_fs: float | None = None) -> np.ndarray:
@@ -126,18 +157,19 @@ def draw_samples(ds: NameDataset, n: int, streams, perc_fs: float | None = None)
     if n >= MAX_SAMPLE_SIZE:
         raise ValueError(f"sample size n must be < 2**28, got {n}")
     if perc_fs is None:
-        return ds.cdf.searchsorted(uniforms(streams, n), side="right")
+        return lookup(ds.cdf, uniforms(streams, n))
     if not 0.0 <= perc_fs <= 1.0:
         raise ValueError(f"perc_fs must lie in [0, 1], got {perc_fs}")
     n_f = stratified_female_count(perc_fs, n)
-    (female, female_cdf), (male, male_cdf) = ds.strata
+    (female, female_table), (male, male_table) = ds.strata
     if n_f > 0 and not len(female):
         raise InfeasibleSampleError(f"dataset {ds.id!r} has no female records but {n_f} women were requested")
     if n > n_f and not len(male):
         raise InfeasibleSampleError(f"dataset {ds.id!r} has no male records but {n - n_f} men were requested")
     doubles = uniforms(streams, n)
-    drawn = np.concatenate([female[female_cdf.searchsorted(doubles[:, :n_f], side="right")],
-                            male[male_cdf.searchsorted(doubles[:, n_f:], side="right")]], axis=1)
+    drawn = np.concatenate([female[lookup(female_table, doubles[:, :n_f])],
+                            male[lookup(male_table, doubles[:, n_f:])]], axis=1)
+    del doubles  # 8 bytes a position: not live while the shuffle runs
     return np.take_along_axis(drawn, permutations(n, streams), axis=1)
 
 

@@ -98,13 +98,13 @@ def reference_bootstrap_ci(values, level: float, resamples: int, stream) -> tupl
 def reference_draw_sample(ds: NameDataset, n: int, stream, perc_fs: float | None = None) -> np.ndarray:
     """One sample as ``sampling.draw_samples`` draws each row, one sample
     at a time, with numpy's ``Generator`` over ``stream``: weighted draws
-    by ``searchsorted`` into the draw tables, then, for a stratified
+    by ``searchsorted`` into the draw tables' cdfs, then, for a stratified
     sample, a Fisher-Yates shuffle that runs its swaps in a Python loop."""
     rng = np.random.Generator(stream)
     if perc_fs is None:
-        return ds.cdf.searchsorted(rng.random(n), side="right")
+        return ds.cdf[0].searchsorted(rng.random(n), side="right")
     n_f = stratified_female_count(perc_fs, n)
-    (female, female_cdf), (male, male_cdf) = ds.strata
+    (female, (female_cdf, _)), (male, (male_cdf, _)) = ds.strata
     drawn = np.concatenate([
         female[female_cdf.searchsorted(rng.random(n_f), side="right")],
         male[male_cdf.searchsorted(rng.random(n - n_f), side="right")],

@@ -1,7 +1,11 @@
 """The summary that ``scripts/bench_pairs.py`` prints and writes, on
-canned pairs. The script is loaded from its file; nothing is run."""
+canned pairs, and its checkouts, from a canned archive. The script is
+loaded from its file; no benchmark is run."""
 
 import importlib.util
+import io
+import subprocess
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -61,3 +65,27 @@ def test_summary_of_one_pair_and_of_none(bench_pairs):
     none = bench_pairs.summarize([], 3, END_TO_END)
     assert (none["pairs"], none["failed_pairs"]) == (0, 3)
     assert none["metrics"]["wall_s"]["parent"]["median"] is None
+
+
+def test_checkouts_are_compiled_to_bytecode(bench_pairs, tmp_path, monkeypatch):
+    # git archive is replaced by a canned zip; compileall runs for real
+    sources = {"src/pkg/__init__.py": "", "src/pkg/mod.py": "X = 1\n", "perfbench/run.py": "Y = 2\n"}
+    archive = io.BytesIO()
+    with zipfile.ZipFile(archive, "w") as zipped:
+        for name, text in sources.items():
+            zipped.writestr(name, text)
+    run = subprocess.run
+
+    def fake_run(argv, **kwargs):
+        if argv[0] == "git":
+            return subprocess.CompletedProcess(argv, 0, stdout=archive.getvalue(), stderr=b"")
+        return run(argv, **kwargs)
+
+    (tmp_path / "repo").mkdir()
+    monkeypatch.setattr(bench_pairs, "REPO_ROOT", tmp_path / "repo")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    dest = tmp_path / "pairs" / "change"
+    bench_pairs.checkout("HEAD", dest)
+    for name in sources:
+        assert Path(importlib.util.cache_from_source(str(dest / name))).is_file(), name
+    assert (dest / ".bench_cache").resolve() == tmp_path / "repo" / ".bench_cache"

@@ -135,17 +135,23 @@ def test_from_columns_rejects_empty():
 def test_derived_tables_are_kept_and_read_only():
     ds = dataset_from_counts([("bo", "M", 3), ("Ana", "F", 1), ("BO", "F", 2), ("Al", "M", 2)])
     assert ds.rank.tolist() == [2, 1, 2, 0]
-    assert ds.cdf.tolist() == [0.375, 0.5, 0.75, 1.0]
-    (female, female_cdf), (male, male_cdf) = ds.strata
-    assert (female.tolist(), female_cdf.tolist()) == ([1, 2], [1 / 3, 1.0])
-    assert (male.tolist(), male_cdf.tolist()) == ([0, 3], [0.6, 1.0])
+    cdf, guide = ds.cdf
+    assert cdf.tolist() == [0.375, 0.5, 0.75, 1.0]
+    # four buckets: guide[b] is the number of cdf entries <= b / 4
+    assert (guide.dtype, guide.tolist()) == (np.int32, [0, 0, 2, 3])
+    (female, (female_cdf, female_guide)), (male, (male_cdf, male_guide)) = ds.strata
+    assert (female.tolist(), female_cdf.tolist(), female_guide.tolist()) == ([1, 2], [1 / 3, 1.0], [0, 1])
+    assert (male.tolist(), male_cdf.tolist(), male_guide.tolist()) == ([0, 3], [0.6, 1.0], [0, 0])
     for name in ("rank", "cdf", "strata"):
         assert getattr(ds, name) is getattr(ds, name)
-    arrays = (ds.is_female, ds.counts, ds.rank, ds.cdf, female, female_cdf, male, male_cdf)
+    arrays = (ds.is_female, ds.counts, ds.rank, cdf, guide, female, female_cdf, female_guide,
+              male, male_cdf, male_guide)
     assert not any(array.flags.writeable for array in arrays)
-    # a stratum with no records is empty
+    # a stratum with no records is empty, with one bucket
     male_only = dataset_from_counts([("Al", "M", 2)])
-    assert [len(part) for stratum in male_only.strata for part in stratum] == [0, 0, 1, 1]
+    (female, (female_cdf, female_guide)), (male, (male_cdf, male_guide)) = male_only.strata
+    assert [len(female), len(female_cdf), len(male), len(male_cdf)] == [0, 0, 1, 1]
+    assert female_guide.tolist() == male_guide.tolist() == [0]
 
 
 name_strategy = st.text(

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from listfair.dataset import dump_sample_csv, read_sample_csv
@@ -11,6 +12,7 @@ from listfair.errors import DatasetFormatError, InfeasibleSampleError
 from listfair.sampling import (
     draw_sample,
     draw_samples,
+    lookup,
     permutations,
     round_half_up,
     stratified_female_count,
@@ -62,10 +64,48 @@ def test_shuffle_deterministic_and_input_untouched():
     one = permutations(5, [random_stream(11, 2)])[0]
     two = permutations(5, [random_stream(11, 2)])[0]
     assert one.tolist() == two.tolist()
-    tables = (BASIC.cdf, *BASIC.strata[0], *BASIC.strata[1])
+    (female, female_table), (male, male_table) = BASIC.strata
+    tables = (*BASIC.cdf, female, *female_table, male, *male_table)
     before = [a.copy() for a in tables]
     draw_sample(BASIC, 30, random_stream(11, 2), perc_fs=0.5)
     assert all(np.array_equal(a, b) for a, b in zip(tables, before))
+
+
+def edge_uniforms(cdf, buckets):
+    """Uniforms in [0, 1) where a guide lookup could go wrong: on every cdf
+    entry and bucket edge b / M and their neighbouring doubles, 0.0 and
+    the largest uniform, 1 - 2**-53."""
+    points = np.concatenate((cdf, np.arange(buckets) / buckets))
+    points = np.concatenate((points, np.nextafter(points, 0.0), np.nextafter(points, 1.0), [0.0, 1 - 2**-53]))
+    return points[(points >= 0.0) & (points < 1.0)]
+
+
+@given(
+    counts=st.lists(
+        st.one_of(st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=2**44)),
+        min_size=1,
+        max_size=300,
+    ).filter(any),
+    u=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), max_size=50),
+)
+# one record takes almost all the weight; a single record
+@example(counts=[2**52, 1, 1], u=[])
+@example(counts=[1], u=[])
+# zero counts repeat cdf entries, and a leading one gives an entry of 0.0
+@example(counts=[0, 2, 0, 0, 1, 0], u=[])
+@settings(max_examples=300, deadline=None)
+def test_guide_lookup_matches_searchsorted(counts, u):
+    ds = dataset_from_counts([(f"N{i}", "M", c) for i, c in enumerate(counts)])
+    cdf, guide = ds.cdf
+    # M is the smallest power of two no smaller than the table
+    assert len(guide) & (len(guide) - 1) == 0 and len(guide) >= len(cdf) > len(guide) // 2
+    u = np.concatenate((edge_uniforms(cdf, len(guide)), u))
+    expected = cdf.searchsorted(u, side="right")
+    got = lookup(ds.cdf, u)
+    assert got.dtype == np.intp and np.array_equal(got, expected)
+    # a block of rows keeps its shape
+    block = np.resize(u, (3, len(u)))[:, 1:]
+    assert np.array_equal(lookup(ds.cdf, block), cdf.searchsorted(block, side="right"))
 
 
 def scalar_permutation(n, stream):
@@ -111,12 +151,30 @@ def test_permutations_rows_match_scalar_swap_loop(n, rows, seed, stream):
 
 
 def test_permutations_beyond_16_bit_positions():
-    # 70,000 positions do not fit the 16-bit keys that numpy radix-sorts
-    stream = random_stream(2020, 7)
-    scalar = random_stream(2020, 7)
-    perm = permutations(70_000, [stream])[0]
-    assert perm.tolist() == scalar_permutation(70_000, scalar)
-    assert stream.state["state"] == scalar.state["state"]
+    # 2**16 positions are the most that 16-bit indices and the 16-bit keys
+    # numpy radix-sorts hold; 2**16 + 1 and 70,000 take 32 bits
+    for rows, n in [(3, 21_845), (16, 4096), (1, 2**16 + 1), (1, 70_000)]:
+        streams = [random_stream(2020, 7 + r) for r in range(rows)]
+        perms = permutations(n, streams)
+        assert perms.dtype == np.intp
+        for r, (perm, stream) in enumerate(zip(perms, streams)):
+            scalar = random_stream(2020, 7 + r)
+            assert perm.tolist() == scalar_permutation(n, scalar)
+            assert stream.state["state"] == scalar.state["state"]
+
+
+def test_permutations_allocate_at_most_40_bytes_per_position():
+    # a block of 16 shuffles of 1000 works in 16-bit indices: its peak is
+    # about 34 bytes per position, where intp temporaries took about 87
+    permutations(1000, [random_stream(3, r) for r in range(16)])
+    streams = [random_stream(4, r) for r in range(16)]
+    tracemalloc.start()
+    try:
+        permutations(1000, streams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 16 * 1000
 
 
 def test_shuffle_uniformity_chi_square():

@@ -107,9 +107,12 @@ def permutations(n: int, streams) -> np.ndarray:
     offsets = np.arange(0, size, n, dtype=index)[:, None]
     targets += offsets
     targets = targets.ravel()
-    # on keys of 16 bits or fewer a stable argsort is a radix sort
-    steps = targets.argsort(kind="stable").astype(index)
-    ordered = targets.take(steps)
+    # on keys of 16 bits or fewer a stable argsort is a radix sort; its
+    # intp result indexes once, then only its narrow copy is kept
+    order = targets.argsort(kind="stable")
+    ordered = targets.take(order)
+    steps = order.astype(index)
+    del order
     same = ordered[1:] == ordered[:-1]
     # later[k]: the nearest step above steps[k] with its target, else 0;
     # step 0 is above no step, so it is never a later one

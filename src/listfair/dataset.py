@@ -21,8 +21,8 @@ happens here. Normalization is an ordering concern, not an ingestion one.
 A loaded dataset is three columns: names, a female flag and counts.
 ``load_canonical`` reads the file once into column lists and checks each
 column as a whole; the per-row checks run only to locate an error.
-Record objects are made only when a caller reads ``records``, and the
-collation rank and draw tables when a sort or a draw first needs them.
+The collation rank and draw tables are made when a sort or a draw first
+needs them.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import csv
 import itertools
 import re
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -65,42 +64,16 @@ GENDER_LETTERS = {"F": True, "f": True, "M": False, "m": False}
 _CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")
 
 
-@dataclass(frozen=True)
-class NameRecord:
-    """One (name, gender letter F or M) entry and how many individuals carry it."""
-
-    name: str
-    gender: str
-    count: int
-
-
-class NameRecords(Sequence):
-    """The records of a dataset, made from its columns on access: taking
-    the length or one item builds no other record."""
-
-    __slots__ = ("_ds",)
-
-    def __init__(self, ds: "NameDataset"):
-        self._ds = ds
-
-    def __len__(self) -> int:
-        return len(self._ds.names)
-
-    def __getitem__(self, i: int) -> NameRecord:
-        ds = self._ds
-        return NameRecord(ds.names[i], "MF"[bool(ds.is_female[i])], int(ds.counts[i]))
-
-
 @dataclass(frozen=True, eq=False)
 class NameDataset:
     """Validated, immutable name-frequency dataset, stored as columns:
     ``names``, ``is_female`` (bool) and ``counts`` (int64), one entry per
-    (name, gender) record. ``records`` views them as :class:`NameRecord`.
+    (name, gender) record.
 
-    ``total_count``, ``female_count`` and ``male_count`` are derived from
-    the columns at construction time; build instances through
-    :meth:`from_columns` so they can never drift. ``rank``, ``cdf`` and
-    ``strata`` are derived on first use and kept; every array is read-only.
+    ``total_count`` and ``female_count`` are derived from the columns at
+    construction time; build instances through :meth:`from_columns` so
+    they can never drift. ``rank``, ``cdf`` and ``strata`` are derived on
+    first use and kept; every array is read-only.
     A draw table, ``cdf`` or a stratum's, is a pair: the cumulative
     probabilities of a draw and their guide table (Chen & Asau, "On
     generating random variates from an empirical distribution", *AIIE
@@ -116,7 +89,6 @@ class NameDataset:
     counts: np.ndarray
     total_count: int
     female_count: int
-    male_count: int
 
     @classmethod
     def from_columns(cls, dataset_id: str, names, is_female, counts) -> "NameDataset":
@@ -130,11 +102,13 @@ class NameDataset:
         is_female = _read_only(np.array(is_female, dtype=bool))
         counts = _read_only(np.array(counts, dtype=np.int64))
         female = int(counts[is_female].sum())
-        return cls(dataset_id, names, is_female, counts, total, female, total - female)
+        return cls(dataset_id, names, is_female, counts, total, female)
 
     @property
-    def records(self) -> NameRecords:
-        return NameRecords(self)
+    def records(self) -> range:
+        """The record ordinals, which ``perfbench/spans.py`` counts for the
+        ``dataset.load`` span; ROADMAP item 2 removes them."""
+        return range(len(self.names))
 
     @property
     def perc_f(self) -> float:

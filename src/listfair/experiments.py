@@ -221,6 +221,14 @@ def _pool_size(jobs: int, n_tasks: int, cpus: int | None) -> int:
     return max(1, min(jobs, n_tasks, cpus or 1))
 
 
+def _usable_cpus() -> int | None:
+    """The CPUs this process may run on: those of its affinity mask where
+    the OS has one, not every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
 # The datasets of the run in progress, by ordinal. run_datasets sets them
 # in the parent for the run's length, and the pool initializer sets them in
 # each worker, so a task names its dataset by ordinal and no task carries
@@ -236,7 +244,7 @@ def _set_run_datasets(datasets: list[NameDataset] | None) -> None:
 def _map_tasks(fn, tasks, jobs: int) -> list:
     """``fn`` over ``tasks``, in task order. A pool worker receives the
     run's datasets once, when it starts."""
-    workers = _pool_size(jobs, len(tasks), os.cpu_count())
+    workers = _pool_size(jobs, len(tasks), _usable_cpus())
     if workers == 1:
         return [fn(task) for task in tasks]
     with ProcessPoolExecutor(
@@ -299,7 +307,7 @@ def run_datasets(kind: str, datasets, cfg: ExperimentConfig, jobs: int = 1) -> E
     if kind == PERCF:
         # one contiguous range of positions k per worker started: every
         # range redraws all the samples
-        ranges = _pool_size(jobs, cfg.n, os.cpu_count())
+        ranges = _pool_size(jobs, cfg.n, _usable_cpus())
         bounds = [1 + i * cfg.n // ranges for i in range(ranges + 1)]
         cells = [range(first, last) for first, last in zip(bounds, bounds[1:])]
         fn = _percf_chunk

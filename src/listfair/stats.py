@@ -105,6 +105,7 @@ def bootstrap_ci(
         # the indices are in range, so "wrap" changes none of them; it
         # spares the copy "raise" makes of out
         block = np.take(values, indices.reshape(stop - start, size), out=gathered[: stop - start], mode="wrap")
+        del indices  # not kept alive while the next block is drawn
         np.add.reduce(block, axis=1, out=means[start:stop])
     means /= size  # the sums then one division: what mean(axis=1) does
     lower, upper = np.quantile(means, [(1.0 - level) / 2.0, (1.0 + level) / 2.0]).tolist()

@@ -1,6 +1,7 @@
 import csv
 import io
 import unicodedata
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,6 @@ from listfair.dataset import (
     CANONICAL_HEADER,
     GENDER_LETTERS,
     NameDataset,
-    NameRecord,
     csv_rows,
     dump_canonical,
     load_canonical,
@@ -30,6 +30,10 @@ def write_text(path, text):
     path.write_text(text, encoding="utf-8")
 
 
+def columns(ds):
+    return ds.names, ds.is_female.tolist(), ds.counts.tolist()
+
+
 def test_load_canonical_basic(tmp_path):
     path = tmp_path / "tiny.csv"
     write_text(path, "name,gender,count\nAna,F,3\nBruno,M,5\n")
@@ -37,14 +41,11 @@ def test_load_canonical_basic(tmp_path):
     assert ds.id == "tiny"
     assert ds.total_count == 8
     assert ds.female_count == 3
-    assert ds.male_count == 5
-    assert tuple(ds.records) == (
-        NameRecord("Ana", "F", 3),
-        NameRecord("Bruno", "M", 5),
-    )
-    assert ds.names == ("Ana", "Bruno")
-    assert ds.is_female.tolist() == [True, False]
-    assert ds.counts.dtype == np.int64 and ds.counts.tolist() == [3, 5]
+    assert ds.total_count - ds.female_count == 5
+    assert columns(ds) == (("Ana", "Bruno"), [True, False], [3, 5])
+    assert ds.counts.dtype == np.int64
+    # the record ordinals, not a view that makes record objects
+    assert ds.records == range(len(ds.names))
 
 
 def test_load_canonical_accepts_lowercase_gender_and_quoted_comma(tmp_path):
@@ -52,8 +53,8 @@ def test_load_canonical_accepts_lowercase_gender_and_quoted_comma(tmp_path):
     write_text(path, 'name,gender,count\n"de la Cruz, Ana",f,2\nBruno,m,1\n')
     ds = load_canonical(path)
     assert ds.id == "d"
-    assert ds.records[0].name == "de la Cruz, Ana"
-    assert ds.records[0].gender == "F"
+    assert ds.names[0] == "de la Cruz, Ana"
+    assert ds.is_female[0]
 
 
 @pytest.mark.parametrize(
@@ -84,7 +85,7 @@ def test_load_canonical_rejects_malformed_input(tmp_path, body, fragment):
 def test_load_canonical_accepts_decimal_digits_of_any_script(tmp_path):
     path = tmp_path / "d.csv"
     write_text(path, "name,gender,count\nAna,F,\u0663\n")
-    assert load_canonical(path).records[0].count == 3
+    assert load_canonical(path).counts.tolist() == [3]
 
 
 def test_control_pattern_is_exactly_category_cc():
@@ -110,7 +111,7 @@ def test_load_canonical_rejects_duplicates_but_not_shared_names(tmp_path):
     ok = tmp_path / "unisex.csv"
     write_text(ok, "name,gender,count\nAlex,F,2\nAlex,M,9\n")
     ds = load_canonical(ok)
-    assert len(ds.records) == 2
+    assert len(ds.names) == 2
 
     bad = tmp_path / "dup.csv"
     write_text(bad, "name,gender,count\nAlex,F,2\nAlex,F,9\n")
@@ -193,7 +194,7 @@ def test_write_then_load_round_trip(tmp_path):
     path = tmp_path / "out.csv"
     write_canonical(ds, path)
     back = load_canonical(path)
-    assert set(back.records) == set(ds.records)
+    assert columns(back) == columns(ds)
     assert back.total_count == ds.total_count
 
 
@@ -202,7 +203,7 @@ def test_demographics_consistent_with_counts(rows):
     ds = dataset_from_counts(rows, dataset_id="demo")
     assert ds.perc_f == ds.female_count / ds.total_count
     assert abs(ds.perc_f * ds.total_count - ds.female_count) <= 0.5
-    assert abs(ds.perc_f + ds.male_count / ds.total_count - 1.0) < 1e-12
+    assert abs(ds.perc_f + (ds.total_count - ds.female_count) / ds.total_count - 1.0) < 1e-12
 
 
 def test_ssa_yearfiles_merge_and_sort(tmp_path):
@@ -210,11 +211,7 @@ def test_ssa_yearfiles_merge_and_sort(tmp_path):
     write_text(tmp_path / "yob2000.txt", "John,M,30\nAisha,F,25\n")
     ds = load_ssa_yearfiles(tmp_path, (1999, 2000))
     assert ds.id == "ssa_1999_2000"
-    assert [(r.name, r.gender, r.count) for r in ds.records] == [
-        ("Aisha", "F", 25),
-        ("John", "M", 180),
-        ("Mary", "F", 120),
-    ]
+    assert columns(ds) == (("Aisha", "John", "Mary"), [True, False, True], [25, 180, 120])
     assert ds.total_count == 325
 
 
@@ -277,8 +274,8 @@ def test_ssa_yearfiles_rejects_empty_range(tmp_path):
 def test_bundled_fixture_loads(fixture_dataset):
     assert fixture_dataset.id == "fixture"
     assert 0.46 <= fixture_dataset.perc_f <= 0.50
-    top = max(fixture_dataset.records, key=lambda r: r.count)
-    assert (top.name, top.gender) == ("Aaron", "M")
+    top = int(fixture_dataset.counts.argmax())
+    assert (fixture_dataset.names[top], fixture_dataset.is_female[top]) == ("Aaron", False)
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +285,13 @@ def test_bundled_fixture_loads(fixture_dataset):
 BOUND = 2**53
 HEADER = "name,gender,count\n"
 registry_row = dataset_module._registry_row
+Row = namedtuple("Row", "name gender count")
 
 
 def reference_load(path):
-    """Records of a canonical CSV, one row at a time: the record-object
-    loader this package had before it loaded columns, plus the 2**53
-    bounds on a count and on the running total."""
+    """The ``(name, gender letter, count)`` rows of a canonical CSV, one row
+    at a time: the record-object loader this package had before it loaded
+    columns, plus the 2**53 bounds on a count and on the running total."""
     records, seen, total = [], set(), 0
     for line, (name, gender_text, count_text) in csv_rows(path, CANONICAL_HEADER, 3):
         if not name:
@@ -329,7 +327,7 @@ def reference_load(path):
         total += count
         if total > BOUND:
             raise DatasetFormatError("total count exceeds 2**53", path=path, line=line)
-        records.append(NameRecord(name, gender, count))
+        records.append(Row(name, gender, count))
     if not records:
         raise DatasetFormatError("dataset has no records", path=path)
     return records
@@ -455,16 +453,16 @@ def test_load_canonical_matches_row_reference(tmp_path_factory, case):
     assert malformed is None or len(malformed) == 3
     assert got[0] == "ok"
     ds, records = got[1], expected[1]
-    assert tuple(ds.records) == tuple(records)
-    assert ds.names == tuple(r.name for r in records)
-    assert ds.is_female.tolist() == [r.gender == "F" for r in records]
+    assert columns(ds) == (
+        tuple(r.name for r in records),
+        [r.gender == "F" for r in records],
+        [r.count for r in records],
+    )
     assert ds.counts.dtype == np.int64
-    assert ds.counts.tolist() == [r.count for r in records]
     assert ds.total_count == sum(r.count for r in records)
     assert ds.female_count == sum(r.count for r in records if r.gender == "F")
-    assert ds.male_count == ds.total_count - ds.female_count
-    assert len(ds.records) == len(records)
-    assert ds.records[-1] == records[-1]
+    assert ds.total_count - ds.female_count == sum(r.count for r in records if r.gender == "M")
+    assert ds.records == range(len(records))
 
 
 def test_plain_file_loads_without_per_row_checks(tmp_path, monkeypatch):
@@ -488,9 +486,6 @@ def test_plain_file_loads_without_per_row_checks(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Path, "open", open_once)
     monkeypatch.setattr(dataset_module, "_registry_row", refuse)
-
-    def columns(ds):
-        return ds.names, ds.is_female.tolist(), ds.counts.tolist()
 
     expected = (("Ana", "Ana", "Bruno", "José"), [True, False, False, True], [3, 12, 5, 7])
     assert columns(load_canonical(plain)) == expected

@@ -231,7 +231,7 @@ def test_percf_parallel_matches_serial(monkeypatch):
             assert serial.records == parallel.records
             assert serial.curves == parallel.curves
             assert serial.aggregates == parallel.aggregates
-            assert len(ranges[-1]) == _pool_size(jobs, n, os.cpu_count())
+            assert len(ranges[-1]) == _pool_size(jobs, n, experiments._usable_cpus())
             assert [k for ks in ranges[-1] for k in ks] == list(range(1, n + 1))
 
 
@@ -433,7 +433,34 @@ def test_one_pool_map_per_run_and_no_theoretical_z_outside_its_scope(monkeypatch
 @pytest.fixture()
 def two_cpus(monkeypatch):
     # the pool is never larger than the CPUs; make sure jobs 2 starts one
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+
+
+def test_jobs_beyond_the_affinity_mask_start_no_pool(monkeypatch):
+    # a host of two CPUs, of which the process may run on one
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    ranges = []
+    real_map = experiments._map_tasks
+
+    def spying_map(fn, tasks, jobs):
+        ranges.append([task[3] for task in tasks])
+        return real_map(fn, tasks, jobs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(experiments, "_map_tasks", spying_map)
+    cfg = small_config()
+    parallel = run_datasets(PERCF, [SMALL_DATASET], cfg, jobs=2)
+    assert ranges == [[range(1, cfg.n + 1)]]
+    assert parallel == run_datasets(PERCF, [SMALL_DATASET], cfg, jobs=1)
+    assert experiments._usable_cpus() == 1
+    # without an affinity mask, every CPU of the host counts
+    monkeypatch.delattr(experiments.os, "sched_getaffinity")
+    assert experiments._usable_cpus() == 2
 
 
 def test_percf_makes_one_range_per_worker_started(monkeypatch, two_cpus):

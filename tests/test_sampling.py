@@ -194,7 +194,7 @@ def test_shuffle_uniformity_chi_square():
 def test_proportional_sample_shape_and_determinism():
     sample = draw_sample(BASIC, 50, random_stream(5, 9))
     assert sample.shape == (50,)
-    assert sample.min() >= 0 and sample.max() < len(BASIC.records)
+    assert sample.min() >= 0 and sample.max() < len(BASIC.names)
     again = draw_sample(BASIC, 50, random_stream(5, 9), perc_fs=None)
     assert np.array_equal(again, sample)
 
@@ -203,14 +203,11 @@ def test_proportional_frequencies_converge():
     # Monte-Carlo check against 3-sigma binomial bounds per name
     n = 20_000
     sample = draw_sample(BASIC, n, random_stream(31))
-    tallies = {}
-    for i in sample:
-        name = BASIC.records[i].name
-        tallies[name] = tallies.get(name, 0) + 1
-    for record in BASIC.records:
-        p = record.count / BASIC.total_count
+    tallies = np.bincount(sample, minlength=len(BASIC.names))
+    for count, tally in zip(BASIC.counts.tolist(), tallies.tolist()):
+        p = count / BASIC.total_count
         sigma = math.sqrt(n * p * (1 - p))
-        assert abs(tallies[record.name] - n * p) <= 3 * sigma
+        assert abs(tally - n * p) <= 3 * sigma
 
 
 def choice_draw(indices, counts, size, gen):
@@ -237,7 +234,7 @@ def test_draws_match_generator_choice(rows, n, perc_fs, seed):
     # single-gender datasets and shares of 0 or 1 give empty strata,
     # whose draws of size 0 must leave the stream untouched
     ds = dataset_from_counts([(f"N{i}", g, c) for i, (g, c) in enumerate(rows)])
-    counts = np.array([r.count for r in ds.records], dtype=float)
+    counts = ds.counts.astype(float)
     gen = np.random.Generator(random_stream(seed))
     if perc_fs is None:
         expected = choice_draw(np.arange(len(counts)), counts, n, gen)
@@ -330,12 +327,8 @@ def test_stratified_female_count_rounds_float_ties_up():
 def test_stratified_female_names_come_from_female_records():
     sample = draw_sample(BASIC, 200, random_stream(8), perc_fs=0.5)
     female_names = {"Ana", "Beatriz"}
-    for i in sample:
-        record = BASIC.records[i]
-        if record.gender == "F":
-            assert record.name in female_names
-        else:
-            assert record.name not in female_names
+    for i in sample.tolist():
+        assert (BASIC.names[i] in female_names) == BASIC.is_female[i]
 
 
 def test_stratified_infeasible_without_gender_records():

@@ -350,3 +350,18 @@ def test_bootstrap_memory_is_bounded_by_blocks():
     # past the blocks, only the means and the copy np.quantile partitions
     # grow with the resample count: 16 bytes per resample
     assert _traced_peak(values, 50_000) - base <= 16 * (50_000 - 2000)
+
+
+def test_bootstrap_keeps_at_most_four_blocks_alive():
+    # the raw words, the fresh indices, the gather buffer and the means:
+    # the previous block's indices are dropped before the next is drawn
+    values = np.random.default_rng(0).random(100)
+    bootstrap_ci(values, rng=random_stream(7, 100))
+    rng = random_stream(7, 100)
+    tracemalloc.start()
+    try:
+        bootstrap_ci(values, rng=rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * BLOCK * 8

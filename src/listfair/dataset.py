@@ -74,9 +74,9 @@ class NameDataset:
     construction time; build instances through :meth:`from_columns` so
     they can never drift. ``rank``, ``cdf`` and ``strata`` are derived on
     first use and kept; every array is read-only.
-    A draw table, ``cdf`` or a stratum's, is a pair: the cumulative
-    probabilities of a draw and their guide table (Chen & Asau, "On
-    generating random variates from an empirical distribution", *AIIE
+    A draw table, ``cdf`` or a stratum's, spans every record: a pair of the
+    cumulative probabilities of a draw and their guide table (Chen & Asau,
+    "On generating random variates from an empirical distribution", *AIIE
     Transactions* 6(2), 1974). With M buckets, a power of two no smaller
     than the table, ``guide[b]`` is ``cdf.searchsorted(b / M, "right")``:
     where the lookup of a uniform u in [b / M, (b + 1) / M) starts.
@@ -93,12 +93,12 @@ class NameDataset:
     @classmethod
     def from_columns(cls, dataset_id: str, names, is_female, counts) -> "NameDataset":
         names = tuple(names)
-        if not names:
-            raise ValueError("dataset has no records")
         # summed as Python ints, so the check sees the true total
         total = sum(counts)
         if total > MAX_COUNT:
             raise ValueError("total count exceeds 2**53")
+        if total < 1:  # also no records; every table a draw reads then has weight
+            raise ValueError(f"dataset has no individuals: its counts sum to {total}")
         is_female = _read_only(np.array(is_female, dtype=bool))
         counts = _read_only(np.array(counts, dtype=np.int64))
         female = int(counts[is_female].sum())
@@ -126,12 +126,11 @@ class NameDataset:
         return _draw_table(self.counts)
 
     @cached_property
-    def strata(self) -> tuple[tuple[np.ndarray, tuple], tuple[np.ndarray, tuple]]:
-        """The female and the male stratum: the record indices of that
-        gender and the draw table among them."""
-        female = _read_only(np.flatnonzero(self.is_female))
-        male = _read_only(np.flatnonzero(~self.is_female))
-        return (female, _draw_table(self.counts[female])), (male, _draw_table(self.counts[male]))
+    def strata(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """The female and the male draw table: over all records, by count
+        within that gender, with the other gender weighted 0."""
+        return (_draw_table(np.where(self.is_female, self.counts, 0)),
+                _draw_table(np.where(self.is_female, 0, self.counts)))
 
     def __eq__(self, other):
         if not isinstance(other, NameDataset):
@@ -151,12 +150,13 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 def _draw_table(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # exact: counts and their total are at most 2**53
     cdf = counts.astype(np.float64)
-    if len(cdf):
-        # normalized exactly as Generator.choice normalizes its p argument
+    if cdf.any():  # an absent gender's stratum stays all zero: no draw reads it
+        # normalized exactly as Generator.choice normalizes its p argument;
+        # a zero weight repeats the entry before it, where no lookup lands
         cdf = (cdf / cdf.sum()).cumsum()
         cdf /= cdf[-1]
     # a power of two, so that b / M and u * M are exact
-    buckets = 1 << max(len(cdf) - 1, 0).bit_length()
+    buckets = 1 << (len(cdf) - 1).bit_length()
     edges = np.arange(buckets, dtype=np.float64)
     edges /= buckets
     # int32: a dataset of 2**31 records would not fit in memory as names

@@ -299,6 +299,7 @@ def run_datasets(kind: str, datasets, cfg: ExperimentConfig, jobs: int = 1) -> E
     if kind not in KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}")
     cfg.validate()
+    datasets = list(datasets)  # read once: the id check would spend a one-shot iterable
     ids = [ds.id for ds in datasets]
     if not ids:
         raise ValueError("a run needs at least one dataset")
@@ -325,7 +326,7 @@ def run_datasets(kind: str, datasets, cfg: ExperimentConfig, jobs: int = 1) -> E
         # tables, it raised the peak memory of a 100k-record run by 3 MB.
         # Only rnd_grid draws stratified samples, from strata.
         ds.rank, ds.strata if kind == RND_GRID else ds.cdf
-    _set_run_datasets(list(datasets))
+    _set_run_datasets(datasets)
     try:
         outputs = iter(_map_tasks(fn, tasks, jobs))
     finally:

@@ -3,9 +3,9 @@
 Samples are drawn WITH replacement: each position is an independent
 draw from the name-frequency distribution, the same way a registry of
 millions behaves when only a thousand rows are displayed. A sample is an
-index array into a dataset's records, drawn from the tables the
-:class:`~listfair.dataset.NameDataset` keeps. A requested female share
-makes the sample stratified; without one it is proportional.
+index array into a dataset's records, looked up in the tables over them
+that the :class:`~listfair.dataset.NameDataset` keeps. A requested female
+share makes the sample stratified; without one it is proportional.
 
 :func:`draw_samples` draws a block of samples, one per
 :func:`~listfair.streams.random_stream` stream, as the rows of one array;
@@ -147,9 +147,9 @@ def draw_samples(ds: NameDataset, n: int, streams, perc_fs: float | None = None)
     independently with probability proportional to record count over the
     whole dataset, so arrival order is already random. With ``perc_fs`` it
     is stratified: exactly :func:`stratified_female_count` women are drawn
-    from the female records and the rest from the male records (each side
-    weighted by within-gender counts), then Fisher-Yates shuffled together
-    (:func:`permutations`).
+    from the female table of ``ds.strata`` and the rest from the male one,
+    each weighting its gender's records by count and the other's by 0, then
+    Fisher-Yates shuffled together (:func:`permutations`).
 
     Each row is the sample its stream alone gives. A stream gives the
     uniforms that ``Generator.choice`` with the counts as ``p`` would
@@ -164,14 +164,13 @@ def draw_samples(ds: NameDataset, n: int, streams, perc_fs: float | None = None)
     if not 0.0 <= perc_fs <= 1.0:
         raise ValueError(f"perc_fs must lie in [0, 1], got {perc_fs}")
     n_f = stratified_female_count(perc_fs, n)
-    (female, female_table), (male, male_table) = ds.strata
-    if n_f > 0 and not len(female):
+    if n_f > 0 and not ds.female_count:
         raise InfeasibleSampleError(f"dataset {ds.id!r} has no female records but {n_f} women were requested")
-    if n > n_f and not len(male):
+    if n > n_f and ds.female_count == ds.total_count:
         raise InfeasibleSampleError(f"dataset {ds.id!r} has no male records but {n - n_f} men were requested")
+    female, male = ds.strata
     doubles = uniforms(streams, n)
-    drawn = np.concatenate([female[lookup(female_table, doubles[:, :n_f])],
-                            male[lookup(male_table, doubles[:, n_f:])]], axis=1)
+    drawn = np.concatenate([lookup(female, doubles[:, :n_f]), lookup(male, doubles[:, n_f:])], axis=1)
     del doubles  # 8 bytes a position: not live while the shuffle runs
     return np.take_along_axis(drawn, permutations(n, streams), axis=1)
 

@@ -98,17 +98,25 @@ def reference_bootstrap_ci(values, level: float, resamples: int, stream) -> tupl
 def reference_draw_sample(ds: NameDataset, n: int, stream, perc_fs: float | None = None) -> np.ndarray:
     """One sample as ``sampling.draw_samples`` draws each row, one sample
     at a time, with numpy's ``Generator`` over ``stream``: weighted draws
-    by ``searchsorted`` into the draw tables' cdfs, then, for a stratified
-    sample, a Fisher-Yates shuffle that runs its swaps in a Python loop."""
+    by ``searchsorted`` into cdfs built here from ``ds.counts`` and
+    ``ds.is_female``, as ``Generator.choice`` builds them from its ``p``,
+    then, for a stratified sample, a Fisher-Yates shuffle that runs its
+    swaps in a Python loop. None of the dataset's draw tables is read."""
     rng = np.random.Generator(stream)
+
+    def draw(records: np.ndarray, size: int) -> np.ndarray:
+        # a draw of size 0 reads no weights and draws no uniforms
+        if not size:
+            return records[:0]
+        weights = ds.counts[records].astype(float)
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        return records[cdf.searchsorted(rng.random(size), side="right")]
+
     if perc_fs is None:
-        return ds.cdf[0].searchsorted(rng.random(n), side="right")
+        return draw(np.arange(len(ds.counts)), n)
     n_f = stratified_female_count(perc_fs, n)
-    (female, (female_cdf, _)), (male, (male_cdf, _)) = ds.strata
-    drawn = np.concatenate([
-        female[female_cdf.searchsorted(rng.random(n_f), side="right")],
-        male[male_cdf.searchsorted(rng.random(n - n_f), side="right")],
-    ])
+    drawn = np.concatenate([draw(np.flatnonzero(ds.is_female), n_f), draw(np.flatnonzero(~ds.is_female), n - n_f)])
     perm = list(range(n))
     for i, j in zip(range(n - 1, 0, -1), rng.integers(0, np.arange(n, 1, -1)).tolist()):
         perm[i], perm[j] = perm[j], perm[i]

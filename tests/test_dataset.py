@@ -133,6 +133,12 @@ def test_from_columns_rejects_empty():
         NameDataset.from_columns("empty", [], [], [])
 
 
+def test_from_columns_rejects_a_dataset_of_no_individuals():
+    # its share and its draw table would divide by a zero total
+    with pytest.raises(ValueError, match="^dataset has no individuals: its counts sum to 0$"):
+        NameDataset.from_columns("z", ["Ana", "Bo"], [True, False], [0, 0])
+
+
 def test_derived_tables_are_kept_and_read_only():
     ds = dataset_from_counts([("bo", "M", 3), ("Ana", "F", 1), ("BO", "F", 2), ("Al", "M", 2)])
     assert ds.rank.tolist() == [2, 1, 2, 0]
@@ -140,19 +146,21 @@ def test_derived_tables_are_kept_and_read_only():
     assert cdf.tolist() == [0.375, 0.5, 0.75, 1.0]
     # four buckets: guide[b] is the number of cdf entries <= b / 4
     assert (guide.dtype, guide.tolist()) == (np.int32, [0, 0, 2, 3])
-    (female, (female_cdf, female_guide)), (male, (male_cdf, male_guide)) = ds.strata
-    assert (female.tolist(), female_cdf.tolist(), female_guide.tolist()) == ([1, 2], [1 / 3, 1.0], [0, 1])
-    assert (male.tolist(), male_cdf.tolist(), male_guide.tolist()) == ([0, 3], [0.6, 1.0], [0, 0])
+    # each stratum spans every record, the other gender weighted 0: a
+    # record of that gender repeats the entry before it
+    (female_cdf, female_guide), (male_cdf, male_guide) = ds.strata
+    assert (female_cdf.tolist(), female_guide.tolist()) == ([0.0, 1 / 3, 1.0, 1.0], [1, 1, 2, 2])
+    assert (male_cdf.tolist(), male_guide.tolist()) == ([0.6, 0.6, 0.6, 1.0], [0, 0, 0, 3])
+    assert female_guide.dtype == male_guide.dtype == np.int32
     for name in ("rank", "cdf", "strata"):
         assert getattr(ds, name) is getattr(ds, name)
-    arrays = (ds.is_female, ds.counts, ds.rank, cdf, guide, female, female_cdf, female_guide,
-              male, male_cdf, male_guide)
+    arrays = (ds.is_female, ds.counts, ds.rank, cdf, guide, female_cdf, female_guide, male_cdf, male_guide)
     assert not any(array.flags.writeable for array in arrays)
-    # a stratum with no records is empty, with one bucket
+    # an absent gender's table is all zero and is never read; it has no NaN
     male_only = dataset_from_counts([("Al", "M", 2)])
-    (female, (female_cdf, female_guide)), (male, (male_cdf, male_guide)) = male_only.strata
-    assert [len(female), len(female_cdf), len(male), len(male_cdf)] == [0, 0, 1, 1]
-    assert female_guide.tolist() == male_guide.tolist() == [0]
+    (female_cdf, female_guide), (male_cdf, male_guide) = male_only.strata
+    assert (female_cdf.tolist(), female_guide.tolist()) == ([0.0], [1])
+    assert (male_cdf.tolist(), male_guide.tolist()) == ([1.0], [0])
 
 
 name_strategy = st.text(

@@ -547,6 +547,14 @@ def test_rank_is_built_once_per_dataset_in_the_parent(monkeypatch, tmp_path, two
     assert all(np.array_equal(ds.rank, real_ranks(ds.names)) for ds in fresh)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_run_reads_a_one_shot_iterable_of_datasets(kind):
+    # the datasets are read once, so a generator gives the rows a list gives
+    cfg = small_config()
+    expected = run_datasets(kind, [SMALL_DATASET, OTHER_DATASET], cfg)
+    assert run_datasets(kind, (ds for ds in [SMALL_DATASET, OTHER_DATASET]), cfg) == expected
+
+
 @pytest.mark.parametrize(("kind", "unused"), [(PERCF, "strata"), (RND_SIZE, "strata"), (RND_GRID, "cdf")])
 def test_run_builds_only_the_draw_table_of_its_kind(kind, unused):
     # percf and rnd_size draw proportional samples from cdf, rnd_grid

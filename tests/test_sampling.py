@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from listfair.dataset import dump_sample_csv, read_sample_csv
+from listfair.dataset import NameDataset, dump_sample_csv, read_sample_csv
 from listfair.errors import DatasetFormatError, InfeasibleSampleError
 from listfair.sampling import (
     draw_sample,
@@ -64,8 +64,8 @@ def test_shuffle_deterministic_and_input_untouched():
     one = permutations(5, [random_stream(11, 2)])[0]
     two = permutations(5, [random_stream(11, 2)])[0]
     assert one.tolist() == two.tolist()
-    (female, female_table), (male, male_table) = BASIC.strata
-    tables = (*BASIC.cdf, female, *female_table, male, *male_table)
+    female_table, male_table = BASIC.strata
+    tables = (*BASIC.cdf, *female_table, *male_table)
     before = [a.copy() for a in tables]
     draw_sample(BASIC, 30, random_stream(11, 2), perc_fs=0.5)
     assert all(np.array_equal(a, b) for a, b in zip(tables, before))
@@ -106,6 +106,75 @@ def test_guide_lookup_matches_searchsorted(counts, u):
     # a block of rows keeps its shape
     block = np.resize(u, (3, len(u)))[:, 1:]
     assert np.array_equal(lookup(ds.cdf, block), cdf.searchsorted(block, side="right"))
+
+
+# (female, count) rows with at least one individual; zero counts and the
+# other gender give each stratum's table runs of zero weight
+weighted_rows = st.lists(
+    st.tuples(st.booleans(), st.one_of(st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=2**44))),
+    min_size=1,
+    max_size=300,
+).filter(lambda rows: any(count for _, count in rows))
+
+
+@given(rows=weighted_rows, u=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), max_size=50))
+# zero-weight runs at the start, in the middle and at the end of both tables
+@example(rows=[(False, 0), (True, 0), (True, 2), (False, 5), (True, 0), (False, 0), (True, 1), (False, 3), (True, 0)], u=[])
+# one gender only: the other's table is all zero
+@example(rows=[(True, 0), (True, 1), (True, 0)], u=[])
+@example(rows=[(False, 2**52), (True, 1), (False, 0), (False, 1)], u=[])
+@settings(max_examples=300, deadline=None)
+def test_strata_tables_span_every_record(rows, u):
+    flags, counts = zip(*rows)
+    ds = NameDataset.from_columns("strata", [f"N{i}" for i in range(len(rows))], flags, counts)
+    for female, (cdf, guide) in zip((True, False), ds.strata):
+        mine = ds.is_female == female
+        weights = ds.counts[mine].astype(float)
+        if not weights.any():
+            # never read: no draw is asked of a gender with no individuals
+            assert not cdf.any()
+            continue
+        # at its own records the table holds the cdf of the gender alone,
+        # bit for bit; every other record repeats the entry before it
+        alone = (weights / weights.sum()).cumsum()
+        alone /= alone[-1]
+        assert np.array_equal(cdf[mine], alone)
+        assert np.array_equal(cdf, np.maximum.accumulate(np.where(mine, cdf, 0.0)))
+        assert len(guide) & (len(guide) - 1) == 0 and len(guide) >= len(cdf) > len(guide) // 2
+        points = np.concatenate((edge_uniforms(cdf, len(guide)), u))
+        got = lookup((cdf, guide), points)
+        assert np.array_equal(got, cdf.searchsorted(points, side="right"))
+        # a lookup lands only on a record of the gender with a count
+        assert (ds.is_female[got] == female).all() and (ds.counts[got] >= 1).all()
+
+
+@given(rows=weighted_rows, n=st.integers(min_value=1, max_value=200),
+       perc_fs=st.sampled_from([0.0, 0.3, 0.5, 1.0]), seed=st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=200, deadline=None)
+def test_stratified_draws_skip_zero_counts(rows, n, perc_fs, seed):
+    flags, counts = zip(*rows)
+    ds = NameDataset.from_columns("zeros", [f"N{i}" for i in range(len(rows))], flags, counts)
+    n_f = stratified_female_count(perc_fs, n)
+    if (n_f and not ds.female_count) or (n - n_f and ds.female_count == ds.total_count):
+        # a gender whose records all count 0 has no one to draw
+        with pytest.raises(InfeasibleSampleError):
+            draw_sample(ds, n, random_stream(seed), perc_fs)
+        return
+    sample = draw_sample(ds, n, random_stream(seed), perc_fs)
+    assert int(ds.is_female[sample].sum()) == n_f
+    assert (ds.counts[sample] >= 1).all()
+    assert sample.tolist() == reference_draw_sample(ds, n, random_stream(seed), perc_fs).tolist()
+
+
+def test_a_gender_of_count_zero_is_infeasible():
+    # Ana is the only woman and counts 0
+    ds = NameDataset.from_columns("z", ["Ana", "Bo", "Cy"], [True, False, False], [0, 3, 2])
+    with pytest.raises(InfeasibleSampleError, match="^dataset 'z' has no female records but 3 women were requested$"):
+        draw_sample(ds, 6, random_stream(1), 0.5)
+    men = NameDataset.from_columns("w", ["Ana", "Bo"], [True, False], [2, 0])
+    with pytest.raises(InfeasibleSampleError, match="^dataset 'w' has no male records but 1 men were requested$"):
+        draw_sample(men, 3, random_stream(1), 0.5)
+    assert draw_sample(men, 3, random_stream(1), 1.0).tolist() == [0, 0, 0]
 
 
 def scalar_permutation(n, stream):

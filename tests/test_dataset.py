@@ -131,10 +131,8 @@ def test_error_reports_offending_line(tmp_path):
 def test_from_columns_rejects_empty():
     with pytest.raises(ValueError):
         NameDataset.from_columns("empty", [], [], [])
-
-
-def test_from_columns_rejects_a_dataset_of_no_individuals():
-    # its share and its draw table would divide by a zero total
+    # records but no individuals: the share and the draw table would divide
+    # by a zero total
     with pytest.raises(ValueError, match="^dataset has no individuals: its counts sum to 0$"):
         NameDataset.from_columns("z", ["Ana", "Bo"], [True, False], [0, 0])
 

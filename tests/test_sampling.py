@@ -166,17 +166,6 @@ def test_stratified_draws_skip_zero_counts(rows, n, perc_fs, seed):
     assert sample.tolist() == reference_draw_sample(ds, n, random_stream(seed), perc_fs).tolist()
 
 
-def test_a_gender_of_count_zero_is_infeasible():
-    # Ana is the only woman and counts 0
-    ds = NameDataset.from_columns("z", ["Ana", "Bo", "Cy"], [True, False, False], [0, 3, 2])
-    with pytest.raises(InfeasibleSampleError, match="^dataset 'z' has no female records but 3 women were requested$"):
-        draw_sample(ds, 6, random_stream(1), 0.5)
-    men = NameDataset.from_columns("w", ["Ana", "Bo"], [True, False], [2, 0])
-    with pytest.raises(InfeasibleSampleError, match="^dataset 'w' has no male records but 1 men were requested$"):
-        draw_sample(men, 3, random_stream(1), 0.5)
-    assert draw_sample(men, 3, random_stream(1), 1.0).tolist() == [0, 0, 0]
-
-
 def scalar_permutation(n, stream):
     """Reference Fisher-Yates: one ``Generator.integers`` call per swap."""
     gen = np.random.Generator(stream)
@@ -407,6 +396,15 @@ def test_stratified_infeasible_without_gender_records():
     # zero women requested needs no female records at all
     sample = draw_sample(male_only, 10, random_stream(0), perc_fs=0.0)
     assert not male_only.is_female[sample].any()
+    # a gender whose records all count 0 has no one to draw: Ana is the
+    # only woman, and Bo the only man
+    zero_women = NameDataset.from_columns("z", ["Ana", "Bo", "Cy"], [True, False, False], [0, 3, 2])
+    with pytest.raises(InfeasibleSampleError, match="^dataset 'z' has no female records but 3 women were requested$"):
+        draw_sample(zero_women, 6, random_stream(1), 0.5)
+    zero_men = NameDataset.from_columns("w", ["Ana", "Bo"], [True, False], [2, 0])
+    with pytest.raises(InfeasibleSampleError, match="^dataset 'w' has no male records but 1 men were requested$"):
+        draw_sample(zero_men, 3, random_stream(1), 0.5)
+    assert draw_sample(zero_men, 3, random_stream(1), 1.0).tolist() == [0, 0, 0]
 
 
 @pytest.mark.parametrize("bad", [-0.01, 1.01])

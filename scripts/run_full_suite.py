@@ -48,11 +48,26 @@ def summarize_rnd(result, key) -> None:
         )
 
 
+def int_in(low: int, high: int | None = None):
+    """The argparse type of an integer option: at least ``low``, and below
+    ``high`` (a power of two) if given; argparse turns a bad value into a
+    usage error."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value >= high):
+            bounds = f"must be >= {low}" + ("" if high is None else f" and < 2**{high.bit_length() - 1}")
+            raise argparse.ArgumentTypeError(f"{bounds}, got {value}")
+        return value
+
+    return integer
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(REPO_ROOT / "results"), help="output root")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--seed", type=int_in(0, 2**64), default=42)
+    parser.add_argument("--jobs", type=int_in(1), default=1)
     args = parser.parse_args()
 
     fixture = REPO_ROOT / "data" / "fixture.csv"

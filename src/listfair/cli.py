@@ -25,7 +25,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 # only what argument parsing needs, none of it numpy: each command imports
@@ -157,18 +156,17 @@ def _resolve_seed(args) -> int:
     return _int_in(ENV_SEED, 0, 2**64)(env)
 
 
-def _write_report(report, as_json: bool, out: str | None) -> None:
+def _write_report(report: dict, as_json: bool, out: str | None) -> None:
     """A metric report as sorted JSON, or as one ``key value`` line per
-    scalar field in field order."""
-    fields = asdict(report)
+    scalar entry in key order."""
     with _open_out(out) as fh:
         if as_json:
             import json
 
-            json.dump(fields, fh, indent=2, sort_keys=True)
+            json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
             return
-        for key, value in fields.items():
+        for key, value in report.items():
             if isinstance(value, bool):
                 value = str(value).lower()
             elif isinstance(value, float):

@@ -64,6 +64,7 @@ GENDER_LETTERS = {"F": True, "f": True, "M": False, "m": False}
 _CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")
 
 
+# eq=False: the generated __eq__ would compare the arrays inside tuples, which raises
 @dataclass(frozen=True, eq=False)
 class NameDataset:
     """Validated, immutable name-frequency dataset, stored as columns:
@@ -80,7 +81,6 @@ class NameDataset:
     Transactions* 6(2), 1974). With M buckets, a power of two no smaller
     than the table, ``guide[b]`` is ``cdf.searchsorted(b / M, "right")``:
     where the lookup of a uniform u in [b / M, (b + 1) / M) starts.
-    Two datasets are equal when their ids and columns are.
     """
 
     id: str
@@ -93,14 +93,28 @@ class NameDataset:
     @classmethod
     def from_columns(cls, dataset_id: str, names, is_female, counts) -> "NameDataset":
         names = tuple(names)
-        # summed as Python ints, so the check sees the true total
-        total = sum(counts)
+        is_female = _read_only(np.array(is_female, dtype=bool))
+        counts = np.array(counts)
+        if not len(names) == len(is_female) == len(counts):
+            raise ValueError(
+                f"columns differ in length: {len(names)} names, {len(is_female)} flags, {len(counts)} counts"
+            )
+        # checked on the whole array, not per count: a loaded file passes every record here
+        if len(counts):  # no counts make a float64 array
+            if counts.dtype.kind not in "iu":
+                raise ValueError(f"counts must be integers, got {counts.dtype} values")
+            if counts.min() < 0:
+                raise ValueError(f"counts must be >= 0, got {counts.min()}")
+        # a float total of at most 2**54 puts the true one far below 2**63, so
+        # the int64 sum is exact for counts of any integer dtype
+        if counts.sum(dtype=np.float64) > 2 * MAX_COUNT:
+            raise ValueError("total count exceeds 2**53")
+        counts = _read_only(counts.astype(np.int64, copy=False))
+        total = int(counts.sum())
         if total > MAX_COUNT:
             raise ValueError("total count exceeds 2**53")
         if total < 1:  # also no records; every table a draw reads then has weight
             raise ValueError(f"dataset has no individuals: its counts sum to {total}")
-        is_female = _read_only(np.array(is_female, dtype=bool))
-        counts = _read_only(np.array(counts, dtype=np.int64))
         female = int(counts[is_female].sum())
         return cls(dataset_id, names, is_female, counts, total, female)
 
@@ -131,15 +145,6 @@ class NameDataset:
         within that gender, with the other gender weighted 0."""
         return (_draw_table(np.where(self.is_female, self.counts, 0)),
                 _draw_table(np.where(self.is_female, 0, self.counts)))
-
-    def __eq__(self, other):
-        if not isinstance(other, NameDataset):
-            return NotImplemented
-        return (
-            (self.id, self.names) == (other.id, other.names)
-            and np.array_equal(self.is_female, other.is_female)
-            and np.array_equal(self.counts, other.counts)
-        )
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ list files and writes curves and audits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -69,14 +68,6 @@ def _discounted_checkpoints(n: int, step: int) -> tuple[np.ndarray, np.ndarray]:
     return ks, discounts
 
 
-@dataclass(frozen=True)
-class RndCheckpoint:
-    k: int
-    discount: float
-    deviation: float
-    term: float
-
-
 def _rnd_terms(cumulative: np.ndarray, step: int):
     """Checkpoints, discounts, deviations and terms of rND from the
     running female count of a list, or of each row of a 2-D count."""
@@ -115,18 +106,11 @@ def rnd_theoretical_normalizer(n: int, n_f: int, step: int = 10) -> float:
     return float(rnd_raw_of_mask(np.stack([positions < n_f, positions >= n - n_f]), step).max())
 
 
-@dataclass(frozen=True)
-class RndReport:
-    checkpoints: tuple[RndCheckpoint, ...]
-    raw: float
-    z: float
-    mode: str
-    normalized: float
-
-
-def rnd(mask: np.ndarray, step: int = 10, z: float | None = None) -> RndReport:
+def rnd(mask: np.ndarray, step: int = 10, z: float | None = None) -> dict:
     """Full rND report for one list, given as its female mask in display
-    order.
+    order: a dict of ``checkpoints``, ``raw``, ``z``, ``mode`` and
+    ``normalized``, in that order, where each checkpoint is a dict of
+    ``k``, ``discount``, ``deviation`` and ``term``.
 
     Without ``z``, Z is the theoretical worst-arrangement bound for this
     list's size and composition (mode "theoretical"); a given z must be
@@ -135,10 +119,10 @@ def rnd(mask: np.ndarray, step: int = 10, z: float | None = None) -> RndReport:
     normalized 0 by convention.
     """
     terms = _rnd_terms(np.cumsum(mask), step)
-    checkpoints = tuple(
-        RndCheckpoint(k, discount, deviation, term)
+    checkpoints = [
+        {"k": k, "discount": discount, "deviation": deviation, "term": term}
         for k, discount, deviation, term in zip(*(a.tolist() for a in terms))
-    )
+    ]
     raw = float(_sum_terms(terms[3]))
     if z is None:
         mode, z = THEORETICAL, rnd_theoretical_normalizer(len(mask), int(mask.sum()), step)
@@ -152,15 +136,7 @@ def rnd(mask: np.ndarray, step: int = 10, z: float | None = None) -> RndReport:
     if not math.isfinite(normalized):
         # a tiny fixed z overflows the quotient; JSON has no Infinity
         raise ValueError(f"fixed normalizer {z!r} is too small: raw / Z is not finite (raw {raw!r})")
-    return RndReport(checkpoints, raw, float(z), mode, float(normalized))
-
-
-@dataclass(frozen=True)
-class ParityReport:
-    perc_f_sample: float
-    perc_f_reference: float
-    p_value: float
-    passes: bool
+    return {"checkpoints": checkpoints, "raw": raw, "z": float(z), "mode": mode, "normalized": float(normalized)}
 
 
 def binomial_two_sided_p(k: int, n: int, p: float) -> float:
@@ -168,6 +144,10 @@ def binomial_two_sided_p(k: int, n: int, p: float) -> float:
     defines it: the probability of every count no more likely than ``k``
     under Binomial(n, p), with a relative slack of 1e-7 on "no more
     likely" so that rounding cannot split ties."""
+    if not 0 <= k <= n:
+        raise ValueError(f"k={k} outside 0..{n}")
+    if not 0.0 <= p <= 1.0:  # false for NaN
+        raise ValueError(f"p must lie in [0, 1], got {p}")
     if k == p * n:
         return 1.0
     counts = np.arange(n + 1)
@@ -181,16 +161,24 @@ def binomial_two_sided_p(k: int, n: int, p: float) -> float:
     return min(1.0, float(pmf[pmf <= pmf[k] * (1 + 1e-7)].sum()))
 
 
-def statistical_parity(mask: np.ndarray, reference: float) -> ParityReport:
+def statistical_parity(mask: np.ndarray, reference: float) -> dict:
     """Two-sided exact binomial test of a list's female count, given its
-    female mask, against the reference female share; passes when
-    p >= 0.05."""
+    female mask, against the reference female share: a dict of
+    ``perc_f_sample``, ``perc_f_reference``, ``p_value`` and ``passes``
+    (p >= 0.05), in that order."""
     n = len(mask)
     if n == 0:
         raise ValueError("parity test needs at least one individual")
+    if not 0.0 <= reference <= 1.0:  # false for NaN
+        raise ValueError(f"reference must lie in [0, 1], got {reference}")
     females = int(mask.sum())
     p_value = binomial_two_sided_p(females, n, reference)
-    return ParityReport(females / n, reference, p_value, p_value >= PARITY_ALPHA)
+    return {
+        "perc_f_sample": females / n,
+        "perc_f_reference": reference,
+        "p_value": p_value,
+        "passes": p_value >= PARITY_ALPHA,
+    }
 
 
 def page_audit(names, mask: np.ndarray, k1_values, perc_fd: float) -> list[tuple[int, float, bool]]:

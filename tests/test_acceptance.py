@@ -113,7 +113,7 @@ def test_ac2_rnd_oracle_enumeration():
                 raw = rnd_raw_of_mask(sample)
                 max_seen = max(max_seen, raw)
                 ok = ok and raw <= z + 1e-12
-                normalized = rnd(sample).normalized
+                normalized = rnd(sample)["normalized"]
                 ok = ok and 0.0 <= normalized <= 1.0 + 1e-12
 
                 curve = perc_f_curve(sample)
@@ -134,7 +134,7 @@ def test_ac2_rnd_oracle_enumeration():
 def test_ac3_worst_case_hand_value():
     sample = mask_from_pattern("M" * 10 + "F" * 10)
     raw = rnd_raw_of_mask(sample)
-    normalized = rnd(sample).normalized
+    normalized = rnd(sample)["normalized"]
     ok = abs(raw - 0.150515) <= 1e-6 and normalized == pytest.approx(1.0, abs=1e-12)
     report("AC3", ok, f"N=20, n_f=10 women-last: raw={raw:.9f}, normalized={normalized}")
 

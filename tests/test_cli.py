@@ -796,9 +796,11 @@ def test_chain_commands_load_only_what_they_run(tmp_path, data_dir, argv):
     (tmp_path / "list.csv").write_text(sample_text(WORST20), encoding="utf-8")
     code, printed = 0, ""
     if isinstance(argv, str):
-        # parsing alone needs no numpy at all
+        # parsing alone needs no numpy at all, nor dataclasses and the inspect module it loads
         argv, code, printed = PARSE_ONLY[argv]
-        unneeded = UNNEEDED + ("numpy", "listfair.dataset", "listfair.metrics", "listfair.sampling")
+        unneeded = UNNEEDED + (
+            "numpy", "listfair.dataset", "listfair.metrics", "listfair.sampling", "dataclasses", "inspect"
+        )
     else:
         # only sample draws, so only sample needs numpy.random
         unneeded = UNNEEDED + (() if argv[:1] == ["sample"] else ("numpy.random",))

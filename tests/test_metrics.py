@@ -1,7 +1,6 @@
 import io
 import itertools
 import math
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -155,16 +154,16 @@ def test_worst_case_hand_value():
     assert rnd_raw_of_mask(women_last) == pytest.approx(expected, abs=1e-12)
     assert rnd_theoretical_normalizer(20, 10) == pytest.approx(expected, abs=1e-12)
     report = rnd(women_last)
-    assert report.normalized == pytest.approx(1.0, abs=1e-12)
+    assert report["normalized"] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n, n_f", [(10, 0), (10, 10), (12, 12)])
 def test_single_gender_lists_normalize_to_zero(n, n_f):
     pattern = "F" * n_f + "M" * (n - n_f)
     report = rnd(mask_from_pattern(pattern))
-    assert report.raw == 0.0
-    assert report.z == 0.0
-    assert report.normalized == 0.0
+    assert report["raw"] == 0.0
+    assert report["z"] == 0.0
+    assert report["normalized"] == 0.0
 
 
 def test_theoretical_normalizer_matches_exhaustive_enumeration():
@@ -226,13 +225,13 @@ def test_raw_never_exceeds_theoretical_normalizer(n, data):
 
 
 def test_rnd_report_json_shape():
-    report = rnd(mask_from_pattern("M" * 10 + "F" * 5))
-    payload = asdict(report)
-    assert list(payload) == ["checkpoints", "raw", "z", "mode", "normalized"]
-    assert [cp["k"] for cp in payload["checkpoints"]] == [10, 15]
-    assert set(payload["checkpoints"][0]) == {"k", "discount", "deviation", "term"}
-    assert payload["mode"] == THEORETICAL
-    assert payload["raw"] == pytest.approx(report.raw)
+    mask = mask_from_pattern("M" * 10 + "F" * 5)
+    report = rnd(mask)
+    assert list(report) == ["checkpoints", "raw", "z", "mode", "normalized"]
+    assert [cp["k"] for cp in report["checkpoints"]] == [10, 15]
+    assert [list(cp) for cp in report["checkpoints"]] == [["k", "discount", "deviation", "term"]] * 2
+    assert report["mode"] == THEORETICAL
+    assert report["raw"] == rnd_raw_of_mask(mask)
 
 
 def test_rnd_normalizer_modes():
@@ -240,11 +239,11 @@ def test_rnd_normalizer_modes():
     raw = rnd_raw_of_mask(sample)
 
     fixed = rnd(sample, z=2.0)
-    assert fixed.mode == FIXED
-    assert (fixed.z, fixed.normalized) == (2.0, pytest.approx(raw / 2.0))
+    assert fixed["mode"] == FIXED
+    assert (fixed["z"], fixed["normalized"]) == (2.0, pytest.approx(raw / 2.0))
     theoretical = rnd(sample)
-    assert theoretical.mode == THEORETICAL
-    assert theoretical.z == rnd_theoretical_normalizer(20, 10)
+    assert theoretical["mode"] == THEORETICAL
+    assert theoretical["z"] == rnd_theoretical_normalizer(20, 10)
 
     for z in (0.0, -1.0, -math.inf):
         with pytest.raises(ValueError, match=r"^fixed normalizer needs z > 0$"):
@@ -259,17 +258,17 @@ def test_parity_oracle_cases():
 
     all_male = mask_from_pattern("M" * 100)
     report = statistical_parity(all_male, reference)
-    assert not report.passes
-    assert report.p_value < 1e-20
+    assert not report["passes"]
+    assert report["p_value"] < 1e-20
 
     near = mask_from_pattern("F" * 470 + "M" * 530)
     report = statistical_parity(near, reference)
-    assert report.passes
-    assert report.p_value > 0.5
+    assert report["passes"]
+    assert report["p_value"] > 0.5
 
     exact = statistical_parity(mask_from_pattern("FM" * 50), 0.5)
-    assert exact.p_value == pytest.approx(1.0)
-    assert exact.passes
+    assert exact["p_value"] == pytest.approx(1.0)
+    assert exact["passes"]
 
 
 @st.composite
@@ -312,9 +311,27 @@ def test_parity_requires_individuals():
         statistical_parity(mask_from_pattern(""), 0.5)
 
 
+@pytest.mark.parametrize("reference", [1.5, -0.1, math.nan, math.inf])
+def test_parity_rejects_a_reference_outside_the_unit_interval(reference):
+    with pytest.raises(ValueError, match=rf"^reference must lie in \[0, 1\], got {reference}$"):
+        statistical_parity(mask_from_pattern("FM" * 10), reference)
+
+
+@pytest.mark.parametrize("k, n, p, message", [
+    (5, 3, 0.5, r"k=5 outside 0\.\.3"),
+    (-1, 3, 0.5, r"k=-1 outside 0\.\.3"),
+    (1, 3, 1.5, r"p must lie in \[0, 1\], got 1\.5"),
+    (1, 3, -0.5, r"p must lie in \[0, 1\], got -0\.5"),
+    (1, 3, math.nan, r"p must lie in \[0, 1\], got nan"),
+], ids=["k-above-n", "k-negative", "p-above-1", "p-negative", "p-nan"])
+def test_binomial_p_rejects_a_count_or_share_out_of_range(k, n, p, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        binomial_two_sided_p(k, n, p)
+
+
 def test_parity_json_shape():
-    payload = asdict(statistical_parity(mask_from_pattern("FM" * 10), 0.5))
-    assert list(payload) == ["perc_f_sample", "perc_f_reference", "p_value", "passes"]
+    report = statistical_parity(mask_from_pattern("FM" * 10), 0.5)
+    assert list(report) == ["perc_f_sample", "perc_f_reference", "p_value", "passes"]
 
 
 def audit(pattern, k1_values, perc_fd, names=None):

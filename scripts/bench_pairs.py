@@ -13,7 +13,9 @@ ones; a pair in which either run fails is counted as failed and left out.
 Prints each end-to-end metric's median [quartiles] per side and the number
 of pairs in which the change was better. ``--json PATH`` also writes the
 revisions, the seeds, every pair's metrics, the machine provenance and the
-summary to PATH. Only committed code is compared.
+summary to PATH. Only committed code is compared. A workload must be one
+that the repository's ``BENCHMARK.json`` names, and the seed range must not
+be empty; either mistake is a usage error (exit 2) before any checkout.
 
 Usage: python scripts/bench_pairs.py --parent REV --workload W [W ...] --seeds A-B [--json PATH]
 """
@@ -38,7 +40,10 @@ SIDES = ("parent", "change")
 
 def seed_range(text: str) -> range:
     first, _, last = text.partition("-")
-    return range(int(first), int(last or first) + 1)
+    seeds = range(int(first), int(last or first) + 1)
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"seed range {text} is empty")
+    return seeds
 
 
 def checkout(rev: str, dest: Path) -> None:
@@ -121,7 +126,8 @@ def print_summary(workload: str, seeds: range, summary: dict) -> None:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="revision to compare HEAD with")
-    parser.add_argument("--workload", required=True, nargs="+")
+    spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    parser.add_argument("--workload", required=True, nargs="+", choices=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--seeds", required=True, type=seed_range, help="A-B, inclusive")
     parser.add_argument("--json", type=Path, default=None,
                         help="also write the revisions, every pair and the summary to this file")
@@ -138,7 +144,6 @@ def main() -> int:
     trees = {side: work / side for side in SIDES}
     checkout(report["parent"], trees["parent"])
     checkout(report["head"], trees["change"])
-    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
 
     for workload in args.workload:
         pairs, failed = [], []

@@ -94,15 +94,18 @@ class NameDataset:
     def from_columns(cls, dataset_id: str, names, is_female, counts) -> "NameDataset":
         names = tuple(names)
         is_female = _read_only(np.array(is_female, dtype=bool))
-        counts = np.array(counts)
+        given, counts = counts, np.array(counts)
         if not len(names) == len(is_female) == len(counts):
             raise ValueError(
                 f"columns differ in length: {len(names)} names, {len(is_female)} flags, {len(counts)} counts"
             )
-        # checked on the whole array, not per count: a loaded file passes every record here
+        # checked on the whole array, not per count: the loaders pass every
+        # record here as an int64 array. numpy reads a bool among integers as
+        # 0 or 1, so the elements of any other input are looked at too
         if len(counts):  # no counts make a float64 array
-            if counts.dtype.kind not in "iu":
-                raise ValueError(f"counts must be integers, got {counts.dtype} values")
+            bools = not isinstance(given, np.ndarray) and any(isinstance(c, (bool, np.bool_)) for c in given)
+            if counts.dtype.kind not in "iu" or bools:
+                raise ValueError(f"counts must be integers, got {'bool' if bools else counts.dtype} values")
             if counts.min() < 0:
                 raise ValueError(f"counts must be >= 0, got {counts.min()}")
         # a float total of at most 2**54 puts the true one far below 2**63, so
@@ -335,7 +338,7 @@ def _checked_columns(names, genders, texts):
     male_names = set(itertools.compress(names, (~is_female).tolist()))
     if len(female_names) + len(male_names) != len(names):
         return None
-    return is_female, counts
+    return is_female, np.array(counts, dtype=np.int64)
 
 
 def _walk_rows(path, names, genders, texts, lines):
@@ -359,7 +362,7 @@ def _walk_rows(path, names, genders, texts, lines):
         _check_total(total, path, line)
         flags.append(female)
         counts.append(count)
-    return flags, counts
+    return flags, np.array(counts, dtype=np.int64)
 
 
 def write_canonical(ds: NameDataset, path) -> None:
@@ -475,5 +478,5 @@ def load_ssa_yearfiles(directory, years: tuple[int, int]) -> NameDataset:
         f"ssa_{first}_{last}",
         [name for name, _ in keys],
         [female for _, female in keys],
-        [totals[key] for key in keys],
+        np.array([totals[key] for key in keys], dtype=np.int64),
     )

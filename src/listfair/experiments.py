@@ -18,6 +18,7 @@ reserved stream range.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -229,28 +230,29 @@ def _usable_cpus() -> int | None:
     return os.cpu_count()
 
 
-# The datasets of the run in progress, by ordinal. run_datasets sets them
-# in the parent for the run's length, and the pool initializer sets them in
-# each worker, so a task names its dataset by ordinal and no task carries
-# a dataset. One run at a time per process.
-_run_datasets: list[NameDataset] | None = None
+# The datasets of a pool worker, by ordinal, set by the pool initializer
+# once, when the worker starts; empty in the calling process. A task names
+# its dataset by ordinal, so no task carries a dataset.
+_worker_datasets: list[NameDataset] = []
 
 
-def _set_run_datasets(datasets: list[NameDataset] | None) -> None:
-    global _run_datasets
-    _run_datasets = datasets
+def _start_worker(datasets: list[NameDataset]) -> None:
+    _worker_datasets[:] = datasets
 
 
-def _map_tasks(fn, tasks, jobs: int) -> list:
-    """``fn`` over ``tasks``, in task order. A pool worker receives the
-    run's datasets once, when it starts."""
+def _in_worker(fn, task):
+    return fn(_worker_datasets[task[0]], *task[1:])
+
+
+def _map_tasks(fn, datasets: list[NameDataset], tasks, jobs: int) -> list:
+    """``fn(dataset, cfg, kind, cell)`` for each ``(ordinal, cfg, kind,
+    cell)`` task, in task order, the dataset ``datasets[ordinal]``. A pool
+    worker receives ``datasets`` once, when it starts."""
     workers = _pool_size(jobs, len(tasks), _usable_cpus())
     if workers == 1:
-        return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_set_run_datasets, initargs=(_run_datasets,)
-    ) as pool:
-        return list(pool.map(fn, tasks))
+        return [fn(datasets[ordinal], *rest) for ordinal, *rest in tasks]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker, initargs=(datasets,)) as pool:
+        return list(pool.map(functools.partial(_in_worker, fn), tasks))
 
 
 def _blocks(ds: NameDataset, cfg: ExperimentConfig, kind: str, code: int, n: int, perc_fs: float | None = None):
@@ -326,11 +328,7 @@ def run_datasets(kind: str, datasets, cfg: ExperimentConfig, jobs: int = 1) -> E
         # tables, it raised the peak memory of a 100k-record run by 3 MB.
         # Only rnd_grid draws stratified samples, from strata.
         ds.rank, ds.strata if kind == RND_GRID else ds.cdf
-    _set_run_datasets(datasets)
-    try:
-        outputs = iter(_map_tasks(fn, tasks, jobs))
-    finally:
-        _set_run_datasets(None)
+    outputs = iter(_map_tasks(fn, datasets, tasks, jobs))
     per_dataset = [[next(outputs) for _ in cells] for _ in datasets]
 
     if kind == PERCF:
@@ -362,16 +360,14 @@ def run_experiment(kind: str, cfg: ExperimentConfig, out_dir=None, jobs: int = 1
 # ---------------------------------------------------------------------------
 
 
-def _percf_chunk(task) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw all of a dataset's percf samples and bootstrap the random
-    ordering's mean at the positions ``ks``.
+def _percf_chunk(ds: NameDataset, cfg: ExperimentConfig, kind: str, ks: range) -> tuple[np.ndarray, ...]:
+    """Draw all of the dataset ``ds``'s percf samples and bootstrap the
+    random ordering's mean at the positions ``ks``.
 
     Every task redraws the same samples from their own streams. Returns
     the random and alphabetical curves restricted to ``ks`` (one row per
     sample), and the interval bounds as a (2, len(ks)) array.
     """
-    ordinal, cfg, kind, ks = task
-    ds = _run_datasets[ordinal]
     random_curves = np.empty((cfg.samples_per_cell, len(ks)))
     alpha_curves = np.empty_like(random_curves)
     columns = slice(ks.start - 1, ks.stop - 1)
@@ -460,10 +456,10 @@ def _rnd_cell_key(kind: str) -> str:
     return "perc_fs" if kind == RND_GRID else "n"
 
 
-def _rnd_cell(task) -> tuple[np.ndarray, np.ndarray]:
-    """The female count and raw rND of one cell's samples, in sample order."""
-    ordinal, cfg, kind, (cell, n, perc_fs, code) = task
-    ds = _run_datasets[ordinal]
+def _rnd_cell(ds: NameDataset, cfg: ExperimentConfig, kind: str, cell) -> tuple[np.ndarray, np.ndarray]:
+    """The female count and raw rND of one cell's samples of the dataset
+    ``ds``, in sample order."""
+    value, n, perc_fs, code = cell
     n_f = np.empty(cfg.samples_per_cell, dtype=np.int64)
     raw = np.empty(cfg.samples_per_cell)
     try:
@@ -474,7 +470,7 @@ def _rnd_cell(task) -> tuple[np.ndarray, np.ndarray]:
             n_f[rows] = alphabetical.sum(axis=1)
             raw[rows] = rnd_raw_of_mask(alphabetical, cfg.step)
     except (InfeasibleSampleError, SampleTooSmallError) as exc:
-        raise type(exc)(f"cell {_rnd_cell_key(kind)}={cell}: {exc}") from None
+        raise type(exc)(f"cell {_rnd_cell_key(kind)}={value}: {exc}") from None
     return n_f, raw
 
 

@@ -30,10 +30,21 @@ from listfair.ordering import sort_alphabetical
 PARITY_ALPHA = 0.05
 
 
+def _bool_mask(mask) -> np.ndarray:
+    """``mask`` as an array, which must have bool dtype: the sums would
+    count any other entries by value, giving ``[2, 0, 1]`` the curve
+    ``[2.0, 1.0, 1.0]``."""
+    mask = np.asarray(mask)
+    if mask.dtype != bool:
+        raise ValueError(f"mask must have bool dtype, got {mask.dtype}")
+    return mask
+
+
 def perc_f_curve(mask: np.ndarray) -> np.ndarray:
     """Female share of positions 1..k for every k, from the female mask
     of a list in display order; ``curve[k - 1]`` is ``Perc_f(k)``. A 2-D
     mask holds one list per row and gives one curve per row."""
+    mask = _bool_mask(mask)
     n = mask.shape[-1]
     if n == 0:
         raise ValueError("curve needs at least one individual")
@@ -88,7 +99,7 @@ def rnd_raw_of_mask(mask: np.ndarray, step: int = 10) -> float | np.ndarray:
     """Raw (unnormalized) discounted deviation sum of a list given as its
     female mask in display order; for a 2-D mask, an array of the raw
     value of each row."""
-    raw = _sum_terms(_rnd_terms(np.cumsum(mask, axis=-1), step)[3])
+    raw = _sum_terms(_rnd_terms(np.cumsum(_bool_mask(mask), axis=-1), step)[3])
     return raw if raw.ndim else float(raw)
 
 
@@ -118,6 +129,7 @@ def rnd(mask: np.ndarray, step: int = 10, z: float | None = None) -> dict:
     finite. A theoretical Z of zero (a single-gender list) reports a
     normalized 0 by convention.
     """
+    mask = _bool_mask(mask)
     terms = _rnd_terms(np.cumsum(mask), step)
     checkpoints = [
         {"k": k, "discount": discount, "deviation": deviation, "term": term}
@@ -166,6 +178,7 @@ def statistical_parity(mask: np.ndarray, reference: float) -> dict:
     female mask, against the reference female share: a dict of
     ``perc_f_sample``, ``perc_f_reference``, ``p_value`` and ``passes``
     (p >= 0.05), in that order."""
+    mask = _bool_mask(mask)
     n = len(mask)
     if n == 0:
         raise ValueError("parity test needs at least one individual")
@@ -187,8 +200,17 @@ def page_audit(names, mask: np.ndarray, k1_values, perc_fd: float) -> list[tuple
     ``names`` and the female ``mask`` describe the list in any order. For
     each distinct page size k1, in ascending order, gives ``(k1, share,
     below)``: the female share of sorted positions 1..k1, and whether it
-    is under the expected share ``perc_fd``.
+    is under the expected share ``perc_fd``, a share in [0, 1].
     """
+    mask = _bool_mask(mask)
+    if len(mask) != len(names):
+        raise ValueError(f"mask has {len(mask)} entries for {len(names)} names")
+    if not 0.0 <= perc_fd <= 1.0:  # false for NaN
+        raise ValueError(f"perc_fd must lie in [0, 1], got {perc_fd}")
+    k1_values = list(k1_values)
+    for k1 in k1_values:
+        if not isinstance(k1, (int, np.integer)) or isinstance(k1, bool):
+            raise ValueError(f"page size k1 must be an integer, got {k1!r}")
     curve = perc_f_curve(mask[sort_alphabetical(names)])
     rows = []
     for k1 in sorted(set(k1_values)):

@@ -36,8 +36,8 @@ def nadaraya_watson(x, y, grid, bandwidth: float) -> np.ndarray:
         raise ValueError("x, y and grid must be 1-d arrays, x and y of equal length")
     if not all(np.isfinite(values).all() for values in (x, y, grid)):
         raise ValueError("x, y and grid values must be finite")
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not 0.0 < bandwidth < np.inf:  # false for NaN
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
     if len(x) == 0:
         raise ValueError("regression needs at least one data point")
     # a block of grid points at a time, so that memory is bounded by BLOCK
@@ -90,6 +90,8 @@ def bootstrap_ci(
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("bootstrap needs at least one value")
+    if not np.isfinite(values).all():
+        raise ValueError("bootstrap values must be finite")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
     if resamples < 1:

@@ -89,3 +89,19 @@ def test_checkouts_are_compiled_to_bytecode(bench_pairs, tmp_path, monkeypatch):
     for name in sources:
         assert Path(importlib.util.cache_from_source(str(dest / name))).is_file(), name
     assert (dest / ".bench_cache").resolve() == tmp_path / "repo" / ".bench_cache"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--workload", "percf", "--seeds", "10-1"], "argument --seeds: seed range 10-1 is empty"),
+    (["--workload", "percf", "nope", "--seeds", "1-2"], "argument --workload: invalid choice: 'nope'"),
+], ids=["empty-seed-range", "unknown-workload"])
+def test_bad_seeds_or_workload_is_a_usage_error_before_any_checkout(bench_pairs, monkeypatch, capsys, argv, message):
+    def no_checkout(*args):
+        raise AssertionError("a checkout was made")
+
+    monkeypatch.setattr(bench_pairs, "checkout", no_checkout)
+    monkeypatch.setattr(bench_pairs.sys, "argv", ["bench_pairs.py", "--parent", "HEAD", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main()
+    assert exit_.value.code == 2
+    assert message in capsys.readouterr().err

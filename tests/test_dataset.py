@@ -142,12 +142,15 @@ def test_from_columns_rejects_empty():
     (["A", "B", "C"], [True, False, False], [-1, 3, 2], "counts must be >= 0, got -1"),
     (["A", "B"], [True, False], [1.5, 2.7], "counts must be integers, got float64 values"),
     (["A", "B"], [True, False], [True, True], "counts must be integers, got bool values"),
+    (["A", "B"], [True, False], [True, 2], "counts must be integers, got bool values"),
+    (["A", "B"], [True, False], (3, np.True_), "counts must be integers, got bool values"),
     (["A", "B"], [True, False, True], [1, 2], "columns differ in length: 2 names, 3 flags, 2 counts"),
     (["A", "B"], [True, False], [1, 2, 3], "columns differ in length: 2 names, 2 flags, 3 counts"),
     (["A", "B", "C"], [True, False], [1, 2, 3], "columns differ in length: 3 names, 2 flags, 3 counts"),
     (["A", "B"], [True, False], [2**53, 1], "total count exceeds 2**53"),
     (["A", "B"], [True, False], np.array([2**63, 2**63], np.uint64), "total count exceeds 2**53"),
-], ids=["negative", "float", "bool", "more-flags", "more-counts", "more-names", "total", "uint64-total"])
+], ids=["negative", "float", "bool", "bool-among-ints", "numpy-bool-among-ints", "more-flags", "more-counts",
+        "more-names", "total", "uint64-total"])
 def test_from_columns_rejects_bad_counts_and_ragged_columns(names, is_female, counts, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         NameDataset.from_columns("bad", names, is_female, counts)

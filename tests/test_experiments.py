@@ -218,9 +218,9 @@ def test_percf_parallel_matches_serial(monkeypatch):
     ranges = []
     real_map = experiments._map_tasks
 
-    def spying_map(fn, tasks, jobs):
+    def spying_map(fn, datasets, tasks, jobs):
         ranges.append([task[3] for task in tasks])
-        return real_map(fn, tasks, jobs)
+        return real_map(fn, datasets, tasks, jobs)
 
     monkeypatch.setattr(experiments, "_map_tasks", spying_map)
     for n in (40, 7):
@@ -368,17 +368,13 @@ def test_sample_blocks_match_one_sample_at_a_time(kind):
     drawn = np.concatenate([masks for _, masks, _ in blocks])
     alphabetical = np.concatenate([masks for _, _, masks in blocks])
     assert drawn.dtype == alphabetical.dtype == bool
-    experiments._set_run_datasets([ds])
-    try:
-        if kind == PERCF:
-            random_curves, alpha_curves, _ = experiments._percf_chunk((0, cfg, kind, range(1, n + 1)))
-            assert len(random_curves) == len(alpha_curves) == 12
-        else:
-            cell = (share if kind == RND_GRID else n, n, perc_fs, code)
-            n_f, raw = experiments._rnd_cell((0, cfg, kind, cell))
-            assert len(n_f) == len(raw) == 12
-    finally:
-        experiments._set_run_datasets(None)
+    if kind == PERCF:
+        random_curves, alpha_curves, _ = experiments._percf_chunk(ds, cfg, kind, range(1, n + 1))
+        assert len(random_curves) == len(alpha_curves) == 12
+    else:
+        cell = (share if kind == RND_GRID else n, n, perc_fs, code)
+        n_f, raw = experiments._rnd_cell(ds, cfg, kind, cell)
+        assert len(n_f) == len(raw) == 12
     for i in range(12):
         stream = random_stream(cfg.seed, sample_stream(kind, code, i))
         indices = reference_draw_sample(ds, n, stream, perc_fs).tolist()
@@ -415,9 +411,9 @@ def test_two_datasets_in_one_run(kind):
 def test_one_pool_map_per_run_and_no_theoretical_z_outside_its_scope(monkeypatch, two_cpus, scope):
     maps = []
 
-    def counting_map(fn, tasks, jobs):
+    def counting_map(fn, datasets, tasks, jobs):
         maps.append(len(tasks))
-        return [fn(task) for task in tasks]
+        return [fn(datasets[ordinal], *rest) for ordinal, *rest in tasks]
 
     def forbidden(*args):
         raise AssertionError("theoretical Z computed outside its scope")
@@ -447,9 +443,9 @@ def test_jobs_beyond_the_affinity_mask_start_no_pool(monkeypatch):
     ranges = []
     real_map = experiments._map_tasks
 
-    def spying_map(fn, tasks, jobs):
+    def spying_map(fn, datasets, tasks, jobs):
         ranges.append([task[3] for task in tasks])
-        return real_map(fn, tasks, jobs)
+        return real_map(fn, datasets, tasks, jobs)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(experiments, "_map_tasks", spying_map)
@@ -469,9 +465,9 @@ def test_percf_makes_one_range_per_worker_started(monkeypatch, two_cpus):
     ranges = []
     real_map = experiments._map_tasks
 
-    def spying_map(fn, tasks, jobs):
+    def spying_map(fn, datasets, tasks, jobs):
         ranges.append([task[3] for task in tasks])
-        return real_map(fn, tasks, jobs)
+        return real_map(fn, datasets, tasks, jobs)
 
     monkeypatch.setattr(experiments, "_map_tasks", spying_map)
     cfg = small_config()
@@ -493,9 +489,9 @@ def test_pool_task_size_does_not_grow_with_the_dataset(monkeypatch, two_cpus, ki
     sizes = []
     real_map = experiments._map_tasks
 
-    def measuring_map(fn, tasks, jobs):
+    def measuring_map(fn, datasets, tasks, jobs):
         sizes.append([len(pickle.dumps(task, pickle.HIGHEST_PROTOCOL)) for task in tasks])
-        return real_map(fn, tasks, jobs)
+        return real_map(fn, datasets, tasks, jobs)
 
     monkeypatch.setattr(experiments, "_map_tasks", measuring_map)
     tiny = generated_dataset(10, "tiny")
@@ -506,21 +502,46 @@ def test_pool_task_size_does_not_grow_with_the_dataset(monkeypatch, two_cpus, ki
     assert max(sizes[1]) < 1000
 
 
-def test_run_datasets_are_set_for_the_run_only(monkeypatch):
+def test_the_calling_process_keeps_no_run_state(monkeypatch, two_cpus):
+    # only a pool worker holds datasets, from the initializer; the calling
+    # process hands each task its dataset, and keeps none after the run
     seen = []
     real_map = experiments._map_tasks
 
-    def spying_map(fn, tasks, jobs):
-        seen.append([ds.id for ds in experiments._run_datasets])
-        return real_map(fn, tasks, jobs)
+    def spying_map(fn, datasets, tasks, jobs):
+        seen.append([ds.id for ds in datasets])
+        return real_map(fn, datasets, tasks, jobs)
 
     monkeypatch.setattr(experiments, "_map_tasks", spying_map)
-    run_datasets(RND_SIZE, [SMALL_DATASET, OTHER_DATASET], small_config(), jobs=2)
-    assert seen == [["small", "other"]]
-    assert experiments._run_datasets is None
+    for jobs in (1, 2):
+        run_datasets(RND_SIZE, [SMALL_DATASET, OTHER_DATASET], small_config(), jobs=jobs)
+        assert experiments._worker_datasets == []
+    assert seen == [["small", "other"]] * 2
     with pytest.raises(SampleTooSmallError):
-        run_datasets(RND_SIZE, [SMALL_DATASET], small_config(size_grid=[5, 40]))
-    assert experiments._run_datasets is None
+        run_datasets(RND_SIZE, [SMALL_DATASET], small_config(size_grid=[5, 40]), jobs=2)
+    assert experiments._worker_datasets == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_run_started_inside_a_task_leaves_the_outer_run_alone(monkeypatch, kind):
+    # the first task starts a run of its own, on other datasets and of
+    # another kind, before it does its own work
+    name = "_percf_chunk" if kind == PERCF else "_rnd_cell"
+    real_task = getattr(experiments, name)
+    cfg = small_config()
+    plain = run_datasets(kind, [SMALL_DATASET, OTHER_DATASET], cfg, jobs=1)
+    inner_kind = RND_SIZE if kind == PERCF else PERCF
+    inner_plain = run_datasets(inner_kind, [OTHER_DATASET], cfg)
+    nested = []
+
+    def nesting_task(*args):
+        if not nested:
+            nested.append(run_datasets(inner_kind, [OTHER_DATASET], cfg))
+        return real_task(*args)
+
+    monkeypatch.setattr(experiments, name, nesting_task)
+    assert run_datasets(kind, [SMALL_DATASET, OTHER_DATASET], cfg) == plain
+    assert nested == [inner_plain]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -565,7 +586,8 @@ def test_run_builds_only_the_draw_table_of_its_kind(kind, unused):
     assert unused not in fresh.__dict__
 
 
-def test_spawned_workers_receive_the_datasets(monkeypatch, two_cpus):
+@pytest.mark.parametrize("kind", KINDS)
+def test_spawned_workers_receive_the_datasets(monkeypatch, two_cpus, kind):
     # a spawned worker inherits no module state: the datasets reach it only
     # through the pool initializer
     spawn = multiprocessing.get_context("spawn")
@@ -573,8 +595,8 @@ def test_spawned_workers_receive_the_datasets(monkeypatch, two_cpus):
         experiments, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=spawn)
     )
     cfg = small_config()
-    serial = run_datasets(RND_GRID, [SMALL_DATASET, OTHER_DATASET], cfg, jobs=1)
-    assert run_datasets(RND_GRID, [SMALL_DATASET, OTHER_DATASET], cfg, jobs=2) == serial
+    serial = run_datasets(kind, [SMALL_DATASET, OTHER_DATASET], cfg, jobs=1)
+    assert run_datasets(kind, [SMALL_DATASET, OTHER_DATASET], cfg, jobs=2) == serial
 
 
 @pytest.mark.parametrize("scope", [PER_BATCH, GLOBAL, THEORETICAL])

@@ -367,6 +367,35 @@ def test_page_audit_validation():
         audit("FMFM", (0,), 0.5)
 
 
+@pytest.mark.parametrize("mask, k1_values, perc_fd, message", [
+    ("FMFM", (2,), math.nan, r"perc_fd must lie in \[0, 1\], got nan"),
+    ("FMFM", (2,), -0.1, r"perc_fd must lie in \[0, 1\], got -0\.1"),
+    ("FMFM", (2,), 1.5, r"perc_fd must lie in \[0, 1\], got 1\.5"),
+    ("FMFMF", (2,), 0.5, "mask has 5 entries for 4 names"),
+    ("FMF", (2,), 0.5, "mask has 3 entries for 4 names"),
+    ("FMFM", (2, 1.5), 0.5, r"page size k1 must be an integer, got 1\.5"),
+    ("FMFM", (True,), 0.5, "page size k1 must be an integer, got True"),
+], ids=["perc-fd-nan", "perc-fd-negative", "perc-fd-above-1", "mask-longer", "mask-shorter", "k1-float", "k1-bool"])
+def test_page_audit_rejects_bad_arguments(mask, k1_values, perc_fd, message):
+    names = [f"P{i:04d}" for i in range(4)]
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        page_audit(names, mask_from_pattern(mask), k1_values, perc_fd)
+
+
+@pytest.mark.parametrize("call", [
+    lambda mask: perc_f_curve(mask),
+    lambda mask: rnd_raw_of_mask(mask, 2),
+    lambda mask: rnd(mask, 2),
+    lambda mask: statistical_parity(mask, 0.5),
+    lambda mask: page_audit(["Ana", "Bo", "Cy"], mask, (1,), 0.5),
+], ids=["perc_f_curve", "rnd_raw_of_mask", "rnd", "statistical_parity", "page_audit"])
+@pytest.mark.parametrize("mask", [np.array([2, 0, 1], dtype=np.int64), np.array([1.0, 0.0, 1.0])], ids=["int", "float"])
+def test_masks_must_have_bool_dtype(call, mask):
+    # an integer array read as a mask gave perc_f_curve [2.0, 1.0, 1.0]
+    with pytest.raises(ValueError, match=f"^mask must have bool dtype, got {mask.dtype}$"):
+        call(mask)
+
+
 def test_dump_audit_rows_format():
     buf = io.StringIO()
     dump_audit_rows("L", 4, 0.5, audit("MMFF", (2, 4), 0.5), buf)

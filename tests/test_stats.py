@@ -187,6 +187,20 @@ def test_bootstrap_validation():
         bootstrap_ci([1.0], resamples=0, rng=random_stream(0))
 
 
+@pytest.mark.parametrize("values", [[np.inf, 1.0], [1.0, -np.inf], [np.nan, 1.0]], ids=["inf", "-inf", "nan"])
+def test_bootstrap_rejects_values_that_are_not_finite(values):
+    # an infinity warned in the quantile and a NaN gave a (nan, nan) interval
+    with pytest.raises(ValueError, match="^bootstrap values must be finite$"):
+        bootstrap_ci(values, rng=random_stream(0))
+
+
+@pytest.mark.parametrize("bandwidth", [np.nan, np.inf, 0.0, -1.0])
+def test_regression_rejects_a_bandwidth_that_is_not_finite_and_positive(bandwidth):
+    # a NaN bandwidth gave [nan], an infinite one the plain mean of y
+    with pytest.raises(ValueError, match=rf"^bandwidth must be positive and finite, got {bandwidth}$"):
+        nadaraya_watson([0.0, 1.0], [1.0, 2.0], [0.5], bandwidth)
+
+
 @st.composite
 def bootstrap_shapes(draw):
     """A size below, at or above BLOCK, and a resample count spanning

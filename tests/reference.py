@@ -97,7 +97,7 @@ def percf_rows(ds, cfg):
     nw_alpha = smoothed(ks, mean_alpha, cfg.bandwidth)
     curves = []
     for k in ks:
-        low, high = interval(np.ascontiguousarray(random_curves[:, k - 1]), cfg.seed, "percf", k)
+        low, high = interval(random_curves[:, k - 1], cfg.seed, "percf", k)
         curves.append({
             "dataset": ds.id, "k": k, "mean_random": float(mean_random[k - 1]), "ci_low_random": low,
             "ci_high_random": high, "mean_alphabetical": float(mean_alpha[k - 1]),

@@ -14,8 +14,9 @@ Prints each end-to-end metric's median [quartiles] per side and the number
 of pairs in which the change was better. ``--json PATH`` also writes the
 revisions, the seeds, every pair's metrics, the machine provenance and the
 summary to PATH. Only committed code is compared. A workload must be one
-that the repository's ``BENCHMARK.json`` names, and the seed range must not
-be empty; either mistake is a usage error (exit 2) before any checkout.
+that the repository's ``BENCHMARK.json`` names, the seed range must not be
+empty, REV must name a commit and the ``--json`` file's directory must
+exist; each mistake is a usage error (exit 2) before any checkout.
 
 Usage: python scripts/bench_pairs.py --parent REV --workload W [W ...] --seeds A-B [--json PATH]
 """
@@ -61,12 +62,13 @@ def checkout(rev: str, dest: Path) -> None:
     subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=dest, check=True)
 
 
-def revision(rev: str) -> str:
+def revision(rev: str) -> str | None:
+    """The commit ``rev`` names, or None if it names none."""
     done = subprocess.run(
-        ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
-        cwd=REPO_ROOT, capture_output=True, text=True, check=True,
+        ["git", "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"],
+        cwd=REPO_ROOT, capture_output=True, text=True,
     )
-    return done.stdout.strip()
+    return done.stdout.strip() if done.returncode == 0 else None
 
 
 def run(tree: Path, workload: str, seed: int) -> tuple[dict, dict] | None:
@@ -132,9 +134,14 @@ def main() -> int:
     parser.add_argument("--json", type=Path, default=None,
                         help="also write the revisions, every pair and the summary to this file")
     args = parser.parse_args()
+    if args.json is not None and not args.json.parent.is_dir():
+        parser.error(f"argument --json: directory {args.json.parent} does not exist")
+    parent = revision(args.parent)
+    if parent is None:
+        parser.error(f"argument --parent: {args.parent} names no commit")
 
     report = {
-        "parent": revision(args.parent),
+        "parent": parent,
         "head": revision("HEAD"),
         "seeds": list(args.seeds),
         "provenance": {},

@@ -37,9 +37,9 @@ class MissingYearError(ListFairError):
     all, which is more than ``len(years)`` when a long span was cut short.
     """
 
-    def __init__(self, years, count: int | None = None):
+    def __init__(self, years, count: int):
         self.years = sorted(years)
-        self.count = len(self.years) if count is None else count
+        self.count = count
         message = "missing year files: " + ", ".join(str(y) for y in self.years)
         if self.count > len(self.years):
             message += f" and {self.count - len(self.years)} more"

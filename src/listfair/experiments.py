@@ -28,6 +28,10 @@ from pathlib import Path
 
 import numpy as np
 import numpy.random  # noqa: F401  loaded before workers fork, so that they share its pages
+# np.quantile and np.unique import numpy.ma on first use, about 13 ms:
+# imported here, once, forked workers inherit it, and a plain experiment
+# process pays it at import instead of at its first quantile
+import numpy.ma  # noqa: F401
 
 from listfair import MAX_SAMPLE_SIZE, THEORETICAL, stats
 from listfair.dataset import NameDataset, load_canonical, write_rows
@@ -344,14 +348,12 @@ def run_datasets(kind: str, datasets, cfg: ExperimentConfig, jobs: int = 1) -> E
     return result
 
 
-def run_experiment(kind: str, cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> ExperimentResult:
+def run_experiment(kind: str, cfg: ExperimentConfig, out_dir, jobs: int = 1) -> ExperimentResult:
     """Load the configured datasets, run one experiment kind over all of
-    them (:func:`run_datasets`), and (optionally) write the result
-    directory."""
+    them (:func:`run_datasets`), and write the result directory."""
     cfg.validate(require_paths=True)
     result = run_datasets(kind, [load_canonical(path) for path in cfg.dataset_paths], cfg, jobs)
-    if out_dir is not None:
-        write_result(result, out_dir)
+    write_result(result, out_dir)
     return result
 
 

@@ -30,21 +30,31 @@ from listfair.ordering import sort_alphabetical
 PARITY_ALPHA = 0.05
 
 
-def _bool_mask(mask) -> np.ndarray:
-    """``mask`` as an array, which must have bool dtype: the sums would
+def _bool_mask(mask, block: bool = False) -> np.ndarray:
+    """``mask`` as an array, which must have bool dtype, as the sums would
     count any other entries by value, giving ``[2, 0, 1]`` the curve
-    ``[2.0, 1.0, 1.0]``."""
+    ``[2.0, 1.0, 1.0]``. It must be one list (1-D) or, where ``block``,
+    one list per row (2-D)."""
     mask = np.asarray(mask)
     if mask.dtype != bool:
         raise ValueError(f"mask must have bool dtype, got {mask.dtype}")
+    if not (mask.ndim == 1 or (block and mask.ndim == 2)):
+        raise ValueError(f"mask must be {'1-D or 2-D' if block else '1-D'}, got {mask.ndim} dimensions")
     return mask
+
+
+def _integer(value, name: str):
+    """``value``, which must be an integer and not a bool."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def perc_f_curve(mask: np.ndarray) -> np.ndarray:
     """Female share of positions 1..k for every k, from the female mask
     of a list in display order; ``curve[k - 1]`` is ``Perc_f(k)``. A 2-D
     mask holds one list per row and gives one curve per row."""
-    mask = _bool_mask(mask)
+    mask = _bool_mask(mask, block=True)
     n = mask.shape[-1]
     if n == 0:
         raise ValueError("curve needs at least one individual")
@@ -55,7 +65,7 @@ def rnd_checkpoints(n: int, step: int = 10) -> list[int]:
     """Checkpoint positions: step, 2*step, ..., plus N when N is not a
     multiple of the step. The step must be at least 2, since checkpoint
     k = 1 would be discounted by 1/log2(1)."""
-    if step < 2:
+    if _integer(step, "step") < 2:
         raise ValueError(f"step must be >= 2, got {step}")
     if n < step:
         raise SampleTooSmallError(
@@ -67,7 +77,9 @@ def rnd_checkpoints(n: int, step: int = 10) -> list[int]:
     return ks
 
 
-@lru_cache(maxsize=256)
+# typed, so that a float step equal to a cached integer one still reaches
+# rnd_checkpoints' check
+@lru_cache(maxsize=256, typed=True)
 def _discounted_checkpoints(n: int, step: int) -> tuple[np.ndarray, np.ndarray]:
     ks = rnd_checkpoints(n, step)
     # math.log2 per k, not np.log2: the two differ in the last bit for
@@ -99,7 +111,7 @@ def rnd_raw_of_mask(mask: np.ndarray, step: int = 10) -> float | np.ndarray:
     """Raw (unnormalized) discounted deviation sum of a list given as its
     female mask in display order; for a 2-D mask, an array of the raw
     value of each row."""
-    raw = _sum_terms(_rnd_terms(np.cumsum(_bool_mask(mask), axis=-1), step)[3])
+    raw = _sum_terms(_rnd_terms(np.cumsum(_bool_mask(mask, block=True), axis=-1), step)[3])
     return raw if raw.ndim else float(raw)
 
 
@@ -111,6 +123,7 @@ def rnd_theoretical_normalizer(n: int, n_f: int, step: int = 10) -> float:
     the degenerate single-gender cases (n_f of 0 or n) every arrangement
     scores 0 and the normalizer is 0; callers report a normalized 0.
     """
+    n, n_f = _integer(n, "n"), _integer(n_f, "n_f")
     if not 0 <= n_f <= n:
         raise ValueError(f"n_f={n_f} outside 0..{n}")
     positions = np.arange(n)
@@ -207,10 +220,7 @@ def page_audit(names, mask: np.ndarray, k1_values, perc_fd: float) -> list[tuple
         raise ValueError(f"mask has {len(mask)} entries for {len(names)} names")
     if not 0.0 <= perc_fd <= 1.0:  # false for NaN
         raise ValueError(f"perc_fd must lie in [0, 1], got {perc_fd}")
-    k1_values = list(k1_values)
-    for k1 in k1_values:
-        if not isinstance(k1, (int, np.integer)) or isinstance(k1, bool):
-            raise ValueError(f"page size k1 must be an integer, got {k1!r}")
+    k1_values = [_integer(k1, "page size k1") for k1 in k1_values]
     curve = perc_f_curve(mask[sort_alphabetical(names)])
     rows = []
     for k1 in sorted(set(k1_values)):

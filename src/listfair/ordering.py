@@ -17,9 +17,6 @@ import numpy as np
 
 def collation_key(name: str) -> str:
     """Case- and accent-insensitive sort key for a name."""
-    if name.isascii():
-        # ASCII is already in NFD and has no combining marks
-        return name.upper()
     decomposed = unicodedata.normalize("NFD", name)
     stripped = "".join(ch for ch in decomposed if unicodedata.category(ch) != "Mn")
     return stripped.upper()
@@ -44,7 +41,7 @@ def dense_rank(keys) -> np.ndarray:
 
 def collation_ranks(names) -> np.ndarray:
     """Dense rank of each name's collation key."""
-    # collation_key's ASCII fast path, inline
+    # ASCII is already in NFD and has no combining marks: its key is upper()
     return dense_rank([name.upper() if name.isascii() else collation_key(name) for name in names])
 
 

@@ -38,17 +38,11 @@ from listfair.streams import bounded, uniforms
 from listfair.dataset import read_sample_csv  # noqa: F401
 
 
-def round_half_up(x) -> int:
-    """Round to the nearest integer, with .5 going up; exact for a
-    :class:`~fractions.Fraction`."""
-    return math.floor(x + Fraction(1, 2))
-
-
 def stratified_female_count(perc_fs: float, n: int) -> int:
     """Women in a stratified sample of ``n``: ``perc_fs * n`` rounded half
     up, computed exactly on the decimal the share is written as, so
     0.29 * 50 gives 15 although the float product is 14.4999..."""
-    return round_half_up(Fraction(str(perc_fs)) * n)
+    return math.floor(Fraction(str(perc_fs)) * n + Fraction(1, 2))
 
 
 def lookup(table: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:

@@ -66,6 +66,8 @@ def nadaraya_watson(x, y, grid, bandwidth: float) -> np.ndarray:
 def silverman_bandwidth(xs) -> float:
     """Rule-of-thumb bandwidth 1.06 * sd * n^(-1/5) (sd with ddof=1)."""
     xs = np.asarray(xs, dtype=float)
+    if not np.isfinite(xs).all():
+        raise ValueError("xs values must be finite")
     if np.unique(xs).size < 2:
         raise ValueError("bandwidth rule needs at least two distinct values")
     return float(1.06 * xs.std(ddof=1) * len(xs) ** -0.2)

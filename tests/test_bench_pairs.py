@@ -92,16 +92,23 @@ def test_checkouts_are_compiled_to_bytecode(bench_pairs, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--workload", "percf", "--seeds", "10-1"], "argument --seeds: seed range 10-1 is empty"),
-    (["--workload", "percf", "nope", "--seeds", "1-2"], "argument --workload: invalid choice: 'nope'"),
-], ids=["empty-seed-range", "unknown-workload"])
-def test_bad_seeds_or_workload_is_a_usage_error_before_any_checkout(bench_pairs, monkeypatch, capsys, argv, message):
+    (["--parent", "HEAD", "--workload", "percf", "--seeds", "10-1"], "argument --seeds: seed range 10-1 is empty"),
+    (["--parent", "HEAD", "--workload", "percf", "nope", "--seeds", "1-2"],
+     "argument --workload: invalid choice: 'nope'"),
+    (["--parent", "nosuchrev", "--workload", "percf", "--seeds", "1-2"], "argument --parent: nosuchrev names no commit"),
+    (["--parent", "HEAD", "--workload", "percf", "--seeds", "1-2", "--json", "{tmp}/missing/pairs.json"],
+     "argument --json: directory {tmp}/missing does not exist"),
+], ids=["empty-seed-range", "unknown-workload", "unknown-parent", "json-directory-missing"])
+def test_bad_seeds_or_workload_is_a_usage_error_before_any_checkout(
+    bench_pairs, monkeypatch, capsys, tmp_path, argv, message
+):
     def no_checkout(*args):
         raise AssertionError("a checkout was made")
 
     monkeypatch.setattr(bench_pairs, "checkout", no_checkout)
-    monkeypatch.setattr(bench_pairs.sys, "argv", ["bench_pairs.py", "--parent", "HEAD", *argv])
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    monkeypatch.setattr(bench_pairs.sys, "argv", ["bench_pairs.py", *argv])
     with pytest.raises(SystemExit) as exit_:
         bench_pairs.main()
     assert exit_.value.code == 2
-    assert message in capsys.readouterr().err
+    assert message.format(tmp=tmp_path) in capsys.readouterr().err

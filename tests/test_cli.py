@@ -760,7 +760,7 @@ def test_module_entry_point_runs():
 
 
 # modules that no command of the checking chain needs
-UNNEEDED = ("listfair.experiments", "listfair.stats", "concurrent.futures.process")
+UNNEEDED = ("listfair.experiments", "listfair.stats", "concurrent.futures.process", "numpy.ma")
 # prints the unneeded modules loaded by importing the CLI and running argv
 LOADED = """
 import sys

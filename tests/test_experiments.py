@@ -617,7 +617,7 @@ def test_global_scope_shares_one_z_across_datasets(tmp_path):
     cfg = small_config(
         dataset_paths=[str(path_a), str(path_b)], normalizer_scope=GLOBAL
     )
-    result = run_experiment(RND_GRID, cfg)
+    result = run_experiment(RND_GRID, cfg, tmp_path / "run")
     zs = {r["z"] for r in result.records}
     assert zs == {max(r["raw"] for r in result.records)}
     assert {r["dataset"] for r in result.records} == {"small", "other"}
@@ -650,10 +650,10 @@ def test_run_experiment_validates_kind_and_ids(tmp_path):
     write_canonical(SMALL_DATASET, path)
     cfg = small_config(dataset_paths=[str(path)])
     with pytest.raises(ValueError):
-        run_experiment("unknown", cfg)
+        run_experiment("unknown", cfg, tmp_path / "run")
     dup = small_config(dataset_paths=[str(path), str(path)])
     with pytest.raises(ValueError):
-        run_experiment(RND_GRID, dup)
+        run_experiment(RND_GRID, dup, tmp_path / "run")
     with pytest.raises(ValueError, match="at least one dataset"):
         run_datasets(RND_GRID, [], small_config())
 

@@ -396,6 +396,52 @@ def test_masks_must_have_bool_dtype(call, mask):
         call(mask)
 
 
+# perc_f_curve and rnd_raw_of_mask take one list or a block of lists, one a row
+@pytest.mark.parametrize("call, shape, dims", [
+    (lambda mask: perc_f_curve(mask), (), "1-D or 2-D"),
+    (lambda mask: perc_f_curve(mask), (2, 3, 10), "1-D or 2-D"),
+    (lambda mask: rnd_raw_of_mask(mask, 2), (), "1-D or 2-D"),
+    (lambda mask: rnd_raw_of_mask(mask, 2), (2, 3, 10), "1-D or 2-D"),
+    (lambda mask: rnd(mask, 2, z=1.0), (), "1-D"),
+    (lambda mask: rnd(mask, 2, z=1.0), (3, 10), "1-D"),
+    (lambda mask: statistical_parity(mask, 0.5), (), "1-D"),
+    (lambda mask: statistical_parity(mask, 0.5), (3, 10), "1-D"),
+    (lambda mask: page_audit(["Ana", "Bo", "Cy"], mask, (1,), 0.5), (), "1-D"),
+    (lambda mask: page_audit(["Ana", "Bo", "Cy"], mask, (1,), 0.5), (3, 10), "1-D"),
+], ids=[f"{name}-{rank}" for name in ("perc_f_curve", "rnd_raw_of_mask") for rank in ("0-d", "3-d")]
+       + [f"{name}-{rank}" for name in ("rnd", "statistical_parity", "page_audit") for rank in ("0-d", "2-d")])
+def test_masks_must_have_a_rank_the_function_takes(call, shape, dims):
+    # a 2-D mask gave statistical_parity the share of its rows and rnd one
+    # score for all its entries; page_audit raised TypeError, a 0-D
+    # perc_f_curve IndexError
+    mask = np.ones(shape, dtype=bool)
+    with pytest.raises(ValueError, match=f"^mask must be {dims}, got {len(shape)} dimensions$"):
+        call(mask)
+
+
+def score_at_2_then_at_2_0(mask):
+    rnd_raw_of_mask(mask, 2)
+    # an equal float step must not find the integer step's cached checkpoints
+    return rnd_raw_of_mask(mask, 2.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda mask: rnd(mask, step=2.5), "step must be an integer, got 2.5"),
+    (lambda mask: rnd_raw_of_mask(mask, 2.5), "step must be an integer, got 2.5"),
+    (score_at_2_then_at_2_0, "step must be an integer, got 2.0"),
+    (lambda mask: rnd_checkpoints(len(mask), 2.5), "step must be an integer, got 2.5"),
+    (lambda mask: rnd_checkpoints(len(mask), True), "step must be an integer, got True"),
+    (lambda mask: rnd_theoretical_normalizer(10, 2.5, 2), "n_f must be an integer, got 2.5"),
+    (lambda mask: rnd_theoretical_normalizer(10.5, 3, 2), "n must be an integer, got 10.5"),
+], ids=["rnd-step", "rnd_raw_of_mask-step", "cached-step", "rnd_checkpoints-step", "rnd_checkpoints-bool-step",
+        "normalizer-n_f", "normalizer-n"])
+def test_counts_and_steps_must_be_integers(call, message):
+    # a float step raised TypeError from range(); a float n_f or n gave the
+    # Z of the count it rounded to
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(mask_from_pattern("FMMFMFMMFF"))
+
+
 def test_dump_audit_rows_format():
     buf = io.StringIO()
     dump_audit_rows("L", 4, 0.5, audit("MMFF", (2, 4), 0.5), buf)

@@ -29,11 +29,15 @@ def test_collation_orders_accented_with_plain():
     assert ordered == ["Adam", "Álvaro", "ana", "Bruno", "Ézio"]
 
 
-@given(st.text(alphabet=st.characters(max_codepoint=127)))
-def test_collation_key_ascii_fast_path_matches_decomposition(name):
+def decomposition_key(name):
     decomposed = unicodedata.normalize("NFD", name)
-    stripped = "".join(ch for ch in decomposed if unicodedata.category(ch) != "Mn")
-    assert collation_key(name) == stripped.upper()
+    return "".join(ch for ch in decomposed if unicodedata.category(ch) != "Mn").upper()
+
+
+@given(st.lists(st.text(alphabet=st.characters(max_codepoint=127)), max_size=20))
+def test_collation_ranks_ascii_fast_path_matches_decomposition(names):
+    # collation_ranks keys an ASCII name by upper() alone, not by collation_key
+    assert collation_ranks(names).tolist() == dict_dense_rank([decomposition_key(name) for name in names])
 
 
 name_pool = st.sampled_from(

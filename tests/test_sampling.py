@@ -14,7 +14,6 @@ from listfair.sampling import (
     draw_samples,
     lookup,
     permutations,
-    round_half_up,
     stratified_female_count,
 )
 from listfair.streams import random_stream
@@ -47,11 +46,20 @@ def test_random_source_rejects_bad_keys(seed, stream):
 
 
 @pytest.mark.parametrize(
-    "x, expected",
-    [(0.0, 0), (0.4, 0), (0.5, 1), (1.5, 2), (2.5, 3), (49.5, 50), (50.0, 50)],
+    "perc_fs, n, expected",
+    [
+        # each id is the exact product perc_fs * n and the count it rounds to
+        pytest.param(0.0, 7, 0, id="0.0-0"),
+        pytest.param(0.4, 1, 0, id="0.4-0"),
+        pytest.param(0.5, 1, 1, id="0.5-1"),
+        pytest.param(0.5, 3, 2, id="1.5-2"),
+        pytest.param(0.5, 5, 3, id="2.5-3"),
+        pytest.param(0.99, 50, 50, id="49.5-50"),
+        pytest.param(1.0, 50, 50, id="50.0-50"),
+    ],
 )
-def test_round_half_up(x, expected):
-    assert round_half_up(x) == expected
+def test_round_half_up(perc_fs, n, expected):
+    assert stratified_female_count(perc_fs, n) == expected
 
 
 @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=2**32))

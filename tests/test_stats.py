@@ -145,6 +145,13 @@ def test_silverman_needs_spread():
         silverman_bandwidth([1.0])
 
 
+@pytest.mark.parametrize("xs", [[1.0, np.inf], [-np.inf, 1.0, 2.0], [np.nan, 1.0]], ids=["inf", "-inf", "nan"])
+def test_silverman_rejects_values_that_are_not_finite(xs):
+    # an infinity gave a NaN bandwidth with a RuntimeWarning, a NaN a NaN
+    with pytest.raises(ValueError, match="^xs values must be finite$"):
+        silverman_bandwidth(xs)
+
+
 def test_bootstrap_deterministic_and_sane():
     values = np.concatenate([np.zeros(50), np.ones(50)])
     one = bootstrap_ci(values, rng=random_stream(17, 1))

@@ -33,11 +33,11 @@ from pathlib import Path
 from listfair import FIXED, MAX_SAMPLE_SIZE, THEORETICAL, __version__
 from listfair.errors import ListFairError
 
-ENV_SEED = "LISTFAIR_SEED"
+_ENV_SEED = "LISTFAIR_SEED"
 
 # the --mode choices of sample; the library infers the mode from perc_fs
-PROPORTIONAL = "proportional"
-STRATIFIED = "stratified"
+_PROPORTIONAL = "proportional"
+_STRATIFIED = "stratified"
 
 # a sign and decimal digits: a numeral that int() refuses only for its length
 _NUMERAL = re.compile(r"[+-]?\d+")
@@ -148,12 +148,12 @@ def _parse_normalizer(text: str) -> float | None:
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    env = os.environ.get(ENV_SEED)
+    env = os.environ.get(_ENV_SEED)
     if env is None:
-        raise _UsageError(f"provide --seed or set {ENV_SEED}")
+        raise _UsageError(f"provide --seed or set {_ENV_SEED}")
     if not _NUMERAL.fullmatch(env.strip()):
-        raise _UsageError(f"{ENV_SEED} must be an integer, got {_shown(env)}")
-    return _int_in(ENV_SEED, 0, 2**64)(env)
+        raise _UsageError(f"{_ENV_SEED} must be an integer, got {_shown(env)}")
+    return _int_in(_ENV_SEED, 0, 2**64)(env)
 
 
 def _write_report(report: dict, as_json: bool, out: str | None) -> None:
@@ -191,9 +191,9 @@ def _cmd_sample(args) -> int:
 
     # --perc-fs implies stratified mode; --mode only needs to be spelled
     # out when it contradicts that inference
-    if args.mode == PROPORTIONAL and args.perc_fs is not None:
+    if args.mode == _PROPORTIONAL and args.perc_fs is not None:
         raise _UsageError("--perc-fs conflicts with --mode proportional")
-    if args.mode == STRATIFIED and args.perc_fs is None:
+    if args.mode == _STRATIFIED and args.perc_fs is None:
         raise _UsageError("--mode stratified needs --perc-fs")
     seed = _resolve_seed(args)
     ds = load_canonical(args.dataset)
@@ -271,7 +271,7 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
+def _build_parser() -> _Parser:
     parser = _Parser(
         prog="listfair",
         description="Measure the gender imbalance that alphabetical ordering "
@@ -291,7 +291,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", required=True, type=_int_in("--n", 1, MAX_SAMPLE_SIZE), help="sample size")
     p.add_argument(
         "--mode",
-        choices=[PROPORTIONAL, STRATIFIED],
+        choices=[_PROPORTIONAL, _STRATIFIED],
         default=None,
         help="sampling mode (default: stratified when --perc-fs is given, else proportional)",
     )
@@ -299,7 +299,7 @@ def build_parser() -> _Parser:
         "--perc-fs", type=_share("--perc-fs"), default=None, help="stratified female share in [0, 1]"
     )
     p.add_argument(
-        "--seed", type=_int_in("--seed", 0, 2**64), default=None, help=f"RNG seed (default: ${ENV_SEED})"
+        "--seed", type=_int_in("--seed", 0, 2**64), default=None, help=f"RNG seed (default: ${_ENV_SEED})"
     )
     p.add_argument("--stream", type=_int_in("--stream", 0), default=0, help="substream index (default 0)")
     p.add_argument("--out", required=True, help="sample CSV to write")
@@ -364,7 +364,7 @@ def _failed(message: str, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

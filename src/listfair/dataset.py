@@ -9,7 +9,7 @@ headerless ``name,sex,count`` file per birth year (files named
 ``yob<YEAR>.txt``, CRLF or LF) and sums counts across years.
 
 This module owns the format of every CSV listfair reads or writes: rows
-are read by ``csv_rows`` and written by ``write_rows``, and a gender letter
+are read by ``_csv_rows`` and written by ``write_rows``, and a gender letter
 is read as a female flag and written back from it. That covers the list
 files too: ``read_sample_csv`` and ``read_candidate_list`` read a list as
 its names and female mask, and ``dump_sample_csv``, ``dump_curve_csv``
@@ -40,15 +40,15 @@ import numpy as np
 from listfair.errors import DatasetFormatError, DuplicateRecordError, MissingYearError
 from listfair.ordering import collation_ranks
 
-CANONICAL_HEADER = ["name", "gender", "count"]
-SAMPLE_HEADER = ["position", "name", "gender"]
-CANDIDATE_HEADER = ["name", "gender"]
-AUDIT_HEADER = ["list_id", "size", "perc_fd", "k1", "perc_f", "flag"]
+_CANONICAL_HEADER = ["name", "gender", "count"]
+_SAMPLE_HEADER = ["position", "name", "gender"]
+_CANDIDATE_HEADER = ["name", "gender"]
+_AUDIT_HEADER = ["list_id", "size", "perc_fd", "k1", "perc_f", "flag"]
 
 # the largest count and the largest dataset total: up to 2**53 every
 # integer is exact as a float64, so counts and totals enter the draw
 # probabilities unrounded
-MAX_COUNT = 2**53
+_MAX_COUNT = 2**53
 # int() refuses numerals of a few thousand digits, so a count field longer
 # than this is rejected by its length
 _MAX_COUNT_DIGITS = 40
@@ -58,7 +58,7 @@ _SHOWN_MISSING_YEARS = 10
 
 # the female flag of each letter a gender field may hold; "MF"[flag] is
 # the letter written back
-GENDER_LETTERS = {"F": True, "f": True, "M": False, "m": False}
+_GENDER_LETTERS = {"F": True, "f": True, "M": False, "m": False}
 
 # the Unicode category Cc, which is exactly these two ranges
 _CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")
@@ -93,6 +93,8 @@ class NameDataset:
     @classmethod
     def from_columns(cls, dataset_id: str, names, is_female, counts) -> "NameDataset":
         names = tuple(names)
+        if not all(map(str.__instancecheck__, names)):
+            raise ValueError(f"names must be strings, got {next(n for n in names if not isinstance(n, str))!r}")
         is_female = _read_only(np.array(is_female, dtype=bool))
         given, counts = counts, np.array(counts)
         if not len(names) == len(is_female) == len(counts):
@@ -110,11 +112,11 @@ class NameDataset:
                 raise ValueError(f"counts must be >= 0, got {counts.min()}")
         # a float total of at most 2**54 puts the true one far below 2**63, so
         # the int64 sum is exact for counts of any integer dtype
-        if counts.sum(dtype=np.float64) > 2 * MAX_COUNT:
+        if counts.sum(dtype=np.float64) > 2 * _MAX_COUNT:
             raise ValueError("total count exceeds 2**53")
         counts = _read_only(counts.astype(np.int64, copy=False))
         total = int(counts.sum())
-        if total > MAX_COUNT:
+        if total > _MAX_COUNT:
             raise ValueError("total count exceeds 2**53")
         if total < 1:  # also no records; every table a draw reads then has weight
             raise ValueError(f"dataset has no individuals: its counts sum to {total}")
@@ -172,7 +174,7 @@ def _draw_table(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(cdf), _read_only(guide)
 
 
-def csv_rows(path: Path, header: list[str] | None, width: int):
+def _csv_rows(path: Path, header: list[str] | None, width: int):
     """Yield ``(line, fields)`` for every non-blank row of a UTF-8 CSV.
 
     The first row must equal ``header`` unless it is None (a headerless
@@ -216,7 +218,7 @@ def write_rows(fh, header: list[str], rows) -> None:
     writer.writerows(rows)
 
 
-def check_name(name: str, path, line: int) -> str:
+def _check_name(name: str, path, line: int) -> str:
     """A non-empty name without control characters."""
     if not name:
         raise DatasetFormatError("name must be non-empty", path=path, line=line)
@@ -227,15 +229,15 @@ def check_name(name: str, path, line: int) -> str:
     return name
 
 
-def parse_gender(text: str, path, line: int) -> bool:
+def _parse_gender(text: str, path, line: int) -> bool:
     """The female flag of a gender field."""
-    female = GENDER_LETTERS.get(text)
+    female = _GENDER_LETTERS.get(text)
     if female is None:
         raise DatasetFormatError(f"gender must be F or M, got {text!r}", path=path, line=line)
     return female
 
 
-def gender_letters(mask: np.ndarray):
+def _gender_letters(mask: np.ndarray):
     """The gender letter of each entry of a female mask, in order."""
     return ("MF"[female] for female in mask.tolist())
 
@@ -253,7 +255,7 @@ def _parse_count(text: str, path, line: int) -> int:
             f"count must be <= 2**53, got a {len(digits)}-digit number", path=path, line=line
         )
     count = int(digits)
-    if count > MAX_COUNT:
+    if count > _MAX_COUNT:
         raise DatasetFormatError(f"count must be <= 2**53, got {count}", path=path, line=line)
     if count < 1:
         raise DatasetFormatError(
@@ -266,12 +268,12 @@ def _registry_row(fields: list[str], path, line: int) -> tuple[str, bool, int]:
     """The name, female flag and count of a ``name,gender,count`` row of a
     registry file."""
     name, gender_text, count_text = fields
-    check_name(name, path, line)
-    return name, parse_gender(gender_text, path, line), _parse_count(count_text, path, line)
+    _check_name(name, path, line)
+    return name, _parse_gender(gender_text, path, line), _parse_count(count_text, path, line)
 
 
 def _check_total(total: int, path, line: int) -> None:
-    if total > MAX_COUNT:
+    if total > _MAX_COUNT:
         raise DatasetFormatError("total count exceeds 2**53", path=path, line=line)
 
 
@@ -296,7 +298,7 @@ def load_canonical(path) -> NameDataset:
     texts: list[str] = []
     lines = array("q")
     try:
-        for line, (name, gender_text, count_text) in csv_rows(path, CANONICAL_HEADER, 3):
+        for line, (name, gender_text, count_text) in _csv_rows(path, _CANONICAL_HEADER, 3):
             names.append(name)
             genders.append(gender_text)
             texts.append(count_text)
@@ -319,7 +321,7 @@ def _checked_columns(names, genders, texts):
     checks and that no running total exceeds 2**53."""
     if "" in names or _CONTROL.search("".join(names)):
         return None
-    if not set(genders) <= GENDER_LETTERS.keys():
+    if not set(genders) <= _GENDER_LETTERS.keys():
         return None
     # isdecimal on the joined text also rejects padding and signs
     if "" in texts or not "".join(texts).isdecimal():
@@ -329,7 +331,7 @@ def _checked_columns(names, genders, texts):
     counts = list(map(int, texts))
     # counts are positive, so a total within the bound bounds every count
     # and every running total
-    if min(counts) < 1 or sum(counts) > MAX_COUNT:
+    if min(counts) < 1 or sum(counts) > _MAX_COUNT:
         return None
     # each letter is one of FfMm: setting the case bit leaves f or m
     letters = np.frombuffer("".join(genders).encode("ascii"), dtype=np.uint8)
@@ -373,11 +375,7 @@ def write_canonical(ds: NameDataset, path) -> None:
     """
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="") as fh:
-        dump_canonical(ds, fh)
-
-
-def dump_canonical(ds: NameDataset, fh) -> None:
-    write_rows(fh, CANONICAL_HEADER, zip(ds.names, gender_letters(ds.is_female), ds.counts.tolist()))
+        write_rows(fh, _CANONICAL_HEADER, zip(ds.names, _gender_letters(ds.is_female), ds.counts.tolist()))
 
 
 def _read_list(path, header: list[str], empty: str) -> tuple[tuple[str, ...], np.ndarray]:
@@ -385,7 +383,7 @@ def _read_list(path, header: list[str], empty: str) -> tuple[tuple[str, ...], np
     ends in name,gender. Leading positions must run 1..N in file order."""
     path = Path(path)
     names, flags = [], []
-    for line, (*position, name, gender_text) in csv_rows(path, header, len(header)):
+    for line, (*position, name, gender_text) in _csv_rows(path, header, len(header)):
         if position:
             digits = position[0].strip()
             # a numeral too long for int() is reported by its length, like a count
@@ -393,8 +391,8 @@ def _read_list(path, header: list[str], empty: str) -> tuple[tuple[str, ...], np
             if too_long or not digits.isdecimal() or int(digits) != len(names) + 1:
                 got = f"a {len(digits)}-digit number" if too_long else repr(position[0])
                 raise DatasetFormatError(f"expected position {len(names) + 1}, got {got}", path=path, line=line)
-        names.append(check_name(name, path, line))
-        flags.append(parse_gender(gender_text, path, line))
+        names.append(_check_name(name, path, line))
+        flags.append(_parse_gender(gender_text, path, line))
     if not names:
         raise DatasetFormatError(empty, path=path)
     return tuple(names), np.array(flags)
@@ -402,19 +400,19 @@ def _read_list(path, header: list[str], empty: str) -> tuple[tuple[str, ...], np
 
 def read_sample_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     """Read a ``position,name,gender`` file back into its names and female mask."""
-    return _read_list(path, SAMPLE_HEADER, "sample file has no rows")
+    return _read_list(path, _SAMPLE_HEADER, "sample file has no rows")
 
 
 def read_candidate_list(path) -> tuple[tuple[str, ...], np.ndarray]:
     """Read a concrete ``name,gender`` list (e.g. real election candidates)
     into its names and female mask."""
-    return _read_list(path, CANDIDATE_HEADER, "candidate list has no rows")
+    return _read_list(path, _CANDIDATE_HEADER, "candidate list has no rows")
 
 
 def dump_sample_csv(names, mask: np.ndarray, fh) -> None:
     """Write a list given as names and a female mask as
     ``position,name,gender`` rows (1-based)."""
-    write_rows(fh, SAMPLE_HEADER, zip(range(1, len(names) + 1), names, gender_letters(mask)))
+    write_rows(fh, _SAMPLE_HEADER, zip(range(1, len(names) + 1), names, _gender_letters(mask)))
 
 
 def dump_curve_csv(curve: np.ndarray, fh) -> None:
@@ -424,7 +422,7 @@ def dump_curve_csv(curve: np.ndarray, fh) -> None:
 def dump_audit_rows(list_id: str, size: int, perc_fd: float, rows, fh) -> None:
     """Write the ``(k1, share, below)`` rows of one list's page audit, with
     each flag spelled ``below`` or ``at_or_above``."""
-    write_rows(fh, AUDIT_HEADER, (
+    write_rows(fh, _AUDIT_HEADER, (
         [list_id, size, perc_fd, k1, share, "below" if below else "at_or_above"] for k1, share, below in rows
     ))
 
@@ -465,7 +463,7 @@ def load_ssa_yearfiles(directory, years: tuple[int, int]) -> NameDataset:
     total = 0
     for year in span:
         year_path = directory / f"yob{year}.txt"
-        for line, fields in csv_rows(year_path, None, 3):
+        for line, fields in _csv_rows(year_path, None, 3):
             name, female, count = _registry_row(fields, year_path, line)
             total += count
             _check_total(total, year_path, line)

@@ -58,13 +58,15 @@ PERCF = "percf"
 RND_GRID = "rnd_grid"
 RND_SIZE = "rnd_size"
 KINDS = (PERCF, RND_GRID, RND_SIZE)
+# the column that names an rND cell
+_CELL_KEY = {RND_GRID: "perc_fs", RND_SIZE: "n"}
 
-PER_BATCH = "per_batch"
-GLOBAL = "global"
-NORMALIZER_SCOPES = (PER_BATCH, GLOBAL, THEORETICAL)
+_PER_BATCH = "per_batch"
+_GLOBAL = "global"
+_NORMALIZER_SCOPES = (_PER_BATCH, _GLOBAL, THEORETICAL)
 
-DEFAULT_PERC_FS_GRID = [round(0.05 * i, 2) for i in range(1, 20)]
-DEFAULT_SIZE_GRID = [200, 500, 1000, 2000]
+_DEFAULT_PERC_FS_GRID = [round(0.05 * i, 2) for i in range(1, 20)]
+_DEFAULT_SIZE_GRID = [200, 500, 1000, 2000]
 
 # Substream layout (see module docstring): bits 52+ carry the experiment
 # kind, bits 24..51 the cell identity (< MAX_SAMPLE_SIZE), bits 0..23 the
@@ -75,15 +77,15 @@ _AGG_BIT = 1 << 62
 _MAX_SAMPLES = 1 << 24
 
 
-def sample_stream(kind: str, cell_code: int, sample: int) -> int:
+def _sample_stream(kind: str, cell_code: int, sample: int) -> int:
     return (_KIND_CODE[kind] << 52) | (cell_code << 24) | sample
 
 
-def agg_stream(kind: str, sub: int) -> int:
+def _agg_stream(kind: str, sub: int) -> int:
     return _AGG_BIT | (_KIND_CODE[kind] << 52) | sub
 
 
-def share_cell_code(perc_fs: float) -> int:
+def _share_cell_code(perc_fs: float) -> int:
     return round(perc_fs * 1_000_000)
 
 
@@ -128,11 +130,11 @@ class ExperimentConfig:
     dataset_paths: list[str] = field(default_factory=list)
     samples_per_cell: int = 100
     n: int = 1000
-    perc_fs_grid: list[float] = field(default_factory=lambda: list(DEFAULT_PERC_FS_GRID))
-    size_grid: list[int] = field(default_factory=lambda: list(DEFAULT_SIZE_GRID))
+    perc_fs_grid: list[float] = field(default_factory=lambda: list(_DEFAULT_PERC_FS_GRID))
+    size_grid: list[int] = field(default_factory=lambda: list(_DEFAULT_SIZE_GRID))
     seed: int = 42
     step: int = 10
-    normalizer_scope: str = PER_BATCH
+    normalizer_scope: str = _PER_BATCH
     bandwidth: float | None = None
 
     def validate(self, require_paths: bool = False) -> None:
@@ -159,7 +161,7 @@ class ExperimentConfig:
         for p in self.perc_fs_grid:
             if not 0.0 < p < 1.0:
                 raise ValueError(f"perc_fs_grid entries must lie in (0, 1), got {p}")
-        codes = [share_cell_code(p) for p in self.perc_fs_grid]
+        codes = [_share_cell_code(p) for p in self.perc_fs_grid]
         if len(set(codes)) != len(codes):
             raise ValueError("perc_fs_grid entries are not distinct")
         if not self.size_grid:
@@ -169,9 +171,9 @@ class ExperimentConfig:
                 raise ValueError(f"size_grid entries must be >= 1 and < 2**28, got {size}")
         if len(set(self.size_grid)) != len(self.size_grid):
             raise ValueError("size_grid entries are not distinct")
-        if self.normalizer_scope not in NORMALIZER_SCOPES:
+        if self.normalizer_scope not in _NORMALIZER_SCOPES:
             raise ValueError(
-                f"normalizer_scope must be one of {NORMALIZER_SCOPES}, got {self.normalizer_scope!r}"
+                f"normalizer_scope must be one of {_NORMALIZER_SCOPES}, got {self.normalizer_scope!r}"
             )
         if self.bandwidth is not None and self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive when given")
@@ -267,7 +269,7 @@ def _blocks(ds: NameDataset, cfg: ExperimentConfig, kind: str, code: int, n: int
     rows = max(1, stats.BLOCK // n)
     for start in range(0, cfg.samples_per_cell, rows):
         stop = min(start + rows, cfg.samples_per_cell)
-        streams = [random_stream(cfg.seed, sample_stream(kind, code, i)) for i in range(start, stop)]
+        streams = [random_stream(cfg.seed, _sample_stream(kind, code, i)) for i in range(start, stop)]
         drawn = draw_samples(ds, n, streams, perc_fs)
         masks = ds.is_female[drawn]
         alphabetical = np.take_along_axis(masks, alphabetical_order(ds.rank[drawn]), axis=-1)
@@ -321,7 +323,7 @@ def run_datasets(kind: str, datasets, cfg: ExperimentConfig, jobs: int = 1) -> E
     else:
         # an rND cell is (grid value, sample size, female share or None, stream code)
         if kind == RND_GRID:
-            cells = [(share, cfg.n, share, share_cell_code(share)) for share in cfg.perc_fs_grid]
+            cells = [(share, cfg.n, share, _share_cell_code(share)) for share in cfg.perc_fs_grid]
         else:
             cells = [(size, size, None, size) for size in cfg.size_grid]
         fn = _rnd_cell
@@ -381,7 +383,7 @@ def _percf_chunk(ds: NameDataset, cfg: ExperimentConfig, kind: str, ks: range) -
     # as from a strided column
     random_by_k = np.ascontiguousarray(random_curves.T)
     for j, k in enumerate(ks):
-        intervals[:, j] = stats.bootstrap_ci(random_by_k[j], rng=random_stream(cfg.seed, agg_stream(PERCF, k)))
+        intervals[:, j] = stats.bootstrap_ci(random_by_k[j], rng=random_stream(cfg.seed, _agg_stream(PERCF, k)))
     return random_curves, alpha_curves, intervals
 
 
@@ -427,13 +429,13 @@ def _percf_rows(ds: NameDataset, cfg: ExperimentConfig, chunks) -> tuple[list, l
             "dataset": ds.id,
             "cell": "proportional",
             "sample": i,
-            "stream_index": sample_stream(PERCF, 0, i),
+            "stream_index": _sample_stream(PERCF, 0, i),
             "perc_f_sample": share,
         }
         for i, share in enumerate(shares.tolist())
     ]
     spc = cfg.samples_per_cell
-    share_low, share_high = stats.bootstrap_ci(shares, rng=random_stream(cfg.seed, agg_stream(PERCF, 0)))
+    share_low, share_high = stats.bootstrap_ci(shares, rng=random_stream(cfg.seed, _agg_stream(PERCF, 0)))
     aggregates = [
         {
             "dataset": ds.id,
@@ -454,10 +456,6 @@ def _percf_rows(ds: NameDataset, cfg: ExperimentConfig, chunks) -> tuple[list, l
 # ---------------------------------------------------------------------------
 
 
-def _rnd_cell_key(kind: str) -> str:
-    return "perc_fs" if kind == RND_GRID else "n"
-
-
 def _rnd_cell(ds: NameDataset, cfg: ExperimentConfig, kind: str, cell) -> tuple[np.ndarray, np.ndarray]:
     """The female count and raw rND of one cell's samples of the dataset
     ``ds``, in sample order."""
@@ -472,7 +470,7 @@ def _rnd_cell(ds: NameDataset, cfg: ExperimentConfig, kind: str, cell) -> tuple[
             n_f[rows] = alphabetical.sum(axis=1)
             raw[rows] = rnd_raw_of_mask(alphabetical, cfg.step)
     except (InfeasibleSampleError, SampleTooSmallError) as exc:
-        raise type(exc)(f"cell {_rnd_cell_key(kind)}={value}: {exc}") from None
+        raise type(exc)(f"cell {_CELL_KEY[kind]}={value}: {exc}") from None
     return n_f, raw
 
 
@@ -480,7 +478,7 @@ def _rnd_rows(ds: NameDataset, cfg: ExperimentConfig, kind: str, cells, per_cell
     """Records, aggregate and curve rows of one dataset's rND cells, from
     their ``_rnd_cell`` arrays: each sample is normalized under the
     configured scope, each cell aggregated, and the cell means smoothed."""
-    key = _rnd_cell_key(kind)
+    key = _CELL_KEY[kind]
     batch_z = max(raw.max() for _, raw in per_cell)
     records, aggregates = [], []
     for (cell, n, _, code), (n_f, raw) in zip(cells, per_cell):
@@ -489,16 +487,16 @@ def _rnd_rows(ds: NameDataset, cfg: ExperimentConfig, kind: str, cells, per_cell
             distinct, which = np.unique(n_f, return_inverse=True)
             z = np.array([rnd_theoretical_normalizer(n, f, cfg.step) for f in distinct.tolist()])[which]
         else:
-            z = np.full(len(raw), global_z if cfg.normalizer_scope == GLOBAL else batch_z)
+            z = np.full(len(raw), global_z if cfg.normalizer_scope == _GLOBAL else batch_z)
         # a zero Z (every raw value 0, or a single-gender sample) gives 0
         normalized = np.divide(raw, z, out=np.zeros_like(raw), where=z != 0)
         records.extend(
-            {"dataset": ds.id, key: cell, "sample": i, "stream_index": sample_stream(kind, code, i),
+            {"dataset": ds.id, key: cell, "sample": i, "stream_index": _sample_stream(kind, code, i),
              "n_f": females, "raw": value, "z": bound, "normalized": share}
             for i, (females, value, bound, share) in enumerate(
                 zip(n_f.tolist(), raw.tolist(), z.tolist(), normalized.tolist()))
         )
-        ci_low, ci_high = stats.bootstrap_ci(raw, rng=random_stream(cfg.seed, agg_stream(kind, code)))
+        ci_low, ci_high = stats.bootstrap_ci(raw, rng=random_stream(cfg.seed, _agg_stream(kind, code)))
         aggregates.append(
             {
                 "dataset": ds.id,

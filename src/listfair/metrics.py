@@ -27,7 +27,7 @@ from listfair import FIXED, THEORETICAL
 from listfair.errors import SampleTooSmallError
 from listfair.ordering import sort_alphabetical
 
-PARITY_ALPHA = 0.05
+_PARITY_ALPHA = 0.05
 
 
 def _bool_mask(mask, block: bool = False) -> np.ndarray:
@@ -61,7 +61,7 @@ def perc_f_curve(mask: np.ndarray) -> np.ndarray:
     return np.cumsum(mask, axis=-1) / np.arange(1, n + 1)
 
 
-def rnd_checkpoints(n: int, step: int = 10) -> list[int]:
+def rnd_checkpoints(n: int, step: int) -> list[int]:
     """Checkpoint positions: step, 2*step, ..., plus N when N is not a
     multiple of the step. The step must be at least 2, since checkpoint
     k = 1 would be discounted by 1/log2(1)."""
@@ -164,15 +164,12 @@ def rnd(mask: np.ndarray, step: int = 10, z: float | None = None) -> dict:
     return {"checkpoints": checkpoints, "raw": raw, "z": float(z), "mode": mode, "normalized": float(normalized)}
 
 
-def binomial_two_sided_p(k: int, n: int, p: float) -> float:
+def _binomial_two_sided_p(k: int, n: int, p: float) -> float:
     """Exact two-sided binomial test p-value, as ``scipy.stats.binomtest``
     defines it: the probability of every count no more likely than ``k``
     under Binomial(n, p), with a relative slack of 1e-7 on "no more
-    likely" so that rounding cannot split ties."""
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} outside 0..{n}")
-    if not 0.0 <= p <= 1.0:  # false for NaN
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    likely" so that rounding cannot split ties. ``statistical_parity``, the
+    one caller, checks ``p``, and its ``k`` is a mask's sum, within 0..n."""
     if k == p * n:
         return 1.0
     counts = np.arange(n + 1)
@@ -198,12 +195,12 @@ def statistical_parity(mask: np.ndarray, reference: float) -> dict:
     if not 0.0 <= reference <= 1.0:  # false for NaN
         raise ValueError(f"reference must lie in [0, 1], got {reference}")
     females = int(mask.sum())
-    p_value = binomial_two_sided_p(females, n, reference)
+    p_value = _binomial_two_sided_p(females, n, reference)
     return {
         "perc_f_sample": females / n,
         "perc_f_reference": reference,
         "p_value": p_value,
-        "passes": p_value >= PARITY_ALPHA,
+        "passes": p_value >= _PARITY_ALPHA,
     }
 
 

@@ -22,7 +22,7 @@ def collation_key(name: str) -> str:
     return stripped.upper()
 
 
-def dense_rank(keys) -> np.ndarray:
+def _dense_rank(keys) -> np.ndarray:
     """Rank of each key among the distinct keys in sorted order; equal
     keys share a rank, so ranks compare exactly as the keys do. The ranks
     have the narrowest unsigned dtype that holds them: a stable sort
@@ -42,7 +42,7 @@ def dense_rank(keys) -> np.ndarray:
 def collation_ranks(names) -> np.ndarray:
     """Dense rank of each name's collation key."""
     # ASCII is already in NFD and has no combining marks: its key is upper()
-    return dense_rank([name.upper() if name.isascii() else collation_key(name) for name in names])
+    return _dense_rank([name.upper() if name.isascii() else collation_key(name) for name in names])
 
 
 def alphabetical_order(ranks: np.ndarray) -> np.ndarray:

@@ -12,9 +12,9 @@ share makes the sample stratified; without one it is proportional.
 ``experiments._blocks`` draws a cell's samples ``max(1, stats.BLOCK // n)``
 at a time. Each row is the sample its stream alone gives (:func:`draw_sample`
 is the one-row case), and a stratified row is shuffled by
-:func:`permutations`, which computes the Fisher-Yates swap loop's exact
+:func:`_permutations`, which computes the Fisher-Yates swap loop's exact
 result with array operations. A uniform becomes a record by
-:func:`lookup`, which finds ``cdf.searchsorted(u, side="right")`` from the
+:func:`_lookup`, which finds ``cdf.searchsorted(u, side="right")`` from the
 draw table's guide table (Chen & Asau, "On generating random variates
 from an empirical distribution", *AIIE Transactions* 6(2), 1974) with no
 binary search. Sample files are read and written by
@@ -38,14 +38,14 @@ from listfair.streams import bounded, uniforms
 from listfair.dataset import read_sample_csv  # noqa: F401
 
 
-def stratified_female_count(perc_fs: float, n: int) -> int:
+def _stratified_female_count(perc_fs: float, n: int) -> int:
     """Women in a stratified sample of ``n``: ``perc_fs * n`` rounded half
     up, computed exactly on the decimal the share is written as, so
     0.29 * 50 gives 15 although the float product is 14.4999..."""
     return math.floor(Fraction(str(perc_fs)) * n + Fraction(1, 2))
 
 
-def lookup(table: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
+def _lookup(table: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
     """``cdf.searchsorted(u, side="right")`` of ``table = (cdf, guide)``
     for an array ``u`` of uniforms in [0, 1).
 
@@ -66,7 +66,7 @@ def lookup(table: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
     return found.reshape(shape)
 
 
-def permutations(n: int, streams) -> np.ndarray:
+def _permutations(n: int, streams) -> np.ndarray:
     """One uniformly random permutation of ``range(n)`` per stream, as the
     rows of a ``(len(streams), n)`` intp array.
 
@@ -140,10 +140,10 @@ def draw_samples(ds: NameDataset, n: int, streams, perc_fs: float | None = None)
     Without ``perc_fs`` a sample is proportional: every position is drawn
     independently with probability proportional to record count over the
     whole dataset, so arrival order is already random. With ``perc_fs`` it
-    is stratified: exactly :func:`stratified_female_count` women are drawn
+    is stratified: exactly :func:`_stratified_female_count` women are drawn
     from the female table of ``ds.strata`` and the rest from the male one,
     each weighting its gender's records by count and the other's by 0, then
-    Fisher-Yates shuffled together (:func:`permutations`).
+    Fisher-Yates shuffled together (:func:`_permutations`).
 
     Each row is the sample its stream alone gives. A stream gives the
     uniforms that ``Generator.choice`` with the counts as ``p`` would
@@ -154,19 +154,19 @@ def draw_samples(ds: NameDataset, n: int, streams, perc_fs: float | None = None)
     if n >= MAX_SAMPLE_SIZE:
         raise ValueError(f"sample size n must be < 2**28, got {n}")
     if perc_fs is None:
-        return lookup(ds.cdf, uniforms(streams, n))
+        return _lookup(ds.cdf, uniforms(streams, n))
     if not 0.0 <= perc_fs <= 1.0:
         raise ValueError(f"perc_fs must lie in [0, 1], got {perc_fs}")
-    n_f = stratified_female_count(perc_fs, n)
+    n_f = _stratified_female_count(perc_fs, n)
     if n_f > 0 and not ds.female_count:
         raise InfeasibleSampleError(f"dataset {ds.id!r} has no female records but {n_f} women were requested")
     if n > n_f and ds.female_count == ds.total_count:
         raise InfeasibleSampleError(f"dataset {ds.id!r} has no male records but {n - n_f} men were requested")
     female, male = ds.strata
     doubles = uniforms(streams, n)
-    drawn = np.concatenate([lookup(female, doubles[:, :n_f]), lookup(male, doubles[:, n_f:])], axis=1)
+    drawn = np.concatenate([_lookup(female, doubles[:, :n_f]), _lookup(male, doubles[:, n_f:])], axis=1)
     del doubles  # 8 bytes a position: not live while the shuffle runs
-    return np.take_along_axis(drawn, permutations(n, streams), axis=1)
+    return np.take_along_axis(drawn, _permutations(n, streams), axis=1)
 
 
 def draw_sample(ds: NameDataset, n: int, stream, perc_fs: float | None = None) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 
 from listfair.streams import bounded
 
-DEFAULT_RESAMPLES = 2000
+_DEFAULT_RESAMPLES = 2000
 
 # Indices resampled per block. A whole (resamples, size) index matrix is
 # megabytes that a fresh process faults in and hands back to the OS on
@@ -76,7 +76,7 @@ def silverman_bandwidth(xs) -> float:
 def bootstrap_ci(
     values,
     level: float = 0.95,
-    resamples: int = DEFAULT_RESAMPLES,
+    resamples: int = _DEFAULT_RESAMPLES,
     *,
     rng,
 ) -> tuple[float, float]:
@@ -92,8 +92,12 @@ def bootstrap_ci(
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("bootstrap needs at least one value")
-    if not np.isfinite(values).all():
+    largest = float(np.abs(values).max())
+    if not np.isfinite(largest):
         raise ValueError("bootstrap values must be finite")
+    # half the float maximum: a margin for rounding in the sums
+    if largest > np.finfo(float).max / 2 / values.size:
+        raise ValueError(f"bootstrap values are too large: a sum of {values.size} of them could overflow")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
     if resamples < 1:

@@ -15,6 +15,9 @@ import numpy as np
 
 def random_stream(seed: int, stream_index: int = 0):
     """numpy's PCG64 seeded through ``SeedSequence((seed, stream_index))``."""
+    for name, value in (("seed", seed), ("stream_index", stream_index)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):  # SeedSequence takes True as 1
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if seed < 0 or seed >= 2**64:
         raise ValueError("seed must be a 64-bit non-negative integer")
     if stream_index < 0:

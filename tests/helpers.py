@@ -7,6 +7,7 @@ implementations are checked against something written separately.
 
 from __future__ import annotations
 
+import ast
 import itertools
 import math
 import os
@@ -18,8 +19,37 @@ import numpy as np
 
 import listfair
 from listfair.dataset import NameDataset
-from listfair.sampling import stratified_female_count
+from listfair.sampling import _stratified_female_count
 from listfair.stats import BLOCK
+
+
+def public_definitions() -> dict[str, list[ast.stmt]]:
+    """The public top-level definitions of each ``listfair`` module, read
+    from its source, by module name: every ``def``, ``class`` and
+    assignment whose name has no leading underscore. Imports are not
+    definitions, so a name imported from another module counts only
+    where it is defined."""
+    surface = {}
+    for path in sorted(Path(listfair.__file__).parent.glob("*.py")):
+        module = "listfair" if path.stem == "__init__" else f"listfair.{path.stem}"
+        nodes = [node for node in ast.parse(path.read_text(encoding="utf-8")).body
+                 if not defined_name(node).startswith("_")]
+        if nodes:
+            surface[module] = nodes
+    return surface
+
+
+def defined_name(node: ast.stmt) -> str:
+    """The name a top-level statement defines, or "_" if it defines none."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name
+    target = node.targets[0] if isinstance(node, ast.Assign) else getattr(node, "target", None)
+    return target.id if isinstance(target, ast.Name) else "_"
+
+
+def public_names() -> dict[str, list[str]]:
+    """The public names of each ``listfair`` module, in source order."""
+    return {module: list(map(defined_name, nodes)) for module, nodes in public_definitions().items()}
 
 
 def mask_from_pattern(pattern: str) -> np.ndarray:
@@ -115,7 +145,7 @@ def reference_draw_sample(ds: NameDataset, n: int, stream, perc_fs: float | None
 
     if perc_fs is None:
         return draw(np.arange(len(ds.counts)), n)
-    n_f = stratified_female_count(perc_fs, n)
+    n_f = _stratified_female_count(perc_fs, n)
     drawn = np.concatenate([draw(np.flatnonzero(ds.is_female), n_f), draw(np.flatnonzero(~ds.is_female), n - n_f)])
     perm = list(range(n))
     for i, j in zip(range(n - 1, 0, -1), rng.integers(0, np.arange(n, 1, -1)).tolist()):

@@ -21,7 +21,7 @@ from helpers import oracle_curve, oracle_max_raw, oracle_raw, reference_bootstra
 from listfair import stats
 from listfair.errors import InfeasibleSampleError, SampleTooSmallError
 from listfair.ordering import collation_key
-from listfair.sampling import stratified_female_count
+from listfair.sampling import _stratified_female_count
 from listfair.streams import random_stream
 
 LEVEL, RESAMPLES = 0.95, 2000
@@ -124,7 +124,7 @@ def rnd_cell(ds, cfg, kind: str, cell) -> tuple[list[int], list[float]]:
     if n < cfg.step:
         raise SampleTooSmallError(where)
     if perc_fs is not None:
-        women = stratified_female_count(perc_fs, n)
+        women = _stratified_female_count(perc_fs, n)
         female_total = int(ds.counts[ds.is_female].sum())
         if (women > 0 and female_total == 0) or (women < n and female_total == int(ds.counts.sum())):
             raise InfeasibleSampleError(where)

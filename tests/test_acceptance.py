@@ -34,7 +34,7 @@ from listfair.metrics import (
     rnd_theoretical_normalizer,
 )
 from listfair.ordering import collation_key, sort_alphabetical
-from listfair.sampling import permutations
+from listfair.sampling import _permutations
 from listfair.streams import random_stream
 from listfair.stats import bootstrap_ci, nadaraya_watson
 
@@ -309,7 +309,7 @@ def test_ac10_shuffle_uniformity_and_summary():
     counts = {}
     rng = random_stream(seed=99)
     for _ in range(trials):
-        perm = tuple(permutations(3, [rng])[0].tolist())
+        perm = tuple(_permutations(3, [rng])[0].tolist())
         counts[perm] = counts.get(perm, 0) + 1
     stat = chi_square_statistic(counts.values(), [trials / 6] * 6)
     # critical value for 5 degrees of freedom at alpha = 0.01

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import listfair
-from listfair.cli import ENV_SEED, build_parser, main
+from listfair.cli import _ENV_SEED, _build_parser, main
 from listfair.dataset import write_canonical
 
 from helpers import dataset_from_counts, run_python
@@ -134,11 +134,11 @@ def test_sample_seed_from_environment(tmp_path, dataset_csv, monkeypatch):
     explicit = tmp_path / "x.csv"
     via_env = tmp_path / "y.csv"
     assert main(["sample", "--dataset", str(dataset_csv), "--n", "12", "--seed", "77", "--out", str(explicit)]) == 0
-    monkeypatch.setenv(ENV_SEED, "77")
+    monkeypatch.setenv(_ENV_SEED, "77")
     assert main(["sample", "--dataset", str(dataset_csv), "--n", "12", "--out", str(via_env)]) == 0
     assert explicit.read_bytes() == via_env.read_bytes()
 
-    monkeypatch.setenv(ENV_SEED, "not-a-number")
+    monkeypatch.setenv(_ENV_SEED, "not-a-number")
     assert main(["sample", "--dataset", str(dataset_csv), "--n", "12", "--out", str(via_env)]) == 1
 
 
@@ -389,13 +389,13 @@ EXPERIMENT = ["experiment", "percf", "--config", "{tmp}/config.json", "--out", "
 CLI_TABLE += [
     pytest.param(files, argv, code, prefix, id=case)
     for case, files, argv, code, prefix in [
-        ("sample-no-seed", NAMES, SAMPLE_UNSEEDED, 1, f"usage error: provide --seed or set {ENV_SEED}\n"),
-        ("sample-seed-env-superscript", NAMES, [f"{ENV_SEED}=\u00b2"] + SAMPLE_UNSEEDED, 1,
-         f"usage error: {ENV_SEED} must be an integer, got '\u00b2'\n"),
-        ("sample-seed-env-of-5000-digits", NAMES, [f"{ENV_SEED}={DIGITS}"] + SAMPLE_UNSEEDED, 1,
-         f"usage error: {ENV_SEED} has too many digits: 5000\n"),
-        ("sample-seed-env-of-41-characters", NAMES, [f"{ENV_SEED}={UNQUOTED}"] + SAMPLE_UNSEEDED, 1,
-         f"usage error: {ENV_SEED} must be an integer, got a value of 41 characters\n"),
+        ("sample-no-seed", NAMES, SAMPLE_UNSEEDED, 1, f"usage error: provide --seed or set {_ENV_SEED}\n"),
+        ("sample-seed-env-superscript", NAMES, [f"{_ENV_SEED}=\u00b2"] + SAMPLE_UNSEEDED, 1,
+         f"usage error: {_ENV_SEED} must be an integer, got '\u00b2'\n"),
+        ("sample-seed-env-of-5000-digits", NAMES, [f"{_ENV_SEED}={DIGITS}"] + SAMPLE_UNSEEDED, 1,
+         f"usage error: {_ENV_SEED} has too many digits: 5000\n"),
+        ("sample-seed-env-of-41-characters", NAMES, [f"{_ENV_SEED}={UNQUOTED}"] + SAMPLE_UNSEEDED, 1,
+         f"usage error: {_ENV_SEED} must be an integer, got a value of 41 characters\n"),
         ("sample-seed-of-5000-digits", NAMES, SAMPLE_UNSEEDED + ["--seed", DIGITS], 1,
          "usage error: --seed has too many digits: 5000\n"),
         ("sample-seed-of-minus-5000-digits", NAMES, SAMPLE_UNSEEDED + ["--seed", "-" + DIGITS], 1,
@@ -404,8 +404,8 @@ CLI_TABLE += [
          "usage error: argument --seed: invalid int value: 'abc'\n"),
         ("sample-n-of-5000-digits", NAMES, SAMPLE_UNSEEDED + ["--seed", "1", "--n", DIGITS], 1,
          "usage error: --n has too many digits: 5000\n"),
-        ("sample-seed-env--1", {}, [f"{ENV_SEED}=-1"] + SAMPLE_UNSEEDED, 1,
-         f"usage error: {ENV_SEED} must be >= 0 and < 2**64, got -1\n"),
+        ("sample-seed-env--1", {}, [f"{_ENV_SEED}=-1"] + SAMPLE_UNSEEDED, 1,
+         f"usage error: {_ENV_SEED} must be >= 0 and < 2**64, got -1\n"),
         # a flag's value is checked as argparse reads it, so a range error
         # comes before the missing required flags
         ("sample-n-of-0-without-other-flags", {}, ["sample", "--n", "0"], 1,
@@ -429,8 +429,8 @@ CLI_TABLE += [
          "usage error: --seed must be >= 0 and < 2**64, got -1\n"),
         ("sample-seed-2**64", {}, SAMPLE_UNSEEDED + ["--seed", str(2**64)], 1,
          f"usage error: --seed must be >= 0 and < 2**64, got {2**64}\n"),
-        ("sample-seed-env-2**64", {}, [f"{ENV_SEED}={2**64}"] + SAMPLE_UNSEEDED, 1,
-         f"usage error: {ENV_SEED} must be >= 0 and < 2**64, got {2**64}\n"),
+        ("sample-seed-env-2**64", {}, [f"{_ENV_SEED}={2**64}"] + SAMPLE_UNSEEDED, 1,
+         f"usage error: {_ENV_SEED} must be >= 0 and < 2**64, got {2**64}\n"),
         ("sample-stream--1", {}, SAMPLE_UNSEEDED + ["--seed", "1", "--stream", "-1"], 1,
          "usage error: --stream must be >= 0, got -1\n"),
         ("sample-proportional-with-perc-fs", NAMES,
@@ -498,7 +498,7 @@ CLI_TABLE += [
 
 @pytest.mark.parametrize("files, argv, code, prefix", CLI_TABLE)
 def test_cli_table(capsys, monkeypatch, tmp_path, files, argv, code, prefix):
-    monkeypatch.delenv(ENV_SEED, raising=False)
+    monkeypatch.delenv(_ENV_SEED, raising=False)
     for name, content in files.items():
         if isinstance(content, str):
             content = content.encode("utf-8")
@@ -518,7 +518,7 @@ def test_cli_table(capsys, monkeypatch, tmp_path, files, argv, code, prefix):
 
 def test_no_flag_is_typed_by_bare_int_or_float():
     # argparse echoes the whole of a value that int() or float() refuses
-    actions = build_parser()._actions
+    actions = _build_parser()._actions
     (commands,) = [action for action in actions if isinstance(action, argparse._SubParsersAction)]
     for command in commands.choices.values():
         for action in command._actions:
@@ -1034,17 +1034,17 @@ def test_any_argv_and_seed_variable_end_in_an_exit_code(call):
         for name, text in ARGV_INPUTS.items():
             Path(work, name).parent.mkdir(exist_ok=True)
             Path(work, name).write_text(text, encoding="utf-8")
-        env = os.environ.pop(ENV_SEED, None)
+        env = os.environ.pop(_ENV_SEED, None)
         try:
             if seed is not None:
-                os.environ[ENV_SEED] = seed
+                os.environ[_ENV_SEED] = seed
             os.chdir(work)
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
         finally:
             os.chdir(cwd)
-            os.environ.pop(ENV_SEED, None)
+            os.environ.pop(_ENV_SEED, None)
             if env is not None:
-                os.environ[ENV_SEED] = env
+                os.environ[_ENV_SEED] = env
     # an exception that escaped main has already failed the example
     assert code in (0, 1, 2)

@@ -1,6 +1,6 @@
 import csv
-import io
 import re
+import tempfile
 import unicodedata
 from collections import namedtuple
 from pathlib import Path
@@ -13,11 +13,10 @@ from hypothesis import strategies as st
 from listfair import dataset as dataset_module
 from listfair.dataset import (
     _CONTROL,
-    CANONICAL_HEADER,
-    GENDER_LETTERS,
+    _CANONICAL_HEADER,
+    _GENDER_LETTERS,
     NameDataset,
-    csv_rows,
-    dump_canonical,
+    _csv_rows,
     load_canonical,
     load_ssa_yearfiles,
     write_canonical,
@@ -103,9 +102,9 @@ def test_gender_letters_match_upper_case_parse():
 
     for code in range(0x110000):
         ch = chr(code)
-        assert GENDER_LETTERS.get(ch) is parse_by_upper(ch), hex(code)
+        assert _GENDER_LETTERS.get(ch) is parse_by_upper(ch), hex(code)
     for text in ("", "FF", "fm", " F", "F ", "female"):
-        assert GENDER_LETTERS.get(text) is parse_by_upper(text) is None
+        assert _GENDER_LETTERS.get(text) is parse_by_upper(text) is None
 
 
 def test_load_canonical_rejects_duplicates_but_not_shared_names(tmp_path):
@@ -154,6 +153,17 @@ def test_from_columns_rejects_empty():
 def test_from_columns_rejects_bad_counts_and_ragged_columns(names, is_female, counts, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         NameDataset.from_columns("bad", names, is_female, counts)
+
+
+@pytest.mark.parametrize("names, message", [
+    ([1, 2.5], "names must be strings, got 1"),
+    (["Ana", None], "names must be strings, got None"),
+    (["Ana", b"Bo"], "names must be strings, got b'Bo'"),
+], ids=["numbers", "none", "bytes"])
+def test_from_columns_rejects_names_that_are_not_strings(names, message):
+    # numbers once made a dataset whose rank raised AttributeError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        NameDataset.from_columns("x", names, [True, False], [1, 2])
 
 
 def test_from_columns_sums_narrow_counts_exactly():
@@ -205,15 +215,13 @@ rows_strategy = st.lists(
 @given(rows_strategy)
 def test_round_trip_preserves_record_set(rows):
     ds = dataset_from_counts(rows, dataset_id="rt")
-    buf = io.StringIO()
-    dump_canonical(ds, buf)
-    buf.seek(0)
-
-    import csv as _csv
-
-    reader = _csv.reader(buf)
-    assert next(reader) == ["name", "gender", "count"]
-    parsed = {(name, g, int(c)) for name, g, c in reader}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rt.csv"
+        write_canonical(ds, path)
+        with path.open(encoding="utf-8", newline="") as fh:
+            header, *written = csv.reader(fh)
+    assert header == ["name", "gender", "count"]
+    parsed = {(name, g, int(c)) for name, g, c in written}
     assert parsed == set(rows)
 
 
@@ -323,7 +331,7 @@ def reference_load(path):
     at a time: the record-object loader this package had before it loaded
     columns, plus the 2**53 bounds on a count and on the running total."""
     records, seen, total = [], set(), 0
-    for line, (name, gender_text, count_text) in csv_rows(path, CANONICAL_HEADER, 3):
+    for line, (name, gender_text, count_text) in _csv_rows(path, _CANONICAL_HEADER, 3):
         if not name:
             raise DatasetFormatError("name must be non-empty", path=path, line=line)
         if any(unicodedata.category(ch) == "Cc" for ch in name):
@@ -418,7 +426,7 @@ def malformed_row(rows):
 def write_rows(path, rows, blank_after):
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CANONICAL_HEADER)
+        writer.writerow(_CANONICAL_HEADER)
         for i, row in enumerate(rows):
             writer.writerow(row)
             if i in blank_after:

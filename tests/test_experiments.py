@@ -14,20 +14,20 @@ from listfair import dataset, experiments
 from listfair.dataset import read_candidate_list, write_canonical
 from listfair.errors import DatasetFormatError, InfeasibleSampleError, SampleTooSmallError
 from listfair.experiments import (
-    GLOBAL,
+    _GLOBAL,
     KINDS,
-    PER_BATCH,
+    _PER_BATCH,
     PERCF,
     RND_GRID,
     RND_SIZE,
     THEORETICAL,
     _pool_size,
     ExperimentConfig,
-    agg_stream,
+    _agg_stream,
     run_datasets,
     run_experiment,
-    sample_stream,
-    share_cell_code,
+    _sample_stream,
+    _share_cell_code,
     write_result,
 )
 from listfair.metrics import (
@@ -96,7 +96,7 @@ def test_default_config_is_valid():
     assert len(cfg.perc_fs_grid) == 19
     assert cfg.size_grid == [200, 500, 1000, 2000]
     assert cfg.seed == 42
-    assert cfg.normalizer_scope == PER_BATCH
+    assert cfg.normalizer_scope == _PER_BATCH
 
 
 # numbered ids in row order: append new rows at the end
@@ -187,11 +187,11 @@ def test_config_file_errors(tmp_path, body, fragment):
 def test_stream_indices_are_disjoint():
     seen = set()
     for kind in (PERCF, RND_GRID, RND_SIZE):
-        for cell in (0, 1, 200, share_cell_code(0.55)):
+        for cell in (0, 1, 200, _share_cell_code(0.55)):
             for sample in (0, 1, 99):
-                seen.add(sample_stream(kind, cell, sample))
+                seen.add(_sample_stream(kind, cell, sample))
         for sub in (0, 1, 40):
-            seen.add(agg_stream(kind, sub))
+            seen.add(_agg_stream(kind, sub))
     assert len(seen) == 3 * (4 * 3 + 3)
     # aggregation streams can never collide with sample streams
     assert all(
@@ -267,7 +267,7 @@ def test_rnd_grid_records_and_normalization():
         assert row["ci_low_raw"] <= row["mean_raw"] <= row["ci_high_raw"]
 
 
-@pytest.mark.parametrize("scope", [PER_BATCH, GLOBAL, THEORETICAL])
+@pytest.mark.parametrize("scope", [_PER_BATCH, _GLOBAL, THEORETICAL])
 @pytest.mark.parametrize("kind", [RND_GRID, RND_SIZE])
 def test_aggregate_z_is_the_largest_z_of_its_cell(kind, scope):
     cfg = small_config(normalizer_scope=scope, samples_per_cell=30)
@@ -362,7 +362,7 @@ def test_sample_blocks_match_one_sample_at_a_time(kind):
     assert experiments.stats.BLOCK // n == 5
     ds = TIED_DATASET
     perc_fs = share if kind == RND_GRID else None
-    code = {PERCF: 0, RND_GRID: share_cell_code(share), RND_SIZE: n}[kind]
+    code = {PERCF: 0, RND_GRID: _share_cell_code(share), RND_SIZE: n}[kind]
     blocks = list(experiments._blocks(ds, cfg, kind, code, n, perc_fs))
     assert [(rows.start, rows.stop) for rows, _, _ in blocks] == [(0, 5), (5, 10), (10, 12)]
     drawn = np.concatenate([masks for _, masks, _ in blocks])
@@ -376,7 +376,7 @@ def test_sample_blocks_match_one_sample_at_a_time(kind):
         n_f, raw = experiments._rnd_cell(ds, cfg, kind, cell)
         assert len(n_f) == len(raw) == 12
     for i in range(12):
-        stream = random_stream(cfg.seed, sample_stream(kind, code, i))
+        stream = random_stream(cfg.seed, _sample_stream(kind, code, i))
         indices = reference_draw_sample(ds, n, stream, perc_fs).tolist()
         # Python's stable sort on the collation key itself
         mask = ds.is_female[sorted(indices, key=lambda index: collation_key(ds.names[index]))]
@@ -407,7 +407,7 @@ def test_two_datasets_in_one_run(kind):
             assert [row for row in rows if row["dataset"] == ds.id] == own
 
 
-@pytest.mark.parametrize("scope", [PER_BATCH, GLOBAL])
+@pytest.mark.parametrize("scope", [_PER_BATCH, _GLOBAL])
 def test_one_pool_map_per_run_and_no_theoretical_z_outside_its_scope(monkeypatch, two_cpus, scope):
     maps = []
 
@@ -599,7 +599,7 @@ def test_spawned_workers_receive_the_datasets(monkeypatch, two_cpus, kind):
     assert run_datasets(kind, [SMALL_DATASET, OTHER_DATASET], cfg, jobs=2) == serial
 
 
-@pytest.mark.parametrize("scope", [PER_BATCH, GLOBAL, THEORETICAL])
+@pytest.mark.parametrize("scope", [_PER_BATCH, _GLOBAL, THEORETICAL])
 def test_single_gender_dataset_normalizes_to_zero(scope):
     # every list is all male, so every raw value and every Z is 0; a zero
     # Z reports a normalized 0 rather than dividing by it
@@ -615,7 +615,7 @@ def test_global_scope_shares_one_z_across_datasets(tmp_path):
     write_canonical(OTHER_DATASET, path_b)
 
     cfg = small_config(
-        dataset_paths=[str(path_a), str(path_b)], normalizer_scope=GLOBAL
+        dataset_paths=[str(path_a), str(path_b)], normalizer_scope=_GLOBAL
     )
     result = run_experiment(RND_GRID, cfg, tmp_path / "run")
     zs = {r["z"] for r in result.records}

@@ -13,7 +13,7 @@ from listfair.errors import SampleTooSmallError
 from listfair.metrics import (
     FIXED,
     THEORETICAL,
-    binomial_two_sided_p,
+    _binomial_two_sided_p,
     page_audit,
     perc_f_curve,
     rnd,
@@ -299,7 +299,7 @@ def test_binomial_p_value_matches_scipy(case):
 
     k, n, p = case
     reference = float(stats.binomtest(k, n, p).pvalue)
-    got = binomial_two_sided_p(k, n, p)
+    got = _binomial_two_sided_p(k, n, p)
     assert (got >= 0.05) == (reference >= 0.05)
     assert 0.0 <= got <= 1.0
     if reference >= 1e-6:
@@ -317,16 +317,21 @@ def test_parity_rejects_a_reference_outside_the_unit_interval(reference):
         statistical_parity(mask_from_pattern("FM" * 10), reference)
 
 
-@pytest.mark.parametrize("k, n, p, message", [
-    (5, 3, 0.5, r"k=5 outside 0\.\.3"),
-    (-1, 3, 0.5, r"k=-1 outside 0\.\.3"),
-    (1, 3, 1.5, r"p must lie in \[0, 1\], got 1\.5"),
-    (1, 3, -0.5, r"p must lie in \[0, 1\], got -0\.5"),
-    (1, 3, math.nan, r"p must lie in \[0, 1\], got nan"),
-], ids=["k-above-n", "k-negative", "p-above-1", "p-negative", "p-nan"])
-def test_binomial_p_rejects_a_count_or_share_out_of_range(k, n, p, message):
-    with pytest.raises(ValueError, match=rf"^{message}$"):
-        binomial_two_sided_p(k, n, p)
+@pytest.mark.parametrize("pattern, reference, p_value", [
+    ("MMM", 0.0, 1.0),
+    ("FMM", 0.0, 0.0),
+    ("FFF", 1.0, 1.0),
+    ("MMM", 1.0, 0.0),
+    ("FFM", 1.0, 0.0),
+], ids=["none-of-0", "one-of-0", "all-of-1", "none-of-1", "two-of-1"])
+def test_parity_at_a_reference_of_0_or_1(pattern, reference, p_value):
+    # under a share of 0 or 1 only one count has any chance: p is 1 there, 0 elsewhere
+    assert statistical_parity(mask_from_pattern(pattern), reference) == {
+        "perc_f_sample": pattern.count("F") / 3,
+        "perc_f_reference": reference,
+        "p_value": p_value,
+        "passes": p_value == 1.0,
+    }
 
 
 def test_parity_json_shape():
@@ -352,6 +357,12 @@ def test_page_audit_flags_and_exact_curve_agreement():
 
 def test_page_audit_boundary_is_at_or_above():
     assert audit("FMMF", (2,), 0.5) == [(2, 0.5, False)]
+
+
+def test_page_audit_at_an_expected_share_of_0_or_1():
+    # no share is below 0, and every share but 1 is below 1
+    assert audit("FMFM", (1, 2), 0.0) == [(1, 1.0, False), (2, 0.5, False)]
+    assert audit("FMFM", (1, 2), 1.0) == [(1, 1.0, False), (2, 0.5, True)]
 
 
 def test_page_audit_sorts_its_input():

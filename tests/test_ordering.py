@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from listfair.ordering import alphabetical_order, collation_key, collation_ranks, dense_rank, sort_alphabetical
+from listfair.ordering import alphabetical_order, collation_key, collation_ranks, _dense_rank, sort_alphabetical
 
 
 @pytest.mark.parametrize(
@@ -124,7 +124,7 @@ def test_collation_ranks_compare_as_keys(names):
 
 @given(unicode_names)
 def test_dense_rank_matches_dict_reference(keys):
-    assert dense_rank(keys).tolist() == dict_dense_rank(keys)
+    assert _dense_rank(keys).tolist() == dict_dense_rank(keys)
 
 
 @pytest.mark.parametrize(
@@ -138,7 +138,7 @@ def test_dense_rank_is_narrow_and_sorts_as_int64(distinct, dtype):
     keys = [f"K{i:06d}" for i in rng.permutation(distinct).tolist()]
     keys += keys[: distinct // 3]
     keys = [keys[i] for i in rng.permutation(len(keys)).tolist()]
-    ranks = dense_rank(keys)
+    ranks = _dense_rank(keys)
     assert ranks.dtype == dtype
     assert int(ranks.max()) == distinct - 1
     wide = ranks.astype(np.int64)

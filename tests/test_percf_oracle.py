@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from listfair.experiments import PERCF, ExperimentConfig, run_datasets, sample_stream
+from listfair.experiments import PERCF, ExperimentConfig, run_datasets, _sample_stream
 from listfair.metrics import perc_f_curve
 from listfair.ordering import alphabetical_order, collation_key
 from listfair.sampling import draw_sample
@@ -68,7 +68,7 @@ def check_percf_means(ds, cfg):
     # the per-sample curves the means are taken over, drawn again
     random_curves, alphabetical_curves = [], []
     for i in range(cfg.samples_per_cell):
-        indices = draw_sample(ds, cfg.n, random_stream(cfg.seed, sample_stream(PERCF, 0, i)))
+        indices = draw_sample(ds, cfg.n, random_stream(cfg.seed, _sample_stream(PERCF, 0, i)))
         random_curves.append(perc_f_curve(ds.is_female[indices]))
         sorted_indices = indices[alphabetical_order(ds.rank[indices])]
         alphabetical_curves.append(perc_f_curve(ds.is_female[sorted_indices]))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from listfair import experiments
 from listfair.errors import InfeasibleSampleError, SampleTooSmallError
 from listfair.experiments import (
-    NORMALIZER_SCOPES,
+    _NORMALIZER_SCOPES,
     PERCF,
     RND_GRID,
     RND_SIZE,
@@ -49,7 +49,7 @@ def datasets(draw, dataset_id: str):
 def runs(draw):
     # percf ignores the scope: draw the rND kinds twice as often
     kind = draw(st.sampled_from([PERCF, RND_GRID, RND_SIZE, RND_GRID, RND_SIZE]))
-    scope = draw(st.sampled_from(NORMALIZER_SCOPES))
+    scope = draw(st.sampled_from(_NORMALIZER_SCOPES))
     # the theoretical reference Z enumerates every arrangement
     top = 14 if scope == THEORETICAL else 24
     step = draw(st.one_of(st.integers(2, 5), st.integers(2, top)))

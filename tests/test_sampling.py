@@ -12,9 +12,9 @@ from listfair.errors import DatasetFormatError, InfeasibleSampleError
 from listfair.sampling import (
     draw_sample,
     draw_samples,
-    lookup,
-    permutations,
-    stratified_female_count,
+    _lookup,
+    _permutations,
+    _stratified_female_count,
 )
 from listfair.streams import random_stream
 
@@ -45,6 +45,24 @@ def test_random_source_rejects_bad_keys(seed, stream):
         random_stream(seed=seed, stream_index=stream)
 
 
+@pytest.mark.parametrize("seed, stream, message", [
+    (True, 0, "seed must be an integer, got True"),
+    (1.0, 0, "seed must be an integer, got 1.0"),
+    ("1", 0, "seed must be an integer, got '1'"),
+    (1, False, "stream_index must be an integer, got False"),
+    (1, 2.0, "stream_index must be an integer, got 2.0"),
+], ids=["seed-bool", "seed-float", "seed-str", "stream-bool", "stream-float"])
+def test_random_source_rejects_keys_that_are_not_integers(seed, stream, message):
+    # SeedSequence took True as the seed 1
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        random_stream(seed, stream)
+
+
+def test_random_source_of_one_argument_is_stream_zero():
+    assert random_stream(7).random_raw(4).tolist() == random_stream(7, 0).random_raw(4).tolist()
+    assert random_stream(np.uint64(7), np.int64(0)).random_raw(4).tolist() == random_stream(7, 0).random_raw(4).tolist()
+
+
 @pytest.mark.parametrize(
     "perc_fs, n, expected",
     [
@@ -59,18 +77,18 @@ def test_random_source_rejects_bad_keys(seed, stream):
     ],
 )
 def test_round_half_up(perc_fs, n, expected):
-    assert stratified_female_count(perc_fs, n) == expected
+    assert _stratified_female_count(perc_fs, n) == expected
 
 
 @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=2**32))
 def test_shuffle_preserves_multiset(n, seed):
-    shuffled = permutations(n, [random_stream(seed)])[0]
+    shuffled = _permutations(n, [random_stream(seed)])[0]
     assert sorted(shuffled.tolist()) == list(range(n))
 
 
 def test_shuffle_deterministic_and_input_untouched():
-    one = permutations(5, [random_stream(11, 2)])[0]
-    two = permutations(5, [random_stream(11, 2)])[0]
+    one = _permutations(5, [random_stream(11, 2)])[0]
+    two = _permutations(5, [random_stream(11, 2)])[0]
     assert one.tolist() == two.tolist()
     female_table, male_table = BASIC.strata
     tables = (*BASIC.cdf, *female_table, *male_table)
@@ -109,11 +127,11 @@ def test_guide_lookup_matches_searchsorted(counts, u):
     assert len(guide) & (len(guide) - 1) == 0 and len(guide) >= len(cdf) > len(guide) // 2
     u = np.concatenate((edge_uniforms(cdf, len(guide)), u))
     expected = cdf.searchsorted(u, side="right")
-    got = lookup(ds.cdf, u)
+    got = _lookup(ds.cdf, u)
     assert got.dtype == np.intp and np.array_equal(got, expected)
     # a block of rows keeps its shape
     block = np.resize(u, (3, len(u)))[:, 1:]
-    assert np.array_equal(lookup(ds.cdf, block), cdf.searchsorted(block, side="right"))
+    assert np.array_equal(_lookup(ds.cdf, block), cdf.searchsorted(block, side="right"))
 
 
 # (female, count) rows with at least one individual; zero counts and the
@@ -150,7 +168,7 @@ def test_strata_tables_span_every_record(rows, u):
         assert np.array_equal(cdf, np.maximum.accumulate(np.where(mine, cdf, 0.0)))
         assert len(guide) & (len(guide) - 1) == 0 and len(guide) >= len(cdf) > len(guide) // 2
         points = np.concatenate((edge_uniforms(cdf, len(guide)), u))
-        got = lookup((cdf, guide), points)
+        got = _lookup((cdf, guide), points)
         assert np.array_equal(got, cdf.searchsorted(points, side="right"))
         # a lookup lands only on a record of the gender with a count
         assert (ds.is_female[got] == female).all() and (ds.counts[got] >= 1).all()
@@ -162,7 +180,7 @@ def test_strata_tables_span_every_record(rows, u):
 def test_stratified_draws_skip_zero_counts(rows, n, perc_fs, seed):
     flags, counts = zip(*rows)
     ds = NameDataset.from_columns("zeros", [f"N{i}" for i in range(len(rows))], flags, counts)
-    n_f = stratified_female_count(perc_fs, n)
+    n_f = _stratified_female_count(perc_fs, n)
     if (n_f and not ds.female_count) or (n - n_f and ds.female_count == ds.total_count):
         # a gender whose records all count 0 has no one to draw
         with pytest.raises(InfeasibleSampleError):
@@ -193,7 +211,7 @@ def scalar_permutation(n, stream):
 def test_permutation_matches_scalar_swap_loop(n, seed, stream):
     vector = random_stream(seed, stream)
     scalar = random_stream(seed, stream)
-    assert permutations(n, [vector])[0].tolist() == scalar_permutation(n, scalar)
+    assert _permutations(n, [vector])[0].tolist() == scalar_permutation(n, scalar)
     # the stream has drawn the words the per-swap calls draw
     assert vector.state["state"] == scalar.state["state"]
 
@@ -207,7 +225,7 @@ def test_permutation_matches_scalar_swap_loop(n, seed, stream):
 @settings(max_examples=200, deadline=None)
 def test_permutations_rows_match_scalar_swap_loop(n, rows, seed, stream):
     streams = [random_stream(seed, stream + r) for r in range(rows)]
-    perms = permutations(n, streams)
+    perms = _permutations(n, streams)
     assert perms.dtype == np.intp and perms.shape == (rows, n)
     for r, (perm, drawn) in enumerate(zip(perms, streams)):
         scalar = random_stream(seed, stream + r)
@@ -221,7 +239,7 @@ def test_permutations_beyond_16_bit_positions():
     # numpy radix-sorts hold; 2**16 + 1 and 70,000 take 32 bits
     for rows, n in [(3, 21_845), (16, 4096), (1, 2**16 + 1), (1, 70_000)]:
         streams = [random_stream(2020, 7 + r) for r in range(rows)]
-        perms = permutations(n, streams)
+        perms = _permutations(n, streams)
         assert perms.dtype == np.intp
         for r, (perm, stream) in enumerate(zip(perms, streams)):
             scalar = random_stream(2020, 7 + r)
@@ -232,11 +250,11 @@ def test_permutations_beyond_16_bit_positions():
 def test_permutations_allocate_at_most_40_bytes_per_position():
     # a block of 16 shuffles of 1000 works in 16-bit indices: its peak is
     # about 34 bytes per position, where intp temporaries took about 87
-    permutations(1000, [random_stream(3, r) for r in range(16)])
+    _permutations(1000, [random_stream(3, r) for r in range(16)])
     streams = [random_stream(4, r) for r in range(16)]
     tracemalloc.start()
     try:
-        permutations(1000, streams)
+        _permutations(1000, streams)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -250,7 +268,7 @@ def test_shuffle_uniformity_chi_square():
     counts = {}
     rng = random_stream(seed=2024)
     for _ in range(trials):
-        perm = tuple(permutations(3, [rng])[0].tolist())
+        perm = tuple(_permutations(3, [rng])[0].tolist())
         counts[perm] = counts.get(perm, 0) + 1
     assert len(counts) == 6
     stat = chi_square_statistic(counts.values(), [trials / 6] * 6)
@@ -305,7 +323,7 @@ def test_draws_match_generator_choice(rows, n, perc_fs, seed):
     if perc_fs is None:
         expected = choice_draw(np.arange(len(counts)), counts, n, gen)
     else:
-        n_f = stratified_female_count(perc_fs, n)
+        n_f = _stratified_female_count(perc_fs, n)
         female = np.flatnonzero(ds.is_female)
         male = np.flatnonzero(~ds.is_female)
         if (n_f and not len(female)) or (n - n_f and not len(male)):
@@ -313,7 +331,7 @@ def test_draws_match_generator_choice(rows, n, perc_fs, seed):
         drawn = np.concatenate(
             [choice_draw(female, counts, n_f, gen), choice_draw(male, counts, n - n_f, gen)]
         )
-        expected = drawn[permutations(n, [gen.bit_generator])[0]]
+        expected = drawn[_permutations(n, [gen.bit_generator])[0]]
     stream = random_stream(seed)
     got = draw_sample(ds, n, stream, perc_fs)
     assert got.dtype == expected.dtype
@@ -358,7 +376,7 @@ def test_draw_samples_rows_match_one_draw_per_source(extra, n, samples, perc_fs,
 def test_stratified_counts_are_exact(perc_fs, n, seed):
     sample = draw_sample(BASIC, n, random_stream(seed), perc_fs=perc_fs)
     women = int(BASIC.is_female[sample].sum())
-    assert women == stratified_female_count(perc_fs, n)
+    assert women == _stratified_female_count(perc_fs, n)
     assert len(sample) == n
 
 
@@ -375,7 +393,7 @@ def test_stratified_female_count_is_exact(digits, numerator, n):
     perc_fs = float(Fraction(numerator, scale))
     exact = Fraction(numerator, scale) * n
     expected = math.floor(exact + Fraction(1, 2))
-    assert stratified_female_count(perc_fs, n) == expected
+    assert _stratified_female_count(perc_fs, n) == expected
     # half up: the nearest integer, and ties go up
     assert abs(expected - exact) <= Fraction(1, 2)
     assert expected - exact != Fraction(-1, 2)
@@ -384,10 +402,10 @@ def test_stratified_female_count_is_exact(digits, numerator, n):
 def test_stratified_female_count_rounds_float_ties_up():
     # 0.29 * 50 is 14.499999999999998 in floats; the share means 14.5
     assert 0.29 * 50 < 14.5
-    assert stratified_female_count(0.29, 50) == 15
-    assert stratified_female_count(0.5, 7) == 4
-    assert stratified_female_count(0.0, 9) == 0
-    assert stratified_female_count(1.0, 9) == 9
+    assert _stratified_female_count(0.29, 50) == 15
+    assert _stratified_female_count(0.5, 7) == 4
+    assert _stratified_female_count(0.0, 9) == 0
+    assert _stratified_female_count(1.0, 9) == 9
 
 
 def test_stratified_female_names_come_from_female_records():

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 import warnings
 from unittest import mock
@@ -199,6 +200,19 @@ def test_bootstrap_rejects_values_that_are_not_finite(values):
     # an infinity warned in the quantile and a NaN gave a (nan, nan) interval
     with pytest.raises(ValueError, match="^bootstrap values must be finite$"):
         bootstrap_ci(values, rng=random_stream(0))
+
+
+@pytest.mark.parametrize("values", [[1e308, 1e308], [-1e308, 0.0], [sys.float_info.max / 4 * 1.0000001, 1.0]],
+                         ids=["two-1e308", "-1e308", "just-above-the-bound"])
+def test_bootstrap_rejects_values_whose_sums_could_overflow(values):
+    # two values of 1e308 gave (nan, nan) after two overflow warnings
+    with pytest.raises(ValueError, match="^bootstrap values are too large: a sum of 2 of them could overflow$"):
+        bootstrap_ci(np.array(values), rng=random_stream(1))
+
+
+def test_bootstrap_accepts_values_at_the_overflow_bound():
+    bound = sys.float_info.max / 2 / 3
+    assert bootstrap_ci([bound, -bound, bound], rng=random_stream(1)) == (-bound, bound)
 
 
 @pytest.mark.parametrize("bandwidth", [np.nan, np.inf, 0.0, -1.0])

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 import pcg64_spec
 from listfair import streams
-from listfair.experiments import PERCF, agg_stream
+from listfair.experiments import PERCF, _agg_stream
 from listfair.streams import bounded, random_stream, uniforms
 
 keys = st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64))
-KNOWN_KEYS = [(42, 0), (0, 0), (2**64 - 1, agg_stream(PERCF, 0))]
+KNOWN_KEYS = [(42, 0), (0, 0), (2**64 - 1, _agg_stream(PERCF, 0))]
 # 3 * 10**9 rejects about 30 % of the 32-bit halves
 BOUNDS = [np.arange(300, 1, -1), 100, 3 * 10**9]
 COUNTS = [299, 999, 50]
